@@ -19,10 +19,8 @@ from .kalman import (
     SmootherOutput,
     kalman_filter,
     kalman_smoother,
-    kalman_smoother_classical,
     stationary_init,
     steady_state_diagnostics,
-    woodbury_inverse,
 )
 from .pca import IdentificationError, PcEstimate, pc_estimate, var_from_factors
 from .em import (
@@ -39,7 +37,6 @@ from .em import (
 from .extensions import (
     ArIdioState,
     RidgeConfig,
-    ar1_covariance,
     ar1_precision,
     ecm_fit,
     gls_loadings,
@@ -53,13 +50,9 @@ from .metrics import (
     CoverageTable,
     TraceStat,
     ZAccumulator,
-    asvar_hat,
     asvar_matrices,
     common_mse,
-    coverage,
-    relative_mse,
     trace_statistic,
-    z_histogram,
     z_scores,
 )
 from .montecarlo import (

@@ -21,10 +21,9 @@ eigenpairs of Gom with eigenvalues shrunk by the small ridge vartheta
 (default 0.1/T) that keeps the singular case well defined.
 
 Convergence uses the relative log-likelihood change
-|l_{k+1} - l_k| / |l_{k+1} + l_k|; by default l is the exact filter
-(marginal) log-likelihood, which EM theory guarantees is nondecreasing. A
-joint-likelihood variant that plugs in the smoothed factor path is
-available for comparison but is not monotone in general.
+|l_{k+1} - l_k| / |l_{k+1} + l_k|, where l is the exact filter (marginal)
+log-likelihood, which EM theory guarantees is nondecreasing. The loop in
+``_fit`` is shared with the ridge and ECM estimators of ``extensions``.
 """
 
 from __future__ import annotations
@@ -83,27 +82,17 @@ class AscentViolationError(EmError):
 
 @dataclass(frozen=True)
 class EmConfig:
-    """EM loop controls.
-
-    vartheta_mstep is the ridge used in the H update; None means the
-    sample-size default 0.1/T. vartheta_ks is the ridge added to the state
-    innovation covariance inside the filter/smoother (0 by default).
-    criterion selects the log-likelihood flavor driving the stopping rule.
-    """
+    """EM loop controls: the relative log-likelihood tolerance and the
+    maximum number of M-steps."""
 
     epsilon: float = 1e-4
     max_iter: int = 500
-    vartheta_mstep: float = None
-    vartheta_ks: float = 0.0
-    criterion: str = "marginal"
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.criterion not in ("marginal", "joint"):
-            raise ValueError("criterion must be 'marginal' or 'joint'")
 
 
 @dataclass(frozen=True)
@@ -137,19 +126,6 @@ class EmResult:
     extras: dict = field(default_factory=dict)
 
 
-def _ks_params(params, vartheta_ks):
-    """Parameters as seen by the filter: optionally ridge the state noise.
-
-    HH' + vartheta I is realized by appending sqrt(vartheta) I_r columns
-    to H, which keeps the filter code path unchanged.
-    """
-    if vartheta_ks <= 0.0:
-        return params
-    Haug = np.hstack([params.H, np.sqrt(vartheta_ks) * np.eye(params.r)])
-    return DfmParams(Lambda=params.Lambda, A=params.A, H=Haug,
-                     gamma_e=params.gamma_e, rho=params.rho)
-
-
 def build_stats(panel: Panel, smooth: SmootherOutput) -> SufficientStats:
     """Assemble the sufficient statistics from a smoother pass."""
     X = panel.X
@@ -172,8 +148,7 @@ def build_stats(panel: Panel, smooth: SmootherOutput) -> SufficientStats:
                            S_P=Ps.sum(axis=0), F_smooth=Fs)
 
 
-def e_step(panel: Panel, params: DfmParams, init: InitState = None,
-           vartheta_ks: float = 0.0):
+def e_step(panel: Panel, params: DfmParams, init: InitState = None):
     """One expectation step: smoother pass plus sufficient statistics.
 
     Returns
@@ -183,8 +158,8 @@ def e_step(panel: Panel, params: DfmParams, init: InitState = None,
     """
     if init is None:
         init = stationary_init(params)
-    filt = kalman_filter(panel, _ks_params(params, vartheta_ks), init)
-    smooth = kalman_smoother(filt, _ks_params(params, vartheta_ks))
+    filt = kalman_filter(panel, params, init)
+    smooth = kalman_smoother(filt, params)
     return build_stats(panel, smooth), smooth, filt.loglik
 
 
@@ -258,63 +233,24 @@ def m_step(stats: SufficientStats, panel: Panel, q: int,
     return DfmParams(Lambda=Lam, A=A, H=H, gamma_e=gamma, rho=np.zeros(X.shape[0]))
 
 
-def _joint_loglik(panel, params, smooth):
-    """Joint log-density of (panel, smoothed factor path), up to the
-    degenerate state directions: shock contributions are evaluated in the
-    q-dimensional innovation space via the pseudoinverse of H."""
-    X = panel.X
-    Fs = smooth.F_smooth
-    resid = X - params.Lambda @ Fs
-    g = params.gamma_e
-    n, T = X.shape
-    log2pi = np.log(2.0 * np.pi)
-    if g.ndim == 1:
-        meas = -0.5 * (T * (n * log2pi + np.sum(np.log(g)))
-                       + np.sum(resid**2 / g[:, None]))
-    else:
-        cf = np.linalg.cholesky(g)
-        sol = np.linalg.solve(cf, resid)
-        meas = -0.5 * (T * (n * log2pi + 2.0 * np.sum(np.log(np.diag(cf))))
-                       + np.sum(sol**2))
-    F_prev = np.hstack([smooth.F0_smooth[:, None], Fs[:, :-1]])
-    dF = Fs - params.A @ F_prev
-    u = np.linalg.pinv(params.H) @ dF
-    q = params.q
-    state = -0.5 * (T * q * log2pi + np.sum(u**2))
-    return float(meas + state)
+def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
+         update=None, gamma0=None, guard_ascent: bool = False) -> EmResult:
+    """The EM loop behind :func:`em_fit`, ``ridge_fit`` and ``ecm_fit``.
 
-
-def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
-           init: PcEstimate = None) -> EmResult:
-    """Fit the model by EM, initialized from principal components.
-
-    The panel is used as given: the model has no intercept, so the data
-    are assumed zero-mean per series (center beforehand if they are not;
-    the principal-components initializer centers internally either way).
-
-    The filter is started at the principal-components factor value and the
-    stationary state covariance; later iterations warm-start from the
-    previous smoother's time-zero output (falling back to the stationary
-    covariance if that matrix is not positive semidefinite).
-
-    Raises
-    ------
-    EmDivergenceError
-        If the log-likelihood becomes non-finite.
-    AscentViolationError
-        If the marginal log-likelihood decreases beyond a 1e-8 relative
-        slack, which EM theory rules out for a correct implementation.
+    ``gamma0`` maps the floored principal-components idiosyncratic
+    variances to the initial idiosyncratic covariance, and
+    ``update(stats, smooth, base)`` maps each diagonal :func:`m_step`
+    result ``base`` to the estimator's parameters; both default to the
+    identity. ``guard_ascent`` turns on the :class:`AscentViolationError`
+    check.
     """
     if init is None:
         init = pc_estimate(panel, dims.r, dims.q)
-    params = DfmParams(
-        Lambda=init.Lambda0,
-        A=init.A0,
-        H=init.H0,
-        gamma_e=np.maximum(init.GammaE0,
-                           np.maximum(1e-12, _GAMMA_RTOL * panel.X.var(axis=1))),
-        rho=np.zeros(dims.n),
-    )
+    gamma = np.maximum(init.GammaE0,
+                       np.maximum(_GAMMA_FLOOR, _GAMMA_RTOL * panel.X.var(axis=1)))
+    params = DfmParams(Lambda=init.Lambda0, A=init.A0, H=init.H0,
+                       gamma_e=gamma if gamma0 is None else gamma0(gamma),
+                       rho=np.zeros(dims.n))
     try:
         kf_init = InitState(F0=init.Ftilde[:, 0], P0=stationary_init(params).P0)
     except np.linalg.LinAlgError:
@@ -323,31 +259,26 @@ def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     trace = []
     converged = False
     iters = 0
-    smooth = None
-    prev_criterion = None
     for k in range(config.max_iter + 1):
-        stats, smooth, loglik = e_step(panel, params, kf_init, config.vartheta_ks)
+        stats, smooth, loglik = e_step(panel, params, kf_init)
         if not np.isfinite(loglik):
             raise EmDivergenceError("non-finite log-likelihood", k)
-        if trace and loglik < trace[-1] - 1e-8 * abs(trace[-1]):
+        if guard_ascent and trace and loglik < trace[-1] - 1e-8 * abs(trace[-1]):
             raise AscentViolationError(
                 f"log-likelihood decreased from {trace[-1]!r} to {loglik!r}", k
             )
         trace.append(loglik)
-
-        crit_value = (loglik if config.criterion == "marginal"
-                      else _joint_loglik(panel, params, smooth))
-        if prev_criterion is not None:
-            denom = abs(crit_value + prev_criterion)
-            delta = abs(crit_value - prev_criterion) / denom if denom > 0 else 0.0
+        if k > 0:
+            denom = abs(trace[-1] + trace[-2])
+            delta = abs(trace[-1] - trace[-2]) / denom if denom > 0 else 0.0
             if delta < config.epsilon:
                 converged = True
                 break
-        prev_criterion = crit_value
-
         if k == config.max_iter:
             break
-        params = m_step(stats, panel, dims.q, config.vartheta_mstep)
+
+        base = m_step(stats, panel, dims.q)
+        params = base if update is None else update(stats, smooth, base)
         iters = k + 1
 
         P0 = 0.5 * (smooth.P0_smooth + smooth.P0_smooth.T)
@@ -359,3 +290,30 @@ def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     return EmResult(params=params, factors=smooth,
                     loglik_trace=np.asarray(trace), iters=iters,
                     converged=converged, filter_init=kf_init)
+
+
+def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
+           init: PcEstimate = None) -> EmResult:
+    """Fit the model by EM, initialized from principal components.
+
+    The panel is used as given: the model has no intercept, so the data
+    are assumed zero-mean per series (center beforehand if they are not;
+    the principal-components initializer centers internally either way).
+
+    The idiosyncratic variances start at their principal-components values,
+    floored at a fixed fraction of each series' sample variance. The filter
+    is started at the principal-components factor value and the stationary
+    state covariance (P0 = I if the initial VAR has none); later iterations
+    warm-start from the previous smoother's time-zero output (falling back
+    to the stationary covariance if that matrix is not positive
+    semidefinite). ``ridge_fit`` and ``ecm_fit`` share this loop.
+
+    Raises
+    ------
+    EmDivergenceError
+        If the log-likelihood becomes non-finite.
+    AscentViolationError
+        If the marginal log-likelihood decreases beyond a 1e-8 relative
+        slack, which EM theory rules out for a correct implementation.
+    """
+    return _fit(panel, dims, config, init, guard_ascent=True)

@@ -15,27 +15,34 @@ Two variants are provided:
   tridiagonal inverse covariance. Because that inverse is tridiagonal,
   only lag-0 and lag-1 expected factor cross-moments enter the weighted
   normal equations, and both are exactly available from the smoother.
+  The E-step filter is run with the AR(1) *innovation* variances as the
+  idiosyncratic variances and ignores rho, so the logged filter
+  likelihood is not the objective ECM ascends and can fall.
+
+Both estimators run the EM loop of :mod:`dfm_em.em` and supply only their
+initial idiosyncratic covariance and the map from the diagonal M-step to
+their own parameters.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import toeplitz
 
-from .em import EmConfig, EmDivergenceError, EmResult, e_step, m_step
-from .kalman import InitState, stationary_init
+from .em import EmConfig, EmResult, _fit
+# Not called here: bench/tracing.py wraps these by their extensions.* names.
+from .em import e_step, m_step  # noqa: F401
+from .kalman import stationary_init  # noqa: F401
 from .model import DfmParams, ModelDims, Panel
-from .pca import PcEstimate, pc_estimate
+from .pca import PcEstimate, pc_estimate  # noqa: F401
 
 __all__ = [
     "RidgeConfig",
     "ArIdioState",
     "ridge_covariance",
     "ridge_fit",
-    "ar1_covariance",
     "ar1_precision",
     "gls_loadings",
     "ecm_fit",
@@ -116,70 +123,32 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
 
     Identical to the diagonal EM loop except that the idiosyncratic update
     keeps the full expected residual covariance and passes it through
-    :func:`ridge_covariance`. The stopping rule still tracks the exact
-    filter log-likelihood, but monotonicity is not enforced: the penalized
-    objective, not the likelihood itself, is what this loop ascends.
+    :func:`ridge_covariance`; the initial covariance is the same map applied
+    to the diagonal principal-components variances. The stopping rule still
+    tracks the exact filter log-likelihood, but monotonicity is not
+    enforced: the penalized objective, not the likelihood itself, is what
+    this loop ascends.
     """
-    if init is None:
-        init = pc_estimate(panel, dims.r, dims.q)
     mu = ridge.resolve(dims.n, dims.T)
-    X = panel.X
-    XXt = X @ X.T
+    XXt = panel.X @ panel.X.T
 
-    params = DfmParams(
-        Lambda=init.Lambda0, A=init.A0, H=init.H0,
-        gamma_e=ridge_covariance(np.diag(np.maximum(init.GammaE0, 1e-8)), mu),
-        rho=np.zeros(dims.n),
-    )
-    kf_init = InitState(F0=init.Ftilde[:, 0], P0=stationary_init(params).P0)
-
-    trace = []
-    converged = False
-    iters = 0
-    smooth = None
-    for k in range(config.max_iter + 1):
-        stats, smooth, loglik = e_step(panel, params, kf_init, config.vartheta_ks)
-        if not np.isfinite(loglik):
-            raise EmDivergenceError("non-finite log-likelihood", k)
-        trace.append(loglik)
-        if len(trace) >= 2:
-            denom = abs(trace[-1] + trace[-2])
-            delta = abs(trace[-1] - trace[-2]) / denom if denom > 0 else 0.0
-            if delta < config.epsilon:
-                converged = True
-                break
-        if k == config.max_iter:
-            break
-
-        base = m_step(stats, panel, dims.q, config.vartheta_mstep)
+    def update(stats, smooth, base):
         Lam = base.Lambda
         S_resid = (XXt - Lam @ stats.S_xF.T - stats.S_xF @ Lam.T
                    + Lam @ stats.S_FF @ Lam.T) / dims.T
-        gamma_full = ridge_covariance(S_resid, mu)
-        params = DfmParams(Lambda=Lam, A=base.A, H=base.H,
-                           gamma_e=gamma_full, rho=np.zeros(dims.n))
-        iters = k + 1
+        return DfmParams(Lambda=Lam, A=base.A, H=base.H,
+                         gamma_e=ridge_covariance(S_resid, mu),
+                         rho=np.zeros(dims.n))
 
-        P0 = 0.5 * (smooth.P0_smooth + smooth.P0_smooth.T)
-        if np.min(np.linalg.eigvalsh(P0)) >= -1e-10:
-            kf_init = InitState(F0=smooth.F0_smooth, P0=P0)
-        else:
-            kf_init = InitState(F0=smooth.F0_smooth, P0=stationary_init(params).P0)
-
-    return EmResult(params=params, factors=smooth,
-                    loglik_trace=np.asarray(trace), iters=iters,
-                    converged=converged, filter_init=kf_init,
-                    extras={"ridge_mu": mu})
-
-
-def ar1_covariance(rho: float, gamma: float, T: int) -> np.ndarray:
-    """Dense T x T covariance of a stationary AR(1): gamma rho^|t-s| / (1-rho^2)."""
-    return gamma * toeplitz(rho ** np.arange(T)) / (1.0 - rho**2)
+    res = _fit(panel, dims, config, init, update,
+               gamma0=lambda g: ridge_covariance(np.diag(g), mu))
+    return replace(res, extras={"ridge_mu": mu})
 
 
 def ar1_precision(rho: float, gamma: float, T: int) -> np.ndarray:
-    """Closed-form inverse of :func:`ar1_covariance` (tridiagonal).
+    """Inverse covariance of a stationary AR(1) of length T (tridiagonal).
 
+    The covariance is gamma rho^|t-s| / (1-rho^2); its inverse is
     (1/gamma) times the tridiagonal matrix with diagonal
     [1, 1 + rho^2, ..., 1 + rho^2, 1] and off-diagonal -rho.
     """
@@ -268,55 +237,20 @@ def ecm_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     AR coefficient / innovation-variance update from expected residual
     moments, then GLS loadings re-weighted by the implied tridiagonal
     inverse covariance. The VAR and shock-loading updates are unchanged.
-    The filter treats the idiosyncratic part through its unconditional
-    variance, so the exact likelihood is not guaranteed monotone here and
-    ascent is not enforced.
+    The filter is given the AR *innovation* variances as idiosyncratic
+    variances and ignores rho, so the logged log-likelihood is not the
+    objective this loop ascends; it is not guaranteed monotone and ascent
+    is not enforced.
 
     Returns an :class:`EmResult` whose ``extras['ar_idio']`` carries the
     final :class:`ArIdioState`.
     """
-    if init is None:
-        init = pc_estimate(panel, dims.r, dims.q)
-    params = DfmParams(
-        Lambda=init.Lambda0, A=init.A0, H=init.H0,
-        gamma_e=np.maximum(init.GammaE0, 1e-8), rho=np.zeros(dims.n),
-    )
-    kf_init = InitState(F0=init.Ftilde[:, 0], P0=stationary_init(params).P0)
 
-    trace = []
-    converged = False
-    iters = 0
-    smooth = None
-    ar_state = ArIdioState(rho_hat=np.zeros(dims.n),
-                           gamma_hat=np.maximum(init.GammaE0, 1e-8))
-    for k in range(config.max_iter + 1):
-        stats, smooth, loglik = e_step(panel, params, kf_init, config.vartheta_ks)
-        if not np.isfinite(loglik):
-            raise EmDivergenceError("non-finite log-likelihood", k)
-        trace.append(loglik)
-        if len(trace) >= 2:
-            denom = abs(trace[-1] + trace[-2])
-            delta = abs(trace[-1] - trace[-2]) / denom if denom > 0 else 0.0
-            if delta < config.epsilon:
-                converged = True
-                break
-        if k == config.max_iter:
-            break
-
-        base = m_step(stats, panel, dims.q, config.vartheta_mstep)
+    def update(stats, smooth, base):
         rho, gamma = _ar_updates(panel.X, base.Lambda, smooth)
         Lam = gls_loadings(stats, smooth, panel, rho)
-        params = DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_e=gamma, rho=rho)
-        ar_state = ArIdioState(rho_hat=rho, gamma_hat=gamma)
-        iters = k + 1
+        return DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_e=gamma, rho=rho)
 
-        P0 = 0.5 * (smooth.P0_smooth + smooth.P0_smooth.T)
-        if np.min(np.linalg.eigvalsh(P0)) >= -1e-10:
-            kf_init = InitState(F0=smooth.F0_smooth, P0=P0)
-        else:
-            kf_init = InitState(F0=smooth.F0_smooth, P0=stationary_init(params).P0)
-
-    return EmResult(params=params, factors=smooth,
-                    loglik_trace=np.asarray(trace), iters=iters,
-                    converged=converged, filter_init=kf_init,
-                    extras={"ar_idio": ar_state})
+    res = _fit(panel, dims, config, init, update)
+    ar = ArIdioState(rho_hat=res.params.rho, gamma_hat=res.params.gamma_e)
+    return replace(res, extras={"ar_idio": ar})

@@ -31,9 +31,8 @@ quantities as
 
     C_{t,t-1|T} = (I - P_{t|t-1} N_{t-1}) L_{t-1} P_{t-1|t-2},
 
-which the test suite verifies against a dense joint-Gaussian projection.
-A classical inverting smoother is provided as an independent cross-check
-for the nonsingular case.
+which the test suite verifies against a dense joint-Gaussian projection
+and, in the nonsingular case, against a classical inverting smoother.
 """
 
 from __future__ import annotations
@@ -52,10 +51,8 @@ __all__ = [
     "FilterNumericalError",
     "kalman_filter",
     "kalman_smoother",
-    "kalman_smoother_classical",
     "steady_state_diagnostics",
     "SteadyStateDiagnostics",
-    "woodbury_inverse",
     "stationary_init",
 ]
 
@@ -160,39 +157,6 @@ def _psd_factor(P):
     tol = _RANK_RTOL * max(w[-1], 0.0) if w.size else 0.0
     keep = w > tol
     return V[:, keep] * np.sqrt(w[keep])
-
-
-def woodbury_inverse(b_diag, C, A):
-    """Inverse of diag(b) + C A C' via the matrix-inversion lemma.
-
-    Valid for positive diagonal b, any n x m matrix C and symmetric PSD A
-    (possibly singular): with A = U U',
-
-        (B + CU(CU)')^{-1} = B^{-1} - B^{-1}CU (I + U'C'B^{-1}CU)^{-1} U'C'B^{-1}.
-
-    Parameters
-    ----------
-    b_diag : ndarray, shape (n,)
-        Diagonal of the positive definite diagonal term.
-    C : ndarray, shape (n, m)
-    A : ndarray, shape (m, m)
-        Symmetric positive semidefinite.
-
-    Returns
-    -------
-    ndarray, shape (n, n)
-    """
-    b_diag = np.asarray(b_diag, dtype=float)
-    if np.any(b_diag <= 0.0):
-        raise ValueError("diagonal term must be strictly positive")
-    U = _psd_factor(np.asarray(A, dtype=float))
-    CU = np.asarray(C, dtype=float) @ U
-    Binv_CU = CU / b_diag[:, None]
-    if CU.shape[1] == 0:
-        return np.diag(1.0 / b_diag)
-    core = np.eye(CU.shape[1]) + CU.T @ Binv_CU
-    sol = np.linalg.solve(core, Binv_CU.T)
-    return np.diag(1.0 / b_diag) - Binv_CU @ sol
 
 
 def stationary_init(params: DfmParams) -> InitState:
@@ -402,37 +366,6 @@ def kalman_smoother(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
     P0 = filt.init.P0
     F0_s = filt.init.F0 + P0 @ A.T @ r_vec
     P0_s = _psd_clip(P0 - P0 @ A.T @ N_store[0] @ A @ P0)
-
-    return SmootherOutput(F_smooth=F_s, P_smooth=P_s, C_lag1=C,
-                          F0_smooth=F0_s, P0_smooth=P0_s)
-
-
-def kalman_smoother_classical(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
-    """Classical inverting smoother; requires nonsingular P_{t+1|t}.
-
-    Used as an independent cross-check of the inversion-free recursion in
-    the q = r case. F_{t|T} = F_{t|t} + J_t (F_{t+1|T} - F_{t+1|t}) with
-    gain J_t = P_{t|t} A' P_{t+1|t}^{-1}; the lag-one cross-covariance
-    follows C_{t+1,t|T} = P_{t+1|T} J_t'.
-    """
-    T, r = filt.T, filt.r
-    A = params.A
-
-    F_s = np.empty((r, T))
-    P_s = np.empty((T, r, r))
-    C = np.zeros((T, r, r))
-    F_s[:, T - 1] = filt.F_filt[:, T - 1]
-    P_s[T - 1] = filt.P_filt[T - 1]
-    for t in range(T - 2, -1, -1):
-        J = filt.P_filt[t] @ A.T @ np.linalg.inv(filt.P_pred[t + 1])
-        F_s[:, t] = filt.F_filt[:, t] + J @ (F_s[:, t + 1] - filt.F_pred[:, t + 1])
-        P_s[t] = _psd_clip(filt.P_filt[t] + J @ (P_s[t + 1] - filt.P_pred[t + 1]) @ J.T)
-        C[t + 1] = P_s[t + 1] @ J.T
-
-    J0 = filt.init.P0 @ A.T @ np.linalg.inv(filt.P_pred[0])
-    F0_s = filt.init.F0 + J0 @ (F_s[:, 0] - filt.F_pred[:, 0])
-    P0_s = _symmetrize(filt.init.P0 + J0 @ (P_s[0] - filt.P_pred[0]) @ J0.T)
-    C[0] = 0.0
 
     return SmootherOutput(F_smooth=F_s, P_smooth=P_s, C_lag1=C,
                           F0_smooth=F0_s, P0_smooth=P0_s)

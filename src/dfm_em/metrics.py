@@ -32,12 +32,8 @@ __all__ = [
     "BURN_IN_T",
     "trace_statistic",
     "common_mse",
-    "relative_mse",
     "asvar_matrices",
-    "asvar_hat",
     "z_scores",
-    "coverage",
-    "z_histogram",
     "HIST_EDGES",
 ]
 
@@ -99,11 +95,6 @@ def common_mse(chi_true: np.ndarray, chi_est: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def relative_mse(a: float, b: float) -> float:
-    """Ratio of two MSEs."""
-    return float(a / b)
-
-
 def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     """Asymptotic-variance building blocks for every (i, t).
 
@@ -159,12 +150,6 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     base = np.einsum("rt,rt->t", F, np.linalg.solve(F @ F.T / T, F))
     V = gamma_diag[:, None] * base[None, :]
     return W, V
-
-
-def asvar_hat(result: EmResult, i: int, t: int, mode: str = "diag_ols"):
-    """(W_it, V_it) for a single entry; see :func:`asvar_matrices`."""
-    W, V = asvar_matrices(result, mode)
-    return float(W[i]), float(V[i, t])
 
 
 def z_scores(result: EmResult, chi_true: np.ndarray,
@@ -252,21 +237,3 @@ class ZAccumulator:
             kurtosis=float(kurt),
             count=c,
         )
-
-
-def coverage(Z: np.ndarray, alphas=DEFAULT_ALPHAS,
-             burn_in: int = BURN_IN_T) -> CoverageTable:
-    """Coverage table for a single pooled Z sample."""
-    acc = ZAccumulator(alphas=tuple(alphas))
-    acc.update(Z, burn_in=burn_in)
-    return acc.table()
-
-
-def z_histogram(Z: np.ndarray, burn_in: int = BURN_IN_T):
-    """Binned Z counts on the fixed [-5, 5] grid of width 0.1.
-
-    Returns (edges, counts).
-    """
-    z = np.asarray(Z, dtype=float)[:, burn_in - 1:].ravel()
-    counts = np.histogram(z, bins=HIST_EDGES)[0]
-    return HIST_EDGES, counts

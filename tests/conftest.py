@@ -1,13 +1,18 @@
-"""Shared test helpers: dense joint-Gaussian oracles for the state space.
+"""Shared test helpers: reference implementations the library is checked against.
 
-The oracle builds the exact joint normal law of the stacked state path
-(F_0, ..., F_T) and the stacked observations, then conditions directly.
-It is O((nT)^3) and only usable on tiny instances, which is the point:
-it shares no code with the recursive filter/smoother under test.
+The dense oracle builds the exact joint normal law of the stacked state
+path (F_0, ..., F_T) and the stacked observations, then conditions
+directly. It is O((nT)^3) and only usable on tiny instances, which is the
+point: it shares no code with the recursive filter/smoother under test.
+The classical inverting smoother, the Woodbury inverse and the dense AR(1)
+covariance are further closed-form references.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
+
+from dfm_em.kalman import SmootherOutput, _psd_clip, _psd_factor, _symmetrize
 
 
 def dense_joint_moments(panel, params, init):
@@ -70,6 +75,75 @@ def oracle_state_blocks(post_mean, post_cov, r, T):
             prev = slice(t * r, (t + 1) * r)
             C[t] = post_cov[blk, prev]
     return F, P, C
+
+
+def woodbury_inverse(b_diag, C, A):
+    """Inverse of diag(b) + C A C' via the matrix-inversion lemma.
+
+    Valid for positive diagonal b, any n x m matrix C and symmetric PSD A
+    (possibly singular): with A = U U',
+
+        (B + CU(CU)')^{-1} = B^{-1} - B^{-1}CU (I + U'C'B^{-1}CU)^{-1} U'C'B^{-1}.
+
+    Parameters
+    ----------
+    b_diag : ndarray, shape (n,)
+        Diagonal of the positive definite diagonal term.
+    C : ndarray, shape (n, m)
+    A : ndarray, shape (m, m)
+        Symmetric positive semidefinite.
+
+    Returns
+    -------
+    ndarray, shape (n, n)
+    """
+    b_diag = np.asarray(b_diag, dtype=float)
+    if np.any(b_diag <= 0.0):
+        raise ValueError("diagonal term must be strictly positive")
+    U = _psd_factor(np.asarray(A, dtype=float))
+    CU = np.asarray(C, dtype=float) @ U
+    Binv_CU = CU / b_diag[:, None]
+    if CU.shape[1] == 0:
+        return np.diag(1.0 / b_diag)
+    core = np.eye(CU.shape[1]) + CU.T @ Binv_CU
+    sol = np.linalg.solve(core, Binv_CU.T)
+    return np.diag(1.0 / b_diag) - Binv_CU @ sol
+
+
+def kalman_smoother_classical(filt, params):
+    """Classical inverting smoother; requires nonsingular P_{t+1|t}.
+
+    Used as an independent cross-check of the inversion-free recursion in
+    the q = r case. F_{t|T} = F_{t|t} + J_t (F_{t+1|T} - F_{t+1|t}) with
+    gain J_t = P_{t|t} A' P_{t+1|t}^{-1}; the lag-one cross-covariance
+    follows C_{t+1,t|T} = P_{t+1|T} J_t'.
+    """
+    T, r = filt.T, filt.r
+    A = params.A
+
+    F_s = np.empty((r, T))
+    P_s = np.empty((T, r, r))
+    C = np.zeros((T, r, r))
+    F_s[:, T - 1] = filt.F_filt[:, T - 1]
+    P_s[T - 1] = filt.P_filt[T - 1]
+    for t in range(T - 2, -1, -1):
+        J = filt.P_filt[t] @ A.T @ np.linalg.inv(filt.P_pred[t + 1])
+        F_s[:, t] = filt.F_filt[:, t] + J @ (F_s[:, t + 1] - filt.F_pred[:, t + 1])
+        P_s[t] = _psd_clip(filt.P_filt[t] + J @ (P_s[t + 1] - filt.P_pred[t + 1]) @ J.T)
+        C[t + 1] = P_s[t + 1] @ J.T
+
+    J0 = filt.init.P0 @ A.T @ np.linalg.inv(filt.P_pred[0])
+    F0_s = filt.init.F0 + J0 @ (F_s[:, 0] - filt.F_pred[:, 0])
+    P0_s = _symmetrize(filt.init.P0 + J0 @ (P_s[0] - filt.P_pred[0]) @ J0.T)
+    C[0] = 0.0
+
+    return SmootherOutput(F_smooth=F_s, P_smooth=P_s, C_lag1=C,
+                          F0_smooth=F0_s, P0_smooth=P0_s)
+
+
+def ar1_covariance(rho, gamma, T):
+    """Dense T x T covariance of a stationary AR(1): gamma rho^|t-s| / (1-rho^2)."""
+    return gamma * toeplitz(rho ** np.arange(T)) / (1.0 - rho**2)
 
 
 @pytest.fixture

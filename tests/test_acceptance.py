@@ -24,13 +24,16 @@ from dfm_em.kalman import (
     InitState,
     kalman_filter,
     kalman_smoother,
-    kalman_smoother_classical,
     stationary_init,
-    woodbury_inverse,
 )
 from dfm_em.montecarlo import McCell, McGrid, run_cell, run_grid, write_report
 
-from conftest import dense_joint_moments, oracle_state_blocks
+from conftest import (
+    dense_joint_moments,
+    kalman_smoother_classical,
+    oracle_state_blocks,
+    woodbury_inverse,
+)
 
 SEED = 20260823
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,18 @@ from dfm_em import (
     PcEstimate,
     draw_dgp,
     e_step,
+    ecm_fit,
     em_fit,
     m_step,
+    pc_estimate,
+    ridge_fit,
 )
 from dfm_em.em import SufficientStats, build_stats
 from dfm_em.kalman import stationary_init
 from conftest import dense_joint_moments, oracle_state_blocks
+
+ALL_FITS = pytest.mark.parametrize("fit", [em_fit, ridge_fit, ecm_fit],
+                                   ids=lambda f: f.__name__)
 
 
 def _known_factor_stats(X, F):
@@ -171,12 +179,26 @@ class TestEmFit:
         tr = res.loglik_trace
         assert np.all(np.diff(tr) >= -1e-8 * np.abs(tr[:-1]))
 
-    def test_max_iter_honored(self):
-        draw = draw_dgp(DgpConfig(dims=ModelDims(n=20, T=50, r=2, q=2), seed=5))
-        res = em_fit(draw.panel, ModelDims(n=20, T=50, r=2, q=2),
-                     EmConfig(epsilon=1e-15, max_iter=1))
-        assert res.iters == 1
+    @ALL_FITS
+    def test_max_iter_honored(self, fit):
+        dims = ModelDims(n=20, T=50, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, seed=5))
+        res = fit(draw.panel, dims, EmConfig(epsilon=1e-15, max_iter=3))
+        assert res.iters == 3
         assert not res.converged
+        assert res.loglik_trace.size == res.iters + 1
+
+    @ALL_FITS
+    def test_unit_root_initial_var(self, fit):
+        """A unit-root initial VAR has no stationary state covariance; the
+        first filter run then starts from P0 = I."""
+        dims = ModelDims(n=20, T=40, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, seed=3))
+        pc = pc_estimate(draw.panel, dims.r, dims.q)
+        res = fit(draw.panel, dims, EmConfig(max_iter=5),
+                  init=dataclasses.replace(pc, A0=np.eye(dims.r)))
+        assert res.loglik_trace.size >= 2
+        assert np.all(np.isfinite(res.loglik_trace))
 
     def test_permutation_equivariance(self):
         dims = ModelDims(n=15, T=40, r=2, q=2)
@@ -207,16 +229,3 @@ class TestEmFit:
         # per-iteration relative change collapses within 3 iterations
         assert np.all(np.diff(rel) < 0)
         assert rel[-1] < 1e-4
-
-    def test_joint_criterion_variant_runs(self):
-        dims = ModelDims(n=20, T=40, r=2, q=1)
-        draw = draw_dgp(DgpConfig(dims=dims, seed=8))
-        res = em_fit(draw.panel, dims,
-                     EmConfig(criterion="joint", max_iter=30))
-        assert res.loglik_trace.size >= 2
-
-    def test_vartheta_ks_smoke(self):
-        dims = ModelDims(n=20, T=40, r=3, q=2)
-        draw = draw_dgp(DgpConfig(dims=dims, seed=9))
-        res = em_fit(draw.panel, dims, EmConfig(max_iter=5, vartheta_ks=1e-3))
-        assert np.all(np.isfinite(res.loglik_trace))

@@ -8,7 +8,6 @@ from dfm_em import (
     ModelDims,
     Panel,
     RidgeConfig,
-    ar1_covariance,
     ar1_precision,
     draw_dgp,
     ecm_fit,
@@ -18,6 +17,7 @@ from dfm_em import (
 )
 from dfm_em.em import e_step, m_step
 from dfm_em.extensions import _ar_updates
+from conftest import ar1_covariance
 
 
 def _random_psd(rng, n):

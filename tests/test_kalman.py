@@ -11,12 +11,15 @@ from dfm_em import (
     draw_dgp,
     kalman_filter,
     kalman_smoother,
-    kalman_smoother_classical,
     stationary_init,
     steady_state_diagnostics,
+)
+from conftest import (
+    dense_joint_moments,
+    kalman_smoother_classical,
+    oracle_state_blocks,
     woodbury_inverse,
 )
-from conftest import dense_joint_moments, oracle_state_blocks
 
 
 def _draw(n=5, T=10, r=2, q=2, tau=0.0, delta=0.0, seed=1):

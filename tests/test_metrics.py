@@ -6,15 +6,13 @@ from dfm_em import (
     BURN_IN_T,
     DEFAULT_ALPHAS,
     HIST_EDGES,
+    McCell,
     TraceStat,
     ZAccumulator,
-    asvar_hat,
     asvar_matrices,
     common_mse,
-    coverage,
-    relative_mse,
+    run_cell,
     trace_statistic,
-    z_histogram,
     z_scores,
 )
 from dfm_em.em import EmResult
@@ -43,6 +41,12 @@ def _make_result(Lambda, F, gamma_e, A=None, H=None, extras=None):
                     loglik_trace=np.zeros(1), iters=0, converged=True,
                     filter_init=InitState(F0=np.zeros(r), P0=np.eye(r)),
                     extras=extras or {})
+
+
+def _coverage(Z):
+    acc = ZAccumulator()
+    acc.update(Z)
+    return acc.table()
 
 
 class TestTraceStatistic:
@@ -97,7 +101,9 @@ class TestMse:
             common_mse(np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_relative_is_ratio(self):
-        assert relative_mse(1.0, 4.0) == 0.25
+        rep = run_cell(McCell(label="c", n=12, T=25, r=2, q=2), B=2, base_seed=0)
+        assert np.isclose(rep.stats["rel_mse"],
+                          rep.stats["mse_em"] / rep.stats["mse_pc"], rtol=1e-12)
 
 
 class TestAsvar:
@@ -109,8 +115,7 @@ class TestAsvar:
         W, V = asvar_matrices(res)
         assert np.allclose(W, 1.0, atol=1e-12)
         assert np.allclose(V, 1.0, atol=1e-12)
-        w, v = asvar_hat(res, 3, 5)
-        assert np.isclose(w, 1.0) and np.isclose(v, 1.0)
+        assert W.shape == (n,) and V.shape == (n, T)
 
     def test_nonnegative(self, rng):
         n, r, T = 10, 2, 30
@@ -195,7 +200,7 @@ class TestCoverage:
     def test_iid_normal_null(self):
         # 100 series x 1004 periods: 10^5 pooled entries after burn-in
         Z = stream(0).standard_normal((100, BURN_IN_T - 1 + 1000))
-        table = coverage(Z)
+        table = _coverage(Z)
         assert table.count == 100 * 1000
         i95 = table.alphas.index(0.95)
         assert abs(table.C[i95] - 0.95) < 0.01
@@ -206,13 +211,13 @@ class TestCoverage:
 
     def test_monotone_in_alpha(self, rng):
         Z = rng.standard_normal((20, 200))
-        table = coverage(Z)
+        table = _coverage(Z)
         # alphas are printed in decreasing order, so C must be nonincreasing
         assert np.all(np.diff(table.C) <= 0)
 
     def test_degenerate_zero_sample(self):
         Z = np.zeros((4, 30))
-        table = coverage(Z)
+        table = _coverage(Z)
         for alpha, c in zip(table.alphas, table.C):
             assert c == (1.0 if alpha > 0.5 else 0.0)
         assert table.mean == 0.0 and table.std == 0.0
@@ -220,7 +225,7 @@ class TestCoverage:
     def test_burn_in_excludes_early_columns(self):
         Z = np.zeros((3, 30))
         Z[:, : BURN_IN_T - 1] = 1e6  # contaminate only the burn-in columns
-        table = coverage(Z)
+        table = _coverage(Z)
         assert table.mean == 0.0
         assert table.count == 3 * (30 - (BURN_IN_T - 1))
 
@@ -269,9 +274,10 @@ class TestZHistogram:
     def test_known_bin(self):
         Z = np.full((1, BURN_IN_T), -10.0)
         Z[0, -1] = 0.05  # single kept entry, lands in [0.0, 0.1)
-        edges, counts = z_histogram(Z)
-        assert counts.sum() == 0 or counts.sum() == 1
-        j = np.searchsorted(edges, 0.05) - 1
+        acc = ZAccumulator()
+        acc.update(Z)
+        counts = acc.hist
+        j = np.searchsorted(HIST_EDGES, 0.05) - 1
         assert counts[j] == 1
         assert counts.sum() == 1  # the -10 entries are out of range or burned
 
