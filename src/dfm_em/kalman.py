@@ -6,21 +6,38 @@ of the estimators built on top, not of the recursion), and the state
 equation is F_t = A F_{t-1} + H u_t, so the state innovation covariance
 HH' may be singular when q < r.
 
-The filter inverts the n x n innovation covariance S_t = Lambda P Lambda'
-+ Gamma^e through r x r solves only, valid when P is singular. With
-M = Lambda' Gamma^{-1} Lambda invertible the update uses the
-cancellation-free information form W_t = (M^{-1} + P)^{-1}, which keeps
-full accuracy even when the measurement noise is many orders of magnitude
-below the signal; otherwise it falls back to a matrix-inversion-lemma
-factorization P = U U' (truncated eigenfactor) with an m x m solve,
-m = rank(P). Either way the per-step cost is O(n r) once
-Gamma^e-weighted products are precomputed.
+The filter never forms an n-dimensional innovation. Following Jungbacker
+& Koopman (2015) it projects the panel once onto the state: with
+M = Lambda' Gamma^{-1} Lambda = V D V' it keeps the k eigenpairs with
+D > _RANK_RTOL max D (k = r for full-column-rank loadings, k < r for
+rank-deficient ones, k = 0 for Lambda = 0), and
+Y = D_k^{-1} V_k' Lambda' Gamma^{-1} X (one BLAS-3 product) obeys
+y_t = V_k' F_t + eps_t, eps_t ~ N(0, D_k^{-1}), carrying all that x_t
+says about F_t. With P = P_{t|t-1} and S_y = V_k' P V_k + D_k^{-1},
+
+    W_t = V_k S_y^{-1} V_k',     g_t = V_k S_y^{-1} (y_t - V_k' F_{t|t-1}),
+    P_{t|t} = P V_k S_y^{-1} D_k^{-1} V_k' + (I - P W_t) P (I - V_k V_k'),
+
+where W_t = Lambda' S_t^{-1} Lambda and g_t = Lambda' S_t^{-1} v_t for the
+n-dimensional innovation covariance S_t. P_{t|t} is built from products
+only (for k = r it is the information form P W_t M^{-1}), so no digits
+are lost to cancellation when the noise is many orders below the signal.
+The log-likelihood adds to the collapsed one the closed form
+-1/2 sum_t [(n-k) log 2 pi + log|Gamma| + log|D_k| + e_t' Gamma^{-1} e_t]
+with e_t = x_t - Lambda V_k y_t. A full Gamma costs one n x n Cholesky
+factor and triangular solve per call.
+
+The Riccati recursion for P_{t|t-1}, W_t and P_{t|t} does not depend on
+the data, so it runs first. Once P_{t|t-1} repeats its predecessor to
+round-off (_FREEZE_RTOL relative, in max-norm) the gain is frozen: that
+step's matrices are reused for the rest of the sample. The mean pass
+that follows is one r x r matrix-vector product per step.
 
 The smoother is the inversion-free backward recursion
 
     r_T = 0, N_T = 0,
-    L_t = A (I - P_{t|t-1} W_t),            W_t = Lambda' S_t^{-1} Lambda,
-    r_{t-1} = g_t + L_t' r_t,               g_t = Lambda' S_t^{-1} v_t,
+    L_t = A (I - P_{t|t-1} W_t),
+    r_{t-1} = g_t + L_t' r_t,
     N_{t-1} = W_t + L_t' N_t L_t,
     F_{t|T} = F_{t|t-1} + P_{t|t-1} r_{t-1},
     P_{t|T} = P_{t|t-1} - P_{t|t-1} N_{t-1} P_{t|t-1},
@@ -29,10 +46,11 @@ which never inverts P and therefore also covers the singular q < r case.
 The lag-one smoothed cross-covariance is assembled from the same
 quantities as
 
-    C_{t,t-1|T} = (I - P_{t|t-1} N_{t-1}) L_{t-1} P_{t-1|t-2},
+    C_{t,t-1|T} = (I - P_{t|t-1} N_{t-1}) L_{t-1} P_{t-1|t-2}.
 
-which the test suite verifies against a dense joint-Gaussian projection
-and, in the nonsingular case, against a classical inverting smoother.
+Only r_t and N_t run step by step; L_t and the smoothed moments are
+computed for all t at once. The test suite checks both passes against a
+dense joint-Gaussian projection and a classical inverting smoother.
 """
 
 from __future__ import annotations
@@ -40,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_triangular
 
 from .model import DfmParams, Panel
 
@@ -57,6 +75,8 @@ __all__ = [
 ]
 
 _RANK_RTOL = 1e-12
+_FREEZE_RTOL = 1e-15
+_NOT_PD = "innovation covariance not positive definite"
 
 
 class FilterNumericalError(RuntimeError):
@@ -137,26 +157,20 @@ class SmootherOutput:
 
 
 def _symmetrize(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def _psd_clip(M):
-    """Nearest PSD matrix under eigenvalue clipping; removes the tiny
-    negative eigenvalues the backward subtraction can produce when the
-    measurement noise is many orders below the signal."""
+    """Nearest PSD matrix under eigenvalue clipping, for one matrix or a
+    stack of them; removes the tiny negative eigenvalues the backward
+    subtraction can produce when the measurement noise is many orders
+    below the signal. Only matrices with a negative eigenvalue change."""
     M = _symmetrize(M)
-    w, V = np.linalg.eigh(M)
-    if w.size == 0 or w[0] >= 0.0:
-        return M
-    return (V * np.maximum(w, 0.0)) @ V.T
-
-
-def _psd_factor(P):
-    """Truncated factor U with P = U U', dropping near-zero eigenvalues."""
-    w, V = np.linalg.eigh(_symmetrize(P))
-    tol = _RANK_RTOL * max(w[-1], 0.0) if w.size else 0.0
-    keep = w > tol
-    return V[:, keep] * np.sqrt(w[keep])
+    neg = np.linalg.eigvalsh(M)[..., 0] < 0.0
+    if np.any(neg):
+        w, V = np.linalg.eigh(M[neg])
+        M[neg] = (V * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return M
 
 
 def stationary_init(params: DfmParams) -> InitState:
@@ -173,53 +187,76 @@ def stationary_init(params: DfmParams) -> InitState:
     return InitState(F0=np.zeros(r), P0=P0)
 
 
-class _NoiseModel:
-    """Per-run precomputation for products with Gamma^e-inverse.
+def _whitener(gamma_e):
+    """Map Y -> Gamma^{-1/2} Y (a triangular Cholesky solve for a full
+    Gamma, elementwise for a diagonal one) and log|Gamma|."""
+    if not np.all(np.isfinite(gamma_e)):
+        raise FilterNumericalError("idiosyncratic covariance not finite", 1)
+    if gamma_e.ndim == 1:
+        if np.any(gamma_e <= 0.0):
+            raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
+        root = np.sqrt(gamma_e)[:, None]
+        return (lambda Y: Y / root), float(np.sum(np.log(gamma_e)))
+    try:
+        chol = np.linalg.cholesky(gamma_e)
+    except np.linalg.LinAlgError as exc:
+        raise FilterNumericalError(
+            f"idiosyncratic covariance not positive definite: {exc}", 1) from exc
+    return ((lambda Y: solve_triangular(chol, Y, lower=True)),
+            float(2.0 * np.sum(np.log(np.diag(chol)))))
 
-    For diagonal Gamma the products are elementwise; for a full Gamma a
-    single Cholesky factorization is reused across all time steps, so the
-    per-step cost stays O(n r) either way.
+
+def _riccati(A, HHt, P0, Vk, d, T):
+    """Data-free forward pass: P_{t|t-1}, P_{t|t}, S_y and S_y^{-1} for
+    every step, frozen once P_{t|t-1} is stationary.
+
+    Also returns the number of steps done, T unless the pass stopped at a
+    non-finite P_{t|t-1} or a singular S_y, and the reason it stopped.
     """
-
-    def __init__(self, params, t0=1):
-        gx = params.gamma_e
-        Lam = params.Lambda
-        self.n = params.n
-        if gx.ndim == 1:
-            if np.any(gx <= 0.0) or not np.all(np.isfinite(gx)):
-                raise FilterNumericalError("idiosyncratic covariance not positive definite", t0)
-            self._d = gx
-            self._cf = None
-            self.Ginv_Lam = Lam / gx[:, None]
-            self.logdet = float(np.sum(np.log(gx)))
-        else:
-            try:
-                self._cf = cho_factor(gx, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise FilterNumericalError(
-                    f"idiosyncratic covariance not positive definite: {exc}", t0
-                ) from exc
-            self._d = None
-            self.Ginv_Lam = cho_solve(self._cf, Lam)
-            self.logdet = float(2.0 * np.sum(np.log(np.diag(self._cf[0]))))
-        self.M = _symmetrize(Lam.T @ self.Ginv_Lam)
-        # When M = Lambda' Gamma^{-1} Lambda is invertible (full-column-rank
-        # loadings), the filter can use the cancellation-free identities
-        # W = (M^{-1} + P)^{-1} and g = W M^{-1} a, which stay accurate when
-        # the measurement noise is many orders below the signal.
+    r, k = Vk.shape
+    P_pred = np.empty((T, r, r))
+    P_filt = np.empty((T, r, r))
+    Sy = np.empty((T, k, k))
+    Sinv = np.empty((T, k, k))
+    Dinv = np.diag(1.0 / d)
+    VDinv = (Vk / d).T
+    perp = np.eye(r) - Vk @ Vk.T if k < r else None
+    P = P0
+    for t in range(T):
+        Pp = A @ P @ A.T + HHt
+        Pp = 0.5 * (Pp + Pp.T)
+        scale = abs(Pp).max()
+        if not scale < np.inf:
+            return P_pred, P_filt, Sy, Sinv, t, "non-finite state prediction MSE"
+        if t and abs(Pp - P_pred[t - 1]).max() <= _FREEZE_RTOL * scale:
+            for arr in (P_pred, P_filt, Sy, Sinv):
+                arr[t:] = arr[t - 1]
+            break
+        PV = Pp @ Vk
+        Sy[t] = Vk.T @ PV + Dinv
         try:
-            mcf = cho_factor(self.M, lower=True)
+            Si = np.linalg.inv(Sy[t])
         except np.linalg.LinAlgError:
-            self.Minv = None
-            self.logdetM = 0.0
-        else:
-            self.Minv = _symmetrize(cho_solve(mcf, np.eye(self.M.shape[0])))
-            self.logdetM = float(2.0 * np.sum(np.log(np.diag(mcf[0]))))
+            return P_pred, P_filt, Sy, Sinv, t, _NOT_PD
+        Si = 0.5 * (Si + Si.T)
+        K = PV @ Si
+        P = K @ VDinv
+        if perp is not None:
+            P = P + (Pp - K @ PV.T) @ perp
+        P_pred[t] = Pp
+        P_filt[t] = P = 0.5 * (P + P.T)
+        Sinv[t] = Si
+    return P_pred, P_filt, Sy, Sinv, T, None
 
-    def ginv(self, Y):
-        if self._d is not None:
-            return Y / self._d[:, None] if Y.ndim == 2 else Y / self._d
-        return cho_solve(self._cf, Y)
+
+def _first_not_pd(S):
+    """Index of the first matrix of the stack S without a Cholesky factor."""
+    for t, s in enumerate(S):
+        try:
+            np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return t
+    return len(S)
 
 
 def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOutput:
@@ -233,105 +270,62 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     Raises
     ------
     FilterNumericalError
-        If the innovation covariance becomes numerically singular; the
-        exception carries the offending time index ``t``.
+        If the innovation covariance is not numerically positive definite
+        or an update is not finite; the exception carries the first
+        offending time index ``t``.
     """
     X = panel.X
     n, T = X.shape
     r = params.r
-    Lam = params.Lambda
     A = params.A
-    HHt = params.H @ params.H.T
-    noise = _NoiseModel(params)
-    Ginv_X = noise.ginv(X)
+    whiten, logdet_gamma = _whitener(params.gamma_e)
 
-    F_pred = np.empty((r, T))
-    F_filt = np.empty((r, T))
-    P_pred = np.empty((T, r, r))
-    P_filt = np.empty((T, r, r))
-    W = np.empty((T, r, r))
-    g = np.empty((r, T))
-    loglik = 0.0
-    log2pi = np.log(2.0 * np.pi)
+    # Rank-revealing collapse onto the k directions of the state that the
+    # panel observes.
+    Xw = whiten(X)
+    Lw = whiten(params.Lambda)
+    d, V = np.linalg.eigh(_symmetrize(Lw.T @ Lw))
+    keep = d > _RANK_RTOL * d[-1] if d[-1] > 0.0 else np.zeros(r, dtype=bool)
+    d, Vk = d[keep], V[:, keep]
+    Y = (Vk.T @ (Lw.T @ Xw)) / d[:, None]
+    Ew = Xw - Lw @ (Vk @ Y)
 
+    P_pred, P_filt, Sy, Sinv, T_ok, why = _riccati(
+        A, params.H @ params.H.T, init.P0, Vk, d, T)
+    try:
+        chol = np.linalg.cholesky(Sy[:T_ok])
+    except np.linalg.LinAlgError:
+        T_ok, why = _first_not_pd(Sy[:T_ok]), _NOT_PD
+        chol = np.linalg.cholesky(Sy[:T_ok])
+
+    # Mean pass over the steps with a valid gain K_t = P_{t|t-1} V_k S_y^{-1}:
+    # F_{t|t} = (I - K_t V_k') A F_{t-1|t-1} + K_t y_t.
+    G = Vk @ Sinv[:T_ok]
+    K = P_pred[:T_ok] @ G
+    Phi = A - K @ (Vk.T @ A)
+    c = (K @ Y.T[:T_ok, :, None])[..., 0]
+    F_filt = np.zeros((T, r))
     f = init.F0
-    P = init.P0
-    for t in range(T):
-        f_pred = A @ f
-        Pp = _symmetrize(A @ P @ A.T + HHt)
-
-        v = X[:, t] - Lam @ f_pred
-        Ginv_v = Ginv_X[:, t] - noise.Ginv_Lam @ f_pred
-        a = Lam.T @ Ginv_v  # Lambda' Gamma^{-1} v
-        quad_full = float(v @ Ginv_v)
-
-        if noise.Minv is not None:
-            # Information-form update: inverts the r x r matrix M^{-1} + P
-            # instead of differencing large Woodbury products, so W and g
-            # carry no catastrophic cancellation at extreme signal/noise
-            # ratios. Algebraically identical to the factorized path below.
-            Winv = _symmetrize(noise.Minv + Pp)
-            try:
-                cf = cho_factor(Winv, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise FilterNumericalError(
-                    f"innovation covariance numerically singular: {exc}", t + 1
-                ) from exc
-            Wt = _symmetrize(cho_solve(cf, np.eye(r)))
-            gt = cho_solve(cf, noise.Minv @ a)
-            logdet_core = noise.logdetM + float(
-                2.0 * np.sum(np.log(np.diag(cf[0]))))
-            # v' S^{-1} v = v' Gamma^{-1} (v - Lambda P g): the subtraction
-            # happens in data space where both terms are O(|x|), not in the
-            # Gamma^{-1}-weighted products.
-            u = X[:, t] - Lam @ (f_pred + Pp @ gt)
-            quad = float(Ginv_v @ u)
-        else:
-            U = _psd_factor(Pp)
-            m = U.shape[1]
-            if m == 0:
-                Wt, gt = noise.M, a
-                logdet_core = 0.0
-                quad = quad_full
-            else:
-                MU = noise.M @ U
-                core = np.eye(m) + U.T @ MU
-                try:
-                    cf = cho_factor(core, lower=True)
-                except np.linalg.LinAlgError as exc:
-                    raise FilterNumericalError(
-                        f"innovation covariance numerically singular: {exc}", t + 1
-                    ) from exc
-                Ua = U.T @ a
-                sol = cho_solve(cf, Ua)
-                gt = a - MU @ sol
-                Wt = _symmetrize(noise.M - MU @ cho_solve(cf, MU.T))
-                logdet_core = float(2.0 * np.sum(np.log(np.diag(cf[0]))))
-                quad = quad_full - float(Ua @ sol)
-
-        if not np.isfinite(quad) or not np.isfinite(logdet_core):
-            raise FilterNumericalError("non-finite innovation update", t + 1)
-
-        loglik += -0.5 * (n * log2pi + noise.logdet + logdet_core + quad)
-
-        f = f_pred + Pp @ gt
-        if noise.Minv is not None:
-            # P_{t|t} = P (M^{-1} + P)^{-1} M^{-1}: equal to P - P W P but
-            # built from products only, so no digits are lost to cancellation.
-            P = _symmetrize(Pp @ Wt @ noise.Minv)
-        else:
-            P = _symmetrize(Pp - Pp @ Wt @ Pp)
-
-        F_pred[:, t] = f_pred
-        P_pred[t] = Pp
-        F_filt[:, t] = f
-        P_filt[t] = P
-        W[t] = Wt
-        g[:, t] = gt
+    for t in range(T_ok):
+        f = Phi[t] @ f + c[t]
+        F_filt[t] = f
+    F_filt = F_filt.T
+    F_pred = A @ np.column_stack([init.F0, F_filt[:, :T - 1]])
+    v = (Y - Vk.T @ F_pred).T[:T_ok, :, None]
+    terms = (n * np.log(2.0 * np.pi) + logdet_gamma + np.sum(np.log(d))
+             + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+             + np.einsum("it,it->t", Ew, Ew)[:T_ok]
+             + (np.swapaxes(v, 1, 2) @ Sinv[:T_ok] @ v)[:, 0, 0])
+    bad = np.flatnonzero(~np.isfinite(terms))
+    if bad.size:
+        raise FilterNumericalError("non-finite innovation update", int(bad[0]) + 1)
+    if T_ok < T:
+        raise FilterNumericalError(why, T_ok + 1)
 
     return FilterOutput(
         F_pred=F_pred, P_pred=P_pred, F_filt=F_filt, P_filt=P_filt,
-        loglik=float(loglik), n=n, init=init, W=W, g=g,
+        loglik=float(-0.5 * np.sum(terms)), n=n, init=init,
+        W=_symmetrize(G @ Vk.T), g=(G @ v)[..., 0].T,
     )
 
 
@@ -340,32 +334,31 @@ def kalman_smoother(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
     T, r = filt.T, filt.r
     A = params.A
     I = np.eye(r)
+    Pp = filt.P_pred
+    W = filt.W
 
-    F_s = np.empty((r, T))
-    P_s = np.empty((T, r, r))
-    L = np.empty((T, r, r))
-    N_store = np.empty((T, r, r))
-    C = np.zeros((T, r, r))
-
+    L = A @ (I - Pp @ W)
+    Lt = np.swapaxes(L, -1, -2)
+    g = filt.g.T
+    R = np.empty((T, r))
+    N = np.empty((T, r, r))
     r_vec = np.zeros(r)
-    N = np.zeros((r, r))
+    N_t = np.zeros((r, r))
     for t in range(T - 1, -1, -1):
-        Pp = filt.P_pred[t]
-        L[t] = A @ (I - Pp @ filt.W[t])
-        r_vec = filt.g[:, t] + L[t].T @ r_vec
-        N = _symmetrize(filt.W[t] + L[t].T @ N @ L[t])
-        F_s[:, t] = filt.F_pred[:, t] + Pp @ r_vec
-        P_s[t] = _psd_clip(Pp - Pp @ N @ Pp)
-        N_store[t] = N
+        R[t] = r_vec = g[t] + Lt[t] @ r_vec
+        N[t] = N_t = Lt[t] @ N_t @ L[t] + W[t]
+    N = _symmetrize(N)
 
-    for t in range(1, T):
-        C[t] = (I - filt.P_pred[t] @ N_store[t]) @ L[t - 1] @ filt.P_pred[t - 1]
+    F_s = filt.F_pred + np.einsum("tij,tj->it", Pp, R)
+    P_s = _psd_clip(Pp - Pp @ N @ Pp)
+    C = np.zeros((T, r, r))
+    C[1:] = (I - Pp[1:] @ N[1:]) @ L[:-1] @ Pp[:-1]
 
     # Smoothed time-zero moments for warm-starting the next filter run:
     # with L_0 = A (no data at t=0), F_{0|T} = F_{0|0} + P_{0|0} A' r_0.
     P0 = filt.init.P0
     F0_s = filt.init.F0 + P0 @ A.T @ r_vec
-    P0_s = _psd_clip(P0 - P0 @ A.T @ N_store[0] @ A @ P0)
+    P0_s = _psd_clip(P0 - P0 @ A.T @ N[0] @ A @ P0)
 
     return SmootherOutput(F_smooth=F_s, P_smooth=P_s, C_lag1=C,
                           F0_smooth=F0_s, P0_smooth=P0_s)

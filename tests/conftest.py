@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from dfm_em.kalman import SmootherOutput, _psd_clip, _psd_factor, _symmetrize
+from dfm_em.kalman import _RANK_RTOL, SmootherOutput, _psd_clip, _symmetrize
 
 
 def dense_joint_moments(panel, params, init):
@@ -75,6 +75,14 @@ def oracle_state_blocks(post_mean, post_cov, r, T):
             prev = slice(t * r, (t + 1) * r)
             C[t] = post_cov[blk, prev]
     return F, P, C
+
+
+def _psd_factor(P):
+    """Truncated factor U with P = U U', dropping near-zero eigenvalues."""
+    w, V = np.linalg.eigh(_symmetrize(P))
+    tol = _RANK_RTOL * max(w[-1], 0.0) if w.size else 0.0
+    keep = w > tol
+    return V[:, keep] * np.sqrt(w[keep])
 
 
 def woodbury_inverse(b_diag, C, A):

@@ -87,6 +87,32 @@ class TestFilterBasics:
             assert np.allclose(P, P.T)
             assert np.min(np.linalg.eigvalsh(P)) > -1e-10
 
+    def test_first_non_finite_data_step_is_reported(self):
+        """A panel column whose quadratic form overflows fails at its own
+        step, not at the end of the sample."""
+        Lam = np.random.default_rng(0).standard_normal((5, 2))
+        p = DfmParams(Lambda=Lam, A=0.5 * np.eye(2), H=np.eye(2),
+                      gamma_e=np.ones(5))
+        X = np.zeros((5, 6))
+        X[:, 2] = 1e200
+        with pytest.raises(FilterNumericalError) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            kalman_filter(Panel(X=X), p, InitState(F0=np.zeros(2), P0=np.eye(2)))
+        assert err.value.t == 3
+
+    def test_first_non_finite_riccati_step_is_reported(self):
+        """P_{t|t-1} of an unobserved explosive state overflows at t=3
+        (1e140, 1e280, inf)."""
+        lam = np.random.default_rng(0).standard_normal((5, 1))
+        p = DfmParams(Lambda=np.hstack([lam, 0.0 * lam]),
+                      A=np.diag([0.5, 1e70]), H=np.eye(2), gamma_e=np.ones(5))
+        with pytest.raises(FilterNumericalError) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            kalman_filter(Panel(X=np.zeros((5, 6))), p,
+                          InitState(F0=np.zeros(2), P0=np.eye(2)))
+        assert err.value.t == 3
+        assert "prediction MSE" in str(err.value)
+
     def test_singular_noise_flags_time_index(self):
         p = DfmParams(Lambda=np.ones((3, 1)), A=np.array([[0.5]]),
                       H=np.ones((1, 1)), gamma_e=np.zeros(3))
@@ -94,6 +120,56 @@ class TestFilterBasics:
             kalman_filter(Panel(X=np.zeros((3, 4))), p,
                           InitState(F0=[0.0], P0=[[1.0]]))
         assert err.value.t == 1
+
+
+def _special_case(name):
+    """Inputs that exercise the collapse and the gain freeze: loadings of
+    rank 1 and 0, a stationary model long enough to freeze the gain, and
+    a random walk whose P_{t|t-1} is still growing at the end."""
+    rng = np.random.default_rng(31)
+    if name == "stationary_long":
+        draw = _draw(n=5, T=150, r=3, q=2, tau=0.5, delta=0.2, seed=32)
+        return draw.panel, draw.params, stationary_init(draw.params)
+    if name == "random_walk":
+        p = DfmParams(Lambda=0.1 * rng.standard_normal((5, 2)), A=np.eye(2),
+                      H=np.eye(2), gamma_e=rng.uniform(0.5, 1.5, 5))
+        return (Panel(X=rng.standard_normal((5, 40))), p,
+                InitState(F0=np.zeros(2), P0=np.eye(2)))
+    lam = rng.standard_normal((5, 1))
+    Lam = np.hstack([lam, -0.5 * lam]) if name == "rank1_loadings" else np.zeros((5, 2))
+    p = DfmParams(Lambda=Lam, A=np.array([[0.6, 0.2], [0.0, 0.3]]),
+                  H=np.array([[1.0], [0.5]]), gamma_e=rng.uniform(0.5, 1.5, 5))
+    return Panel(X=rng.standard_normal((5, 12))), p, stationary_init(p)
+
+
+SPECIAL_CASES = ["rank1_loadings", "zero_loadings", "stationary_long", "random_walk"]
+
+
+class TestSpecialCases:
+    @pytest.mark.parametrize("name", SPECIAL_CASES)
+    def test_dense_oracle(self, name):
+        panel, p, init = _special_case(name)
+        r, T = p.r, panel.T
+        filt = kalman_filter(panel, p, init)
+        sm = kalman_smoother(filt, p)
+        pm, pc, ll = dense_joint_moments(panel, p, init)
+        F_o, P_o, C_o = oracle_state_blocks(pm, pc, r, T)
+        assert abs(filt.loglik - ll) < 1e-8
+        assert np.max(np.abs(sm.F_smooth - F_o)) < 1e-8
+        assert np.max(np.abs(sm.P_smooth - P_o)) < 1e-8
+        assert np.max(np.abs(sm.C_lag1[1:] - C_o[1:])) < 1e-8
+
+    def test_stationary_case_ends_with_a_frozen_gain(self):
+        panel, p, init = _special_case("stationary_long")
+        filt = kalman_filter(panel, p, init)
+        assert np.array_equal(filt.P_pred[-1], filt.P_pred[-2])
+        assert np.array_equal(filt.W[-1], filt.W[-2])
+
+    def test_random_walk_case_gain_never_freezes(self):
+        panel, p, init = _special_case("random_walk")
+        filt = kalman_filter(panel, p, init)
+        tr = np.trace(filt.P_pred, axis1=1, axis2=2)
+        assert np.all(np.diff(tr) > 0.0)
 
 
 class TestSmoother:
