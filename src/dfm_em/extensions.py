@@ -7,6 +7,17 @@ Two variants are provided:
   "keep the eigenvectors, map each eigenvalue nu to (nu + sqrt(nu^2 +
   4 mu)) / 2", which guarantees a minimum eigenvalue of sqrt(mu) and
   satisfies the stationarity condition Gamma - S - mu Gamma^{-1} = 0.
+  The expected residual covariance is S = Z Z' with the n x (T + r)
+  factor Z = [X - Lambda F_{.|T}, Lambda S_P^{1/2}] / sqrt(T). When
+  T + r < n the M-step eigendecomposes the (T + r) x (T + r) Gram Z'Z
+  = W nu W' instead of S, and returns
+  Gamma = sqrt(mu) I + (Z W) diag(f) (Z W)' with
+  f = (1 + nu / (sqrt(nu^2 + 4 mu) + 2 sqrt(mu))) / 2: the map on the
+  range of Z, sqrt(mu) on its null space. That costs
+  O(n (T + r)^2 + n^2 (T + r)) per M-step instead of the O(n^3) of an
+  n x n eigendecomposition, which remains for n <= T + r. The start value
+  is the map applied elementwise to the principal-components variances,
+  so the first E-step runs the diagonal filter.
 
 * ``ecm_fit`` — AR(1) idiosyncratic components handled by conditional
   maximization: each M-step runs ordinary loadings, then updates the AR
@@ -31,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .em import EmConfig, EmResult, _fit
+from .em import EmConfig, EmResult, _fit, _symmetric_sqrt
 # Not called here: bench/tracing.py wraps these by their extensions.* names.
 from .em import e_step, m_step  # noqa: F401
 from .kalman import stationary_init  # noqa: F401
@@ -112,8 +123,34 @@ def ridge_covariance(S: np.ndarray, mu: float) -> np.ndarray:
     if mu == 0.0:
         return S
     w, V = np.linalg.eigh(S)
-    w_ridge = 0.5 * (w + np.sqrt(w**2 + 4.0 * mu))
-    return (V * w_ridge) @ V.T
+    return (V * _ridge_map(w, mu)) @ V.T
+
+
+def _ridge_map(nu, mu):
+    """The ridge eigenvalue map nu -> (nu + sqrt(nu^2 + 4 mu)) / 2."""
+    return 0.5 * (nu + np.sqrt(nu**2 + 4.0 * mu))
+
+
+def _ridge_gamma(X, Lam, stats, mu):
+    """Ridge M-step ``ridge_covariance(Z Z', mu)`` from the expected
+    residual factor Z of the module docstring.
+
+    Each column of Z W / sqrt(nu) is a unit eigenvector of Z Z' with
+    eigenvalue nu, so f = (ridge(nu) - sqrt(mu)) / nu, here written
+    without cancellation and without dividing by nu.
+    """
+    n, T = X.shape
+    Z = np.hstack([X - Lam @ stats.F_smooth,
+                   Lam @ _symmetric_sqrt(stats.S_P)]) / np.sqrt(T)
+    if mu == 0.0 or n <= Z.shape[1]:
+        return ridge_covariance(Z @ Z.T, mu)
+    nu, W = np.linalg.eigh(Z.T @ Z)
+    root = np.sqrt(mu)
+    f = 0.5 * (1.0 + nu / (np.sqrt(nu**2 + 4.0 * mu) + 2.0 * root))
+    B = (Z @ W) * np.sqrt(f)
+    G = B @ B.T
+    G[np.diag_indices(n)] += root
+    return G
 
 
 def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
@@ -122,26 +159,23 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     """EM with a ridge-penalized full idiosyncratic covariance.
 
     Identical to the diagonal EM loop except that the idiosyncratic update
-    keeps the full expected residual covariance and passes it through
-    :func:`ridge_covariance`; the initial covariance is the same map applied
+    keeps the full expected residual covariance and passes it through the
+    ridge map of :func:`ridge_covariance`, factored as the module docstring
+    describes; the initial covariance is the same map applied elementwise
     to the diagonal principal-components variances. The stopping rule still
     tracks the exact filter log-likelihood, but monotonicity is not
     enforced: the penalized objective, not the likelihood itself, is what
     this loop ascends.
     """
     mu = ridge.resolve(dims.n, dims.T)
-    XXt = panel.X @ panel.X.T
 
     def update(stats, smooth, base):
-        Lam = base.Lambda
-        S_resid = (XXt - Lam @ stats.S_xF.T - stats.S_xF @ Lam.T
-                   + Lam @ stats.S_FF @ Lam.T) / dims.T
-        return DfmParams(Lambda=Lam, A=base.A, H=base.H,
-                         gamma_e=ridge_covariance(S_resid, mu),
+        return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H,
+                         gamma_e=_ridge_gamma(panel.X, base.Lambda, stats, mu),
                          rho=np.zeros(dims.n))
 
     res = _fit(panel, dims, config, init, update,
-               gamma0=lambda g: ridge_covariance(np.diag(g), mu))
+               gamma0=lambda g: _ridge_map(g, mu))
     return replace(res, extras={"ridge_mu": mu})
 
 

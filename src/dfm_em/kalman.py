@@ -22,6 +22,13 @@ where W_t = Lambda' S_t^{-1} Lambda and g_t = Lambda' S_t^{-1} v_t for the
 n-dimensional innovation covariance S_t. P_{t|t} is built from products
 only (for k = r it is the information form P W_t M^{-1}), so no digits
 are lost to cancellation when the noise is many orders below the signal.
+For the same reason the update factor is formed as
+
+    J_t = I - P W_t = V_k D_k^{-1} S_y^{-1} V_k' + (I - V_k V_k')(I - P W_t),
+
+whose second term vanishes when k = r; it gives both the filtered mean
+F_{t|t} = J_t A F_{t-1|t-1} + P V_k S_y^{-1} y_t and the smoother's L_t,
+and it stays accurate when the gain nearly cancels a large A.
 The log-likelihood adds to the collapsed one the closed form
 -1/2 sum_t [(n-k) log 2 pi + log|Gamma| + log|D_k| + e_t' Gamma^{-1} e_t]
 with e_t = x_t - Lambda V_k y_t. A full Gamma costs one n x n Cholesky
@@ -36,7 +43,7 @@ that follows is one r x r matrix-vector product per step.
 The smoother is the inversion-free backward recursion
 
     r_T = 0, N_T = 0,
-    L_t = A (I - P_{t|t-1} W_t),
+    L_t = A J_t,
     r_{t-1} = g_t + L_t' r_t,
     N_{t-1} = W_t + L_t' N_t L_t,
     F_{t|T} = F_{t|t-1} + P_{t|t-1} r_{t-1},
@@ -113,8 +120,9 @@ class FilterOutput:
 
     F_pred/P_pred hold the one-step-ahead moments F_{t|t-1}, P_{t|t-1};
     F_filt/P_filt the filtered moments; loglik is the prediction-error
-    decomposition log-likelihood. W, g and the initial state are kept so
-    the smoother can run without touching the data again.
+    decomposition log-likelihood. W, g, the update factors
+    J_t = I - P_{t|t-1} W_t and the initial state are kept so the smoother
+    can run without touching the data again.
     """
 
     F_pred: np.ndarray
@@ -126,6 +134,7 @@ class FilterOutput:
     init: InitState
     W: np.ndarray
     g: np.ndarray
+    J: np.ndarray
 
     @property
     def T(self):
@@ -299,10 +308,15 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
         chol = np.linalg.cholesky(Sy[:T_ok])
 
     # Mean pass over the steps with a valid gain K_t = P_{t|t-1} V_k S_y^{-1}:
-    # F_{t|t} = (I - K_t V_k') A F_{t-1|t-1} + K_t y_t.
+    # F_{t|t} = J_t A F_{t-1|t-1} + K_t y_t, with J_t = I - K_t V_k' in
+    # the product form of the module docstring.
     G = Vk @ Sinv[:T_ok]
     K = P_pred[:T_ok] @ G
-    Phi = A - K @ (Vk.T @ A)
+    J = (Vk / d) @ Sinv[:T_ok] @ Vk.T
+    if d.size < r:
+        I = np.eye(r)
+        J = J + (I - Vk @ Vk.T) @ (I - K @ Vk.T)
+    Phi = J @ A
     c = (K @ Y.T[:T_ok, :, None])[..., 0]
     F_filt = np.zeros((T, r))
     f = init.F0
@@ -325,7 +339,7 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     return FilterOutput(
         F_pred=F_pred, P_pred=P_pred, F_filt=F_filt, P_filt=P_filt,
         loglik=float(-0.5 * np.sum(terms)), n=n, init=init,
-        W=_symmetrize(G @ Vk.T), g=(G @ v)[..., 0].T,
+        W=_symmetrize(G @ Vk.T), g=(G @ v)[..., 0].T, J=J,
     )
 
 
@@ -337,7 +351,7 @@ def kalman_smoother(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
     Pp = filt.P_pred
     W = filt.W
 
-    L = A @ (I - Pp @ W)
+    L = A @ filt.J
     Lt = np.swapaxes(L, -1, -2)
     g = filt.g.T
     R = np.empty((T, r))

@@ -18,6 +18,7 @@ associative accumulator so results can be merged deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import norm
@@ -165,6 +166,12 @@ def z_scores(result: EmResult, chi_true: np.ndarray,
     return (chi_hat - chi_true) / denom
 
 
+@lru_cache(maxsize=8)
+def _normal_quantiles(alphas: tuple) -> tuple:
+    """Standard normal quantiles of the coverage levels."""
+    return tuple(norm.ppf(np.asarray(alphas)).tolist())
+
+
 @dataclass
 class ZAccumulator:
     """Mergeable accumulator for pooled Z statistics.
@@ -193,12 +200,13 @@ class ZAccumulator:
     def update(self, Z: np.ndarray, burn_in: int = BURN_IN_T):
         """Add one replication's Z matrix, keeping columns t >= burn_in (1-indexed)."""
         z = np.asarray(Z, dtype=float)[:, burn_in - 1:].ravel()
+        z2 = z * z
         self.count += z.size
         self.s1 += float(np.sum(z))
-        self.s2 += float(np.sum(z**2))
-        self.s3 += float(np.sum(z**3))
-        self.s4 += float(np.sum(z**4))
-        qs = norm.ppf(np.asarray(self.alphas))
+        self.s2 += float(np.sum(z2))
+        self.s3 += float(np.sum(z2 * z))
+        self.s4 += float(np.sum(z2 * z2))
+        qs = _normal_quantiles(tuple(self.alphas))
         self.below += np.array([int(np.sum(z <= q)) for q in qs], dtype=np.int64)
         self.hist += np.histogram(z, bins=HIST_EDGES)[0].astype(np.int64)
 

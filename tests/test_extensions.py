@@ -12,11 +12,12 @@ from dfm_em import (
     draw_dgp,
     ecm_fit,
     gls_loadings,
+    pc_estimate,
     ridge_covariance,
     ridge_fit,
 )
-from dfm_em.em import e_step, m_step
-from dfm_em.extensions import _ar_updates
+from dfm_em.em import _GAMMA_FLOOR, _GAMMA_RTOL, e_step, m_step
+from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
 from conftest import ar1_covariance
 
 
@@ -117,6 +118,60 @@ class TestRidgeFit:
         G = res.params.gamma_e
         off = G - np.diag(np.diag(G))
         assert np.linalg.norm(off) > 0
+
+
+class TestFactoredRidgeMStep:
+    @pytest.mark.parametrize("n, T, mu", [(40, 20, 3.0), (15, 30, 3.0),
+                                          (40, 20, 0.0)])
+    def test_matches_eigh_of_expanded_residual_covariance(self, n, T, mu):
+        """T + r < n takes the Gram route; n <= T + r and mu = 0 form
+        Z Z'. All three agree with the map applied to the expanded
+        S_resid = (XX' - Lam S_xF' - S_xF Lam' + Lam S_FF Lam') / T."""
+        dims = ModelDims(n=n, T=T, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
+        X = draw.panel.X
+        stats, _, _ = e_step(draw.panel, draw.params)
+        Lam = m_step(stats, draw.panel, dims.q).Lambda
+        S_resid = (X @ X.T - Lam @ stats.S_xF.T - stats.S_xF @ Lam.T
+                   + Lam @ stats.S_FF @ Lam.T) / T
+        want = ridge_covariance(S_resid, mu)
+        got = _ridge_gamma(X, Lam, stats, mu)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_diagonal_start_equals_full_map_of_diagonal(self, rng):
+        g = rng.uniform(0.05, 3.0, size=12)
+        for mu in (0.0, 0.3, 40.0):
+            full = ridge_covariance(np.diag(g), mu)
+            assert np.allclose(_ridge_map(g, mu), np.diag(full),
+                               rtol=1e-15, atol=0.0)
+            assert np.array_equal(full, np.diag(np.diag(full)))
+
+
+class TestRidgeAscent:
+    @pytest.mark.parametrize("n, T", [(30, 20), (20, 40)])
+    def test_penalized_objective_never_falls_at_q_equal_r(self, n, T):
+        """With q = r every M-step block maximises its part of the
+        penalized expected log-likelihood exactly, so
+        l(theta_k) - (T mu / 4) tr(Gamma_k^{-2}) rises at every step.
+        Gamma_k is the result of a run with max_iter = k; Gamma_0 is the
+        start value, the map of the floored PC variances."""
+        dims = ModelDims(n=n, T=T, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=1))
+        X = draw.panel.X
+
+        def run(k):
+            return ridge_fit(draw.panel, dims, EmConfig(epsilon=1e-15, max_iter=k))
+
+        full = run(7)
+        assert full.iters == 7
+        mu = full.extras["ridge_mu"]
+        g0 = np.maximum(pc_estimate(draw.panel, 2, 2).GammaE0,
+                        np.maximum(_GAMMA_FLOOR, _GAMMA_RTOL * X.var(axis=1)))
+        pen = [np.sum(_ridge_map(g0, mu) ** -2.0)]
+        pen += [np.sum(np.linalg.inv(run(k).params.gamma_e) ** 2)
+                for k in range(1, 8)]
+        objective = full.loglik_trace - 0.25 * T * mu * np.array(pen)
+        assert np.all(np.diff(objective) > 0.0)
 
 
 class TestAr1Matrices:

@@ -113,6 +113,20 @@ class TestFilterBasics:
         assert err.value.t == 3
         assert "prediction MSE" in str(err.value)
 
+    def test_gain_cancelling_a_large_A_keeps_its_digits(self):
+        """With A = 1e100 I the update factor J_t = I - P_{t|t-1} W_t is
+        of order 1e-200. Formed by subtracting from I (or from A) it is all
+        round-off: F_{2|2} comes out near 1e84 and the t=4 term overflows.
+        Every exact term is finite and F_{t|t} stays of order one."""
+        Lam = np.random.default_rng(0).standard_normal((5, 2))
+        p = DfmParams(Lambda=Lam, A=1e100 * np.eye(2), H=np.eye(2),
+                      gamma_e=np.ones(5))
+        filt = kalman_filter(Panel(X=np.ones((5, 6))), p,
+                             InitState(F0=np.zeros(2), P0=np.eye(2)))
+        assert np.isfinite(filt.loglik)
+        assert np.max(np.abs(filt.F_filt)) < 10.0
+        assert np.max(np.abs(filt.J)) < 1e-150
+
     def test_singular_noise_flags_time_index(self):
         p = DfmParams(Lambda=np.ones((3, 1)), A=np.array([[0.5]]),
                       H=np.ones((1, 1)), gamma_e=np.zeros(3))
