@@ -200,7 +200,7 @@ def m_step(stats: SufficientStats, panel: Panel, q: int,
     # filter's innovation algebra within double-precision accuracy on
     # noiseless or near-noiseless panels.
     gamma = np.maximum(gamma, np.maximum(_GAMMA_FLOOR,
-                                         _GAMMA_RTOL * X.var(axis=1)))
+                                         _GAMMA_RTOL * panel.var))
 
     Gom = (
         stats.S_FF_head
@@ -247,7 +247,7 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
     if init is None:
         init = pc_estimate(panel, dims.r, dims.q)
     gamma = np.maximum(init.GammaE0,
-                       np.maximum(_GAMMA_FLOOR, _GAMMA_RTOL * panel.X.var(axis=1)))
+                       np.maximum(_GAMMA_FLOOR, _GAMMA_RTOL * panel.var))
     params = DfmParams(Lambda=init.Lambda0, A=init.A0, H=init.H0,
                        gamma_e=gamma if gamma0 is None else gamma0(gamma),
                        rho=np.zeros(dims.n))

@@ -35,29 +35,41 @@ with e_t = x_t - Lambda V_k y_t. A full Gamma costs one n x n Cholesky
 factor and triangular solve per call.
 
 The Riccati recursion for P_{t|t-1}, W_t and P_{t|t} does not depend on
-the data, so it runs first. Once P_{t|t-1} repeats its predecessor to
+the data, so it runs first, one step per time point. Each step solves
+S_y X = I with one LAPACK dposv call, which returns S_y^{-1} and the
+Cholesky factor that gives log|S_y|, and reports a non-positive-definite
+S_y by its info code. Once P_{t|t-1} repeats its predecessor to
 round-off (_FREEZE_RTOL relative, in max-norm) the gain is frozen: that
-step's matrices are reused for the rest of the sample. The mean pass
-that follows is one r x r matrix-vector product per step.
+step's matrices are reused for the rest of the sample. This is the only
+per-step Python loop of the filter and the smoother.
 
-The smoother is the inversion-free backward recursion
+Every other recursion is linear, x_t = M_t x_{t-1} + b_t (optionally
+with N_t = M_t N_{t-1} M_t' + Q_t), and runs as an odd-even scan: combine
+neighbouring pairs of steps, solve the half-length recursion on the
+pairs, then fill in the remaining steps. That is O(T) batched r x r work
+in O(log T) numpy calls. The filtered means are the scan of
+F_{t|t} = J_t A F_{t-1|t-1} + P V_k S_y^{-1} y_t, with F_{0|0} folded into
+the first step. The smoother scans, over reversed time, the
+inversion-free backward pair
 
     r_T = 0, N_T = 0,
     L_t = A J_t,
     r_{t-1} = g_t + L_t' r_t,
     N_{t-1} = W_t + L_t' N_t L_t,
-    F_{t|T} = F_{t|t-1} + P_{t|t-1} r_{t-1},
-    P_{t|T} = P_{t|t-1} - P_{t|t-1} N_{t-1} P_{t|t-1},
 
 which never inverts P and therefore also covers the singular q < r case.
-The lag-one smoothed cross-covariance is assembled from the same
-quantities as
+The smoothed moments are formed from the filtered ones for t = 0..T at
+once, with (F_{0|0}, P_{0|0}) in front:
 
-    C_{t,t-1|T} = (I - P_{t|t-1} N_{t-1}) L_{t-1} P_{t-1|t-2}.
+    F_{t|T} = F_{t|t} + P_{t|t} A' r_t,
+    P_{t|T} = P_{t|t} - P_{t|t} A' N_t A P_{t|t},
+    C_{t,t-1|T} = (I - P_{t|t} A' N_t A) J_t A P_{t-1|t-1}.
 
-Only r_t and N_t run step by step; L_t and the smoothed moments are
-computed for all t at once. The test suite checks both passes against a
-dense joint-Gaussian projection and a classical inverting smoother.
+Unlike the predicted form F_{t|t-1} + P_{t|t-1} r_{t-1}, these do not
+cancel when A is large (F_{t|t-1} and its correction are then both of
+the order of A while F_{t|T} is not). The test suite checks both passes
+against a dense joint-Gaussian projection and a classical inverting
+smoother.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dposv
 
 from .model import DfmParams, Panel
 
@@ -216,19 +229,22 @@ def _whitener(gamma_e):
 
 
 def _riccati(A, HHt, P0, Vk, d, T):
-    """Data-free forward pass: P_{t|t-1}, P_{t|t}, S_y and S_y^{-1} for
-    every step, frozen once P_{t|t-1} is stationary.
+    """Data-free forward pass: P_{t|t-1}, P_{t|t}, S_y^{-1} and the
+    diagonal of S_y's Cholesky factor for every step, frozen once
+    P_{t|t-1} is stationary.
 
     Also returns the number of steps done, T unless the pass stopped at a
-    non-finite P_{t|t-1} or a singular S_y, and the reason it stopped.
+    non-finite P_{t|t-1} or a non-positive-definite S_y, and the reason it
+    stopped.
     """
     r, k = Vk.shape
     P_pred = np.empty((T, r, r))
     P_filt = np.empty((T, r, r))
-    Sy = np.empty((T, k, k))
     Sinv = np.empty((T, k, k))
+    Udiag = np.empty((T, k))
     Dinv = np.diag(1.0 / d)
     VDinv = (Vk / d).T
+    Ik = np.eye(k)
     perp = np.eye(r) - Vk @ Vk.T if k < r else None
     P = P0
     for t in range(T):
@@ -236,18 +252,19 @@ def _riccati(A, HHt, P0, Vk, d, T):
         Pp = 0.5 * (Pp + Pp.T)
         scale = abs(Pp).max()
         if not scale < np.inf:
-            return P_pred, P_filt, Sy, Sinv, t, "non-finite state prediction MSE"
+            return P_pred, P_filt, Sinv, Udiag, t, "non-finite state prediction MSE"
         if t and abs(Pp - P_pred[t - 1]).max() <= _FREEZE_RTOL * scale:
-            for arr in (P_pred, P_filt, Sy, Sinv):
+            for arr in (P_pred, P_filt, Sinv, Udiag):
                 arr[t:] = arr[t - 1]
             break
         PV = Pp @ Vk
-        Sy[t] = Vk.T @ PV + Dinv
-        try:
-            Si = np.linalg.inv(Sy[t])
-        except np.linalg.LinAlgError:
-            return P_pred, P_filt, Sy, Sinv, t, _NOT_PD
-        Si = 0.5 * (Si + Si.T)
+        Si = Ik  # S_y is 0 x 0 when the panel observes no direction (k = 0)
+        if k:
+            U, Si, info = dposv(Vk.T @ PV + Dinv, Ik)
+            if info:
+                return P_pred, P_filt, Sinv, Udiag, t, _NOT_PD
+            Si = 0.5 * (Si + Si.T)
+            Udiag[t] = U.diagonal()
         K = PV @ Si
         P = K @ VDinv
         if perp is not None:
@@ -255,17 +272,39 @@ def _riccati(A, HHt, P0, Vk, d, T):
         P_pred[t] = Pp
         P_filt[t] = P = 0.5 * (P + P.T)
         Sinv[t] = Si
-    return P_pred, P_filt, Sy, Sinv, T, None
+    return P_pred, P_filt, Sinv, Udiag, T, None
 
 
-def _first_not_pd(S):
-    """Index of the first matrix of the stack S without a Cholesky factor."""
-    for t, s in enumerate(S):
-        try:
-            np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            return t
-    return len(S)
+def _scan(M, b, Q=None):
+    """x_t = M_t x_{t-1} + b_t from x_{-1} = 0 for every t, and with Q
+    also N_t = M_t N_{t-1} M_t' + Q_t from N_{-1} = 0 (None without Q).
+
+    Odd-even recursive doubling: steps 2i and 2i+1 combine into one step
+    (M_{2i+1} M_{2i}, M_{2i+1} b_{2i} + b_{2i+1}) from x_{2i-1} to
+    x_{2i+1}; the half-length recursion on these pairs gives the odd
+    positions, and one batched step from each gives the even ones.
+    """
+    T = len(b)
+    if T <= 1:
+        return b.copy(), (None if Q is None else Q.copy())
+    h = T // 2
+    Me, Mo = M[0:2 * h:2], M[1::2]
+    x_odd, N_odd = _scan(
+        Mo @ Me, (Mo @ b[0:2 * h:2, :, None])[..., 0] + b[1::2],
+        None if Q is None else Mo @ Q[0:2 * h:2] @ np.swapaxes(Mo, 1, 2) + Q[1::2])
+    # x_{2i} = M_{2i} x_{2i-1} + b_{2i}, with x_{-1} = 0
+    M2 = M[2::2]
+    x = np.empty_like(b)
+    x[0] = b[0]
+    x[1::2] = x_odd
+    x[2::2] = (M2 @ x_odd[:T - 1 - h, :, None])[..., 0] + b[2::2]
+    if Q is None:
+        return x, None
+    N = np.empty_like(Q)
+    N[0] = Q[0]
+    N[1::2] = N_odd
+    N[2::2] = M2 @ N_odd[:T - 1 - h] @ np.swapaxes(M2, 1, 2) + Q[2::2]
+    return x, N
 
 
 def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOutput:
@@ -299,17 +338,13 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     Y = (Vk.T @ (Lw.T @ Xw)) / d[:, None]
     Ew = Xw - Lw @ (Vk @ Y)
 
-    P_pred, P_filt, Sy, Sinv, T_ok, why = _riccati(
+    P_pred, P_filt, Sinv, Udiag, T_ok, why = _riccati(
         A, params.H @ params.H.T, init.P0, Vk, d, T)
-    try:
-        chol = np.linalg.cholesky(Sy[:T_ok])
-    except np.linalg.LinAlgError:
-        T_ok, why = _first_not_pd(Sy[:T_ok]), _NOT_PD
-        chol = np.linalg.cholesky(Sy[:T_ok])
 
     # Mean pass over the steps with a valid gain K_t = P_{t|t-1} V_k S_y^{-1}:
     # F_{t|t} = J_t A F_{t-1|t-1} + K_t y_t, with J_t = I - K_t V_k' in
-    # the product form of the module docstring.
+    # the product form of the module docstring and F_{0|0} folded into
+    # the first step.
     G = Vk @ Sinv[:T_ok]
     K = P_pred[:T_ok] @ G
     J = (Vk / d) @ Sinv[:T_ok] @ Vk.T
@@ -318,16 +353,13 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
         J = J + (I - Vk @ Vk.T) @ (I - K @ Vk.T)
     Phi = J @ A
     c = (K @ Y.T[:T_ok, :, None])[..., 0]
-    F_filt = np.zeros((T, r))
-    f = init.F0
-    for t in range(T_ok):
-        f = Phi[t] @ f + c[t]
-        F_filt[t] = f
-    F_filt = F_filt.T
+    c[:1] += Phi[:1] @ init.F0
+    F_filt = np.zeros((r, T))
+    F_filt[:, :T_ok] = _scan(Phi, c)[0].T
     F_pred = A @ np.column_stack([init.F0, F_filt[:, :T - 1]])
     v = (Y - Vk.T @ F_pred).T[:T_ok, :, None]
     terms = (n * np.log(2.0 * np.pi) + logdet_gamma + np.sum(np.log(d))
-             + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+             + 2.0 * np.log(Udiag[:T_ok]).sum(axis=1)
              + np.einsum("it,it->t", Ew, Ew)[:T_ok]
              + (np.swapaxes(v, 1, 2) @ Sinv[:T_ok] @ v)[:, 0, 0])
     bad = np.flatnonzero(~np.isfinite(terms))
@@ -347,35 +379,28 @@ def kalman_smoother(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
     """Backward smoothing pass; valid for singular P_{t|t-1} (q < r)."""
     T, r = filt.T, filt.r
     A = params.A
-    I = np.eye(r)
-    Pp = filt.P_pred
-    W = filt.W
 
-    L = A @ filt.J
-    Lt = np.swapaxes(L, -1, -2)
-    g = filt.g.T
-    R = np.empty((T, r))
-    N = np.empty((T, r, r))
-    r_vec = np.zeros(r)
-    N_t = np.zeros((r, r))
-    for t in range(T - 1, -1, -1):
-        R[t] = r_vec = g[t] + Lt[t] @ r_vec
-        N[t] = N_t = Lt[t] @ N_t @ L[t] + W[t]
-    N = _symmetrize(N)
+    # r_{t-1} = g_t + L_t' r_t, N_{t-1} = W_t + L_t' N_t L_t as a forward
+    # scan over reversed time; then r_t, N_t for t = 0..T, with r_T = 0
+    # and N_T = 0 appended.
+    Lt = np.swapaxes(A @ filt.J, 1, 2)
+    R, N = _scan(Lt[::-1], filt.g.T[::-1], filt.W[::-1])
+    R = np.vstack([R[::-1], np.zeros((1, r))])
+    N = np.concatenate([_symmetrize(N[::-1]), np.zeros((1, r, r))])
 
-    F_s = filt.F_pred + np.einsum("tij,tj->it", Pp, R)
-    P_s = _psd_clip(Pp - Pp @ N @ Pp)
+    # Filtered form, with (F_{0|0}, P_{0|0}) stacked in front of the
+    # filtered moments; A P_{t|t} = (P_{t|t} A')' as P_{t|t} is symmetric.
+    F = np.vstack([filt.init.F0, filt.F_filt.T])
+    P = np.concatenate([filt.init.P0[None], filt.P_filt])
+    PA = P @ A.T
+    F_s = F + (PA @ R[..., None])[..., 0]
+    P_s = _psd_clip(P - PA @ N @ np.swapaxes(PA, 1, 2))
     C = np.zeros((T, r, r))
-    C[1:] = (I - Pp[1:] @ N[1:]) @ L[:-1] @ Pp[:-1]
+    C[1:] = ((np.eye(r) - PA[2:] @ N[2:] @ A) @ filt.J[1:]
+             @ np.swapaxes(PA[1:T], 1, 2))
 
-    # Smoothed time-zero moments for warm-starting the next filter run:
-    # with L_0 = A (no data at t=0), F_{0|T} = F_{0|0} + P_{0|0} A' r_0.
-    P0 = filt.init.P0
-    F0_s = filt.init.F0 + P0 @ A.T @ r_vec
-    P0_s = _psd_clip(P0 - P0 @ A.T @ N[0] @ A @ P0)
-
-    return SmootherOutput(F_smooth=F_s, P_smooth=P_s, C_lag1=C,
-                          F0_smooth=F0_s, P0_smooth=P0_s)
+    return SmootherOutput(F_smooth=F_s[1:].T, P_smooth=P_s[1:], C_lag1=C,
+                          F0_smooth=F_s[0], P0_smooth=P_s[0])
 
 
 @dataclass(frozen=True)
@@ -408,11 +433,9 @@ def steady_state_diagnostics(filt: FilterOutput, q: int,
     """
     T = filt.T
     k = min(T - 1, 5)
-    tr_pred = np.array([np.trace(filt.P_pred[t]) / q for t in range(1, k + 1)])
-    tr_filt = np.array([np.trace(filt.P_filt[t]) * filt.n / q for t in range(1, k + 1)])
-    t_bar = None
-    for t in range(1, T):
-        if np.linalg.norm(filt.P_pred[t] - filt.P_pred[t - 1], 2) < tol:
-            t_bar = t + 1
-            break
+    tr_pred = np.trace(filt.P_pred[1:k + 1], axis1=1, axis2=2) / q
+    tr_filt = np.trace(filt.P_filt[1:k + 1], axis1=1, axis2=2) * filt.n / q
+    steps = np.linalg.norm(np.diff(filt.P_pred, axis=0), 2, axis=(1, 2))
+    hit = np.flatnonzero(steps < tol)
+    t_bar = int(hit[0]) + 2 if hit.size else None
     return SteadyStateDiagnostics(tr_pred=tr_pred, tr_filt=tr_filt, t_bar=t_bar)

@@ -13,6 +13,7 @@ All containers are immutable value objects; the functions here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,14 @@ class Panel:
     @property
     def T(self):
         return self.X.shape[1]
+
+    @cached_property
+    def var(self):
+        """Per-series sample variance of X, computed once (X is read-only,
+        and so is the result)."""
+        v = self.X.var(axis=1)
+        v.flags.writeable = False
+        return v
 
 
 @dataclass(frozen=True)

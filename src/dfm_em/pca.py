@@ -10,7 +10,8 @@ The factor VAR matrix is the lag-one OLS estimate on Ftilde, H0 comes from
 the top-q eigenpairs of the VAR residual covariance, and the idiosyncratic
 variances are the mean squared reconstruction residuals. When n > T the
 eigendecomposition runs on the T x T Gram matrix instead (identical
-spectrum, better complexity).
+spectrum, better complexity). Only the top r+1 eigenpairs are computed;
+the (r+1)-th serves the check that the r-th is separated from it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .model import Panel
 
@@ -50,13 +52,16 @@ def _sign_fix_columns(V, ref_row=0):
 
 
 def _leading_eigpairs(Xc, r):
-    """Top-r eigenpairs of Xc Xc' / T, via the smaller of the two Gram forms."""
+    """Top r+1 eigenvalues (descending; w[r] feeds the tie check) and top-r
+    eigenvectors of Xc Xc' / T, via the smaller of the two Gram forms."""
     n, T = Xc.shape
+    m = min(n, T)
+    top = [max(m - r - 1, 0), m - 1]
     if n <= T:
-        w, V = np.linalg.eigh(Xc @ Xc.T / T)
+        w, V = eigh(Xc @ Xc.T / T, subset_by_index=top)
         w, V = w[::-1], V[:, ::-1]
     else:
-        w, G = np.linalg.eigh(Xc.T @ Xc / T)
+        w, G = eigh(Xc.T @ Xc / T, subset_by_index=top)
         w, G = w[::-1], G[:, ::-1]
         # duality: if (w, g) eigenpair of X'X/T then X g / sqrt(T w) is a
         # unit eigenvector of XX'/T with the same eigenvalue

@@ -20,6 +20,7 @@ from conftest import (
     oracle_state_blocks,
     woodbury_inverse,
 )
+from dfm_em.kalman import _scan
 
 
 def _draw(n=5, T=10, r=2, q=2, tau=0.0, delta=0.0, seed=1):
@@ -126,6 +127,53 @@ class TestFilterBasics:
         assert np.isfinite(filt.loglik)
         assert np.max(np.abs(filt.F_filt)) < 10.0
         assert np.max(np.abs(filt.J)) < 1e-150
+
+    def test_smoothed_moments_keep_their_digits_with_a_large_A(self):
+        """Same input: F_{t|t-1} is of order 1e100, so the predicted form
+        F_{t|t-1} + P_{t|t-1} r_{t-1} gave +-1e84 and variances of 3e183.
+        The exact smoothed means are about 1e-100 for t < T."""
+        Lam = np.random.default_rng(0).standard_normal((5, 2))
+        p = DfmParams(Lambda=Lam, A=1e100 * np.eye(2), H=np.eye(2),
+                      gamma_e=np.ones(5))
+        filt = kalman_filter(Panel(X=np.ones((5, 6))), p,
+                             InitState(F0=np.zeros(2), P0=np.eye(2)))
+        sm = kalman_smoother(filt, p)
+        assert np.max(np.abs(sm.F_smooth[:, :-1])) < 1e-10
+        assert np.array_equal(sm.F_smooth[:, -1], filt.F_filt[:, -1])
+        assert np.all(np.isfinite(sm.P_smooth))
+
+    def test_no_observed_direction_reports_the_failing_step(self):
+        """Lambda = 0 (k = 0, no S_y to factor): an explosive state
+        overflows P_{t|t-1} at t=3, and an overflowing panel column fails
+        at its own step."""
+        Z, init = np.zeros((5, 2)), InitState(F0=np.zeros(2), P0=np.eye(2))
+        X = np.zeros((5, 6))
+        X[:, 3] = 1e200
+        for A, panel, t, why in [
+                (np.diag([1e70, 0.5]), np.zeros((5, 6)), 3, "prediction MSE"),
+                (0.5 * np.eye(2), X, 4, "innovation update")]:
+            p = DfmParams(Lambda=Z, A=A, H=np.eye(2), gamma_e=np.ones(5))
+            with pytest.raises(FilterNumericalError) as err, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                kalman_filter(Panel(X=panel), p, init)
+            assert err.value.t == t
+            assert why in str(err.value)
+
+    @pytest.mark.parametrize("scale,t", [(1e2, 3), (1e3, 2), (1e4, 1)])
+    def test_innovation_covariance_not_pd_is_reported(self, scale, t):
+        """A slightly negative P_{0|0} direction that A = 10 amplifies: S_y
+        loses definiteness at the step where the amplified negative
+        variance first outweighs the measurement noise D_k^{-1}; a larger
+        loading (smaller D_k^{-1}) makes that step come sooner."""
+        lam = np.random.default_rng(0).standard_normal((5, 1))
+        p = DfmParams(Lambda=np.hstack([lam, scale * lam[::-1]]),
+                      A=np.diag([0.5, 10.0]), H=np.array([[1.0], [0.0]]),
+                      gamma_e=np.ones(5))
+        with pytest.raises(FilterNumericalError) as err:
+            kalman_filter(Panel(X=np.zeros((5, 6))), p,
+                          InitState(F0=np.zeros(2), P0=np.diag([1.0, -5e-9])))
+        assert err.value.t == t
+        assert "not positive definite" in str(err.value)
 
     def test_singular_noise_flags_time_index(self):
         p = DfmParams(Lambda=np.ones((3, 1)), A=np.array([[0.5]]),
@@ -285,7 +333,62 @@ class TestWoodbury:
         assert np.allclose(out, np.diag([0.5, 0.25]))
 
 
+def _scan_loop(M, b, Q):
+    x, N = np.zeros(b.shape[1]), np.zeros(Q.shape[1:])
+    xs, Ns = np.empty_like(b), np.empty_like(Q)
+    for t in range(len(b)):
+        xs[t] = x = M[t] @ x + b[t]
+        Ns[t] = N = M[t] @ N @ M[t].T + Q[t]
+    return xs, Ns
+
+
+class TestScan:
+    @pytest.mark.parametrize("T", [1, 2, 3, 4, 7, 64, 101])
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_matches_a_plain_loop(self, T, r):
+        rng = np.random.default_rng(100 * T + r)
+        M = 0.9 * rng.standard_normal((T, r, r)) / np.sqrt(r)
+        b = rng.standard_normal((T, r))
+        G = rng.standard_normal((T, r, r))
+        Q = G @ np.swapaxes(G, 1, 2)
+        x, N = _scan(M, b, Q)
+        x_ref, N_ref = _scan_loop(M, b, Q)
+        assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+        assert np.max(np.abs(N - N_ref)) <= 1e-13 * np.max(np.abs(N_ref))
+        x_only, none = _scan(M, b)
+        assert np.array_equal(x_only, x) and none is None
+
+
+def _filter_only_output():
+    """The filter run of a ``filter_only`` Monte Carlo replication."""
+    draw = _draw(n=15, T=30, r=4, q=2, tau=0.5, delta=0.2, seed=18)
+    truth = draw.params
+    p = DfmParams(Lambda=truth.Lambda, A=truth.A, H=truth.H,
+                  gamma_e=np.diag(truth.gamma_e_matrix()).copy())
+    return kalman_filter(draw.panel, p, stationary_init(p))
+
+
 class TestSteadyState:
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_matches_the_per_step_loop(self, tol):
+        filt = _filter_only_output()
+        diag = steady_state_diagnostics(filt, 2, tol)
+        t_bar = None
+        for t in range(1, filt.T):
+            if np.linalg.norm(filt.P_pred[t] - filt.P_pred[t - 1], 2) < tol:
+                t_bar = t + 1
+                break
+        assert t_bar is not None and diag.t_bar == t_bar
+        k = min(filt.T - 1, 5)
+        assert np.array_equal(diag.tr_pred, [np.trace(filt.P_pred[t]) / 2
+                                             for t in range(1, k + 1)])
+        assert np.array_equal(diag.tr_filt, [np.trace(filt.P_filt[t]) * filt.n / 2
+                                             for t in range(1, k + 1)])
+
+    def test_t_bar_is_none_when_never_reached(self):
+        diag = steady_state_diagnostics(_filter_only_output(), 2, tol=0.0)
+        assert diag.t_bar is None
+
     def test_A_zero_reaches_steady_state_at_t2(self):
         p = DfmParams(Lambda=np.ones((4, 2)), A=np.zeros((2, 2)),
                       H=np.eye(2), gamma_e=np.ones(4))

@@ -95,6 +95,13 @@ class TestPanel:
         with pytest.raises(ValueError):
             p.X[0, 0] = 1.0
 
+    def test_variance_is_computed_once_and_read_only(self, rng):
+        p = Panel(X=rng.standard_normal((3, 4)))
+        assert np.array_equal(p.var, p.X.var(axis=1))
+        assert p.var is p.var
+        with pytest.raises(ValueError):
+            p.var[0] = 1.0
+
 
 class TestCommonComponent:
     def test_scalar_product(self):

@@ -70,6 +70,17 @@ class TestPcEstimate:
         Lam_direct = V * np.sqrt(w)
         assert np.max(np.abs(est_dual.Lambda0 - Lam_direct)) < 1e-8
 
+    @pytest.mark.parametrize("n,T", [(30, 60), (60, 30)])
+    def test_eigvals_match_a_full_eigendecomposition(self, n, T):
+        """The top-r subset of the Gram spectrum, on both Gram branches
+        (n <= T and n > T), against every eigenvalue of X X'/T."""
+        draw = draw_dgp(DgpConfig(dims=ModelDims(n=n, T=T, r=3, q=2),
+                                  tau=0.5, delta=0.2, seed=21))
+        est = pc_estimate(draw.panel, 3, 2)
+        Xc = draw.panel.X - draw.panel.X.mean(axis=1, keepdims=True)
+        full = np.linalg.eigh(Xc @ Xc.T / T)[0][::-1][:3]
+        assert np.max(np.abs(est.eigvals - full)) <= 1e-12 * full[0]
+
     def test_trace_statistic_on_dgp_draws(self):
         """Estimated factor space tracks the truth on clean draws."""
         vals = []
