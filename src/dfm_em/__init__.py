@@ -8,7 +8,6 @@ from .model import (
     ModelDims,
     Panel,
     ShapeError,
-    common_component,
     validate,
 )
 from .simulate import DgpConfig, DgpDraw, Innovation, draw_dgp, simulate_given, stream
@@ -35,9 +34,6 @@ from .em import (
     m_step,
 )
 from .extensions import (
-    ArIdioState,
-    RidgeConfig,
-    ar1_precision,
     ecm_fit,
     gls_loadings,
     ridge_covariance,
@@ -48,7 +44,6 @@ from .metrics import (
     DEFAULT_ALPHAS,
     HIST_EDGES,
     CoverageTable,
-    TraceStat,
     ZAccumulator,
     asvar_matrices,
     common_mse,

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import io as dfm_io
 from .em import AscentViolationError, EmConfig, EmError, em_fit
-from .extensions import RidgeConfig, ecm_fit, ridge_fit
+from .extensions import ecm_fit, ridge_fit
 from .kalman import FilterNumericalError
 from .metrics import common_mse, trace_statistic
-from .model import ModelDims, Panel, ShapeError
+from .model import DfmParams, ModelDims, Panel, ShapeError
 from .montecarlo import CellAbortError, McGrid, run_grid, write_report
 from .pca import IdentificationError, pc_estimate
 from .simulate import DgpConfig, draw_dgp
@@ -113,13 +113,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _ridge_config(text: str) -> RidgeConfig:
+def _ridge_mu(text: str):
+    """None (the n^2/T rule) for 'auto', else a finite nonnegative mu."""
     if text == "auto":
-        return RidgeConfig(policy="auto")
+        return None
     try:
-        return RidgeConfig(policy="fixed", mu=float(text))
-    except ValueError as exc:
-        raise ValueError(f"--ridge-mu must be 'auto' or a number, got {text!r}") from exc
+        mu = float(text)
+        if 0.0 <= mu < np.inf:
+            return mu
+    except ValueError:
+        pass
+    raise ValueError("--ridge-mu must be 'auto' or a finite nonnegative "
+                     f"number, got {text!r}")
 
 
 def _cmd_fit(args) -> int:
@@ -133,14 +138,14 @@ def _cmd_fit(args) -> int:
     if args.idio_cov == "ridge" and args.idio_ar == "ecm":
         raise ValueError("--idio-cov ridge and --idio-ar ecm are mutually exclusive")
     if args.idio_cov == "ridge":
-        result = ridge_fit(panel, dims, config, _ridge_config(args.ridge_mu))
+        result = ridge_fit(panel, dims, config, mu=_ridge_mu(args.ridge_mu))
     elif args.idio_ar == "ecm":
         result = ecm_fit(panel, dims, config)
     else:
         result = em_fit(panel, dims, config)
     dfm_io.write_em_result(result, args.out, overwrite=args.overwrite)
     print(f"iterations: {result.iters}")
-    print(f"final loglik: {result.loglik_trace[-1]!r}")
+    print(f"final loglik: {float(result.loglik_trace[-1])!r}")
     print(f"converged: {result.converged}")
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
@@ -155,10 +160,8 @@ def _cmd_pc(args) -> int:
             path = os.path.join(args.out, name)
             if os.path.exists(path):
                 raise FileExistsError(f"{path} exists; pass --overwrite to replace")
-    from .model import DfmParams
-
     params = DfmParams(Lambda=est.Lambda0, A=est.A0, H=est.H0,
-                       gamma_e=est.GammaE0, rho=np.zeros(panel.n))
+                       gamma_e=est.GammaE0)
     dfm_io.write_params_json(params, os.path.join(args.out, "params.json"))
     dfm_io.write_matrix_csv(est.Ftilde.T, os.path.join(args.out, "factors.csv"),
                             header=[f"F{j+1}" for j in range(args.r)])
@@ -195,8 +198,8 @@ def _cmd_eval(args) -> int:
     chi_hat = fit_params.Lambda @ F_hat
 
     out = {
-        "tr_f": trace_statistic(F_true, F_hat).value,
-        "tr_lambda": trace_statistic(true_params.Lambda, fit_params.Lambda).value,
+        "tr_f": trace_statistic(F_true, F_hat),
+        "tr_lambda": trace_statistic(true_params.Lambda, fit_params.Lambda),
         "mse_chi": common_mse(chi_true, chi_hat),
     }
     text = json.dumps(out, indent=2)

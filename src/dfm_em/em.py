@@ -29,12 +29,11 @@ log-likelihood, which EM theory guarantees is nondecreasing. The loop in
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kalman import (
-    FilterOutput,
     InitState,
     SmootherOutput,
     kalman_filter,
@@ -89,8 +88,8 @@ class EmConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -102,8 +101,7 @@ class SufficientStats:
     S_P (the summed smoothed MSE matrices) and F_smooth are carried along
     so the idiosyncratic-variance update can be evaluated in the
     numerically stable residual form sum_t (x - lambda'F)^2 + lambda' S_P
-    lambda instead of the cancellation-prone expanded quadratic; both
-    forms are algebraically identical.
+    lambda instead of the cancellation-prone expanded quadratic.
     """
 
     S_xF: np.ndarray
@@ -111,8 +109,8 @@ class SufficientStats:
     S_FF_lag: np.ndarray
     S_FF_head: np.ndarray
     S_FF_tail: np.ndarray
-    S_P: np.ndarray = None
-    F_smooth: np.ndarray = None
+    S_P: np.ndarray
+    F_smooth: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,27 +120,18 @@ class EmResult:
     loglik_trace: np.ndarray
     iters: int
     converged: bool
-    filter_init: InitState = None
-    extras: dict = field(default_factory=dict)
 
 
 def build_stats(panel: Panel, smooth: SmootherOutput) -> SufficientStats:
-    """Assemble the sufficient statistics from a smoother pass."""
-    X = panel.X
+    """Assemble the sufficient statistics from a smoother pass (at T = 1
+    the lag sums are empty and come out zero)."""
     Fs = smooth.F_smooth
     Ps = smooth.P_smooth
-    Cs = smooth.C_lag1
-    S_xF = X @ Fs.T
+    S_xF = panel.X @ Fs.T
     S_FF = Fs @ Fs.T + Ps.sum(axis=0)
-    if panel.T >= 2:
-        S_FF_lag = Fs[:, 1:] @ Fs[:, :-1].T + Cs[1:].sum(axis=0)
-        S_FF_head = Fs[:, 1:] @ Fs[:, 1:].T + Ps[1:].sum(axis=0)
-        S_FF_tail = Fs[:, :-1] @ Fs[:, :-1].T + Ps[:-1].sum(axis=0)
-    else:
-        r = Fs.shape[0]
-        S_FF_lag = np.zeros((r, r))
-        S_FF_head = np.zeros((r, r))
-        S_FF_tail = np.zeros((r, r))
+    S_FF_lag = Fs[:, 1:] @ Fs[:, :-1].T + smooth.C_lag1[1:].sum(axis=0)
+    S_FF_head = Fs[:, 1:] @ Fs[:, 1:].T + Ps[1:].sum(axis=0)
+    S_FF_tail = Fs[:, :-1] @ Fs[:, :-1].T + Ps[:-1].sum(axis=0)
     return SufficientStats(S_xF=S_xF, S_FF=S_FF, S_FF_lag=S_FF_lag,
                            S_FF_head=S_FF_head, S_FF_tail=S_FF_tail,
                            S_P=Ps.sum(axis=0), F_smooth=Fs)
@@ -185,16 +174,9 @@ def m_step(stats: SufficientStats, panel: Panel, q: int,
     except np.linalg.LinAlgError as exc:
         raise EmError(f"S_FF_tail numerically singular in the VAR update: {exc}") from exc
 
-    if stats.F_smooth is not None and stats.S_P is not None:
-        resid = X - Lam @ stats.F_smooth
-        gamma = (np.sum(resid**2, axis=1)
-                 + np.einsum("ir,rs,is->i", Lam, stats.S_P, Lam)) / T
-    else:
-        gamma = (
-            np.sum(X**2, axis=1)
-            - 2.0 * np.einsum("ir,ir->i", Lam, stats.S_xF)
-            + np.einsum("ir,rs,is->i", Lam, stats.S_FF, Lam)
-        ) / T
+    resid = X - Lam @ stats.F_smooth
+    gamma = (np.sum(resid**2, axis=1)
+             + np.einsum("ir,rs,is->i", Lam, stats.S_P, Lam)) / T
     # Floor at a fixed fraction of each series' sample variance (with an
     # absolute backstop): bounding the signal-to-noise ratio keeps the
     # filter's innovation algebra within double-precision accuracy on
@@ -230,7 +212,7 @@ def m_step(stats: SufficientStats, panel: Panel, q: int,
                 V[:, j] = -V[:, j]
         H = V * np.sqrt(scale)
 
-    return DfmParams(Lambda=Lam, A=A, H=H, gamma_e=gamma, rho=np.zeros(X.shape[0]))
+    return DfmParams(Lambda=Lam, A=A, H=H, gamma_e=gamma)
 
 
 def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
@@ -249,8 +231,7 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
     gamma = np.maximum(init.GammaE0,
                        np.maximum(_GAMMA_FLOOR, _GAMMA_RTOL * panel.var))
     params = DfmParams(Lambda=init.Lambda0, A=init.A0, H=init.H0,
-                       gamma_e=gamma if gamma0 is None else gamma0(gamma),
-                       rho=np.zeros(dims.n))
+                       gamma_e=gamma if gamma0 is None else gamma0(gamma))
     try:
         kf_init = InitState(F0=init.Ftilde[:, 0], P0=stationary_init(params).P0)
     except np.linalg.LinAlgError:
@@ -280,16 +261,11 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
         base = m_step(stats, panel, dims.q)
         params = base if update is None else update(stats, smooth, base)
         iters = k + 1
-
-        P0 = 0.5 * (smooth.P0_smooth + smooth.P0_smooth.T)
-        if np.min(np.linalg.eigvalsh(P0)) >= -1e-10:
-            kf_init = InitState(F0=smooth.F0_smooth, P0=P0)
-        else:
-            kf_init = InitState(F0=smooth.F0_smooth, P0=stationary_init(params).P0)
+        kf_init = InitState(F0=smooth.F0_smooth, P0=smooth.P0_smooth)
 
     return EmResult(params=params, factors=smooth,
                     loglik_trace=np.asarray(trace), iters=iters,
-                    converged=converged, filter_init=kf_init)
+                    converged=converged)
 
 
 def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
@@ -304,9 +280,9 @@ def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     floored at a fixed fraction of each series' sample variance. The filter
     is started at the principal-components factor value and the stationary
     state covariance (P0 = I if the initial VAR has none); later iterations
-    warm-start from the previous smoother's time-zero output (falling back
-    to the stationary covariance if that matrix is not positive
-    semidefinite). ``ridge_fit`` and ``ecm_fit`` share this loop.
+    warm-start from the previous smoother's time-zero moments, whose
+    covariance the smoother already returns symmetric and PSD-clipped.
+    ``ridge_fit`` and ``ecm_fit`` share this loop.
 
     Raises
     ------

@@ -32,13 +32,14 @@ Two variants are provided:
 
 Both estimators run the EM loop of :mod:`dfm_em.em` and supply only their
 initial idiosyncratic covariance and the map from the diagonal M-step to
-their own parameters.
+their own parameters. Their estimates are the result's ``DfmParams``:
+ridge's covariance is a 2-D ``gamma_e``; ECM's AR(1) laws are ``rho`` and
+a 1-D ``gamma_e`` of innovation variances.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,59 +51,11 @@ from .model import DfmParams, ModelDims, Panel
 from .pca import PcEstimate, pc_estimate  # noqa: F401
 
 __all__ = [
-    "RidgeConfig",
-    "ArIdioState",
     "ridge_covariance",
     "ridge_fit",
-    "ar1_precision",
     "gls_loadings",
     "ecm_fit",
 ]
-
-
-@dataclass(frozen=True)
-class RidgeConfig:
-    """Ridge penalty policy: a fixed value or the n^2/T automatic rule.
-
-    With policy "auto", mu = c * n^2 / T, switched off (mu = 0) when
-    n^2 / T < 1 since no regularization is needed in that regime.
-    """
-
-    policy: str = "auto"
-    mu: float = 0.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.policy not in ("auto", "fixed"):
-            raise ValueError("policy must be 'auto' or 'fixed'")
-        if self.mu < 0.0:
-            raise ValueError("mu must be nonnegative")
-        if self.c < 0.0:
-            raise ValueError("c must be nonnegative")
-
-    def resolve(self, n: int, T: int) -> float:
-        if self.policy == "fixed":
-            return float(self.mu)
-        ratio = n * n / T
-        return float(self.c * ratio) if ratio >= 1.0 else 0.0
-
-
-@dataclass(frozen=True)
-class ArIdioState:
-    """Estimated AR(1) idiosyncratic laws: coefficients and innovation variances."""
-
-    rho_hat: np.ndarray
-    gamma_hat: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho_hat, dtype=float)
-        gam = np.asarray(self.gamma_hat, dtype=float)
-        if np.any(np.abs(rho) >= 1.0):
-            raise ValueError("|rho_hat| must be < 1")
-        if np.any(gam <= 0.0):
-            raise ValueError("gamma_hat must be positive")
-        object.__setattr__(self, "rho_hat", rho)
-        object.__setattr__(self, "gamma_hat", gam)
 
 
 def ridge_covariance(S: np.ndarray, mu: float) -> np.ndarray:
@@ -154,8 +107,7 @@ def _ridge_gamma(X, Lam, stats, mu):
 
 
 def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
-              ridge: RidgeConfig = RidgeConfig(),
-              init: PcEstimate = None) -> EmResult:
+              mu: float = None, init: PcEstimate = None) -> EmResult:
     """EM with a ridge-penalized full idiosyncratic covariance.
 
     Identical to the diagonal EM loop except that the idiosyncratic update
@@ -166,33 +118,23 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     tracks the exact filter log-likelihood, but monotonicity is not
     enforced: the penalized objective, not the likelihood itself, is what
     this loop ascends.
+
+    ``mu=None`` selects the n^2/T rule, switched off (mu = 0) when
+    n^2/T < 1 since no regularization is needed in that regime. A given
+    ``mu`` must be finite and nonnegative.
     """
-    mu = ridge.resolve(dims.n, dims.T)
+    if mu is None:
+        mu = dims.n * dims.n / dims.T
+        mu = mu if mu >= 1.0 else 0.0
+    elif not 0.0 <= mu < np.inf:
+        raise ValueError(f"ridge mu must be finite and nonnegative, got {mu!r}")
 
     def update(stats, smooth, base):
         return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H,
-                         gamma_e=_ridge_gamma(panel.X, base.Lambda, stats, mu),
-                         rho=np.zeros(dims.n))
+                         gamma_e=_ridge_gamma(panel.X, base.Lambda, stats, mu))
 
-    res = _fit(panel, dims, config, init, update,
-               gamma0=lambda g: _ridge_map(g, mu))
-    return replace(res, extras={"ridge_mu": mu})
-
-
-def ar1_precision(rho: float, gamma: float, T: int) -> np.ndarray:
-    """Inverse covariance of a stationary AR(1) of length T (tridiagonal).
-
-    The covariance is gamma rho^|t-s| / (1-rho^2); its inverse is
-    (1/gamma) times the tridiagonal matrix with diagonal
-    [1, 1 + rho^2, ..., 1 + rho^2, 1] and off-diagonal -rho.
-    """
-    d = np.full(T, 1.0 + rho**2)
-    d[0] = d[-1] = 1.0
-    P = np.diag(d)
-    idx = np.arange(T - 1)
-    P[idx, idx + 1] = -rho
-    P[idx + 1, idx] = -rho
-    return P / gamma
+    return _fit(panel, dims, config, init, update,
+                gamma0=lambda g: _ridge_map(g, mu))
 
 
 def gls_loadings(stats, smooth, panel: Panel, rho: np.ndarray) -> np.ndarray:
@@ -276,8 +218,8 @@ def ecm_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     objective this loop ascends; it is not guaranteed monotone and ascent
     is not enforced.
 
-    Returns an :class:`EmResult` whose ``extras['ar_idio']`` carries the
-    final :class:`ArIdioState`.
+    The fitted AR(1) laws are ``params.rho`` (the coefficients) and
+    ``params.gamma_e`` (the innovation variances) of the result.
     """
 
     def update(stats, smooth, base):
@@ -285,6 +227,4 @@ def ecm_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
         Lam = gls_loadings(stats, smooth, panel, rho)
         return DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_e=gamma, rho=rho)
 
-    res = _fit(panel, dims, config, init, update)
-    ar = ArIdioState(rho_hat=res.params.rho, gamma_hat=res.params.gamma_e)
-    return replace(res, extras={"ar_idio": ar})
+    return _fit(panel, dims, config, init, update)

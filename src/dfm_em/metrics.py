@@ -17,7 +17,7 @@ associative accumulator so results can be merged deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +26,6 @@ from scipy.stats import norm
 from .em import EmResult
 
 __all__ = [
-    "TraceStat",
     "CoverageTable",
     "ZAccumulator",
     "DEFAULT_ALPHAS",
@@ -44,15 +43,6 @@ HIST_EDGES = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.1), 10)
 
 
 @dataclass(frozen=True)
-class TraceStat:
-    value: float
-
-    def __post_init__(self):
-        if self.value > 1.0 + 1e-10:
-            raise ValueError(f"trace statistic {self.value!r} exceeds 1")
-
-
-@dataclass(frozen=True)
 class CoverageTable:
     """Empirical coverage per quantile level plus pooled-sample moments."""
 
@@ -65,8 +55,9 @@ class CoverageTable:
     count: int
 
 
-def trace_statistic(true_M: np.ndarray, est_M: np.ndarray) -> TraceStat:
-    """Multivariate R-squared of true_M on the column space of est_M.
+def trace_statistic(true_M: np.ndarray, est_M: np.ndarray) -> float:
+    """Multivariate R-squared of true_M on the column space of est_M,
+    capped at 1 against round-off.
 
     Inputs may be given with components along either axis; both are
     oriented tall (rows = observations, columns = the k components) before
@@ -84,7 +75,7 @@ def trace_statistic(true_M: np.ndarray, est_M: np.ndarray) -> TraceStat:
         raise np.linalg.LinAlgError("estimate is rank deficient")
     cross = Mh.T @ M
     val = float(np.trace(cross.T @ np.linalg.solve(G, cross)) / np.trace(M.T @ M))
-    return TraceStat(value=min(val, 1.0))
+    return min(val, 1.0)
 
 
 def common_mse(chi_true: np.ndarray, chi_est: np.ndarray) -> float:
@@ -106,8 +97,9 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
 
     Modes: "diag_ols" uses the fitted diagonal gamma; "ridge_w" uses the
     full regularized covariance inverse inside W; "gls_v" weights the
-    V-denominator by the AR(1)-implied tridiagonal inverse covariance
-    (requires ``extras['ar_idio']``).
+    V-denominator by the tridiagonal inverse covariance of the fitted
+    AR(1) laws ``params.rho`` and ``params.gamma_e``, which at rho = 0 is
+    "diag_ols".
     """
     if mode not in ("diag_ols", "ridge_w", "gls_v"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -130,11 +122,7 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     W = np.einsum("ir,ir->i", Lam, np.linalg.solve(inner_W, Lam.T).T)
 
     if mode == "gls_v":
-        ar = result.extras.get("ar_idio")
-        if ar is None:
-            raise ValueError("gls_v mode requires AR idiosyncratic estimates")
-        rho = ar.rho_hat
-        gamma_diag = ar.gamma_hat
+        rho = params.rho
         S0 = F @ F.T
         E1 = np.outer(F[:, 0], F[:, 0])
         ET = np.outer(F[:, -1], F[:, -1])

@@ -12,7 +12,7 @@ All containers are immutable value objects; the functions here are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "FactorPath",
     "ShapeError",
     "validate",
-    "common_component",
 ]
 
 STABILITY_TOL = 1e-10
@@ -189,20 +188,6 @@ class DfmParams:
             return np.diag(self.gamma_e)
         return np.array(self.gamma_e)
 
-    def idio_covariance(self):
-        """Unconditional idiosyncratic covariance Gamma^xi.
-
-        [Gamma^xi]_ij = [Gamma^e]_ij / (1 - rho_i rho_j); equals Gamma^e
-        when all rho are zero. Returned in the same (diagonal or full)
-        representation as ``gamma_e``.
-        """
-        if np.all(self.rho == 0.0):
-            return np.array(self.gamma_e)
-        if self.gamma_e_is_diagonal:
-            return self.gamma_e / (1.0 - self.rho**2)
-        scale = 1.0 - np.outer(self.rho, self.rho)
-        return self.gamma_e / scale
-
 
 def validate(params: DfmParams, dims: ModelDims) -> list:
     """Check the model parameters against the stationarity, rank and
@@ -242,13 +227,3 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
     if np.linalg.matrix_rank(params.H) < q:
         violations.append(f"H rank-deficient: rank < q={q}")
     return violations
-
-
-def common_component(params: DfmParams, factors: FactorPath) -> np.ndarray:
-    """Common component chi, with chi[i, t] = Lambda[i] . F[:, t]."""
-    if params.Lambda.shape[1] != factors.F.shape[0]:
-        raise ShapeError(
-            f"Lambda has {params.Lambda.shape[1]} columns but factor path has "
-            f"{factors.F.shape[0]} rows"
-        )
-    return params.Lambda @ factors.F

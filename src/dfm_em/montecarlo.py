@@ -189,10 +189,10 @@ def _run_replication(args):
         acc.update(z_scores(res, draw.chi))
         return {
             "failed": False,
-            "tr_f_em": trace_statistic(draw.factors.F, res.factors.F_smooth).value,
-            "tr_lam_em": trace_statistic(draw.params.Lambda, res.params.Lambda).value,
-            "tr_f_pc": trace_statistic(draw.factors.F, pc.Ftilde).value,
-            "tr_lam_pc": trace_statistic(draw.params.Lambda, pc.Lambda0).value,
+            "tr_f_em": trace_statistic(draw.factors.F, res.factors.F_smooth),
+            "tr_lam_em": trace_statistic(draw.params.Lambda, res.params.Lambda),
+            "tr_f_pc": trace_statistic(draw.factors.F, pc.Ftilde),
+            "tr_lam_pc": trace_statistic(draw.params.Lambda, pc.Lambda0),
             "mse_em": common_mse(draw.chi, chi_em),
             "mse_pc": common_mse(draw.chi, chi_pc),
             "acc": acc,

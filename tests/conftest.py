@@ -5,7 +5,7 @@ path (F_0, ..., F_T) and the stacked observations, then conditions
 directly. It is O((nT)^3) and only usable on tiny instances, which is the
 point: it shares no code with the recursive filter/smoother under test.
 The classical inverting smoother, the Woodbury inverse and the dense AR(1)
-covariance are further closed-form references.
+covariance and precision are further closed-form references.
 """
 
 import numpy as np
@@ -147,6 +147,23 @@ def kalman_smoother_classical(filt, params):
 
     return SmootherOutput(F_smooth=F_s, P_smooth=P_s, C_lag1=C,
                           F0_smooth=F0_s, P0_smooth=P0_s)
+
+
+def ar1_precision(rho, gamma, T):
+    """Inverse covariance of a stationary AR(1) of length T (tridiagonal).
+
+    The covariance is gamma rho^|t-s| / (1-rho^2); its inverse is
+    (1/gamma) times the tridiagonal matrix with diagonal
+    [1, 1 + rho^2, ..., 1 + rho^2, 1] and off-diagonal -rho. It is the
+    dense weighting behind the GLS loadings and the "gls_v" variance.
+    """
+    d = np.full(T, 1.0 + rho**2)
+    d[0] = d[-1] = 1.0
+    P = np.diag(d)
+    idx = np.arange(T - 1)
+    P[idx, idx + 1] = -rho
+    P[idx + 1, idx] = -rho
+    return P / gamma
 
 
 def ar1_covariance(rho, gamma, T):

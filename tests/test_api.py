@@ -1,0 +1,43 @@
+"""The package's public names: what ``dfm_em/__init__.py`` re-exports is
+declared in its module's ``__all__``, and every declared name exists."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import dfm_em
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(dfm_em.__path__))
+
+
+def _package_imports():
+    """(module, name) for every public name ``__init__`` imports."""
+    tree = ast.parse(Path(dfm_em.__file__).read_text())
+    return [(node.module, alias.name)
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names if not alias.name.startswith("_")]
+
+
+def test_package_imports_come_from_its_own_modules():
+    imports = _package_imports()
+    assert imports
+    assert {module for module, _ in imports} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module, name", _package_imports(),
+                         ids=lambda v: str(v))
+def test_reexported_name_is_declared(module, name):
+    mod = importlib.import_module(f"dfm_em.{module}")
+    assert name in mod.__all__
+    assert getattr(dfm_em, name) is getattr(mod, name)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_declared_names_exist(module):
+    mod = importlib.import_module(f"dfm_em.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+    assert len(set(mod.__all__)) == len(mod.__all__)

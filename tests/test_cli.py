@@ -121,11 +121,32 @@ class TestFit:
 
     def test_bad_ridge_mu(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d")
-        code = main(["fit", "--panel", str(draw / "panel.csv"),
-                     "--r", "2", "--q", "2", "--idio-cov", "ridge",
-                     "--ridge-mu", "lots", "--out", str(tmp_path / "f")])
+        for mu in ("lots", "-1", "nan", "inf"):
+            code = main(["fit", "--panel", str(draw / "panel.csv"),
+                         "--r", "2", "--q", "2", "--idio-cov", "ridge",
+                         "--ridge-mu", mu, "--out", str(tmp_path / "f")])
+            assert code == EXIT_VALIDATION, mu
+            assert "ridge-mu" in capsys.readouterr().err, mu
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_nonfinite_epsilon_exits_validation(self, tmp_path, capsys, epsilon):
+        draw = _simulate(tmp_path, "d")
+        code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", "--epsilon", epsilon,
+                     "--out", str(tmp_path / "f")])
         assert code == EXIT_VALIDATION
-        assert "ridge-mu" in capsys.readouterr().err
+        assert "epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
+    def test_printed_loglik_is_the_summary_float(self, tmp_path, capsys):
+        draw = _simulate(tmp_path, "d")
+        out = tmp_path / "f"
+        main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
+              "--q", "2", "--max-iter", "5", "--out", str(out)])
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("final loglik: ")]
+        summary = json.loads((out / "summary.json").read_text())
+        assert float(line.removeprefix("final loglik: ")) == summary["final_loglik"]
 
     def test_missing_panel_file(self, tmp_path):
         code = main(["fit", "--panel", str(tmp_path / "nope.csv"),

@@ -34,6 +34,8 @@ def _known_factor_stats(X, F):
         S_FF_lag=F[:, 1:] @ F[:, :-1].T,
         S_FF_head=F[:, 1:] @ F[:, 1:].T,
         S_FF_tail=F[:, :-1] @ F[:, :-1].T,
+        S_P=np.zeros((F.shape[0], F.shape[0])),
+        F_smooth=F,
     )
 
 
@@ -116,6 +118,8 @@ class TestMStep:
             S_FF_lag=np.zeros((2, 2)),
             S_FF_head=4.0 * T * np.eye(2),
             S_FF_tail=np.eye(2),
+            S_P=np.zeros((2, 2)),
+            F_smooth=np.zeros((2, T)),
         )
         out = m_step(stats, Panel(X=X), q=2, vartheta_mstep=0.0)
         assert np.allclose(out.H, 2.0 * np.eye(2), atol=1e-12)
@@ -129,6 +133,8 @@ class TestMStep:
             S_FF_lag=np.zeros((2, 2)),
             S_FF_head=T * np.diag([9.0, 1.0]),
             S_FF_tail=np.eye(2),
+            S_P=np.zeros((2, 2)),
+            F_smooth=np.zeros((2, T)),
         )
         out = m_step(stats, Panel(X=X), q=1, vartheta_mstep=0.0)
         assert np.allclose(out.H, [[3.0], [0.0]], atol=1e-12)
@@ -142,6 +148,8 @@ class TestMStep:
             S_FF_lag=np.zeros((2, 2)),
             S_FF_head=T * np.diag([1e-9, 1e-10]),
             S_FF_tail=np.eye(2),
+            S_P=np.zeros((2, 2)),
+            F_smooth=np.zeros((2, T)),
         )
         with pytest.warns(RuntimeWarning):
             out = m_step(stats, Panel(X=X), q=1, vartheta_mstep=0.1)

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from dfm_em import (
-    ArIdioState,
     DgpConfig,
     EmConfig,
     ModelDims,
     Panel,
-    RidgeConfig,
-    ar1_precision,
     draw_dgp,
     ecm_fit,
     gls_loadings,
@@ -18,7 +15,7 @@ from dfm_em import (
 )
 from dfm_em.em import _GAMMA_FLOOR, _GAMMA_RTOL, e_step, m_step
 from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
-from conftest import ar1_covariance
+from conftest import ar1_covariance, ar1_precision
 
 
 def _random_psd(rng, n):
@@ -80,23 +77,45 @@ class TestRidgeCovariance:
 
 
 class TestRidgeConfig:
-    def test_auto_rule(self):
-        cfg = RidgeConfig()
-        assert cfg.resolve(50, 100) == 50.0 * 50.0 / 100.0
-        # n^2 / T below 1: regularization switched off
-        assert cfg.resolve(3, 100) == 0.0
+    """The ridge penalty setting: ``ridge_fit``'s ``mu`` argument."""
 
-    def test_auto_constant(self):
-        assert RidgeConfig(c=2.0).resolve(10, 10) == 20.0
+    def test_auto_rule(self):
+        def fit(dims, mu):
+            draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=11))
+            return ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=mu)
+
+        def same(a, b):
+            return (np.array_equal(a.loglik_trace, b.loglik_trace)
+                    and np.array_equal(a.params.gamma_e, b.params.gamma_e))
+
+        dims = ModelDims(n=50, T=100, r=2, q=2)
+        assert same(fit(dims, None), fit(dims, 50.0 * 50.0 / 100.0))
+        # n^2 / T below 1: regularization switched off
+        dims = ModelDims(n=3, T=100, r=1, q=1)
+        assert same(fit(dims, None), fit(dims, 0.0))
 
     def test_fixed(self):
-        assert RidgeConfig(policy="fixed", mu=7.5).resolve(1000, 10) == 7.5
+        # n^2 / T = 0.625 < 1: the rule would switch regularization off,
+        # so the sqrt(7.5) eigenvalue floor can only come from the given mu
+        dims = ModelDims(n=5, T=40, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=11))
+        res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=7.5)
+        auto = ridge_fit(draw.panel, dims, EmConfig(max_iter=3))
+        assert np.linalg.eigvalsh(res.params.gamma_e).min() >= np.sqrt(7.5) - 1e-8
+        assert np.linalg.eigvalsh(auto.params.gamma_e).min() < np.sqrt(7.5)
+        # n^2 / T = 10: a given mu below the rule's value is not overridden
+        dims = ModelDims(n=20, T=40, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=11))
+        res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=7.5)
+        auto = ridge_fit(draw.panel, dims, EmConfig(max_iter=3))
+        assert not np.array_equal(res.params.gamma_e, auto.params.gamma_e)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RidgeConfig(policy="bogus")
-        with pytest.raises(ValueError):
-            RidgeConfig(policy="fixed", mu=-1.0)
+        dims = ModelDims(n=20, T=40, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, seed=11))
+        for mu in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ridge_fit(draw.panel, dims, mu=mu)
 
 
 class TestRidgeFit:
@@ -105,11 +124,10 @@ class TestRidgeFit:
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=11))
         res = ridge_fit(draw.panel, dims, EmConfig(max_iter=10))
         assert res.params.gamma_e.ndim == 2
-        assert res.extras["ridge_mu"] == 20.0 * 20.0 / 40.0
         assert np.all(np.isfinite(res.loglik_trace))
         # penalized covariance is invertible by construction
         w = np.linalg.eigvalsh(res.params.gamma_e)
-        assert w.min() >= np.sqrt(res.extras["ridge_mu"]) - 1e-8
+        assert w.min() >= np.sqrt(20.0 * 20.0 / 40.0) - 1e-8
 
     def test_off_diagonal_mass_tracked_on_correlated_noise(self):
         dims = ModelDims(n=15, T=60, r=2, q=2)
@@ -164,7 +182,7 @@ class TestRidgeAscent:
 
         full = run(7)
         assert full.iters == 7
-        mu = full.extras["ridge_mu"]
+        mu = n * n / T
         g0 = np.maximum(pc_estimate(draw.panel, 2, 2).GammaE0,
                         np.maximum(_GAMMA_FLOOR, _GAMMA_RTOL * X.var(axis=1)))
         pen = [np.sum(_ridge_map(g0, mu) ** -2.0)]
@@ -257,11 +275,10 @@ class TestEcmFit:
         dims = ModelDims(n=20, T=60, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=15))
         res = ecm_fit(draw.panel, dims, EmConfig(max_iter=15))
-        ar = res.extras["ar_idio"]
-        assert isinstance(ar, ArIdioState)
-        assert np.all(np.abs(ar.rho_hat) < 1.0)
-        assert np.all(ar.gamma_hat > 0)
-        assert np.array_equal(res.params.rho, ar.rho_hat)
+        assert res.params.rho.shape == (20,)
+        assert res.params.gamma_e_is_diagonal
+        assert np.all(np.abs(res.params.rho) < 1.0)
+        assert np.all(res.params.gamma_e > 0)
 
     def test_rho_recovery_on_serially_correlated_draws(self):
         """Average |rho_hat - rho| across series stays below 0.1 on draws
@@ -271,6 +288,5 @@ class TestEcmFit:
         for seed in range(1, 21):
             draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=seed))
             res = ecm_fit(draw.panel, dims, EmConfig(max_iter=25))
-            ar = res.extras["ar_idio"]
-            maes.append(np.mean(np.abs(ar.rho_hat - draw.params.rho)))
+            maes.append(np.mean(np.abs(res.params.rho - draw.params.rho)))
         assert np.mean(maes) < 0.1

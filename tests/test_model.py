@@ -3,11 +3,9 @@ import pytest
 
 from dfm_em import (
     DfmParams,
-    FactorPath,
     ModelDims,
     Panel,
     ShapeError,
-    common_component,
     validate,
 )
 
@@ -101,84 +99,3 @@ class TestPanel:
         assert p.var is p.var
         with pytest.raises(ValueError):
             p.var[0] = 1.0
-
-
-class TestCommonComponent:
-    def test_scalar_product(self):
-        p = _params(n=1, r=1, q=1, A=np.array([[0.5]]), H=np.eye(1),
-                    gamma=np.ones(1))
-        out = common_component(p, FactorPath(F=np.array([[2.0, 3.0]])))
-        assert np.array_equal(out, [[2.0, 3.0]])
-
-    def test_zero_factors(self):
-        p = _params()
-        out = common_component(p, FactorPath(F=np.zeros((2, 5))))
-        assert np.array_equal(out, np.zeros((6, 5)))
-
-    def test_matches_triple_loop(self, rng):
-        Lam = rng.standard_normal((3, 2))
-        F = rng.standard_normal((2, 4))
-        p = DfmParams(Lambda=Lam, A=0.5 * np.eye(2), H=np.eye(2),
-                      gamma_e=np.ones(3))
-        out = common_component(p, FactorPath(F=F))
-        naive = np.zeros((3, 4))
-        for i in range(3):
-            for t in range(4):
-                for j in range(2):
-                    naive[i, t] += Lam[i, j] * F[j, t]
-        assert np.allclose(out, naive)
-
-    def test_bilinear(self, rng):
-        Lam = rng.standard_normal((4, 2))
-        F1 = rng.standard_normal((2, 5))
-        F2 = rng.standard_normal((2, 5))
-        base = DfmParams(Lambda=Lam, A=0.5 * np.eye(2), H=np.eye(2),
-                         gamma_e=np.ones(4))
-        scaled = DfmParams(Lambda=3.0 * Lam, A=0.5 * np.eye(2), H=np.eye(2),
-                           gamma_e=np.ones(4))
-        assert np.allclose(common_component(scaled, FactorPath(F=F1)),
-                           3.0 * common_component(base, FactorPath(F=F1)))
-        assert np.allclose(
-            common_component(base, FactorPath(F=F1 + F2)),
-            common_component(base, FactorPath(F=F1))
-            + common_component(base, FactorPath(F=F2)),
-        )
-
-    def test_rotation_invariance(self, rng):
-        Lam = rng.standard_normal((5, 3))
-        F = rng.standard_normal((3, 7))
-        K = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
-        a = DfmParams(Lambda=Lam, A=0.3 * np.eye(3), H=np.eye(3),
-                      gamma_e=np.ones(5))
-        b = DfmParams(Lambda=Lam @ K, A=0.3 * np.eye(3), H=np.eye(3),
-                      gamma_e=np.ones(5))
-        out_a = common_component(a, FactorPath(F=F))
-        out_b = common_component(b, FactorPath(F=np.linalg.solve(K, F)))
-        assert np.allclose(out_a, out_b, atol=1e-10)
-
-    def test_shape_mismatch(self):
-        p = _params()
-        with pytest.raises(ShapeError):
-            common_component(p, FactorPath(F=np.zeros((3, 5))))
-
-
-class TestIdioCovariance:
-    def test_reduces_to_gamma_e_when_rho_zero(self):
-        p = _params()
-        assert np.array_equal(p.idio_covariance(), p.gamma_e)
-
-    def test_ar1_scaling(self):
-        rho = np.array([0.5, 0.0, -0.3])
-        p = DfmParams(Lambda=np.ones((3, 1)), A=np.array([[0.5]]),
-                      H=np.eye(1), gamma_e=np.array([2.0, 1.0, 4.0]), rho=rho)
-        expected = np.array([2.0, 1.0, 4.0]) / (1.0 - rho**2)
-        assert np.allclose(p.idio_covariance(), expected)
-
-    def test_full_variant(self):
-        G = np.array([[1.0, 0.5], [0.5, 1.0]])
-        rho = np.array([0.5, 0.2])
-        p = DfmParams(Lambda=np.ones((2, 1)), A=np.array([[0.5]]),
-                      H=np.eye(1), gamma_e=G, rho=rho)
-        out = p.idio_covariance()
-        assert np.isclose(out[0, 1], 0.5 / (1.0 - 0.5 * 0.2))
-        assert np.isclose(out[0, 0], 1.0 / (1.0 - 0.25))

@@ -88,13 +88,13 @@ class TestPcEstimate:
             draw = draw_dgp(DgpConfig(dims=ModelDims(n=100, T=100, r=4, q=4),
                                       seed=seed))
             est = pc_estimate(draw.panel, 4, 4)
-            vals.append(trace_statistic(draw.factors.F, est.Ftilde).value)
+            vals.append(trace_statistic(draw.factors.F, est.Ftilde))
         assert np.mean(vals) > 0.85
 
     def test_white_noise_panel_no_recovery(self, rng):
         X = rng.standard_normal((20, 50))
         est = pc_estimate(Panel(X=X), 1, 1)
-        tr = trace_statistic(X[3:4], est.Ftilde).value
+        tr = trace_statistic(X[3:4], est.Ftilde)
         assert tr < 1.0
 
     def test_eigenvalue_tie_raises(self):
