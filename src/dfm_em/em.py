@@ -232,9 +232,12 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
                        np.maximum(_GAMMA_FLOOR, _GAMMA_RTOL * panel.var))
     params = DfmParams(Lambda=init.Lambda0, A=init.A0, H=init.H0,
                        gamma_e=gamma if gamma0 is None else gamma0(gamma))
+    # A unit-root start makes the Lyapunov system singular (LinAlgError)
+    # and an explosive one gives an indefinite solution that InitState
+    # rejects (ValueError); neither has a stationary covariance.
     try:
         kf_init = InitState(F0=init.Ftilde[:, 0], P0=stationary_init(params).P0)
-    except np.linalg.LinAlgError:
+    except ValueError:
         kf_init = InitState(F0=init.Ftilde[:, 0], P0=np.eye(dims.r))
 
     trace = []
@@ -279,9 +282,10 @@ def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     The idiosyncratic variances start at their principal-components values,
     floored at a fixed fraction of each series' sample variance. The filter
     is started at the principal-components factor value and the stationary
-    state covariance (P0 = I if the initial VAR has none); later iterations
-    warm-start from the previous smoother's time-zero moments, whose
-    covariance the smoother already returns symmetric and PSD-clipped.
+    state covariance (P0 = I if the initial VAR has none: a unit or an
+    explosive root); later iterations warm-start from the previous
+    smoother's time-zero moments, whose covariance the smoother already
+    returns symmetric and PSD-clipped.
     ``ridge_fit`` and ``ecm_fit`` share this loop.
 
     Raises

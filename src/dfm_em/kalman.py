@@ -35,13 +35,24 @@ with e_t = x_t - Lambda V_k y_t. A full Gamma costs one n x n Cholesky
 factor and triangular solve per call.
 
 The Riccati recursion for P_{t|t-1}, W_t and P_{t|t} does not depend on
-the data, so it runs first, one step per time point. Each step solves
-S_y X = I with one LAPACK dposv call, which returns S_y^{-1} and the
-Cholesky factor that gives log|S_y|, and reports a non-positive-definite
-S_y by its info code. Once P_{t|t-1} repeats its predecessor to
-round-off (_FREEZE_RTOL relative, in max-norm) the gain is frozen: that
-step's matrices are reused for the rest of the sample. This is the only
-per-step Python loop of the filter and the smoother.
+the data, so it runs first, by prefix doubling over the filtering
+elements of Sarkka & Garcia-Fernandez (2021). The one-step element
+E = (A_1, C_1, J_1) maps P_{t-1|t-1} to P_{t|t}: A_1 = J A and C_1 = J HH'
+with J the update factor above at P = HH', and J_1 = A' W A at that P.
+Its power E^w = (A_w, C_w, J_w) maps P_{t-w|t-w} to
+
+    P_{t|t} = A_w (I + P_{t-w|t-w} J_w)^{-1} P_{t-w|t-w} A_w' + C_w,
+
+so from P_{0|0} each level fills P_{t|t} for w <= t < 2w from the known
+t < w with one batched solve, then squares E^w into E^{2w} with one r x r
+combination (the doubling of Chu, Fan & Lin's structure-preserving
+algorithm, 2005), and P_{t|t-1} = A P_{t-1|t-1} A' + HH'. Once P_{t|t-1}
+repeats its predecessor to round-off (_FREEZE_RTOL relative, in
+max-norm) the gain is frozen: that step's matrices are reused for the
+rest of the sample, and levels stop at the block that holds it. The
+steps before the freeze take S_y^{-1} from one batched inverse and
+log|S_y| from one batched Cholesky; only when that Cholesky fails does a
+per-step search find the first non-positive-definite S_y.
 
 Every other recursion is linear, x_t = M_t x_{t-1} + b_t (optionally
 with N_t = M_t N_{t-1} M_t' + Q_t), and runs as an odd-even scan: combine
@@ -186,8 +197,15 @@ def _psd_clip(M):
     """Nearest PSD matrix under eigenvalue clipping, for one matrix or a
     stack of them; removes the tiny negative eigenvalues the backward
     subtraction can produce when the measurement noise is many orders
-    below the signal. Only matrices with a negative eigenvalue change."""
+    below the signal. A stack that one batched Cholesky factors is
+    positive definite and comes back symmetrized only; otherwise only
+    matrices with a negative eigenvalue change."""
     M = _symmetrize(M)
+    try:
+        np.linalg.cholesky(M)
+        return M
+    except np.linalg.LinAlgError:
+        pass
     neg = np.linalg.eigvalsh(M)[..., 0] < 0.0
     if np.any(neg):
         w, V = np.linalg.eigh(M[neg])
@@ -228,51 +246,112 @@ def _whitener(gamma_e):
             float(2.0 * np.sum(np.log(np.diag(chol)))))
 
 
+def _observed_directions(Lw):
+    """The eigenpairs (D_k, V_k) of M = Lw' Lw that the rank rule keeps,
+    for the whitened loadings Lw."""
+    d, V = np.linalg.eigh(_symmetrize(Lw.T @ Lw))
+    keep = d > _RANK_RTOL * d[-1] if d[-1] > 0.0 else np.zeros(d.size, dtype=bool)
+    return d[keep], V[:, keep]
+
+
+def _solve(a, b):
+    """np.linalg.solve, with NaN in place of a batch that holds an exactly
+    singular system. I + P J_w is singular only for an indefinite P, past
+    a step the checks of :func:`_riccati` reject; the NaN reaches the
+    next P_{t|t-1} check instead of raising here."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.full(np.broadcast_shapes(a.shape, b.shape), np.nan)
+
+
+def _update_factor(P, Vk, d, Si):
+    """Gain K = P V_k S_y^{-1} and update factor J = I - P W in the
+    product form of the module docstring, for one P = P_{t|t-1} or a
+    stack of them, with S_y^{-1} = Si."""
+    r, k = Vk.shape
+    K = P @ (Vk @ Si)
+    J = (Vk / d) @ Si @ Vk.T
+    if k < r:
+        I = np.eye(r)
+        J = J + (I - Vk @ Vk.T) @ (I - K @ Vk.T)
+    return K, J
+
+
 def _riccati(A, HHt, P0, Vk, d, T):
-    """Data-free forward pass: P_{t|t-1}, P_{t|t}, S_y^{-1} and the
-    diagonal of S_y's Cholesky factor for every step, frozen once
-    P_{t|t-1} is stationary.
+    """Data-free forward pass by the prefix doubling of the module
+    docstring: P_{t|t-1}, P_{t|t}, S_y^{-1} and the diagonal of S_y's
+    Cholesky factor for every step, frozen once P_{t|t-1} is stationary.
 
     Also returns the number of steps done, T unless the pass stopped at a
     non-finite P_{t|t-1} or a non-positive-definite S_y, and the reason it
     stopped.
     """
     r, k = Vk.shape
+    I = np.eye(r)
+    Dinv = np.diag(1.0 / d)
+
+    # The one-step element E = (A_1, C_1, J_1), P_{t-1|t-1} -> P_{t|t},
+    # from the update with prior HH'.
+    SiQ = _solve(_symmetrize(Vk.T @ HHt @ Vk) + Dinv, np.eye(k))
+    JQ = _update_factor(HHt, Vk, d, SiQ)[1]
+    Aw, Cw, Jw = JQ @ A, JQ @ HHt, A.T @ (Vk @ SiQ @ Vk.T) @ A
+
+    # Pf[t] = P_{t|t} for t = 0..T; level w fills w <= t < 2w from
+    # t < w with E^w, then checks P_{t|t-1} = A Pf[t-1] A' + HH' for the
+    # same t.
+    Pf = np.empty((T + 1, r, r))
+    Pf[0] = P0
     P_pred = np.empty((T, r, r))
-    P_filt = np.empty((T, r, r))
+    stop, why, w = T, None, 1
+    while w <= T:
+        if w > 1:
+            X = _solve(I + Cw @ Jw, np.hstack([Aw, Cw]))
+            Aw, Cw, Jw = (Aw @ X[:, :r], Aw @ X[:, r:] @ Aw.T + Cw,
+                          Aw.T @ (Jw @ X[:, :r]) + Jw)
+        hi = min(2 * w, T + 1)
+        src = Pf[:hi - w]
+        Pf[w:hi] = _symmetrize(Aw @ _solve(I + src @ Jw, src) @ Aw.T + Cw)
+        blk = P_pred[w - 1:hi - 1] = _symmetrize(A @ Pf[w - 1:hi - 1] @ A.T + HHt)
+        scale = abs(blk).max(axis=(1, 2))
+        # go: finite and not repeating its predecessor (NaN and inf
+        # compare False)
+        if w > 1:
+            go = abs(blk - P_pred[w - 2:hi - 2]).max(axis=(1, 2)) > _FREEZE_RTOL * scale
+        else:
+            go = scale < np.inf
+        hit = np.flatnonzero(~go)
+        if hit.size:
+            stop = w - 1 + int(hit[0])
+            if not scale[hit[0]] < np.inf:
+                why = "non-finite state prediction MSE"
+            break
+        w = hi
+    P_filt = Pf[1:]
+
+    # S_y over the steps before the stop: one batched Cholesky, and only
+    # if that fails a search for the first step that is not positive
+    # definite.
+    Sy = _symmetrize(Vk.T @ P_pred[:stop] @ Vk) + Dinv
+    try:
+        L = np.linalg.cholesky(Sy)
+    except np.linalg.LinAlgError:
+        L = np.empty_like(Sy)
+        for t in range(stop):
+            try:
+                L[t] = np.linalg.cholesky(Sy[t])
+            except np.linalg.LinAlgError:
+                stop, why = t, _NOT_PD
+                break
     Sinv = np.empty((T, k, k))
     Udiag = np.empty((T, k))
-    Dinv = np.diag(1.0 / d)
-    VDinv = (Vk / d).T
-    Ik = np.eye(k)
-    perp = np.eye(r) - Vk @ Vk.T if k < r else None
-    P = P0
-    for t in range(T):
-        Pp = A @ P @ A.T + HHt
-        Pp = 0.5 * (Pp + Pp.T)
-        scale = abs(Pp).max()
-        if not scale < np.inf:
-            return P_pred, P_filt, Sinv, Udiag, t, "non-finite state prediction MSE"
-        if t and abs(Pp - P_pred[t - 1]).max() <= _FREEZE_RTOL * scale:
-            for arr in (P_pred, P_filt, Sinv, Udiag):
-                arr[t:] = arr[t - 1]
-            break
-        PV = Pp @ Vk
-        Si = Ik  # S_y is 0 x 0 when the panel observes no direction (k = 0)
-        if k:
-            U, Si, info = dposv(Vk.T @ PV + Dinv, Ik)
-            if info:
-                return P_pred, P_filt, Sinv, Udiag, t, _NOT_PD
-            Si = 0.5 * (Si + Si.T)
-            Udiag[t] = U.diagonal()
-        K = PV @ Si
-        P = K @ VDinv
-        if perp is not None:
-            P = P + (Pp - K @ PV.T) @ perp
-        P_pred[t] = Pp
-        P_filt[t] = P = 0.5 * (P + P.T)
-        Sinv[t] = Si
-    return P_pred, P_filt, Sinv, Udiag, T, None
+    Udiag[:stop] = L[:stop].diagonal(axis1=1, axis2=2)
+    Sinv[:stop] = _symmetrize(np.linalg.inv(Sy[:stop]))
+    if why is None and stop < T:  # frozen
+        for arr in (P_pred, P_filt, Sinv, Udiag):
+            arr[stop:] = arr[stop - 1]
+        stop = T
+    return P_pred, P_filt, Sinv, Udiag, stop, why
 
 
 def _scan(M, b, Q=None):
@@ -332,9 +411,7 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     # panel observes.
     Xw = whiten(X)
     Lw = whiten(params.Lambda)
-    d, V = np.linalg.eigh(_symmetrize(Lw.T @ Lw))
-    keep = d > _RANK_RTOL * d[-1] if d[-1] > 0.0 else np.zeros(r, dtype=bool)
-    d, Vk = d[keep], V[:, keep]
+    d, Vk = _observed_directions(Lw)
     Y = (Vk.T @ (Lw.T @ Xw)) / d[:, None]
     Ew = Xw - Lw @ (Vk @ Y)
 
@@ -346,11 +423,7 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     # the product form of the module docstring and F_{0|0} folded into
     # the first step.
     G = Vk @ Sinv[:T_ok]
-    K = P_pred[:T_ok] @ G
-    J = (Vk / d) @ Sinv[:T_ok] @ Vk.T
-    if d.size < r:
-        I = np.eye(r)
-        J = J + (I - Vk @ Vk.T) @ (I - K @ Vk.T)
+    K, J = _update_factor(P_pred[:T_ok], Vk, d, Sinv[:T_ok])
     Phi = J @ A
     c = (K @ Y.T[:T_ok, :, None])[..., 0]
     c[:1] += Phi[:1] @ init.F0

@@ -5,14 +5,24 @@ path (F_0, ..., F_T) and the stacked observations, then conditions
 directly. It is O((nT)^3) and only usable on tiny instances, which is the
 point: it shares no code with the recursive filter/smoother under test.
 The classical inverting smoother, the Woodbury inverse and the dense AR(1)
-covariance and precision are further closed-form references.
+covariance and precision are further closed-form references, and the
+step-by-step Riccati loop is the reference for the filter's
+prefix-doubling pass.
 """
 
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dposv
 
-from dfm_em.kalman import _RANK_RTOL, SmootherOutput, _psd_clip, _symmetrize
+from dfm_em.kalman import (
+    _FREEZE_RTOL,
+    _NOT_PD,
+    _RANK_RTOL,
+    SmootherOutput,
+    _psd_clip,
+    _symmetrize,
+)
 
 
 def dense_joint_moments(panel, params, init):
@@ -147,6 +157,52 @@ def kalman_smoother_classical(filt, params):
 
     return SmootherOutput(F_smooth=F_s, P_smooth=P_s, C_lag1=C,
                           F0_smooth=F0_s, P0_smooth=P0_s)
+
+
+def riccati_step_loop(A, HHt, P0, Vk, d, T):
+    """The Riccati pass of ``kalman._riccati``, one step per time point.
+
+    Each step solves S_y X = I with one LAPACK dposv call, which returns
+    S_y^{-1} and the Cholesky factor that gives log|S_y| and reports a
+    non-positive-definite S_y by its info code; the gain freezes the same
+    way. Same inputs and outputs as ``_riccati``.
+    """
+    r, k = Vk.shape
+    P_pred = np.empty((T, r, r))
+    P_filt = np.empty((T, r, r))
+    Sinv = np.empty((T, k, k))
+    Udiag = np.empty((T, k))
+    Dinv = np.diag(1.0 / d)
+    VDinv = (Vk / d).T
+    Ik = np.eye(k)
+    perp = np.eye(r) - Vk @ Vk.T if k < r else None
+    P = P0
+    for t in range(T):
+        Pp = A @ P @ A.T + HHt
+        Pp = 0.5 * (Pp + Pp.T)
+        scale = abs(Pp).max()
+        if not scale < np.inf:
+            return P_pred, P_filt, Sinv, Udiag, t, "non-finite state prediction MSE"
+        if t and abs(Pp - P_pred[t - 1]).max() <= _FREEZE_RTOL * scale:
+            for arr in (P_pred, P_filt, Sinv, Udiag):
+                arr[t:] = arr[t - 1]
+            break
+        PV = Pp @ Vk
+        Si = Ik  # S_y is 0 x 0 when the panel observes no direction (k = 0)
+        if k:
+            U, Si, info = dposv(Vk.T @ PV + Dinv, Ik)
+            if info:
+                return P_pred, P_filt, Sinv, Udiag, t, _NOT_PD
+            Si = 0.5 * (Si + Si.T)
+            Udiag[t] = U.diagonal()
+        K = PV @ Si
+        P = K @ VDinv
+        if perp is not None:
+            P = P + (Pp - K @ PV.T) @ perp
+        P_pred[t] = Pp
+        P_filt[t] = P = 0.5 * (P + P.T)
+        Sinv[t] = Si
+    return P_pred, P_filt, Sinv, Udiag, T, None
 
 
 def ar1_precision(rho, gamma, T):

@@ -100,6 +100,22 @@ class TestFit:
         assert summary["converged"] is False
         assert (out / "factors.csv").exists()
 
+    def test_trending_panel_fits(self, tmp_path):
+        """A random walk with drift gives an explosive principal-components
+        VAR start (A0 = 1.0105), which has no stationary state covariance;
+        the fit starts from P0 = I instead of failing validation."""
+        from dfm_em import Panel
+        from dfm_em.io import write_panel_csv
+
+        rng = np.random.default_rng(0)
+        n, T = 20, 60
+        f = np.cumsum(0.3 + rng.standard_normal(T))
+        X = np.outer(rng.standard_normal(n), f) + 0.5 * rng.standard_normal((n, T))
+        path = tmp_path / "panel.csv"
+        write_panel_csv(Panel(X=X - X.mean(axis=1, keepdims=True)), path)
+        assert main(["fit", "--panel", str(path), "--r", "1", "--q", "1",
+                     "--out", str(tmp_path / "fit")]) == EXIT_OK
+
     def test_ridge_and_ecm_variants(self, tmp_path):
         draw = _simulate(tmp_path, "d", tau=0.5, delta=0.2)
         panel = draw / "panel.csv"

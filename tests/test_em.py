@@ -208,6 +208,19 @@ class TestEmFit:
         assert res.loglik_trace.size >= 2
         assert np.all(np.isfinite(res.loglik_trace))
 
+    @ALL_FITS
+    def test_explosive_initial_var(self, fit):
+        """An explosive initial VAR has no stationary state covariance
+        either (the Lyapunov solution is indefinite); the first filter run
+        also starts from P0 = I."""
+        dims = ModelDims(n=20, T=40, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, seed=3))
+        pc = pc_estimate(draw.panel, dims.r, dims.q)
+        res = fit(draw.panel, dims, EmConfig(max_iter=5),
+                  init=dataclasses.replace(pc, A0=1.05 * np.eye(dims.r)))
+        assert res.loglik_trace.size >= 2
+        assert np.all(np.isfinite(res.loglik_trace))
+
     def test_permutation_equivariance(self):
         dims = ModelDims(n=15, T=40, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, seed=6))

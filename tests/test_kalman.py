@@ -18,9 +18,10 @@ from conftest import (
     dense_joint_moments,
     kalman_smoother_classical,
     oracle_state_blocks,
+    riccati_step_loop,
     woodbury_inverse,
 )
-from dfm_em.kalman import _scan
+from dfm_em.kalman import _observed_directions, _psd_clip, _riccati, _scan, _symmetrize
 
 
 def _draw(n=5, T=10, r=2, q=2, tau=0.0, delta=0.0, seed=1):
@@ -357,6 +358,111 @@ class TestScan:
         assert np.max(np.abs(N - N_ref)) <= 1e-13 * np.max(np.abs(N_ref))
         x_only, none = _scan(M, b)
         assert np.array_equal(x_only, x) and none is None
+
+
+def _riccati_case(name):
+    """Inputs (A, HH', P_{0|0}, V_k, D_k, T) of the Riccati pass."""
+    rng = np.random.default_rng(41)
+    if name in ("q_lt_r", "q_eq_r", "T0", "T1", "T2", "T3"):
+        q = 4 if name == "q_eq_r" else 2
+        p = _draw(n=100, T=100, r=4, q=q, tau=0.5, delta=0.2, seed=42).params
+        p = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H,
+                      gamma_e=np.diag(p.gamma_e_matrix()).copy())
+        T = int(name[1]) if name[0] == "T" else 100
+        P0 = stationary_init(p).P0
+    elif name == "r8_late_freeze":
+        # a weakly loaded, persistent eighth factor: the gain freezes late
+        Lam = rng.standard_normal((30, 8))
+        Lam[:, -1] *= 0.2
+        p = DfmParams(Lambda=Lam, A=np.diag(np.linspace(0.5, 0.9, 8)),
+                      H=rng.standard_normal((8, 4)) / 2.0, gamma_e=np.ones(30))
+        T, P0 = 300, np.eye(8)
+    elif name == "explosive":
+        p = DfmParams(Lambda=rng.standard_normal((5, 2)), A=1.05 * np.eye(2),
+                      H=np.eye(2), gamma_e=np.ones(5))
+        T, P0 = 60, np.eye(2)
+    elif name in ("not_pd", "non_finite"):
+        # the inputs of the filter's error-path tests
+        lam = np.random.default_rng(0).standard_normal((5, 1))
+        if name == "not_pd":
+            p = DfmParams(Lambda=np.hstack([lam, 1e2 * lam[::-1]]),
+                          A=np.diag([0.5, 10.0]), H=np.array([[1.0], [0.0]]),
+                          gamma_e=np.ones(5))
+            P0 = np.diag([1.0, -5e-9])
+        else:
+            p = DfmParams(Lambda=np.hstack([lam, 0.0 * lam]),
+                          A=np.diag([0.5, 1e70]), H=np.eye(2), gamma_e=np.ones(5))
+            P0 = np.eye(2)
+        T = 6
+    else:
+        panel, p, init = _special_case(name)
+        T, P0 = panel.T, init.P0
+    d, Vk = _observed_directions(p.Lambda / np.sqrt(p.gamma_e)[:, None])
+    return p.A, p.H @ p.H.T, P0, Vk, d, T
+
+
+def _freeze_index(P_pred, T_ok):
+    """First t from which every P_{t|t-1} repeats its predecessor (None
+    if the pass never froze)."""
+    t = T_ok
+    while t > 1 and np.array_equal(P_pred[t - 1], P_pred[t - 2]):
+        t -= 1
+    return t if t < T_ok else None
+
+
+class TestRiccati:
+    @pytest.mark.parametrize("name", [
+        "q_lt_r", "q_eq_r", "r8_late_freeze", "rank1_loadings", "zero_loadings",
+        "random_walk", "explosive", "T0", "T1", "T2", "T3", "not_pd", "non_finite"])
+    def test_matches_the_step_loop(self, name):
+        """The prefix-doubling pass against the one-step-per-time-point
+        loop: the same stop and reason, every array within 1e-12 relative.
+        Both freeze once consecutive P_{t|t-1} agree to round-off, which
+        each reaches through its own rounding; in slowly converging cases
+        the two can freeze one step apart."""
+        args = _riccati_case(name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = _riccati(*args), riccati_step_loop(*args)
+        T_ok = ref[4]
+        assert got[4:] == ref[4:]
+        assert name not in ("not_pd", "non_finite") or T_ok < args[-1]
+        frz_got, frz_ref = _freeze_index(got[0], T_ok), _freeze_index(ref[0], T_ok)
+        assert (frz_got is None) == (frz_ref is None)
+        assert frz_ref is None or abs(frz_got - frz_ref) <= 1
+        assert name != "r8_late_freeze" or frz_ref > 100
+        for a, b in zip(got[:4], ref[:4]):
+            a, b = a[:T_ok], b[:T_ok]
+            if b.size:
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+class TestPsdClip:
+    def test_positive_definite_stack_is_only_symmetrized(self, rng):
+        G = rng.standard_normal((6, 4, 4))
+        M = G @ np.swapaxes(G, 1, 2) + 1e-3 * np.eye(4)
+        M[:, 0, 1] += 1e-14  # not exactly symmetric
+        assert np.array_equal(_psd_clip(M.copy()), _symmetrize(M))
+
+    def test_only_the_matrix_with_a_negative_eigenvalue_changes(self, rng):
+        G = rng.standard_normal((5, 4, 4))
+        M = _symmetrize(G @ np.swapaxes(G, 1, 2) + 1e-3 * np.eye(4))
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        M[2] = _symmetrize((Q * np.array([-1e-12, 0.5, 1.0, 2.0])) @ Q.T)
+        assert np.linalg.eigvalsh(M[2])[0] < 0.0
+        out = _psd_clip(M.copy())
+        keep = np.arange(5) != 2
+        assert np.array_equal(out[keep], M[keep])
+        assert not np.array_equal(out[2], M[2])
+        assert np.linalg.eigvalsh(out[2])[0] > -1e-15
+        assert np.max(np.abs(out[2] - M[2])) < 1e-11
+
+    def test_singular_psd_matrix_comes_back_unchanged(self):
+        M = np.diag([1.0, 0.0, 3.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(M)
+        assert np.array_equal(_psd_clip(M.copy()), M)
+        stack = np.stack([M, np.eye(3)])
+        assert np.array_equal(_psd_clip(stack.copy()), stack)
 
 
 def _filter_only_output():
