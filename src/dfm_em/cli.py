@@ -19,7 +19,8 @@ from .extensions import ecm_fit, ridge_fit
 from .kalman import FilterNumericalError
 from .metrics import common_mse, trace_statistic
 from .model import DfmParams, ModelDims, Panel, ShapeError
-from .montecarlo import CellAbortError, McGrid, run_grid, write_report
+from .montecarlo import CellAbortError, McGrid, _report_paths, run_grid, \
+    write_report
 from .pca import IdentificationError, pc_estimate
 from .simulate import DgpConfig, draw_dgp
 
@@ -151,19 +152,16 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_pc(args) -> int:
+    params_path = os.path.join(args.out, "params.json")
+    factors_path = os.path.join(args.out, "factors.csv")
+    dfm_io._refuse_existing([params_path, factors_path], args.overwrite)
     panel = dfm_io.read_panel_csv(args.panel)
     est = pc_estimate(panel, args.r, args.q)
     os.makedirs(args.out, exist_ok=True)
-    targets = ["params.json", "factors.csv"]
-    if not args.overwrite:
-        for name in targets:
-            path = os.path.join(args.out, name)
-            if os.path.exists(path):
-                raise FileExistsError(f"{path} exists; pass --overwrite to replace")
     params = DfmParams(Lambda=est.Lambda0, A=est.A0, H=est.H0,
                        gamma_e=est.GammaE0)
-    dfm_io.write_params_json(params, os.path.join(args.out, "params.json"))
-    dfm_io.write_matrix_csv(est.Ftilde.T, os.path.join(args.out, "factors.csv"),
+    dfm_io.write_params_json(params, params_path)
+    dfm_io.write_matrix_csv(est.Ftilde.T, factors_path,
                             header=[f"F{j+1}" for j in range(args.r)])
     print(f"leading eigenvalues: {', '.join(repr(float(v)) for v in est.eigvals)}")
     return EXIT_OK
@@ -179,6 +177,7 @@ def _cmd_montecarlo(args) -> int:
         else:
             raise ValueError(f"experiment file not found: {args.experiment}")
     grid = McGrid.from_json(path)
+    dfm_io._refuse_existing(_report_paths(grid.cells, args.out), args.overwrite)
     report = run_grid(grid, parallelism=args.parallel)
     write_report(report, args.out, overwrite=args.overwrite)
     print(f"wrote {len(report.cells)} cell rows to {args.out} "
@@ -187,6 +186,8 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.out:
+        dfm_io._refuse_existing([args.out], args.overwrite)
     chi_true = dfm_io.read_matrix_csv(
         os.path.join(args.truth, "chi.csv"), has_header=True).T
     F_true = dfm_io.read_matrix_csv(
@@ -205,8 +206,6 @@ def _cmd_eval(args) -> int:
     text = json.dumps(out, indent=2)
     print(text)
     if args.out:
-        if os.path.exists(args.out) and not args.overwrite:
-            raise FileExistsError(f"{args.out} exists; pass --overwrite to replace")
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     return EXIT_OK
@@ -226,14 +225,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, ShapeError, FileExistsError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # LinAlgError subclasses ValueError, so the numerical clause goes first.
     except (FilterNumericalError, IdentificationError, AscentViolationError,
             CellAbortError, EmError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, ShapeError, FileExistsError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

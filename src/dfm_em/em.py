@@ -41,7 +41,7 @@ from .kalman import (
     stationary_init,
 )
 from .model import DfmParams, ModelDims, Panel
-from .pca import PcEstimate, pc_estimate
+from .pca import PcEstimate, _shock_loading, pc_estimate
 
 __all__ = [
     "EmConfig",
@@ -159,7 +159,8 @@ def _symmetric_sqrt(M):
 
 def m_step(stats: SufficientStats, panel: Panel, q: int,
            vartheta_mstep: float = None) -> DfmParams:
-    """Closed-form maximization step; returns diagonal-gamma parameters."""
+    """Closed-form maximization step; returns diagonal-gamma parameters. For
+    q < r, H is ``pca._shock_loading`` of Gom with shrink ``vartheta_mstep``."""
     X = panel.X
     T = panel.T
     if vartheta_mstep is None:
@@ -196,21 +197,11 @@ def m_step(stats: SufficientStats, panel: Panel, q: int,
     if q == r:
         H = _symmetric_sqrt(Gom)
     else:
-        w, V = np.linalg.eigh(Gom)
-        w, V = w[::-1][:q], V[:, ::-1][:, :q]
-        scale = w - vartheta_mstep
-        if np.any(scale < 0.0):
-            warnings.warn(
-                "shock-covariance eigenvalue below the ridge level; "
-                "clamping the corresponding H column to zero scale",
-                RuntimeWarning,
-            )
-            scale = np.maximum(scale, 0.0)
-        for j in range(q):
-            nz = np.flatnonzero(V[:, j])
-            if nz.size and V[nz[0], j] < 0:
-                V[:, j] = -V[:, j]
-        H = V * np.sqrt(scale)
+        H, clamped = _shock_loading(Gom, q, vartheta_mstep)
+        if clamped:
+            warnings.warn("shock-covariance eigenvalue below the ridge level; "
+                          "clamping the corresponding H column to zero scale",
+                          RuntimeWarning)
 
     return DfmParams(Lambda=Lam, A=A, H=H, gamma_e=gamma)
 

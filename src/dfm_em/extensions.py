@@ -137,6 +137,13 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
                 gamma0=lambda g: _ridge_map(g, mu))
 
 
+def _ar1_weighted(rho, lag0, ends, lag1):
+    """(1 + rho_i^2) lag0 - rho_i^2 ends - rho_i lag1 for each series i: a sum
+    weighted by gamma_i times its AR(1) inverse covariance, stacked on axis 0."""
+    p = np.asarray(rho)[:, None, None]
+    return (1.0 + p**2) * lag0 - p**2 * ends - p * lag1
+
+
 def gls_loadings(stats, smooth, panel: Panel, rho: np.ndarray) -> np.ndarray:
     """Loadings from the AR(1)-weighted normal equations.
 
@@ -148,6 +155,7 @@ def gls_loadings(stats, smooth, panel: Panel, rho: np.ndarray) -> np.ndarray:
 
     where E_1/E_T are the endpoint expected moments (endpoint weights are
     1 rather than 1+rho^2) and b0/b1 the matching data cross-products.
+    Both sides come from :func:`_ar1_weighted` and go to one batched solve.
     The innovation-variance scale cancels out of the equations. With
     rho = 0 this reduces exactly to the ordinary loadings update.
     """
@@ -156,18 +164,12 @@ def gls_loadings(stats, smooth, panel: Panel, rho: np.ndarray) -> np.ndarray:
     Ps = smooth.P_smooth
     E1 = np.outer(Fs[:, 0], Fs[:, 0]) + Ps[0]
     ET = np.outer(Fs[:, -1], Fs[:, -1]) + Ps[-1]
-    S_lag_sym = stats.S_FF_lag + stats.S_FF_lag.T
     cross = Fs[:, 1:] @ X[:, :-1].T + Fs[:, :-1] @ X[:, 1:].T  # r x n
     b_ends = np.outer(Fs[:, 0], X[:, 0]) + np.outer(Fs[:, -1], X[:, -1])  # r x n
-
-    n, r = X.shape[0], Fs.shape[0]
-    Lam = np.empty((n, r))
-    for i in range(n):
-        p = rho[i]
-        A_i = (1.0 + p**2) * stats.S_FF - p**2 * (E1 + ET) - p * S_lag_sym
-        b_i = ((1.0 + p**2) * stats.S_xF[i] - p**2 * b_ends[:, i] - p * cross[:, i])
-        Lam[i] = np.linalg.solve(A_i, b_i)
-    return Lam
+    M = _ar1_weighted(rho, stats.S_FF, E1 + ET, stats.S_FF_lag + stats.S_FF_lag.T)
+    b = _ar1_weighted(rho, stats.S_xF[:, :, None], b_ends.T[:, :, None],
+                      cross.T[:, :, None])
+    return np.linalg.solve(M, b)[:, :, 0]
 
 
 def _ar_updates(X, Lam, smooth):

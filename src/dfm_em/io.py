@@ -36,13 +36,16 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _refuse_existing(paths, overwrite: bool):
+    """Unless ``overwrite``, raise FileExistsError naming the first existing path."""
+    existing = [p for p in paths if os.path.exists(p)]
+    if existing and not overwrite:
+        raise FileExistsError(f"{existing[0]} exists; pass overwrite to replace")
+
+
 def write_panel_csv(panel: Panel, path):
     """Write a panel as CSV: header of series ids, then one row per time point."""
-    lines = [",".join(panel.names)]
-    for t in range(panel.T):
-        lines.append(",".join(_fmt(v) for v in panel.X[:, t]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_matrix_csv(panel.X.T, path, header=panel.names)
 
 
 def read_panel_csv(path) -> Panel:
@@ -116,38 +119,31 @@ def read_params_json(path) -> DfmParams:
 
 def write_dgp_draw(draw: DgpDraw, outdir, overwrite: bool = False):
     """Emit a draw as a directory: panel.csv, factors.csv, chi.csv, params.json."""
+    panel_csv, factors_csv, chi_csv, params_json = (os.path.join(outdir, n) for n in (
+        "panel.csv", "factors.csv", "chi.csv", "params.json"))
+    _refuse_existing([panel_csv, factors_csv, chi_csv, params_json], overwrite)
     os.makedirs(outdir, exist_ok=True)
-    targets = ["panel.csv", "factors.csv", "chi.csv", "params.json"]
-    if not overwrite:
-        for name in targets:
-            p = os.path.join(outdir, name)
-            if os.path.exists(p):
-                raise FileExistsError(f"{p} exists; pass overwrite to replace")
-    write_panel_csv(draw.panel, os.path.join(outdir, "panel.csv"))
-    write_matrix_csv(draw.factors.F.T, os.path.join(outdir, "factors.csv"),
+    write_panel_csv(draw.panel, panel_csv)
+    write_matrix_csv(draw.factors.F.T, factors_csv,
                      header=[f"F{j+1}" for j in range(draw.factors.r)])
-    write_matrix_csv(draw.chi.T, os.path.join(outdir, "chi.csv"),
-                     header=list(draw.panel.names))
-    write_params_json(draw.params, os.path.join(outdir, "params.json"))
+    write_matrix_csv(draw.chi.T, chi_csv, header=list(draw.panel.names))
+    write_params_json(draw.params, params_json)
 
 
 def write_em_result(result: EmResult, outdir, overwrite: bool = False):
-    """Emit a fit as a directory: params.json, factors.csv, loglik_trace.csv."""
+    """Emit a fit as a directory: params.json, factors.csv, loglik_trace.csv,
+    summary.json; without ``overwrite``, refuses before writing if one exists."""
+    params, factors, trace, summary = (os.path.join(outdir, name) for name in (
+        "params.json", "factors.csv", "loglik_trace.csv", "summary.json"))
+    _refuse_existing([params, factors, trace, summary], overwrite)
     os.makedirs(outdir, exist_ok=True)
-    targets = ["params.json", "factors.csv", "loglik_trace.csv"]
-    if not overwrite:
-        for name in targets:
-            p = os.path.join(outdir, name)
-            if os.path.exists(p):
-                raise FileExistsError(f"{p} exists; pass overwrite to replace")
-    write_params_json(result.params, os.path.join(outdir, "params.json"))
+    write_params_json(result.params, params)
     r = result.factors.F_smooth.shape[0]
-    write_matrix_csv(result.factors.F_smooth.T, os.path.join(outdir, "factors.csv"),
+    write_matrix_csv(result.factors.F_smooth.T, factors,
                      header=[f"F{j+1}" for j in range(r)])
-    write_matrix_csv(np.asarray(result.loglik_trace)[:, None],
-                     os.path.join(outdir, "loglik_trace.csv"),
+    write_matrix_csv(np.asarray(result.loglik_trace)[:, None], trace,
                      header=["loglik"])
-    with open(os.path.join(outdir, "summary.json"), "w") as fh:
+    with open(summary, "w") as fh:
         json.dump({"iters": int(result.iters),
                    "converged": bool(result.converged),
                    "final_loglik": float(result.loglik_trace[-1])}, fh)

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .em import EmResult
+from .extensions import _ar1_weighted
 
 __all__ = [
     "CoverageTable",
@@ -97,16 +98,16 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
 
     Modes: "diag_ols" uses the fitted diagonal gamma; "ridge_w" uses the
     full regularized covariance inverse inside W; "gls_v" weights the
-    V-denominator by the tridiagonal inverse covariance of the fitted
-    AR(1) laws ``params.rho`` and ``params.gamma_e``, which at rho = 0 is
-    "diag_ols".
+    V-denominator by the tridiagonal inverse covariance of the fitted AR(1)
+    laws ``params.rho`` and ``params.gamma_e`` (the batched weighting of
+    ``extensions.gls_loadings``), which at rho = 0 is "diag_ols".
     """
     if mode not in ("diag_ols", "ridge_w", "gls_v"):
         raise ValueError(f"unknown mode {mode!r}")
     params = result.params
     F = result.factors.F_smooth
     Lam = params.Lambda
-    n, r = Lam.shape
+    n = Lam.shape[0]
     T = F.shape[1]
 
     if mode == "ridge_w":
@@ -122,17 +123,11 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     W = np.einsum("ir,ir->i", Lam, np.linalg.solve(inner_W, Lam.T).T)
 
     if mode == "gls_v":
-        rho = params.rho
-        S0 = F @ F.T
-        E1 = np.outer(F[:, 0], F[:, 0])
-        ET = np.outer(F[:, -1], F[:, -1])
+        ends = np.outer(F[:, 0], F[:, 0]) + np.outer(F[:, -1], F[:, -1])
         S1 = F[:, 1:] @ F[:, :-1].T
-        S1 = S1 + S1.T
-        V = np.empty((n, T))
-        for i in range(n):
-            p = rho[i]
-            inner = ((1.0 + p**2) * S0 - p**2 * (E1 + ET) - p * S1) / (T * gamma_diag[i])
-            V[i] = np.einsum("rt,rt->t", F, np.linalg.solve(inner, F))
+        inner = (_ar1_weighted(params.rho, F @ F.T, ends, S1 + S1.T)
+                 / (T * gamma_diag)[:, None, None])
+        V = np.einsum("rt,irt->it", F, np.linalg.solve(inner, F[None]))
         return W, V
 
     # V_it = gamma_ii * Fhat_t' (T^{-1} sum FF')^{-1} Fhat_t

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .em import EmConfig, EmError, em_fit
+from .io import _fmt, _refuse_existing
 from .kalman import (
     FilterNumericalError,
     kalman_filter,
@@ -276,10 +278,6 @@ def run_grid(grid: McGrid, parallelism: int = 1) -> McReport:
                     seconds=time.perf_counter() - t0)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 _CSV_COLUMNS = (
     ["label", "mode", "n", "T", "r", "q", "tau", "delta", "B", "failures",
      "tr_f_em", "tr_lam_em", "tr_f_pc", "tr_lam_pc", "rel_tr_f", "rel_tr_lam",
@@ -292,18 +290,24 @@ _CSV_COLUMNS = (
 )
 
 
+def _report_paths(cells, outdir) -> list:
+    """Files a report on ``cells`` writes, a Z histogram per "em" cell last."""
+    names = ["cells.csv", "manifest.json"]
+    names += [f"zhist_{c.label}.csv" for c in cells if c.mode == "em"]
+    return [os.path.join(outdir, name) for name in names]
+
+
 def write_report(report: McReport, outdir, overwrite: bool = False):
     """Write cells.csv, per-cell Z histograms and a run manifest.
 
     The CSV files are deterministic functions of the report contents;
-    timings and environment details go only into manifest.json.
+    timings and environment details go only into manifest.json. Without
+    ``overwrite``, refuses before writing if one of the files exists.
     """
-    import os
-
+    paths = _report_paths([c.cell for c in report.cells], outdir)
+    _refuse_existing(paths, overwrite)
+    cells_path, manifest_path, *hist_paths = paths
     os.makedirs(outdir, exist_ok=True)
-    cells_path = os.path.join(outdir, "cells.csv")
-    if os.path.exists(cells_path) and not overwrite:
-        raise FileExistsError(f"{cells_path} exists; pass overwrite to replace")
 
     lines = [",".join(_CSV_COLUMNS)]
     for c in report.cells:
@@ -334,12 +338,8 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
     with open(cells_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    for c in report.cells:
-        if c.hist is None:
-            continue
-        hpath = os.path.join(outdir, f"zhist_{c.label}.csv")
-        if os.path.exists(hpath) and not overwrite:
-            raise FileExistsError(f"{hpath} exists; pass overwrite to replace")
+    em_cells = [c for c in report.cells if c.mode == "em"]
+    for c, hpath in zip(em_cells, hist_paths):
         hlines = ["bin_left,bin_right,count"]
         for k in range(len(c.hist)):
             hlines.append(
@@ -362,6 +362,6 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
         "seconds_total": report.seconds,
         "seconds_per_cell": {c.label: c.seconds for c in report.cells},
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
+    with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -5,7 +5,7 @@ sample covariance give
 
     Lambda0 = V_hat M_hat^{1/2},      Ftilde_t = M_hat^{-1} Lambda0' x_t,
 
-with the column-sign convention that the first row of V_hat is positive.
+with each column of V_hat signed so that its first nonzero entry is positive.
 The factor VAR matrix is the lag-one OLS estimate on Ftilde, H0 comes from
 the top-q eigenpairs of the VAR residual covariance, and the idiosyncratic
 variances are the mean squared reconstruction residuals. When n > T the
@@ -44,11 +44,20 @@ class PcEstimate:
     eigvals: np.ndarray
 
 
-def _sign_fix_columns(V, ref_row=0):
-    """Flip eigenvector signs so row ``ref_row`` is positive (ties -> +)."""
-    s = np.sign(V[ref_row])
-    s[s == 0.0] = 1.0
-    return V * s
+def _sign_fix_columns(V):
+    """Flip column signs so each column's first nonzero entry is positive."""
+    first = V[np.argmax(V != 0.0, axis=0), np.arange(V.shape[1])]
+    return np.where(first < 0.0, -V, V)
+
+
+def _shock_loading(Gom, q, shrink=0.0):
+    """(H, clamped): H = V max(w - shrink, 0)^{1/2} over the sign-fixed top-q
+    eigenpairs (w, V) of Gom; ``clamped`` says if some w - shrink was < 0."""
+    w, V = np.linalg.eigh(Gom)
+    w, V = w[::-1][:q], V[:, ::-1][:, :q]
+    scale = w - shrink
+    clamped = bool(np.any(scale < 0.0))
+    return _sign_fix_columns(V) * np.sqrt(np.maximum(scale, 0.0)), clamped
 
 
 def _leading_eigpairs(Xc, r):
@@ -117,9 +126,8 @@ def var_from_factors(F: np.ndarray, q: int):
     """Lag-one OLS VAR fit with a low-rank shock decomposition.
 
     Returns (A, H, Gom) where A is the OLS coefficient of F_t on F_{t-1},
-    Gom the VAR residual covariance, and H loads the top-q eigenpairs of
-    Gom (eigenvector columns scaled by root-eigenvalues, first nonzero
-    entry of each column positive).
+    Gom the VAR residual covariance, and H its sign-fixed top-q eigenvectors
+    times root-eigenvalues: ``_shock_loading`` without the M-step's shrink.
     """
     F = np.asarray(F, dtype=float)
     r, T = F.shape
@@ -132,12 +140,5 @@ def var_from_factors(F: np.ndarray, q: int):
     A = np.linalg.solve(S00.T, (F1 @ F0.T).T).T
     resid = F1 - A @ F0
     Gom = resid @ resid.T / (T - 1)
-
-    w, V = np.linalg.eigh(Gom)
-    w, V = w[::-1][:q], V[:, ::-1][:, :q]
-    for j in range(q):
-        nz = np.flatnonzero(V[:, j])
-        if nz.size and V[nz[0], j] < 0:
-            V[:, j] = -V[:, j]
-    H = V * np.sqrt(np.maximum(w, 0.0))
+    H, _ = _shock_loading(Gom, q)
     return A, H, Gom

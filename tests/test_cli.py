@@ -3,13 +3,25 @@ import json
 import numpy as np
 import pytest
 
+from dfm_em import cli
 from dfm_em.cli import (
     EXIT_NONCONVERGENCE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
 )
-from dfm_em.io import read_matrix_csv, read_panel_csv, read_params_json
+from dfm_em.em import AscentViolationError, EmError
+from dfm_em.io import (
+    read_matrix_csv,
+    read_panel_csv,
+    read_params_json,
+    write_matrix_csv,
+)
+from dfm_em.kalman import FilterNumericalError
+from dfm_em.model import ShapeError
+from dfm_em.montecarlo import CellAbortError
+from dfm_em.pca import IdentificationError
 
 
 def _simulate(tmp_path, name="draw", **over):
@@ -22,6 +34,30 @@ def _simulate(tmp_path, name="draw", **over):
     argv += ["--out", str(out)]
     assert main(argv) == EXIT_OK
     return out
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc,code", [
+        (ValueError("bad value"), EXIT_VALIDATION),
+        (ShapeError("bad shape"), EXIT_VALIDATION),
+        (FileExistsError("out exists"), EXIT_VALIDATION),
+        (FileNotFoundError("no file"), EXIT_VALIDATION),
+        (json.JSONDecodeError("bad json", "{", 1), EXIT_VALIDATION),
+        (FilterNumericalError("not PD", 3), EXIT_NUMERICAL),
+        (IdentificationError("tie"), EXIT_NUMERICAL),
+        (AscentViolationError("fell", 2), EXIT_NUMERICAL),
+        (CellAbortError("cell", 3, 5), EXIT_NUMERICAL),
+        (EmError("singular"), EXIT_NUMERICAL),
+        (np.linalg.LinAlgError("rank deficient"), EXIT_NUMERICAL),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_each_named_class_exits_with_its_code(self, monkeypatch, capsys,
+                                                  exc, code):
+        def command(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "eval", command)
+        assert main(["eval", "--truth", "t", "--fit", "f"]) == code
+        assert str(exc) in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -232,6 +268,22 @@ class TestMontecarlo:
         assert ((tmp_path / "r1" / "zhist_em_cell.csv").read_bytes()
                 == (tmp_path / "r2" / "zhist_em_cell.csv").read_bytes())
 
+    @pytest.mark.parametrize("stale", ["cells.csv", "zhist_em_cell.csv"])
+    def test_refuses_before_running_the_grid(self, tmp_path, monkeypatch,
+                                             capsys, stale):
+        path = self._experiment(tmp_path)
+        out = tmp_path / "report"
+        out.mkdir()
+        (out / stale).write_text("stale\n")
+
+        def run_grid(*args, **kwargs):
+            raise AssertionError("run_grid ran before the overwrite check")
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        assert main(["montecarlo", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert stale in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [stale]
+
     def test_malformed_file_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "B": 2,\n  "cells": oops\n}')
@@ -281,3 +333,17 @@ class TestEval:
                 "--out", str(out_file)]
         assert main(args) == EXIT_OK
         assert main(args) == EXIT_VALIDATION
+
+    def test_rank_deficient_estimate_exits_numerical(self, tmp_path, capsys):
+        """np.linalg.LinAlgError subclasses ValueError; it still exits 3."""
+        draw = _simulate(tmp_path, "d", n=30, T=60)
+        fit = tmp_path / "pc"
+        assert main(["pc", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", "--out", str(fit)]) == EXIT_OK
+        F = read_matrix_csv(fit / "factors.csv", has_header=True)
+        F[:, 1] = F[:, 0]
+        write_matrix_csv(F, fit / "factors.csv", header=["F1", "F2"])
+        capsys.readouterr()
+        code = main(["eval", "--truth", str(draw), "--fit", str(fit)])
+        assert code == EXIT_NUMERICAL
+        assert "rank deficient" in capsys.readouterr().err

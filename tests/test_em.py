@@ -125,19 +125,23 @@ class TestMStep:
         assert np.allclose(out.H, 2.0 * np.eye(2), atol=1e-12)
 
     def test_top_eigenpair_q_less_r(self):
+        """H loads the top eigenpair, signed by its first nonzero entry: in
+        the second input that is row 1, since row 0 is zero."""
         T = 10
         X = np.zeros((5, T))
-        stats = SufficientStats(
-            S_xF=np.zeros((5, 2)),
-            S_FF=np.eye(2),
-            S_FF_lag=np.zeros((2, 2)),
-            S_FF_head=T * np.diag([9.0, 1.0]),
-            S_FF_tail=np.eye(2),
-            S_P=np.zeros((2, 2)),
-            F_smooth=np.zeros((2, T)),
-        )
-        out = m_step(stats, Panel(X=X), q=1, vartheta_mstep=0.0)
-        assert np.allclose(out.H, [[3.0], [0.0]], atol=1e-12)
+        for head, want in ((np.diag([9.0, 1.0]), [[3.0], [0.0]]),
+                           (np.diag([1.0, 9.0]), [[0.0], [3.0]])):
+            stats = SufficientStats(
+                S_xF=np.zeros((5, 2)),
+                S_FF=np.eye(2),
+                S_FF_lag=np.zeros((2, 2)),
+                S_FF_head=T * head,
+                S_FF_tail=np.eye(2),
+                S_P=np.zeros((2, 2)),
+                F_smooth=np.zeros((2, T)),
+            )
+            out = m_step(stats, Panel(X=X), q=1, vartheta_mstep=0.0)
+            assert np.allclose(out.H, want, atol=1e-12)
 
     def test_eigenvalue_clamp_warns(self):
         T = 10

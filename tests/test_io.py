@@ -148,3 +148,16 @@ class TestDirectories:
         write_em_result(res, out)
         with pytest.raises(FileExistsError):
             write_em_result(res, out)
+
+    def test_em_result_refuses_a_stale_summary(self, tmp_path):
+        """summary.json alone blocks a fit, and nothing is written."""
+        dims = ModelDims(n=8, T=20, r=1, q=1)
+        draw = draw_dgp(DgpConfig(dims=dims, seed=4))
+        res = em_fit(draw.panel, dims, EmConfig(max_iter=2))
+        out = tmp_path / "fit"
+        out.mkdir()
+        (out / "summary.json").write_text("stale\n")
+        with pytest.raises(FileExistsError, match="summary.json"):
+            write_em_result(res, out)
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+        assert (out / "summary.json").read_text() == "stale\n"

@@ -193,6 +193,18 @@ class TestWriteReport:
             write_report(report, tmp_path / "out")
         write_report(report, tmp_path / "out", overwrite=True)
 
+    @pytest.mark.parametrize("stale", ["zhist_em_cell.csv", "manifest.json"])
+    def test_refuses_before_writing(self, tmp_path, stale):
+        """A stale histogram or manifest alone blocks the report, and no
+        other file is written."""
+        report = self._report()
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / stale).write_text("stale\n")
+        with pytest.raises(FileExistsError, match=stale):
+            write_report(report, out)
+        assert [p.name for p in out.iterdir()] == [stale]
+
     def test_byte_identical_across_parallelism(self, tmp_path):
         """The deterministic outputs (cells.csv, Z histograms) must be
         byte-identical across reruns and parallelism levels; only

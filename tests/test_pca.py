@@ -11,6 +11,7 @@ from dfm_em import (
     trace_statistic,
     var_from_factors,
 )
+from dfm_em.pca import _sign_fix_columns
 from dfm_em.simulate import simulate_given, stream
 from dfm_em.model import DfmParams
 
@@ -37,6 +38,18 @@ class TestPcEstimate:
         # Lambda0 = V M^{1/2}, so row 1 of V positive means row 1 of
         # Lambda0 positive
         assert np.all(est.Lambda0[0] > 0)
+
+    @pytest.mark.parametrize("n,T", [(30, 60), (60, 30)])
+    def test_sign_convention_skips_a_zero_first_series(self, n, T):
+        """With the first series identically zero, each loading column is
+        signed by its first nonzero row, on both Gram branches."""
+        rng = np.random.default_rng(5)
+        X = (rng.standard_normal((n, 2)) @ rng.standard_normal((2, T))
+             + 0.3 * rng.standard_normal((n, T)))
+        X[0] = 0.0
+        est = pc_estimate(Panel(X=X), 2, 2)
+        assert np.all(est.Lambda0[0] == 0.0)
+        assert np.all(est.Lambda0[1] > 0)
 
     def test_loadings_gram_diagonal(self):
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=100, T=120, r=4, q=4), seed=3))
@@ -146,6 +159,15 @@ class TestVarFromFactors:
         A, H, _ = var_from_factors(F.F, 2)
         assert np.linalg.norm(A - A_true) < 0.02
         assert np.linalg.norm(H @ H.T - H_true @ H_true.T) < 0.05
+
+    def test_sign_fix_finds_the_first_nonzero_row(self):
+        V = np.array([[0.0, 1.0, 0.0, -0.5],
+                      [-2.0, -1.0, 0.0, 0.0],
+                      [1.0, 3.0, 0.0, 2.0]])
+        want = np.array([[0.0, 1.0, 0.0, 0.5],
+                         [2.0, -1.0, 0.0, 0.0],
+                         [-1.0, 3.0, 0.0, -2.0]])
+        assert np.array_equal(_sign_fix_columns(V), want)
 
     def test_H_sign_convention(self, rng):
         F = stream(7).standard_normal((3, 500))
