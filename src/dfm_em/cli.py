@@ -103,6 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
+    dfm_io._refuse_existing(dfm_io._output_paths("simulate", args.out),
+                            args.overwrite)
     config = DgpConfig(
         dims=ModelDims(n=args.n, T=args.T, r=args.r, q=args.q),
         tau=args.tau, delta=args.delta, theta=args.theta, mu=args.mu,
@@ -129,6 +131,8 @@ def _ridge_mu(text: str):
 
 
 def _cmd_fit(args) -> int:
+    dfm_io._refuse_existing(dfm_io._output_paths("fit", args.out),
+                            args.overwrite)
     panel = dfm_io.read_panel_csv(args.panel)
     if args.standardize:
         X = panel.X - panel.X.mean(axis=1, keepdims=True)
@@ -152,9 +156,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_pc(args) -> int:
-    params_path = os.path.join(args.out, "params.json")
-    factors_path = os.path.join(args.out, "factors.csv")
-    dfm_io._refuse_existing([params_path, factors_path], args.overwrite)
+    paths = dfm_io._output_paths("pc", args.out)
+    dfm_io._refuse_existing(paths, args.overwrite)
+    params_path, factors_path = paths
     panel = dfm_io.read_panel_csv(args.panel)
     est = pc_estimate(panel, args.r, args.q)
     os.makedirs(args.out, exist_ok=True)

@@ -36,6 +36,19 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+# Files each command writes into its output directory, in writing order.
+_OUTPUT_FILES = {
+    "simulate": ("panel.csv", "factors.csv", "chi.csv", "params.json"),
+    "fit": ("params.json", "factors.csv", "loglik_trace.csv", "summary.json"),
+    "pc": ("params.json", "factors.csv"),
+}
+
+
+def _output_paths(command: str, outdir) -> list:
+    """Paths of the files ``command`` writes into ``outdir``."""
+    return [os.path.join(outdir, name) for name in _OUTPUT_FILES[command]]
+
+
 def _refuse_existing(paths, overwrite: bool):
     """Unless ``overwrite``, raise FileExistsError naming the first existing path."""
     existing = [p for p in paths if os.path.exists(p)]
@@ -119,9 +132,9 @@ def read_params_json(path) -> DfmParams:
 
 def write_dgp_draw(draw: DgpDraw, outdir, overwrite: bool = False):
     """Emit a draw as a directory: panel.csv, factors.csv, chi.csv, params.json."""
-    panel_csv, factors_csv, chi_csv, params_json = (os.path.join(outdir, n) for n in (
-        "panel.csv", "factors.csv", "chi.csv", "params.json"))
-    _refuse_existing([panel_csv, factors_csv, chi_csv, params_json], overwrite)
+    paths = _output_paths("simulate", outdir)
+    _refuse_existing(paths, overwrite)
+    panel_csv, factors_csv, chi_csv, params_json = paths
     os.makedirs(outdir, exist_ok=True)
     write_panel_csv(draw.panel, panel_csv)
     write_matrix_csv(draw.factors.F.T, factors_csv,
@@ -133,9 +146,9 @@ def write_dgp_draw(draw: DgpDraw, outdir, overwrite: bool = False):
 def write_em_result(result: EmResult, outdir, overwrite: bool = False):
     """Emit a fit as a directory: params.json, factors.csv, loglik_trace.csv,
     summary.json; without ``overwrite``, refuses before writing if one exists."""
-    params, factors, trace, summary = (os.path.join(outdir, name) for name in (
-        "params.json", "factors.csv", "loglik_trace.csv", "summary.json"))
-    _refuse_existing([params, factors, trace, summary], overwrite)
+    paths = _output_paths("fit", outdir)
+    _refuse_existing(paths, overwrite)
+    params, factors, trace, summary = paths
     os.makedirs(outdir, exist_ok=True)
     write_params_json(result.params, params)
     r = result.factors.F_smooth.shape[0]

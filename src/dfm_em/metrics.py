@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .em import EmResult
 from .extensions import _ar1_weighted
@@ -151,8 +151,9 @@ def z_scores(result: EmResult, chi_true: np.ndarray,
 
 @lru_cache(maxsize=8)
 def _normal_quantiles(alphas: tuple) -> tuple:
-    """Standard normal quantiles of the coverage levels."""
-    return tuple(norm.ppf(np.asarray(alphas)).tolist())
+    """Standard normal quantiles of the coverage levels (``ndtri`` is the
+    inverse normal CDF; it spares importing ``scipy.stats``)."""
+    return tuple(ndtri(np.asarray(alphas, dtype=float)).tolist())
 
 
 @dataclass

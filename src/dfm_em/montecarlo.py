@@ -108,6 +108,12 @@ class McGrid:
         if self.B < 1:
             raise ValueError("B must be >= 1")
         object.__setattr__(self, "cells", tuple(self.cells))
+        # A label names the cell's cells.csv row and its zhist_<label>.csv.
+        seen = set()
+        for c in self.cells:
+            if c.label in seen:
+                raise ValueError(f"duplicate cell label {c.label!r}")
+            seen.add(c.label)
 
     @staticmethod
     def from_json(path) -> "McGrid":

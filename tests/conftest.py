@@ -5,9 +5,10 @@ path (F_0, ..., F_T) and the stacked observations, then conditions
 directly. It is O((nT)^3) and only usable on tiny instances, which is the
 point: it shares no code with the recursive filter/smoother under test.
 The classical inverting smoother, the Woodbury inverse and the dense AR(1)
-covariance and precision are further closed-form references, and the
+covariance and precision are further closed-form references, the
 step-by-step Riccati loop is the reference for the filter's
-prefix-doubling pass.
+prefix-doubling pass, and the per-period simulation loop is the
+reference for ``simulate``.
 """
 
 import numpy as np
@@ -225,6 +226,45 @@ def ar1_precision(rho, gamma, T):
 def ar1_covariance(rho, gamma, T):
     """Dense T x T covariance of a stationary AR(1): gamma rho^|t-s| / (1-rho^2)."""
     return gamma * toeplitz(rho ** np.arange(T)) / (1.0 - rho**2)
+
+
+def simulate_loop(params, T, innovation, rng, burn_in=100):
+    """(F, X) of ``simulate.simulate_given`` computed the plain way.
+
+    Shocks are drawn in the same order (common, then idiosyncratic), the
+    idiosyncratic ones are multiplied by the square root of a diagonal
+    Gamma^e or by the Cholesky factor of a full one, and both the factor
+    VAR(1) and the idiosyncratic AR(1) run one period at a time from zero,
+    burn-in included.
+    """
+    n, r, q = params.n, params.r, params.q
+    total = T + burn_in
+    if innovation == "gaussian":
+        u = rng.standard_normal((q, total))
+        z = rng.standard_normal((n, total))
+    else:
+        u = rng.standard_t(4, size=(q, total)) / np.sqrt(2.0)
+        z = rng.standard_t(4, size=(n, total)) / np.sqrt(2.0)
+    if params.gamma_e_is_diagonal:
+        e = np.sqrt(params.gamma_e)[:, None] * z
+    else:
+        e = np.linalg.cholesky(params.gamma_e_matrix()) @ z
+
+    F = np.zeros((r, total))
+    Hu = params.H @ u
+    prev = np.zeros(r)
+    for t in range(total):
+        prev = params.A @ prev + Hu[:, t]
+        F[:, t] = prev
+
+    xi = np.zeros((n, total))
+    prev_xi = np.zeros(n)
+    for t in range(total):
+        prev_xi = params.rho * prev_xi + e[:, t]
+        xi[:, t] = prev_xi
+
+    F = F[:, burn_in:]
+    return F, params.Lambda @ F + xi[:, burn_in:]
 
 
 @pytest.fixture

@@ -3,7 +3,10 @@ declared in its module's ``__all__``, and every declared name exists."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,17 @@ def test_declared_names_exist(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_import_does_not_load_scipy_stats():
+    """``scipy.stats`` costs about half a second and tens of MB to import;
+    the package and its CLI must not pull it in."""
+    src = str(Path(dfm_em.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, dfm_em, dfm_em.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

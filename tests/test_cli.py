@@ -86,6 +86,23 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "overwrite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stale", ["panel.csv", "factors.csv", "chi.csv",
+                                       "params.json"])
+    def test_refuses_before_drawing(self, tmp_path, monkeypatch, capsys, stale):
+        out = tmp_path / "d"
+        out.mkdir()
+        (out / stale).write_text("stale\n")
+
+        def draw_dgp(config):
+            raise AssertionError("draw_dgp ran before the overwrite check")
+
+        monkeypatch.setattr(cli, "draw_dgp", draw_dgp)
+        code = main(["simulate", "--n", "20", "--T", "40", "--r", "2",
+                     "--q", "2", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert stale in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [stale]
+
 
 class TestFit:
     def _write_noiseless(self, tmp_path):
@@ -212,6 +229,26 @@ class TestFit:
                      "--out", str(tmp_path / "fs")])
         assert code in (EXIT_OK, EXIT_NONCONVERGENCE)
 
+    @pytest.mark.parametrize("stale", ["params.json", "factors.csv",
+                                       "loglik_trace.csv", "summary.json"])
+    def test_refuses_before_reading_or_fitting(self, tmp_path, monkeypatch,
+                                               capsys, stale):
+        out = tmp_path / "fit"
+        out.mkdir()
+        (out / stale).write_text("stale\n")
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("fit work ran before the overwrite check")
+
+        for name in ("em_fit", "ridge_fit", "ecm_fit"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        monkeypatch.setattr(cli.dfm_io, "read_panel_csv", must_not_run)
+        code = main(["fit", "--panel", str(tmp_path / "panel.csv"), "--r", "2",
+                     "--q", "2", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert stale in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [stale]
+
 
 class TestPc:
     def test_outputs(self, tmp_path, capsys):
@@ -283,6 +320,22 @@ class TestMontecarlo:
         assert main(["montecarlo", str(path), "--out", str(out)]) == EXIT_VALIDATION
         assert stale in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [stale]
+
+    def test_duplicate_labels_exit_before_running(self, tmp_path,
+                                                  monkeypatch, capsys):
+        cell = {"label": "same", "n": 12, "T": 25, "r": 2, "q": 2}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"B": 2, "cells": [cell, cell]}))
+
+        def run_grid(*args, **kwargs):
+            raise AssertionError("run_grid ran on a grid with duplicate labels")
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        out = tmp_path / "report"
+        code = main(["montecarlo", str(path), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "duplicate cell label 'same'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_file_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import pytest
 
 from dfm_em import DgpConfig, EmConfig, ModelDims, Panel, draw_dgp, em_fit
 from dfm_em.io import (
+    _output_paths,
     read_matrix_csv,
     read_panel_csv,
     read_params_json,
@@ -116,6 +117,17 @@ class TestDirectories:
         assert np.array_equal(F, draw.factors.F.T)
         chi = read_matrix_csv(out / "chi.csv", has_header=True)
         assert np.array_equal(chi, draw.chi.T)
+
+    def test_writers_write_exactly_their_listed_files(self, tmp_path):
+        """The list the CLI checks before working is the list written."""
+        dims = ModelDims(n=6, T=15, r=1, q=1)
+        draw = draw_dgp(DgpConfig(dims=dims, seed=2))
+        write_dgp_draw(draw, tmp_path / "draw")
+        write_em_result(em_fit(draw.panel, dims, EmConfig(max_iter=2)),
+                        tmp_path / "fit")
+        for command, out in (("simulate", "draw"), ("fit", "fit")):
+            listed = sorted(_output_paths(command, tmp_path / out))
+            assert sorted(str(p) for p in (tmp_path / out).iterdir()) == listed
 
     def test_dgp_draw_refuses_overwrite(self, tmp_path):
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=4, T=9, r=2, q=2), seed=2))

@@ -21,6 +21,7 @@ from dfm_em import (
 )
 from dfm_em.em import EmResult
 from dfm_em.kalman import SmootherOutput
+from dfm_em.metrics import _normal_quantiles
 from dfm_em.model import DfmParams
 from dfm_em.simulate import stream
 from conftest import ar1_precision
@@ -227,6 +228,13 @@ class TestZScores:
 
 
 class TestCoverage:
+    def test_quantiles_equal_scipy_stats_bitwise(self):
+        from scipy.stats import norm
+
+        expected = norm.ppf(np.asarray(DEFAULT_ALPHAS))
+        got = np.array(_normal_quantiles(DEFAULT_ALPHAS))
+        assert got.tobytes() == expected.tobytes()
+
     def test_iid_normal_null(self):
         # 100 series x 1004 periods: 10^5 pooled entries after burn-in
         Z = stream(0).standard_normal((100, BURN_IN_T - 1 + 1000))

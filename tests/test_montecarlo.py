@@ -62,6 +62,19 @@ class TestCells:
         with pytest.raises(ValueError):
             McGrid(cells=(), B=0)
 
+    def test_grid_rejects_duplicate_labels(self):
+        """Two cells with one label would write one zhist_<label>.csv."""
+        with pytest.raises(ValueError, match="duplicate cell label 'same'"):
+            McGrid(cells=(_small_cell("same"), _small_cell("other"),
+                          _small_cell("same", T=30)))
+
+    def test_grid_from_json_rejects_duplicate_labels(self, tmp_path):
+        cell = {"label": "same", "n": 10, "T": 20, "r": 2, "q": 1}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"B": 2, "cells": [cell, dict(cell, T=30)]}))
+        with pytest.raises(ValueError, match="duplicate cell label"):
+            McGrid.from_json(path)
+
 
 class TestRunCell:
     def test_em_mode_report_fields(self):

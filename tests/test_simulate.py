@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
 from dfm_em import DgpConfig, DfmParams, ModelDims, draw_dgp, simulate_given, stream
-from dfm_em.simulate import Innovation
+from dfm_em.simulate import Innovation, _standardized_t4, _toeplitz_root
+from conftest import simulate_loop
 
 
 def _config(**kw):
@@ -142,6 +143,70 @@ class TestSimulateGiven:
         target = solve_discrete_lyapunov(A, np.eye(2))
         rel = np.linalg.norm(sample - target) / np.linalg.norm(target)
         assert rel < 0.05
+
+
+def _rel_maxnorm(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestToeplitzShocks:
+    """Gamma^e = toeplitz(tau^|i-j|) shocks come from an AR(1) recursion
+    across series, which must equal the Cholesky factor applied to z."""
+
+    @pytest.mark.parametrize("innovation", ["gaussian", "student_t4"])
+    @pytest.mark.parametrize("n, tau", [(1, 0.5), (2, 0.5), (50, 0.7),
+                                        (300, 0.95)])
+    def test_recursion_equals_cholesky_product(self, n, tau, innovation):
+        rng = stream(31, n)
+        if innovation == "gaussian":
+            z = rng.standard_normal((n, 40))
+        else:
+            z = _standardized_t4(rng, (n, 40))
+        L = np.linalg.cholesky(toeplitz(tau ** np.arange(n)))
+        e = _toeplitz_root(tau, z.copy())
+        assert _rel_maxnorm(e, L @ z) <= 1e-13
+
+    @pytest.mark.parametrize("innovation", ["gaussian", "student_t4"])
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_draw_matches_the_cholesky_loop(self, delta, innovation):
+        """tau > 0 draws agree with the old Cholesky path to round-off."""
+        cfg = _config(n=60, T=50, tau=0.6, delta=delta, seed=8,
+                      innovation=innovation)
+        draw = draw_dgp(cfg)
+        F, X = simulate_loop(draw.params, cfg.dims.T, innovation,
+                             stream(cfg.seed, 0))
+        assert np.array_equal(draw.factors.F, F)
+        assert _rel_maxnorm(draw.panel.X, X) <= 1e-13
+
+
+class TestAgainstTheLoop:
+    """Diagonal Gamma^e (tau = 0) and full Gamma^e passed to simulate_given
+    reproduce the per-period loop bitwise, with and without AR(1) idiosyncratics."""
+
+    @pytest.mark.parametrize("innovation", ["gaussian", "student_t4"])
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_tau_zero_draw_is_bitwise(self, delta, innovation):
+        cfg = _config(n=40, T=60, delta=delta, seed=17, innovation=innovation)
+        draw = draw_dgp(cfg)
+        assert np.any(draw.params.rho) == (delta > 0.0)
+        F, X = simulate_loop(draw.params, cfg.dims.T, innovation,
+                             stream(cfg.seed, 0))
+        assert np.array_equal(draw.factors.F, F)
+        assert np.array_equal(draw.panel.X, X)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.4])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_simulate_given_is_bitwise(self, full, rho):
+        rng = stream(23)
+        n = 7
+        B = rng.standard_normal((n, n))
+        gamma_e = B @ B.T + n * np.eye(n) if full else rng.uniform(0.5, 1.5, n)
+        p = DfmParams(Lambda=rng.standard_normal((n, 2)), A=0.5 * np.eye(2),
+                      H=np.eye(2), gamma_e=gamma_e, rho=np.full(n, rho))
+        F, panel = simulate_given(p, 30, seed=5, burn_in=10)
+        F0, X0 = simulate_loop(p, 30, "gaussian", stream(5), burn_in=10)
+        assert np.array_equal(F.F, F0)
+        assert np.array_equal(panel.X, X0)
 
 
 class TestStream:
