@@ -31,15 +31,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_NONCONVERGENCE = 4
 
-PARALLEL_ENV = "DFM_EM_PARALLEL"
-
-
-def _default_parallelism() -> int:
-    try:
-        return max(1, int(os.environ.get(PARALLEL_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -91,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="experiment JSON path, or the name of a bundled file "
                          "(e.g. 'table4_small')")
     mc.add_argument("--out", required=True)
-    mc.add_argument("--parallel", type=int, default=_default_parallelism())
+    mc.add_argument("--parallel", type=int, default=1, help="worker processes")
     mc.add_argument("--overwrite", action="store_true")
 
     ev = sub.add_parser("eval", help="compare a fit against a simulated truth")
@@ -172,6 +163,8 @@ def _cmd_pc(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
     path = args.experiment
     if not os.path.exists(path):
         bundled = os.path.join(os.path.dirname(__file__), "experiments",
@@ -192,14 +185,13 @@ def _cmd_montecarlo(args) -> int:
 def _cmd_eval(args) -> int:
     if args.out:
         dfm_io._refuse_existing([args.out], args.overwrite)
-    chi_true = dfm_io.read_matrix_csv(
-        os.path.join(args.truth, "chi.csv"), has_header=True).T
-    F_true = dfm_io.read_matrix_csv(
-        os.path.join(args.truth, "factors.csv"), has_header=True).T
-    true_params = dfm_io.read_params_json(os.path.join(args.truth, "params.json"))
-    fit_params = dfm_io.read_params_json(os.path.join(args.fit, "params.json"))
-    F_hat = dfm_io.read_matrix_csv(
-        os.path.join(args.fit, "factors.csv"), has_header=True).T
+    # A "fit" directory starts with the two files of a "pc" directory.
+    _, F_path, chi_path, params_path = dfm_io._output_paths("simulate", args.truth)
+    fit_params_path, fit_F_path = dfm_io._output_paths("pc", args.fit)
+    F_true, chi_true, F_hat = (dfm_io.read_matrix_csv(p, has_header=True).T
+                               for p in (F_path, chi_path, fit_F_path))
+    true_params = dfm_io.read_params_json(params_path)
+    fit_params = dfm_io.read_params_json(fit_params_path)
     chi_hat = fit_params.Lambda @ F_hat
 
     out = {

@@ -40,7 +40,7 @@ from .kalman import (
     kalman_smoother,
     stationary_init,
 )
-from .model import DfmParams, ModelDims, Panel
+from .model import DfmParams, ModelDims, Panel, ShapeError
 from .pca import PcEstimate, _shock_loading, pc_estimate
 
 __all__ = [
@@ -215,8 +215,10 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
     ``update(stats, smooth, base)`` maps each diagonal :func:`m_step`
     result ``base`` to the estimator's parameters; both default to the
     identity. ``guard_ascent`` turns on the :class:`AscentViolationError`
-    check.
+    check. Raises :class:`ShapeError` if ``dims`` does not match the panel.
     """
+    if (dims.n, dims.T) != (panel.n, panel.T):
+        raise ShapeError(f"{dims} does not match the {panel.n} x {panel.T} panel")
     if init is None:
         init = pc_estimate(panel, dims.r, dims.q)
     gamma = np.maximum(init.GammaE0,

@@ -10,15 +10,15 @@ tables pool the standardized errors
 
     Z_it = (n^{-1} W_it + T^{-1} V_it)^{-1/2} (chihat_it - chi_it)
 
-and compare their empirical CDF to the standard normal at a fixed ladder
-of quantile levels. Pooling across replications goes through an
-associative accumulator so results can be merged deterministically.
+from period ``BURN_IN_T`` on and compare their empirical CDF to the
+standard normal at the fixed levels ``DEFAULT_ALPHAS``. Pooling across
+replications goes through an associative accumulator so results can be
+merged deterministically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -41,6 +41,9 @@ __all__ = [
 DEFAULT_ALPHAS = (0.99, 0.95, 0.90, 0.84, 0.16, 0.10, 0.05, 0.01)
 BURN_IN_T = 5  # pooled statistics keep t >= 5 (1-indexed)
 HIST_EDGES = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.1), 10)
+# Standard normal quantiles of the coverage levels (``ndtri`` is the inverse
+# normal CDF; it spares importing ``scipy.stats``).
+_NORMAL_QUANTILES = tuple(ndtri(np.asarray(DEFAULT_ALPHAS)).tolist())
 
 
 @dataclass(frozen=True)
@@ -149,56 +152,41 @@ def z_scores(result: EmResult, chi_true: np.ndarray,
     return (chi_hat - chi_true) / denom
 
 
-@lru_cache(maxsize=8)
-def _normal_quantiles(alphas: tuple) -> tuple:
-    """Standard normal quantiles of the coverage levels (``ndtri`` is the
-    inverse normal CDF; it spares importing ``scipy.stats``)."""
-    return tuple(ndtri(np.asarray(alphas, dtype=float)).tolist())
-
-
 @dataclass
 class ZAccumulator:
     """Mergeable accumulator for pooled Z statistics.
 
-    Holds the count, power sums up to order four, per-level CDF counts and
-    fixed-bin histogram counts. ``merge`` is associative, so replication
-    results can be reduced in a deterministic order regardless of how they
-    were computed.
+    Holds the count, power sums up to order four, CDF counts at the
+    ``DEFAULT_ALPHAS`` levels and fixed-bin histogram counts. ``merge`` is
+    associative, so replication results can be reduced in a deterministic
+    order regardless of how they were computed.
     """
 
-    alphas: tuple = DEFAULT_ALPHAS
     count: int = 0
     s1: float = 0.0
     s2: float = 0.0
     s3: float = 0.0
     s4: float = 0.0
-    below: np.ndarray = None
-    hist: np.ndarray = None
+    below: np.ndarray = field(
+        default_factory=lambda: np.zeros(len(DEFAULT_ALPHAS), dtype=np.int64))
+    hist: np.ndarray = field(
+        default_factory=lambda: np.zeros(len(HIST_EDGES) - 1, dtype=np.int64))
 
-    def __post_init__(self):
-        if self.below is None:
-            self.below = np.zeros(len(self.alphas), dtype=np.int64)
-        if self.hist is None:
-            self.hist = np.zeros(len(HIST_EDGES) - 1, dtype=np.int64)
-
-    def update(self, Z: np.ndarray, burn_in: int = BURN_IN_T):
-        """Add one replication's Z matrix, keeping columns t >= burn_in (1-indexed)."""
-        z = np.asarray(Z, dtype=float)[:, burn_in - 1:].ravel()
+    def update(self, Z: np.ndarray):
+        """Add one replication's Z matrix, keeping columns t >= BURN_IN_T (1-indexed)."""
+        z = np.asarray(Z, dtype=float)[:, BURN_IN_T - 1:].ravel()
         z2 = z * z
         self.count += z.size
         self.s1 += float(np.sum(z))
         self.s2 += float(np.sum(z2))
         self.s3 += float(np.sum(z2 * z))
         self.s4 += float(np.sum(z2 * z2))
-        qs = _normal_quantiles(tuple(self.alphas))
-        self.below += np.array([int(np.sum(z <= q)) for q in qs], dtype=np.int64)
+        self.below += np.array([int(np.sum(z <= q)) for q in _NORMAL_QUANTILES],
+                               dtype=np.int64)
         self.hist += np.histogram(z, bins=HIST_EDGES)[0].astype(np.int64)
 
     def merge(self, other: "ZAccumulator") -> "ZAccumulator":
-        if tuple(self.alphas) != tuple(other.alphas):
-            raise ValueError("cannot merge accumulators with different levels")
         return ZAccumulator(
-            alphas=self.alphas,
             count=self.count + other.count,
             s1=self.s1 + other.s1,
             s2=self.s2 + other.s2,
@@ -221,7 +209,7 @@ class ZAccumulator:
         skew = m3 / std**3 if std > 0 else 0.0
         kurt = m4 / var**2 if var > 0 else 0.0
         return CoverageTable(
-            alphas=tuple(self.alphas),
+            alphas=DEFAULT_ALPHAS,
             C=self.below / c,
             mean=float(mean),
             std=float(std),

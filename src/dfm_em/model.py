@@ -12,6 +12,7 @@ All containers are immutable value objects; the functions here are pure.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,10 @@ class ModelDims:
     q: int
 
     def __post_init__(self):
+        for name in ("n", "T", "r", "q"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.r < 1:
             raise ValueError("r must be >= 1")
         if self.T < 2:

@@ -13,15 +13,18 @@ Each cell fixes a data generating process and an evaluation mode:
   innovation covariance — to the Kalman filter and record the steady-state
   traces of the one-step-ahead and filtered MSE matrices.
 
-Replication b of cell j draws its seed from the (j, b) substream of the
-base seed, and per-replication results are reduced in replication order,
-so reports are bit-identical for any parallelism level.
+A cell checks itself when built, so a grid that cannot run is refused
+before any cell runs. Replication b of cell j draws its seed from the
+(j, b) substream of the base seed, and per-replication results are reduced
+in replication order, so reports are bit-identical for any parallelism level.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,10 +40,10 @@ from .kalman import (
     stationary_init,
     steady_state_diagnostics,
 )
-from .metrics import HIST_EDGES, CoverageTable, ZAccumulator, common_mse, \
-    trace_statistic, z_scores
+from .metrics import DEFAULT_ALPHAS, HIST_EDGES, CoverageTable, ZAccumulator, \
+    common_mse, trace_statistic, z_scores
 from .model import DfmParams, ModelDims
-from .pca import IdentificationError, pc_estimate
+from .pca import IdentificationError, _check_length, pc_estimate
 from .simulate import DgpConfig, draw_dgp
 
 __all__ = [
@@ -55,6 +58,9 @@ __all__ = [
 ]
 
 MAX_FAILURE_FRACTION = 0.2
+# The per-replication statistics of an "em" cell, whose means it reports:
+# factor trace, loading trace and common-component MSE of EM, then of PC.
+_EM_STATS = ("tr_f_em", "tr_lam_em", "mse_em", "tr_f_pc", "tr_lam_pc", "mse_pc")
 
 
 class CellAbortError(RuntimeError):
@@ -70,7 +76,9 @@ class CellAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class McCell:
-    """One experiment cell: a DGP setting plus the evaluation mode."""
+    """One experiment cell: a DGP setting plus the evaluation mode, checked
+    when built. The label names files, so it must be a plain file name; tau,
+    delta, theta and mu are stored as floats, so 1 and 1.0 make one cell."""
 
     label: str
     n: int
@@ -87,6 +95,17 @@ class McCell:
     def __post_init__(self):
         if self.mode not in ("em", "filter_only"):
             raise ValueError(f"unknown cell mode {self.mode!r}")
+        if self.label in ("", ".", "..") or os.path.basename(self.label) != self.label:
+            raise ValueError(f"cell label {self.label!r} is not a plain file name")
+        for name in ("tau", "delta", "theta", "mu"):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite real number, got {v!r}")
+            object.__setattr__(self, name, float(v))
+        self.dgp_config(0)
+        if self.mode == "em":
+            _check_length(self.T, self.r)
 
     def dgp_config(self, seed: int) -> DgpConfig:
         return DgpConfig(
@@ -108,7 +127,6 @@ class McGrid:
         if self.B < 1:
             raise ValueError("B must be >= 1")
         object.__setattr__(self, "cells", tuple(self.cells))
-        # A label names the cell's cells.csv row and its zhist_<label>.csv.
         seen = set()
         for c in self.cells:
             if c.label in seen:
@@ -171,7 +189,8 @@ def _run_replication(args):
     """One replication; returns a picklable result dict."""
     cell, seed = args
     try:
-        draw = draw_dgp(cell.dgp_config(seed))
+        config = cell.dgp_config(seed)
+        draw = draw_dgp(config)
         if cell.mode == "filter_only":
             truth = draw.params
             # The filter runs on the model actually estimated: white
@@ -180,32 +199,21 @@ def _run_replication(args):
                            gamma_e=np.diag(truth.gamma_e_matrix()).copy())
             filt = kalman_filter(draw.panel, fp, stationary_init(fp))
             diag = steady_state_diagnostics(filt, cell.q)
-            return {
-                "failed": False,
-                "tr_pred": diag.tr_pred,
-                "tr_filt": diag.tr_filt,
-                "t_bar": diag.t_bar,
-            }
+            return {"failed": False, "tr_pred": diag.tr_pred,
+                    "tr_filt": diag.tr_filt, "t_bar": diag.t_bar}
 
-        dims = ModelDims(n=cell.n, T=cell.T, r=cell.r, q=cell.q)
         pc = pc_estimate(draw.panel, cell.r, cell.q)
-        chi_pc = pc.Lambda0 @ pc.Ftilde
-        res = em_fit(draw.panel, dims, EmConfig(), init=pc)
-        chi_em = res.params.Lambda @ res.factors.F_smooth
-
+        res = em_fit(draw.panel, config.dims, EmConfig(), init=pc)
+        stats = []  # in the order of _EM_STATS
+        for F_hat, Lam_hat in ((res.factors.F_smooth, res.params.Lambda),
+                               (pc.Ftilde, pc.Lambda0)):
+            stats += [trace_statistic(draw.factors.F, F_hat),
+                      trace_statistic(draw.params.Lambda, Lam_hat),
+                      common_mse(draw.chi, Lam_hat @ F_hat)]
         acc = ZAccumulator()
         acc.update(z_scores(res, draw.chi))
-        return {
-            "failed": False,
-            "tr_f_em": trace_statistic(draw.factors.F, res.factors.F_smooth),
-            "tr_lam_em": trace_statistic(draw.params.Lambda, res.params.Lambda),
-            "tr_f_pc": trace_statistic(draw.factors.F, pc.Ftilde),
-            "tr_lam_pc": trace_statistic(draw.params.Lambda, pc.Lambda0),
-            "mse_em": common_mse(draw.chi, chi_em),
-            "mse_pc": common_mse(draw.chi, chi_pc),
-            "acc": acc,
-            "converged": res.converged,
-        }
+        return {"failed": False, "stats": stats, "acc": acc,
+                "converged": res.converged}
     except (EmError, FilterNumericalError, IdentificationError,
             np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
         return {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
@@ -239,33 +247,22 @@ def run_cell(cell: McCell, B: int, base_seed: int,
                           B=B, failures=failures)
     m = len(ok)
     if cell.mode == "filter_only":
-        tr_pred = sum((r["tr_pred"] for r in ok), np.zeros_like(ok[0]["tr_pred"])) / m
-        tr_filt = sum((r["tr_filt"] for r in ok), np.zeros_like(ok[0]["tr_filt"])) / m
+        report.stats = {k: sum((r[k] for r in ok), np.zeros_like(ok[0][k])) / m
+                        for k in ("tr_pred", "tr_filt")}
         t_bars = [r["t_bar"] for r in ok if r["t_bar"] is not None]
-        report.stats = {
-            "tr_pred": tr_pred,
-            "tr_filt": tr_filt,
-            "t_bar_mean": float(np.mean(t_bars)) if t_bars else float("nan"),
-        }
+        report.stats["t_bar_mean"] = float(np.mean(t_bars)) if t_bars else float("nan")
     else:
-        sums = {k: sum(r[k] for r in ok)
-                for k in ("tr_f_em", "tr_lam_em", "tr_f_pc", "tr_lam_pc",
-                          "mse_em", "mse_pc")}
+        sums = [sum(col) for col in zip(*(r["stats"] for r in ok))]
+        means = [s / m for s in sums]
         acc = ok[0]["acc"]
         for r in ok[1:]:
             acc = acc.merge(r["acc"])
-        report.stats = {
-            "tr_f_em": sums["tr_f_em"] / m,
-            "tr_lam_em": sums["tr_lam_em"] / m,
-            "tr_f_pc": sums["tr_f_pc"] / m,
-            "tr_lam_pc": sums["tr_lam_pc"] / m,
-            "rel_tr_f": (sums["tr_f_em"] / m) / (sums["tr_f_pc"] / m),
-            "rel_tr_lam": (sums["tr_lam_em"] / m) / (sums["tr_lam_pc"] / m),
-            "mse_em": sums["mse_em"] / m,
-            "mse_pc": sums["mse_pc"] / m,
-            "rel_mse": sums["mse_em"] / sums["mse_pc"],
-            "n_converged": sum(int(r["converged"]) for r in ok),
-        }
+        # EM over PC: the traces as ratios of means, the MSE of sums.
+        report.stats = dict(zip(_EM_STATS, means),
+                            rel_tr_f=means[0] / means[3],
+                            rel_tr_lam=means[1] / means[4],
+                            rel_mse=sums[2] / sums[5],
+                            n_converged=sum(int(r["converged"]) for r in ok))
         report.coverage = acc.table()
         report.hist = acc.hist
     report.seconds = time.perf_counter() - t0
@@ -284,12 +281,13 @@ def run_grid(grid: McGrid, parallelism: int = 1) -> McReport:
                     seconds=time.perf_counter() - t0)
 
 
+_COVERAGE_COLUMNS = ([f"cov_{int(round(a * 100)):02d}" for a in DEFAULT_ALPHAS]
+                     + ["z_mean", "z_std", "z_skew", "z_kurt"])
 _CSV_COLUMNS = (
     ["label", "mode", "n", "T", "r", "q", "tau", "delta", "B", "failures",
      "tr_f_em", "tr_lam_em", "tr_f_pc", "tr_lam_pc", "rel_tr_f", "rel_tr_lam",
-     "mse_em", "mse_pc", "rel_mse",
-     "cov_99", "cov_95", "cov_90", "cov_84", "cov_16", "cov_10", "cov_05",
-     "cov_01", "z_mean", "z_std", "z_skew", "z_kurt"]
+     "mse_em", "mse_pc", "rel_mse"]
+    + _COVERAGE_COLUMNS
     + [f"tr_pred_{t}" for t in range(1, 6)]
     + [f"tr_filt_{t}" for t in range(1, 6)]
     + ["t_bar_mean"]
@@ -317,30 +315,22 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
 
     lines = [",".join(_CSV_COLUMNS)]
     for c in report.cells:
-        row = {
-            "label": c.label, "mode": c.mode,
-            "n": str(c.cell.n), "T": str(c.cell.T),
-            "r": str(c.cell.r), "q": str(c.cell.q),
-            "tau": _fmt(c.cell.tau), "delta": _fmt(c.cell.delta),
-            "B": str(c.B), "failures": str(c.failures),
-        }
-        for k in ("tr_f_em", "tr_lam_em", "tr_f_pc", "tr_lam_pc", "rel_tr_f",
-                  "rel_tr_lam", "mse_em", "mse_pc", "rel_mse"):
-            if k in c.stats:
-                row[k] = _fmt(c.stats[k])
-        if c.coverage is not None:
-            for a, v in zip(c.coverage.alphas, c.coverage.C):
-                row[f"cov_{int(round(a * 100)):02d}"] = _fmt(v)
-            row["z_mean"] = _fmt(c.coverage.mean)
-            row["z_std"] = _fmt(c.coverage.std)
-            row["z_skew"] = _fmt(c.coverage.skewness)
-            row["z_kurt"] = _fmt(c.coverage.kurtosis)
-        if "tr_pred" in c.stats:
-            for t in range(len(c.stats["tr_pred"])):
-                row[f"tr_pred_{t+1}"] = _fmt(c.stats["tr_pred"][t])
-                row[f"tr_filt_{t+1}"] = _fmt(c.stats["tr_filt"][t])
-            row["t_bar_mean"] = _fmt(c.stats["t_bar_mean"])
-        lines.append(",".join(row.get(col, "") for col in _CSV_COLUMNS))
+        cell = c.cell
+        # Fields by column name: identity fields as they are, numbers by
+        # _fmt, and empty where the cell's mode reports no such statistic.
+        as_is = dict(label=c.label, mode=c.mode, n=cell.n, T=cell.T,
+                     r=cell.r, q=cell.q, B=c.B, failures=c.failures)
+        nums = dict(c.stats, tau=cell.tau, delta=cell.delta)
+        if c.mode == "em":
+            cov = c.coverage
+            nums.update(zip(_COVERAGE_COLUMNS, [*cov.C, cov.mean, cov.std,
+                                                cov.skewness, cov.kurtosis]))
+        else:  # the steady-state traces by position, t = 1, 2, ...
+            for k in ("tr_pred", "tr_filt"):
+                nums.update((f"{k}_{t}", v) for t, v in enumerate(c.stats[k], 1))
+        lines.append(",".join(
+            str(as_is[k]) if k in as_is else _fmt(nums[k]) if k in nums else ""
+            for k in _CSV_COLUMNS))
     with open(cells_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -82,6 +82,12 @@ def _leading_eigpairs(Xc, r):
     return w, V[:, :r]
 
 
+def _check_length(T, r):
+    """Raise ValueError if T < r + 2, too short to also fit the factor VAR."""
+    if T < r + 2:
+        raise ValueError(f"need T >= r + 2, got T={T}, r={r}")
+
+
 def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
     """Principal-components pre-estimator of (Lambda, F, A, H, Gamma^e).
 
@@ -97,8 +103,7 @@ def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
         If T < r + 2 (too short to also fit the factor VAR).
     """
     n, T = panel.n, panel.T
-    if T < r + 2:
-        raise ValueError(f"need T >= r + 2, got T={T}, r={r}")
+    _check_length(T, r)
     Xc = panel.X - panel.X.mean(axis=1, keepdims=True)
 
     w, V = _leading_eigpairs(Xc, r)

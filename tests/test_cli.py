@@ -337,6 +337,58 @@ class TestMontecarlo:
         assert "duplicate cell label 'same'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad,message", [
+        ({"label": "a/b"}, "plain file name"),
+        ({"tau": 1.5}, "tau must lie"),
+        ({"q": 3}, "q <= r"),
+        ({"T": 3}, "T >= r + 2"),
+        ({"n": 12.0}, "n must be an integer"),
+    ])
+    def test_bad_cell_exits_before_running(self, tmp_path, monkeypatch,
+                                           capsys, bad, message):
+        """A cell that cannot run is refused before the first cell runs."""
+        good = {"label": "good", "n": 12, "T": 25, "r": 2, "q": 2}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"B": 2, "cells": [
+            good, {**good, "label": "bad", **bad}]}))
+
+        def run_grid(*args, **kwargs):
+            raise AssertionError("run_grid ran on a grid with a bad cell")
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        out = tmp_path / "report"
+        assert main(["montecarlo", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("parallel", ["0", "-1"])
+    def test_parallel_below_one_exits_before_running(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     parallel):
+        def run_grid(*args, **kwargs):
+            raise AssertionError("run_grid ran with --parallel < 1")
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        out = tmp_path / "report"
+        code = main(["montecarlo", str(self._experiment(tmp_path)),
+                     "--out", str(out), "--parallel", parallel])
+        assert code == EXIT_VALIDATION
+        assert "--parallel must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_theta_reports_as_float_theta(self, tmp_path):
+        """1 and 1.0 are one cell: same seeds, byte-identical report."""
+        outs = []
+        for theta in (1, 1.0):
+            cell = {"label": "c", "n": 12, "T": 25, "r": 2, "q": 2,
+                    "theta": theta}
+            path = tmp_path / f"theta_{theta!r}.json"
+            path.write_text(json.dumps({"B": 2, "cells": [cell]}))
+            outs.append(tmp_path / f"out_{theta!r}")
+            assert main(["montecarlo", str(path), "--out", str(outs[-1])]) == EXIT_OK
+        for name in ("cells.csv", "zhist_c.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_malformed_file_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "B": 2,\n  "cells": oops\n}')

@@ -17,8 +17,11 @@ from dfm_em import (
     pc_estimate,
     ridge_fit,
 )
-from dfm_em.em import SufficientStats, build_stats
+from dfm_em import em as em_module
+from dfm_em.em import AscentViolationError, EmDivergenceError, \
+    SufficientStats, build_stats
 from dfm_em.kalman import stationary_init
+from dfm_em.model import ShapeError
 from conftest import dense_joint_moments, oracle_state_blocks
 
 ALL_FITS = pytest.mark.parametrize("fit", [em_fit, ridge_fit, ecm_fit],
@@ -254,3 +257,53 @@ class TestEmFit:
         # per-iteration relative change collapses within 3 iterations
         assert np.all(np.diff(rel) < 0)
         assert rel[-1] < 1e-4
+
+
+def _patch_logliks(monkeypatch, values):
+    """Make the k-th E-step of the EM loop report ``values[k]`` (the last
+    value from then on) as its log-likelihood."""
+    real, seen = em_module.e_step, []
+
+    def e_step_stub(panel, params, init=None):
+        stats, smooth, _ = real(panel, params, init)
+        seen.append(values[min(len(seen), len(values) - 1)])
+        return stats, smooth, seen[-1]
+
+    monkeypatch.setattr(em_module, "e_step", e_step_stub)
+
+
+class TestFitFailures:
+    dims = ModelDims(n=20, T=40, r=2, q=2)
+
+    def _panel(self):
+        return draw_dgp(DgpConfig(dims=self.dims, seed=9)).panel
+
+    def test_falling_loglik_raises_ascent_violation(self, monkeypatch):
+        _patch_logliks(monkeypatch, [-100.0, -200.0])
+        with pytest.raises(AscentViolationError) as err:
+            em_fit(self._panel(), self.dims, EmConfig(max_iter=5))
+        assert err.value.iteration == 1
+
+    @pytest.mark.parametrize("fit", [ridge_fit, ecm_fit],
+                             ids=lambda f: f.__name__)
+    def test_ridge_and_ecm_do_not_guard_ascent(self, monkeypatch, fit):
+        """Neither ascends the likelihood itself, so a fall is not an error."""
+        _patch_logliks(monkeypatch, [-100.0, -200.0])
+        res = fit(self._panel(), self.dims, EmConfig(max_iter=5))
+        assert res.loglik_trace.tolist() == [-100.0, -200.0, -200.0]
+        assert res.converged
+
+    def test_nonfinite_loglik_raises_divergence(self, monkeypatch):
+        _patch_logliks(monkeypatch, [-100.0, np.nan])
+        with pytest.raises(EmDivergenceError) as err:
+            em_fit(self._panel(), self.dims, EmConfig(max_iter=5))
+        assert err.value.iteration == 1
+
+    @ALL_FITS
+    @pytest.mark.parametrize("wrong", [{"n": 300}, {"T": 39}])
+    def test_dims_must_match_panel(self, fit, wrong):
+        """ridge_fit's n^2/T rule reads dims, so a mismatch would silently
+        change its regularization."""
+        dims = dataclasses.replace(self.dims, **wrong)
+        with pytest.raises(ShapeError, match="does not match the 20 x 40 panel"):
+            fit(self._panel(), dims)

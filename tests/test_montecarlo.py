@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dfm_em import (
     run_grid,
     write_report,
 )
+from dfm_em.em import AscentViolationError
 from dfm_em.montecarlo import _cell_key, _rep_seed, _run_replication
 
 
@@ -33,6 +35,51 @@ class TestCells:
         assert _cell_key(a) == _cell_key(_small_cell("a"))
         assert _rep_seed(0, _cell_key(a), 0) != _rep_seed(0, _cell_key(a), 1)
 
+    @pytest.mark.parametrize("label", ["", ".", "..", "a/b", "/abs", "dir/"])
+    def test_label_must_be_plain_file_name(self, label):
+        """A label names the cell's zhist_<label>.csv."""
+        with pytest.raises(ValueError, match="plain file name"):
+            _small_cell(label)
+
+    @pytest.mark.parametrize("name,value", [
+        ("tau", True), ("delta", "0.1"), ("theta", None), ("mu", float("nan")),
+        ("theta", float("inf")),
+    ])
+    def test_float_fields_must_be_finite_reals(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite real"):
+            _small_cell(**{name: value})
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"tau": 1.5}, "tau must lie"),
+        ({"q": 3}, "q <= r"),
+        ({"n": 12.0}, "n must be an integer"),
+        ({"T": True}, "T must be an integer"),
+        ({"innovation": "cauchy"}, "cauchy"),
+        ({"T": 3}, "T >= r \\+ 2"),
+    ])
+    def test_invalid_cell_refused_when_built(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            _small_cell(**kw)
+
+    def test_short_panel_allowed_in_filter_only_mode(self):
+        """Only the "em" mode fits the principal-components VAR."""
+        assert _small_cell(mode="filter_only", T=3).T == 3
+
+    def test_numbers_normalised(self):
+        cell = _small_cell(n=np.int64(12), theta=1, tau=np.float64(0.3))
+        assert type(cell.theta) is float and type(cell.tau) is float
+        assert _cell_key(_small_cell(theta=1)) == _cell_key(_small_cell(theta=1.0))
+
+    def test_bundled_cell_keys_pinned(self):
+        """Replication seeds derive from repr(cell): an edit to McCell that
+        changes it moves every seed of every study."""
+        import dfm_em.montecarlo as mc
+
+        path = os.path.join(os.path.dirname(mc.__file__), "experiments",
+                            "table4_small.json")
+        keys = [_cell_key(c) for c in McGrid.from_json(path).cells]
+        assert keys == [1136014998, 1792050130, 119473662]
+
     def test_grid_from_json(self, tmp_path):
         doc = {
             "B": 3,
@@ -50,6 +97,13 @@ class TestCells:
         path = tmp_path / "bad.json"
         path.write_text('{\n  "B": 3,\n  "cells": [\n')
         with pytest.raises(ValueError, match="line"):
+            McGrid.from_json(path)
+
+    def test_grid_from_json_rejects_non_integer_size(self, tmp_path):
+        path = tmp_path / "float_n.json"
+        path.write_text(json.dumps({"cells": [
+            {"label": "x", "n": 12.0, "T": 25, "r": 2, "q": 2}]}))
+        with pytest.raises(ValueError, match="invalid experiment file: n must"):
             McGrid.from_json(path)
 
     def test_grid_missing_cells_key(self, tmp_path):
@@ -139,6 +193,26 @@ class TestRunCell:
         monkeypatch.setattr(mc, "_run_replication", sometimes_fail)
         rep = mc.run_cell(_small_cell(), B=10, base_seed=0)
         assert rep.failures == 1
+        assert rep.coverage.count > 0
+
+
+    def test_typed_replication_failure_is_counted(self, monkeypatch):
+        """A typed error inside one replication is one counted failure."""
+        import dfm_em.montecarlo as mc
+
+        real, calls = mc.em_fit, []
+
+        def em_fit_failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise AscentViolationError("log-likelihood decreased", 1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "em_fit", em_fit_failing_once)
+        rep = mc.run_cell(_small_cell(), B=5, base_seed=0)
+        assert len(calls) == 5
+        assert rep.failures == 1
+        assert all(np.isfinite(v) for v in rep.stats.values())
         assert rep.coverage.count > 0
 
 
