@@ -122,6 +122,10 @@ def _ridge_mu(text: str):
 
 
 def _cmd_fit(args) -> int:
+    if args.idio_cov == "ridge" and args.idio_ar == "ecm":
+        raise ValueError("--idio-cov ridge and --idio-ar ecm are mutually exclusive")
+    mu = _ridge_mu(args.ridge_mu) if args.idio_cov == "ridge" else None
+    config = EmConfig(epsilon=args.epsilon, max_iter=args.max_iter)
     dfm_io._refuse_existing(dfm_io._output_paths("fit", args.out),
                             args.overwrite)
     panel = dfm_io.read_panel_csv(args.panel)
@@ -130,11 +134,8 @@ def _cmd_fit(args) -> int:
         X /= X.std(axis=1, keepdims=True)
         panel = Panel(X=X, names=panel.names)
     dims = ModelDims(n=panel.n, T=panel.T, r=args.r, q=args.q)
-    config = EmConfig(epsilon=args.epsilon, max_iter=args.max_iter)
-    if args.idio_cov == "ridge" and args.idio_ar == "ecm":
-        raise ValueError("--idio-cov ridge and --idio-ar ecm are mutually exclusive")
     if args.idio_cov == "ridge":
-        result = ridge_fit(panel, dims, config, mu=_ridge_mu(args.ridge_mu))
+        result = ridge_fit(panel, dims, config, mu=mu)
     elif args.idio_ar == "ecm":
         result = ecm_fit(panel, dims, config)
     else:

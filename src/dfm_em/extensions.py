@@ -47,7 +47,7 @@ from .em import EmConfig, EmResult, _fit, _symmetric_sqrt
 # Not called here: bench/tracing.py wraps these by their extensions.* names.
 from .em import e_step, m_step  # noqa: F401
 from .kalman import stationary_init  # noqa: F401
-from .model import DfmParams, ModelDims, Panel
+from .model import DfmParams, ModelDims, Panel, _residual
 from .pca import PcEstimate, pc_estimate  # noqa: F401
 
 __all__ = [
@@ -182,7 +182,7 @@ def _ar_updates(X, Lam, smooth):
     """
     Fs, Ps, Cs = smooth.F_smooth, smooth.P_smooth, smooth.C_lag1
     T = Fs.shape[1]
-    resid = X - Lam @ Fs
+    resid = _residual(X, Lam, Fs)
     quad_P = np.einsum("ir,trs,is->it", Lam, Ps, Lam)
     quad_C = np.einsum("ir,trs,is->it", Lam, Cs, Lam)
 

@@ -11,9 +11,10 @@ The filter never forms an n-dimensional innovation. Following Jungbacker
 M = Lambda' Gamma^{-1} Lambda = V D V' it keeps the k eigenpairs with
 D > _RANK_RTOL max D (k = r for full-column-rank loadings, k < r for
 rank-deficient ones, k = 0 for Lambda = 0), and
-Y = D_k^{-1} V_k' Lambda' Gamma^{-1} X (one BLAS-3 product) obeys
-y_t = V_k' F_t + eps_t, eps_t ~ N(0, D_k^{-1}), carrying all that x_t
-says about F_t. With P = P_{t|t-1} and S_y = V_k' P V_k + D_k^{-1},
+Y = D_k^{-1} V_k' (Gamma^{-1} Lambda)' X (one BLAS-3 product on the raw
+panel; no whitened copy of X is formed) obeys y_t = V_k' F_t + eps_t,
+eps_t ~ N(0, D_k^{-1}), carrying all that x_t says about F_t. With
+P = P_{t|t-1} and S_y = V_k' P V_k + D_k^{-1},
 
     W_t = V_k S_y^{-1} V_k',     g_t = V_k S_y^{-1} (y_t - V_k' F_{t|t-1}),
     P_{t|t} = P V_k S_y^{-1} D_k^{-1} V_k' + (I - P W_t) P (I - V_k V_k'),
@@ -31,8 +32,12 @@ F_{t|t} = J_t A F_{t-1|t-1} + P V_k S_y^{-1} y_t and the smoother's L_t,
 and it stays accurate when the gain nearly cancels a large A.
 The log-likelihood adds to the collapsed one the closed form
 -1/2 sum_t [(n-k) log 2 pi + log|Gamma| + log|D_k| + e_t' Gamma^{-1} e_t]
-with e_t = x_t - Lambda V_k y_t. A full Gamma costs one n x n Cholesky
-factor and triangular solve per call.
+with e_t = x_t - Lambda V_k y_t. The residual is formed in one n x T
+buffer and reduced in place to e_t' Gamma^{-1} e_t, never as the
+difference ||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t, which cancels to
+round-off when the noise is many orders below the signal. A full Gamma
+costs one n x n Cholesky factor per call and one triangular solve on the
+residual.
 
 The Riccati recursion for P_{t|t-1}, W_t and P_{t|t} does not depend on
 the data, so it runs first, by prefix doubling over the filtering
@@ -91,7 +96,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dposv
 
-from .model import DfmParams, Panel
+from .model import DfmParams, Panel, _residual
 
 __all__ = [
     "InitState",
@@ -227,22 +232,42 @@ def stationary_init(params: DfmParams) -> InitState:
     return InitState(F0=np.zeros(r), P0=P0)
 
 
-def _whitener(gamma_e):
-    """Map Y -> Gamma^{-1/2} Y (a triangular Cholesky solve for a full
-    Gamma, elementwise for a diagonal one) and log|Gamma|."""
+def _whitener(gamma_e, Lam):
+    """The whitened loadings Gamma^{-1/2} Lambda, the product
+    Gamma^{-1} Lambda, log|Gamma| and the map from a residual panel E
+    (n x T, overwritten) to its per-period norms e_t' Gamma^{-1} e_t.
+
+    A diagonal Gamma acts elementwise, and the norms are one product of
+    1/gamma with the squared residuals. A full Gamma is whitened by its
+    Cholesky factor: triangular solves for the loadings, and one on the
+    residual before it is squared and summed.
+    """
     if not np.all(np.isfinite(gamma_e)):
         raise FilterNumericalError("idiosyncratic covariance not finite", 1)
     if gamma_e.ndim == 1:
         if np.any(gamma_e <= 0.0):
             raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
-        root = np.sqrt(gamma_e)[:, None]
-        return (lambda Y: Y / root), float(np.sum(np.log(gamma_e)))
+        inv = 1.0 / gamma_e
+
+        def norms(E):
+            E *= E
+            return inv @ E
+
+        return (Lam / np.sqrt(gamma_e)[:, None], Lam * inv[:, None], norms,
+                float(np.sum(np.log(gamma_e))))
     try:
         chol = np.linalg.cholesky(gamma_e)
     except np.linalg.LinAlgError as exc:
         raise FilterNumericalError(
             f"idiosyncratic covariance not positive definite: {exc}", 1) from exc
-    return ((lambda Y: solve_triangular(chol, Y, lower=True)),
+
+    def norms(E):
+        E = solve_triangular(chol, E, lower=True, overwrite_b=True)
+        E *= E
+        return E.sum(axis=0)
+
+    Lw = solve_triangular(chol, Lam, lower=True)
+    return (Lw, solve_triangular(chol, Lw, lower=True, trans="T"), norms,
             float(2.0 * np.sum(np.log(np.diag(chol)))))
 
 
@@ -405,15 +430,14 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     n, T = X.shape
     r = params.r
     A = params.A
-    whiten, logdet_gamma = _whitener(params.gamma_e)
+    Lam = params.Lambda
+    Lw, Lg, resid_norms, logdet_gamma = _whitener(params.gamma_e, Lam)
 
     # Rank-revealing collapse onto the k directions of the state that the
-    # panel observes.
-    Xw = whiten(X)
-    Lw = whiten(params.Lambda)
+    # panel observes, and the residual norms e_t' Gamma^{-1} e_t.
     d, Vk = _observed_directions(Lw)
-    Y = (Vk.T @ (Lw.T @ Xw)) / d[:, None]
-    Ew = Xw - Lw @ (Vk @ Y)
+    Y = (Vk.T @ (Lg.T @ X)) / d[:, None]
+    e_norms = resid_norms(_residual(X, Lam, Vk @ Y))
 
     P_pred, P_filt, Sinv, Udiag, T_ok, why = _riccati(
         A, params.H @ params.H.T, init.P0, Vk, d, T)
@@ -433,7 +457,7 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     v = (Y - Vk.T @ F_pred).T[:T_ok, :, None]
     terms = (n * np.log(2.0 * np.pi) + logdet_gamma + np.sum(np.log(d))
              + 2.0 * np.log(Udiag[:T_ok]).sum(axis=1)
-             + np.einsum("it,it->t", Ew, Ew)[:T_ok]
+             + e_norms[:T_ok]
              + (np.swapaxes(v, 1, 2) @ Sinv[:T_ok] @ v)[:, 0, 0])
     bad = np.flatnonzero(~np.isfinite(terms))
     if bad.size:

@@ -234,3 +234,11 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
     if np.linalg.matrix_rank(params.H) < q:
         violations.append(f"H rank-deficient: rank < q={q}")
     return violations
+
+
+def _residual(X, L, F):
+    """X - L F, formed in the buffer of the product L F, so that the
+    residual costs one n x T array instead of two."""
+    E = L @ F
+    np.subtract(X, E, out=E)
+    return E

@@ -75,6 +75,12 @@ class DgpConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "innovation", Innovation(self.innovation))
+        # NaN fails every comparison, so the range checks below alone
+        # would let a NaN delta or theta through.
+        for name in ("tau", "delta", "theta", "mu"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if not (0.0 <= self.tau < 1.0):
             raise ValueError("tau must lie in [0, 1)")
         if not (0.0 < self.mu < 1.0):

@@ -74,6 +74,18 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("delta", "nan"), ("theta", "nan"),
+                                            ("theta", "inf"), ("tau", "nan"),
+                                            ("mu", "nan")])
+    def test_non_finite_parameter_exits_validation(self, tmp_path, capsys,
+                                                   flag, value):
+        out = tmp_path / "d"
+        code = main(["simulate", "--n", "10", "--T", "20", "--r", "2",
+                     "--q", "1", f"--{flag}", value, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         a = _simulate(tmp_path, "a", seed=9)
         b = _simulate(tmp_path, "b", seed=9)
@@ -206,6 +218,22 @@ class TestFit:
         assert code == EXIT_VALIDATION
         assert "epsilon" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--idio-cov", "ridge", "--idio-ar", "ecm"], "mutually exclusive"),
+        (["--idio-cov", "ridge", "--ridge-mu", "-1"], "ridge-mu"),
+        (["--epsilon", "nan"], "epsilon"),
+        (["--max-iter", "0"], "max_iter"),
+    ])
+    def test_flags_checked_before_the_panel_is_read(self, tmp_path, capsys,
+                                                    flags, message):
+        code = main(["fit", "--panel", str(tmp_path / "missing.csv"),
+                     "--r", "2", "--q", "2", *flags,
+                     "--out", str(tmp_path / "f")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert message in err
+        assert "missing.csv" not in err
 
     def test_printed_loglik_is_the_summary_float(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d")

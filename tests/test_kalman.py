@@ -235,6 +235,58 @@ class TestSpecialCases:
         assert np.all(np.diff(tr) > 0.0)
 
 
+def _rel(a, b):
+    """Largest absolute difference relative to the largest entry of a."""
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1e-300)
+
+
+class TestWhitening:
+    @pytest.mark.parametrize("k", [2, 1, 0])
+    def test_diagonal_and_full_gamma_agree(self, k):
+        """gamma_e as a vector (whitened elementwise) and as np.diag of it
+        (whitened by its Cholesky factor) give the same filter, for loadings
+        of full rank (k = r), of rank one (k < r) and zero (k = 0)."""
+        rng = np.random.default_rng(41)
+        lam = rng.standard_normal((6, 2))
+        Lam = {2: lam, 1: np.outer(lam[:, 0], [1.0, -0.5]), 0: 0.0 * lam}[k]
+        gamma = rng.uniform(0.5, 1.5, 6)
+        panel = Panel(X=rng.standard_normal((6, 15)))
+        A = np.array([[0.6, 0.2], [0.0, 0.3]])
+        init = InitState(F0=[0.3, -0.2], P0=np.eye(2))
+        vec, full = (kalman_filter(panel, DfmParams(Lambda=Lam, A=A, H=np.eye(2),
+                                                    gamma_e=g), init)
+                     for g in (gamma, np.diag(gamma)))
+        assert abs(vec.loglik - full.loglik) <= 1e-12 * abs(vec.loglik)
+        for name in ("F_filt", "W", "g"):
+            assert _rel(getattr(vec, name), getattr(full, name)) <= 1e-12, name
+        assert np.linalg.matrix_rank(vec.W[-1]) == k
+
+    def test_residual_term_keeps_its_digits_on_a_near_noiseless_panel(self):
+        """Signal 1e12 times the noise variance. The log-likelihood of the
+        panel is that of its projection Lambda V_k y_t (whose residual is
+        zero) less half the sum of e_t' Gamma^{-1} e_t, summed here in
+        extended precision. Taken as ||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t,
+        that sum would be the difference of two terms 1e12 times larger,
+        and left with round-off only."""
+        rng = np.random.default_rng(43)
+        n, T = 30, 40
+        Lam = rng.standard_normal((n, 1))
+        gamma = 1e-12 * rng.uniform(0.5, 1.5, n)
+        p = DfmParams(Lambda=Lam, A=np.array([[0.5]]), H=np.eye(1),
+                      gamma_e=gamma)
+        X = (Lam @ rng.standard_normal((1, T))
+             + np.sqrt(gamma)[:, None] * rng.standard_normal((n, T)))
+        Xl, Ll, gl = (np.asarray(a, dtype=np.longdouble) for a in (X, Lam, gamma))
+        Lg = Ll / gl[:, None]
+        E = Xl - Ll @ ((Lg.T @ Xl) / (Lg.T @ Ll))
+        resid = float(np.sum(E * E / gl[:, None]))
+        init = stationary_init(p)
+        full = kalman_filter(Panel(X=X), p, init).loglik
+        proj = kalman_filter(Panel(X=np.asarray(Xl - E, dtype=float)), p,
+                             init).loglik
+        assert abs((full - proj) + 0.5 * resid) <= 1e-10 * resid
+
+
 class TestSmoother:
     def test_T1_smoother_equals_filter(self):
         draw = _draw(seed=8)

@@ -30,6 +30,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(theta=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["tau", "delta", "theta", "mu"])
+    def test_non_finite_refused(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            _config(**{name: value})
+
 
 class TestDrawDgp:
     def test_shapes_and_zero_rho(self):
