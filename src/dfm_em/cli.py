@@ -124,7 +124,7 @@ def _ridge_mu(text: str):
 def _cmd_fit(args) -> int:
     if args.idio_cov == "ridge" and args.idio_ar == "ecm":
         raise ValueError("--idio-cov ridge and --idio-ar ecm are mutually exclusive")
-    mu = _ridge_mu(args.ridge_mu) if args.idio_cov == "ridge" else None
+    mu = _ridge_mu(args.ridge_mu)
     config = EmConfig(epsilon=args.epsilon, max_iter=args.max_iter)
     dfm_io._refuse_existing(dfm_io._output_paths("fit", args.out),
                             args.overwrite)

@@ -40,7 +40,7 @@ from .kalman import (
     kalman_smoother,
     stationary_init,
 )
-from .model import DfmParams, ModelDims, Panel, ShapeError, _residual
+from .model import DfmParams, ModelDims, Panel, ShapeError, _sq_residual_sums
 from .pca import PcEstimate, _shock_loading, pc_estimate
 
 __all__ = [
@@ -162,7 +162,7 @@ def m_step(stats: SufficientStats, panel: Panel, q: int,
     """Closed-form maximization step; returns diagonal-gamma parameters. For
     q < r, H is ``pca._shock_loading`` of Gom with shrink ``vartheta_mstep``.
     The squared residuals (x_it - lambda_i' F_{t|T})^2 of the gamma update
-    take one n x T array, the buffer of the product Lambda F_{.|T}."""
+    are summed block by block of rows, in cache, with no n x T array."""
     X = panel.X
     T = panel.T
     if vartheta_mstep is None:
@@ -177,10 +177,8 @@ def m_step(stats: SufficientStats, panel: Panel, q: int,
     except np.linalg.LinAlgError as exc:
         raise EmError(f"S_FF_tail numerically singular in the VAR update: {exc}") from exc
 
-    sq = _residual(X, Lam, stats.F_smooth)
-    sq *= sq
-    gamma = (np.sum(sq, axis=1)
-             + np.einsum("ir,rs,is->i", Lam, stats.S_P, Lam)) / T
+    gamma = (_sq_residual_sums(X, Lam, stats.F_smooth)
+             + np.sum((Lam @ stats.S_P) * Lam, axis=1)) / T
     # Floor at a fixed fraction of each series' sample variance (with an
     # absolute backstop): bounding the signal-to-noise ratio keeps the
     # filter's innovation algebra within double-precision accuracy on

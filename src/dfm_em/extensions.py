@@ -181,10 +181,14 @@ def _ar_updates(X, Lam, smooth):
     E[xi_t xi_{t-1} | X] = resid_t resid_{t-1} + lambda' C_{t,t-1|T} lambda.
     """
     Fs, Ps, Cs = smooth.F_smooth, smooth.P_smooth, smooth.C_lag1
+    n, r = Lam.shape
     T = Fs.shape[1]
     resid = _residual(X, Lam, Fs)
-    quad_P = np.einsum("ir,trs,is->it", Lam, Ps, Lam)
-    quad_C = np.einsum("ir,trs,is->it", Lam, Cs, Lam)
+    # lambda_i' M_t lambda_i for all (i, t) as one product: the rows
+    # vec(lambda_i lambda_i') against the stacked vec(M_t).
+    LL = (Lam[:, :, None] * Lam[:, None, :]).reshape(n, r * r)
+    quad_P = LL @ Ps.reshape(T, r * r).T
+    quad_C = LL @ Cs.reshape(T, r * r).T
 
     sq = resid**2 + quad_P                     # E[xi_t^2 | X], per (i, t)
     lag = resid[:, 1:] * resid[:, :-1] + quad_C[:, 1:]

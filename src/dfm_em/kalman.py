@@ -32,12 +32,12 @@ F_{t|t} = J_t A F_{t-1|t-1} + P V_k S_y^{-1} y_t and the smoother's L_t,
 and it stays accurate when the gain nearly cancels a large A.
 The log-likelihood adds to the collapsed one the closed form
 -1/2 sum_t [(n-k) log 2 pi + log|Gamma| + log|D_k| + e_t' Gamma^{-1} e_t]
-with e_t = x_t - Lambda V_k y_t. The residual is formed in one n x T
-buffer and reduced in place to e_t' Gamma^{-1} e_t, never as the
-difference ||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t, which cancels to
-round-off when the noise is many orders below the signal. A full Gamma
-costs one n x n Cholesky factor per call and one triangular solve on the
-residual.
+with e_t = x_t - Lambda V_k y_t. For a diagonal Gamma the residual is
+reduced to e_t' Gamma^{-1} e_t block by block of rows, in cache, never
+as the difference ||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t, which cancels
+to round-off when the noise is many orders below the signal. A full
+Gamma costs one n x n Cholesky factor per call and one triangular solve
+on the residual, formed whole in one n x T buffer.
 
 The Riccati recursion for P_{t|t-1}, W_t and P_{t|t} does not depend on
 the data, so it runs first, by prefix doubling over the filtering
@@ -96,7 +96,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dposv
 
-from .model import DfmParams, Panel, _residual
+from .model import DfmParams, Panel, _residual, _sq_residual_sums
 
 __all__ = [
     "InitState",
@@ -234,13 +234,14 @@ def stationary_init(params: DfmParams) -> InitState:
 
 def _whitener(gamma_e, Lam):
     """The whitened loadings Gamma^{-1/2} Lambda, the product
-    Gamma^{-1} Lambda, log|Gamma| and the map from a residual panel E
-    (n x T, overwritten) to its per-period norms e_t' Gamma^{-1} e_t.
+    Gamma^{-1} Lambda, log|Gamma| and the map from (X, L, F) to the
+    per-period norms e_t' Gamma^{-1} e_t of the residual E = X - L F.
 
-    A diagonal Gamma acts elementwise, and the norms are one product of
-    1/gamma with the squared residuals. A full Gamma is whitened by its
-    Cholesky factor: triangular solves for the loadings, and one on the
-    residual before it is squared and summed.
+    A diagonal Gamma acts elementwise: the norms are 1/gamma times the
+    squared residuals, reduced block by block of rows, in cache
+    (model._sq_residual_sums). A full Gamma is whitened by its Cholesky
+    factor: triangular solves for the loadings, and one on the whole
+    residual (a solve couples the rows) before it is squared and summed.
     """
     if not np.all(np.isfinite(gamma_e)):
         raise FilterNumericalError("idiosyncratic covariance not finite", 1)
@@ -249,9 +250,8 @@ def _whitener(gamma_e, Lam):
             raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
         inv = 1.0 / gamma_e
 
-        def norms(E):
-            E *= E
-            return inv @ E
+        def norms(X, L, F):
+            return _sq_residual_sums(X, L, F, inv)
 
         return (Lam / np.sqrt(gamma_e)[:, None], Lam * inv[:, None], norms,
                 float(np.sum(np.log(gamma_e))))
@@ -261,8 +261,9 @@ def _whitener(gamma_e, Lam):
         raise FilterNumericalError(
             f"idiosyncratic covariance not positive definite: {exc}", 1) from exc
 
-    def norms(E):
-        E = solve_triangular(chol, E, lower=True, overwrite_b=True)
+    def norms(X, L, F):
+        E = solve_triangular(chol, _residual(X, L, F), lower=True,
+                             overwrite_b=True)
         E *= E
         return E.sum(axis=0)
 
@@ -437,7 +438,7 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     # panel observes, and the residual norms e_t' Gamma^{-1} e_t.
     d, Vk = _observed_directions(Lw)
     Y = (Vk.T @ (Lg.T @ X)) / d[:, None]
-    e_norms = resid_norms(_residual(X, Lam, Vk @ Y))
+    e_norms = resid_norms(X, Lam, Vk @ Y)
 
     P_pred, P_filt, Sinv, Udiag, T_ok, why = _riccati(
         A, params.H @ params.H.T, init.P0, Vk, d, T)

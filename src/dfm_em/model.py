@@ -236,9 +236,42 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
     return violations
 
 
+# Doubles in the residual buffer of one row block of _sq_residual_sums.
+# 2^15 doubles (256 KB) stay in a core's L2 cache while the block is
+# formed, squared and reduced.
+_BLOCK_ELEMS = 1 << 15
+
+
 def _residual(X, L, F):
     """X - L F, formed in the buffer of the product L F, so that the
-    residual costs one n x T array instead of two."""
+    residual costs one n x T array instead of two. Only the full-Gamma
+    norms of the filter and the ECM moments need the whole residual; a
+    sum of squares is reduced block by block by _sq_residual_sums."""
     E = L @ F
     np.subtract(X, E, out=E)
     return E
+
+
+def _sq_residual_sums(X, L, F, w=None):
+    """The row sums of (X - L F)^2 (length n), or, when w is given, its
+    column sums weighted by w, w'(X - L F)^2 (length T).
+
+    The residual is reduced block by block of rows, in cache: each block's
+    product, difference, square and reduction run in one buffer of about
+    _BLOCK_ELEMS doubles (at least one row), so no n x T array is formed.
+    Each row is summed whole; a weighted column sum adds the blocks'
+    partial sums, which changes only the order of summation."""
+    n, T = X.shape
+    rows = max(1, _BLOCK_ELEMS // T)
+    buf = np.empty((min(rows, n), T))
+    out = np.empty(n) if w is None else np.zeros(T)
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        E = np.matmul(L[i:j], F, out=buf[:j - i])
+        np.subtract(X[i:j], E, out=E)
+        E *= E
+        if w is None:
+            E.sum(axis=1, out=out[i:j])
+        else:
+            out += w[i:j] @ E
+    return out

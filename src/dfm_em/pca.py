@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .model import Panel, _residual
+from .model import Panel, _sq_residual_sums
 
 __all__ = ["PcEstimate", "IdentificationError", "pc_estimate", "var_from_factors"]
 
@@ -92,8 +92,8 @@ def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
     """Principal-components pre-estimator of (Lambda, F, A, H, Gamma^e).
 
     The panel is demeaned per series before the eigendecomposition. The
-    squared reconstruction residuals behind GammaE0 take one n x T array,
-    the buffer of the product Lambda0 Ftilde.
+    squared reconstruction residuals behind GammaE0 are summed block by
+    block of rows, in cache, with no n x T array.
 
     Raises
     ------
@@ -122,9 +122,7 @@ def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
     Ftilde = (Lambda0.T @ Xc) / M[:, None]  # M^{-1} Lambda0' x_t
 
     A0, H0, _ = var_from_factors(Ftilde, q)
-    sq = _residual(Xc, Lambda0, Ftilde)
-    sq *= sq
-    GammaE0 = np.mean(sq, axis=1)
+    GammaE0 = _sq_residual_sums(Xc, Lambda0, Ftilde) / T
 
     return PcEstimate(Lambda0=Lambda0, Ftilde=Ftilde, A0=A0, H0=H0,
                       GammaE0=GammaE0, eigvals=w[:r])

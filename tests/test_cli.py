@@ -224,6 +224,7 @@ class TestFit:
         (["--idio-cov", "ridge", "--ridge-mu", "-1"], "ridge-mu"),
         (["--epsilon", "nan"], "epsilon"),
         (["--max-iter", "0"], "max_iter"),
+        (["--ridge-mu", "lots"], "ridge-mu"),
     ])
     def test_flags_checked_before_the_panel_is_read(self, tmp_path, capsys,
                                                     flags, message):

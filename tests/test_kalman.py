@@ -22,6 +22,7 @@ from conftest import (
     woodbury_inverse,
 )
 from dfm_em.kalman import _observed_directions, _psd_clip, _riccati, _scan, _symmetrize
+from dfm_em.model import _BLOCK_ELEMS
 
 
 def _draw(n=5, T=10, r=2, q=2, tau=0.0, delta=0.0, seed=1):
@@ -261,15 +262,16 @@ class TestWhitening:
             assert _rel(getattr(vec, name), getattr(full, name)) <= 1e-12, name
         assert np.linalg.matrix_rank(vec.W[-1]) == k
 
-    def test_residual_term_keeps_its_digits_on_a_near_noiseless_panel(self):
+    @pytest.mark.parametrize("n,T", [(30, 40), (3 * (_BLOCK_ELEMS // 160) + 1, 160)])
+    def test_residual_term_keeps_its_digits_on_a_near_noiseless_panel(self, n, T):
         """Signal 1e12 times the noise variance. The log-likelihood of the
         panel is that of its projection Lambda V_k y_t (whose residual is
         zero) less half the sum of e_t' Gamma^{-1} e_t, summed here in
         extended precision. Taken as ||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t,
         that sum would be the difference of two terms 1e12 times larger,
-        and left with round-off only."""
+        and left with round-off only. The second panel spans four row
+        blocks of the residual reduction."""
         rng = np.random.default_rng(43)
-        n, T = 30, 40
         Lam = rng.standard_normal((n, 1))
         gamma = 1e-12 * rng.uniform(0.5, 1.5, n)
         p = DfmParams(Lambda=Lam, A=np.array([[0.5]]), H=np.eye(1),

@@ -8,6 +8,7 @@ from dfm_em import (
     ShapeError,
     validate,
 )
+from dfm_em.model import _BLOCK_ELEMS, _sq_residual_sums
 
 
 def _params(n=6, r=2, q=2, A=None, H=None, gamma=None, rho=None):
@@ -99,3 +100,28 @@ class TestPanel:
         assert p.var is p.var
         with pytest.raises(ValueError):
             p.var[0] = 1.0
+
+
+_ROWS_300 = _BLOCK_ELEMS // 300  # rows per block at T = 300
+
+
+class TestSqResidualSums:
+    @pytest.mark.parametrize("n,T,r,zero", [
+        (50, 100, 3, False),                   # one block
+        (3 * _ROWS_300, 300, 4, False),        # n an exact multiple of the rows
+        (3 * _ROWS_300 + 1, 300, 4, False),    # one row past that multiple
+        (3, _BLOCK_ELEMS + 1, 2, False),       # T over the budget: one row a block
+        (3 * _ROWS_300 + 1, 300, 1, False),    # r = 1
+        (3 * _ROWS_300 + 1, 300, 3, True),     # L = 0
+    ])
+    def test_matches_the_whole_residual(self, n, T, r, zero):
+        rng = np.random.default_rng(n + T + r)
+        X = rng.standard_normal((n, T))
+        L = np.zeros((n, r)) if zero else rng.standard_normal((n, r))
+        F = rng.standard_normal((r, T))
+        w = rng.uniform(0.5, 1.5, n)
+        sq = (X - L @ F) ** 2
+        for got, want in ((_sq_residual_sums(X, L, F), sq.sum(axis=1)),
+                          (_sq_residual_sums(X, L, F, w), w @ sq)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want) / want) <= 1e-13
