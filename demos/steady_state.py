@@ -7,23 +7,19 @@ recursion settles within a handful of observations, and the filtered
 trace scales like q/n.
 """
 
-import numpy as np
-
 from dfm_em import DgpConfig, ModelDims, draw_dgp
 from dfm_em.kalman import (
     kalman_filter,
     stationary_init,
     steady_state_diagnostics,
 )
-from dfm_em.model import DfmParams
 
 for n in (50, 100, 300):
     dims = ModelDims(n=n, T=100, r=4, q=2)
     draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=1))
+    # A draw carries the diagonal of Gamma^e; the filter ignores rho.
     truth = draw.params
-    fp = DfmParams(Lambda=truth.Lambda, A=truth.A, H=truth.H,
-                   gamma_e=np.diag(truth.gamma_e_matrix()).copy())
-    filt = kalman_filter(draw.panel, fp, stationary_init(fp))
+    filt = kalman_filter(draw.panel, truth, stationary_init(truth))
     diag = steady_state_diagnostics(filt, dims.q)
     pred = "  ".join(f"{v:.4f}" for v in diag.tr_pred)
     filt_tr = "  ".join(f"{v:.4f}" for v in diag.tr_filt)

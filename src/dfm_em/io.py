@@ -6,7 +6,9 @@ columns. All floats are written with shortest round-trip precision
 (``repr``), so read(write(x)) == x bitwise.
 
 Parameters are stored as a JSON document with named matrices in row-major
-nested-list form; a 1-D ``gamma_e`` marks the diagonal variant.
+nested-list form; a 1-D ``gamma_e`` marks the diagonal variant. A draw's
+document also records ``tau``: at tau > 0 its Gamma^e = toeplitz(tau^|i-j|)
+is not written out, and ``gamma_e`` holds the diagonal (ones).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import numpy as np
 
 from .em import EmResult
-from .model import DfmParams, FactorPath, Panel
+from .model import DfmParams, Panel
 from .simulate import DgpDraw
 
 __all__ = [
@@ -61,27 +63,37 @@ def write_panel_csv(panel: Panel, path):
     write_matrix_csv(panel.X.T, path, header=panel.names)
 
 
+def _read_csv(path, has_header: bool):
+    """(header fields or None, float rows) of a CSV file, blank lines
+    skipped. A row not as wide as the first line, or a field that is not
+    a number, raises ValueError naming file:line."""
+    header, rows, width = None, [], None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            if width is None:
+                width = len(fields)
+                if has_header:
+                    header = fields
+                    continue
+            if len(fields) != width:
+                raise ValueError(
+                    f"{path}:{lineno}: expected {width} columns, got {len(fields)}")
+            try:
+                rows.append([float(v) for v in fields])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return header, rows
+
+
 def read_panel_csv(path) -> Panel:
     """Read a panel written by :func:`write_panel_csv`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ValueError(f"{path}: empty panel file")
-        names = tuple(header.split(","))
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            vals = line.split(",")
-            if len(vals) != len(names):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(names)} columns, got {len(vals)}"
-                )
-            rows.append([float(v) for v in vals])
+    header, rows = _read_csv(path, has_header=True)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Panel(X=np.array(rows).T, names=names)
+    return Panel(X=np.array(rows).T, names=tuple(header))
 
 
 def write_matrix_csv(M: np.ndarray, path, header: list = None):
@@ -97,15 +109,12 @@ def write_matrix_csv(M: np.ndarray, path, header: list = None):
 
 
 def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if has_header:
-        lines = lines[1:]
-    return np.array([[float(v) for v in ln.split(",")] for ln in lines])
+    """Read a 2-D array written by :func:`write_matrix_csv`."""
+    return np.array(_read_csv(path, has_header)[1])
 
 
-def write_params_json(params: DfmParams, path):
-    doc = {
+def _params_doc(params: DfmParams) -> dict:
+    return {
         "Lambda": params.Lambda.tolist(),
         "A": params.A.tolist(),
         "H": params.H.tolist(),
@@ -113,9 +122,15 @@ def write_params_json(params: DfmParams, path):
         "gamma_e_diagonal": params.gamma_e_is_diagonal,
         "rho": params.rho.tolist(),
     }
+
+
+def _write_json(doc: dict, path):
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
+
+
+def write_params_json(params: DfmParams, path):
+    _write_json(_params_doc(params), path)
 
 
 def read_params_json(path) -> DfmParams:
@@ -140,7 +155,7 @@ def write_dgp_draw(draw: DgpDraw, outdir, overwrite: bool = False):
     write_matrix_csv(draw.factors.F.T, factors_csv,
                      header=[f"F{j+1}" for j in range(draw.factors.r)])
     write_matrix_csv(draw.chi.T, chi_csv, header=list(draw.panel.names))
-    write_params_json(draw.params, params_json)
+    _write_json(dict(_params_doc(draw.params), tau=draw.tau), params_json)
 
 
 def write_em_result(result: EmResult, outdir, overwrite: bool = False):
@@ -156,8 +171,6 @@ def write_em_result(result: EmResult, outdir, overwrite: bool = False):
                      header=[f"F{j+1}" for j in range(r)])
     write_matrix_csv(np.asarray(result.loglik_trace)[:, None], trace,
                      header=["loglik"])
-    with open(summary, "w") as fh:
-        json.dump({"iters": int(result.iters),
-                   "converged": bool(result.converged),
-                   "final_loglik": float(result.loglik_trace[-1])}, fh)
-        fh.write("\n")
+    _write_json({"iters": int(result.iters),
+                 "converged": bool(result.converged),
+                 "final_loglik": float(result.loglik_trace[-1])}, summary)

@@ -94,7 +94,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dposv
 
 from .model import DfmParams, Panel, _residual, _sq_residual_sums
 

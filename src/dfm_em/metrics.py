@@ -113,14 +113,13 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     n = Lam.shape[0]
     T = F.shape[1]
 
+    gamma_diag = (params.gamma_e if params.gamma_e_is_diagonal
+                  else np.diag(params.gamma_e))
     if mode == "ridge_w":
         if params.gamma_e_is_diagonal:
             raise ValueError("ridge_w mode requires a full fitted covariance")
-        Ginv_Lam = np.linalg.solve(params.gamma_e_matrix(), Lam)
-        gamma_diag = np.diag(params.gamma_e_matrix())
+        Ginv_Lam = np.linalg.solve(params.gamma_e, Lam)
     else:
-        gamma_diag = (params.gamma_e if params.gamma_e_is_diagonal
-                      else np.diag(params.gamma_e_matrix()))
         Ginv_Lam = Lam / gamma_diag[:, None]
     inner_W = Lam.T @ Ginv_Lam / n
     W = np.einsum("ir,ir->i", Lam, np.linalg.solve(inner_W, Lam.T).T)

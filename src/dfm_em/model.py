@@ -187,12 +187,6 @@ class DfmParams:
     def gamma_e_is_diagonal(self):
         return self.gamma_e.ndim == 1
 
-    def gamma_e_matrix(self):
-        """Idiosyncratic innovation covariance as a full n x n matrix."""
-        if self.gamma_e_is_diagonal:
-            return np.diag(self.gamma_e)
-        return np.array(self.gamma_e)
-
 
 def validate(params: DfmParams, dims: ModelDims) -> list:
     """Check the model parameters against the stationarity, rank and
@@ -221,16 +215,11 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
         violations.append(f"A not stable: spectral radius {spectral_radius:.6g} >= 1")
     if np.any(np.abs(params.rho) >= 1.0):
         violations.append("idiosyncratic AR coefficient |rho_i| >= 1")
-    if g.ndim == 1:
-        if np.any(g <= 0.0):
-            violations.append("gamma_e has a non-positive diagonal entry")
-    else:
-        # Exact symmetry, the common case, is checked first: it is several
-        # times cheaper than allclose on a large n x n matrix.
-        if not (np.array_equal(g, g.T) or np.allclose(g, g.T, atol=1e-10)):
-            violations.append("gamma_e not symmetric")
-        if np.any(np.diag(g) <= 0.0):
-            violations.append("gamma_e has a non-positive diagonal entry")
+    if g.ndim == 2 and not np.allclose(g, g.T, atol=1e-10):
+        violations.append("gamma_e not symmetric")
+    variances = g if g.ndim == 1 else np.diag(g)
+    if np.any(variances <= 0.0):
+        violations.append("gamma_e has a non-positive diagonal entry")
     if np.linalg.matrix_rank(params.H) < q:
         violations.append(f"H rank-deficient: rank < q={q}")
     return violations

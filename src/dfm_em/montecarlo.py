@@ -42,7 +42,7 @@ from .kalman import (
 )
 from .metrics import DEFAULT_ALPHAS, HIST_EDGES, CoverageTable, ZAccumulator, \
     common_mse, trace_statistic, z_scores
-from .model import DfmParams, ModelDims
+from .model import ModelDims
 from .pca import IdentificationError, _check_length, pc_estimate
 from .simulate import DgpConfig, draw_dgp
 
@@ -192,12 +192,11 @@ def _run_replication(args):
         config = cell.dgp_config(seed)
         draw = draw_dgp(config)
         if cell.mode == "filter_only":
-            truth = draw.params
             # The filter runs on the model actually estimated: white
-            # measurement noise with the true idiosyncratic variances.
-            fp = DfmParams(Lambda=truth.Lambda, A=truth.A, H=truth.H,
-                           gamma_e=np.diag(truth.gamma_e_matrix()).copy())
-            filt = kalman_filter(draw.panel, fp, stationary_init(fp))
+            # measurement noise with the true idiosyncratic variances,
+            # which is what a draw carries; the filter ignores rho.
+            truth = draw.params
+            filt = kalman_filter(draw.panel, truth, stationary_init(truth))
             diag = steady_state_diagnostics(filt, cell.q)
             return {"failed": False, "tr_pred": diag.tr_pred,
                     "tr_filt": diag.tr_filt, "t_bar": diag.t_bar}

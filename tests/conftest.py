@@ -8,8 +8,11 @@ The classical inverting smoother, the Woodbury inverse and the dense AR(1)
 covariance and precision are further closed-form references, the
 step-by-step Riccati loop is the reference for the filter's
 prefix-doubling pass, and the per-period simulation loop is the
-reference for ``simulate``.
+reference for ``simulate``. ``toeplitz_params`` gives a draw's parameters
+with the full Gamma^e its tau stands for.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -228,6 +231,16 @@ def ar1_covariance(rho, gamma, T):
     return gamma * toeplitz(rho ** np.arange(T)) / (1.0 - rho**2)
 
 
+def toeplitz_params(draw):
+    """``draw.params`` with Gamma^e = toeplitz(tau^|i-j|), the law of a
+    tau > 0 draw's shocks, which the draw carries only as ``draw.tau``.
+    At tau = 0 the draw's own (diagonal) parameters."""
+    if draw.tau == 0.0:
+        return draw.params
+    return dataclasses.replace(
+        draw.params, gamma_e=toeplitz(draw.tau ** np.arange(draw.params.n)))
+
+
 def simulate_loop(params, T, innovation, rng, burn_in=100):
     """(F, X) of ``simulate.simulate_given`` computed the plain way.
 
@@ -248,7 +261,7 @@ def simulate_loop(params, T, innovation, rng, burn_in=100):
     if params.gamma_e_is_diagonal:
         e = np.sqrt(params.gamma_e)[:, None] * z
     else:
-        e = np.linalg.cholesky(params.gamma_e_matrix()) @ z
+        e = np.linalg.cholesky(params.gamma_e) @ z
 
     F = np.zeros((r, total))
     Hu = params.H @ u

@@ -17,15 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from dfm_em import DgpConfig, EmConfig, ModelDims, Panel, draw_dgp, em_fit
+from dfm_em import DgpConfig, EmConfig, ModelDims, draw_dgp, em_fit
 from dfm_em.em import AscentViolationError, build_stats, e_step, m_step
 from dfm_em.extensions import gls_loadings, ridge_covariance
-from dfm_em.kalman import (
-    InitState,
-    kalman_filter,
-    kalman_smoother,
-    stationary_init,
-)
+from dfm_em.kalman import kalman_filter, kalman_smoother, stationary_init
 from dfm_em.montecarlo import McCell, McGrid, run_cell, run_grid, write_report
 
 from conftest import (
@@ -168,10 +163,8 @@ def test_criterion_7_oracle_equivalences():
     for (n, T, r, q) in ((3, 5, 2, 2), (4, 12, 3, 1)):
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=n, T=T, r=r, q=q),
                                   tau=0.3, delta=0.1, seed=7))
-        init = stationary_init(draw.params)
-        fp = draw.params
-        fp = type(fp)(Lambda=fp.Lambda, A=fp.A, H=fp.H,
-                      gamma_e=np.diag(fp.gamma_e_matrix()).copy())
+        fp = draw.params  # the diagonal of Gamma^e; the filter ignores rho
+        init = stationary_init(fp)
         filt = kalman_filter(draw.panel, fp, init)
         sm = kalman_smoother(filt, fp)
         pm, pc, _ = dense_joint_moments(draw.panel, fp, init)
@@ -186,8 +179,6 @@ def test_criterion_7_oracle_equivalences():
     draw = draw_dgp(DgpConfig(dims=ModelDims(n=20, T=40, r=3, q=3),
                               tau=0.4, seed=11))
     fp = draw.params
-    fp = type(fp)(Lambda=fp.Lambda, A=fp.A, H=fp.H,
-                  gamma_e=np.diag(fp.gamma_e_matrix()).copy())
     filt = kalman_filter(draw.panel, fp, stationary_init(fp))
     s1 = kalman_smoother(filt, fp)
     s2 = kalman_smoother_classical(filt, fp)

@@ -14,7 +14,6 @@ from dfm_em.cli import (
 from dfm_em.em import AscentViolationError, EmError
 from dfm_em.io import (
     read_matrix_csv,
-    read_panel_csv,
     read_params_json,
     write_matrix_csv,
 )
@@ -85,6 +84,21 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    def test_toeplitz_draw_writes_tau_and_the_diagonal(self, tmp_path, capsys):
+        """A tau > 0 draw writes its law tau and the diagonal of Gamma^e,
+        not the n x n matrix, and still serves as the truth for eval."""
+        draw = _simulate(tmp_path, "d", n=300, T=30, tau=0.5, delta=0.2)
+        doc = json.loads((draw / "params.json").read_text())
+        assert doc["tau"] == 0.5 and doc["gamma_e_diagonal"] is True
+        assert doc["gamma_e"] == [1.0] * 300
+        assert read_params_json(draw / "params.json").gamma_e.shape == (300,)
+        assert json.loads((_simulate(tmp_path, "w") / "params.json")
+                          .read_text())["tau"] == 0.0
+        fit = tmp_path / "pc"
+        assert main(["pc", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", "--out", str(fit)]) == EXIT_OK
+        assert main(["eval", "--truth", str(draw), "--fit", str(fit)]) == EXIT_OK
 
     def test_rerun_byte_identical(self, tmp_path):
         a = _simulate(tmp_path, "a", seed=9)
@@ -467,6 +481,20 @@ class TestEval:
                 "--out", str(out_file)]
         assert main(args) == EXIT_OK
         assert main(args) == EXIT_VALIDATION
+
+    def test_ragged_truth_file_names_file_and_line(self, tmp_path, capsys):
+        draw = _simulate(tmp_path, "d", n=30, T=60)
+        fit = tmp_path / "pc"
+        assert main(["pc", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", "--out", str(fit)]) == EXIT_OK
+        chi = draw / "chi.csv"
+        lines = chi.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0]
+        chi.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["eval", "--truth", str(draw), "--fit", str(fit)])
+        assert code == EXIT_VALIDATION
+        assert f"{chi}:5: expected 30 columns, got 29" in capsys.readouterr().err
 
     def test_rank_deficient_estimate_exits_numerical(self, tmp_path, capsys):
         """np.linalg.LinAlgError subclasses ValueError; it still exits 3."""

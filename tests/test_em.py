@@ -22,7 +22,7 @@ from dfm_em.em import AscentViolationError, EmDivergenceError, \
     SufficientStats, build_stats
 from dfm_em.kalman import stationary_init
 from dfm_em.model import ShapeError
-from conftest import dense_joint_moments, oracle_state_blocks
+from conftest import dense_joint_moments, oracle_state_blocks, toeplitz_params
 
 ALL_FITS = pytest.mark.parametrize("fit", [em_fit, ridge_fit, ecm_fit],
                                    ids=lambda f: f.__name__)
@@ -165,7 +165,7 @@ class TestMStep:
     def test_gamma_exactly_diagonal(self):
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=10, T=30, r=2, q=2),
                                   tau=0.5, seed=3))
-        stats, _, _ = e_step(draw.panel, draw.params)
+        stats, _, _ = e_step(draw.panel, toeplitz_params(draw))
         out = m_step(stats, draw.panel, 2)
         assert out.gamma_e_is_diagonal
         assert np.all(out.gamma_e > 0)

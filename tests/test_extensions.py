@@ -5,7 +5,6 @@ from dfm_em import (
     DgpConfig,
     EmConfig,
     ModelDims,
-    Panel,
     draw_dgp,
     ecm_fit,
     gls_loadings,
@@ -15,7 +14,7 @@ from dfm_em import (
 )
 from dfm_em.em import _GAMMA_FLOOR, _GAMMA_RTOL, e_step, m_step
 from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
-from conftest import ar1_covariance, ar1_precision
+from conftest import ar1_covariance, ar1_precision, toeplitz_params
 
 
 def _random_psd(rng, n):
@@ -148,7 +147,7 @@ class TestFactoredRidgeMStep:
         dims = ModelDims(n=n, T=T, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
         X = draw.panel.X
-        stats, _, _ = e_step(draw.panel, draw.params)
+        stats, _, _ = e_step(draw.panel, toeplitz_params(draw))
         Lam = m_step(stats, draw.panel, dims.q).Lambda
         S_resid = (X @ X.T - Lam @ stats.S_xF.T - stats.S_xF @ Lam.T
                    + Lam @ stats.S_FF @ Lam.T) / T

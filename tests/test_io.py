@@ -41,6 +41,12 @@ class TestPanelCsv:
         with pytest.raises(ValueError, match=":3"):
             read_panel_csv(path)
 
+    def test_non_numeric_field_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1.0,2.0\n3.0,x\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: .*'x'"):
+            read_panel_csv(path)
+
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -66,6 +72,20 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         write_matrix_csv(M, path, header=["a", "b", "c"])
         assert np.array_equal(read_matrix_csv(path, has_header=True), M)
+
+    @pytest.mark.parametrize("has_header", [False, True])
+    @pytest.mark.parametrize("bad, message", [
+        ("1.0,2.0,3.0\n4.0,5.0\n", "expected 3 columns, got 2"),
+        ("1.0,2.0,3.0\n4.0,x,6.0\n", "could not convert string to float: 'x'"),
+    ], ids=["ragged", "non_numeric"])
+    def test_bad_row_names_file_and_line(self, tmp_path, has_header, bad,
+                                         message):
+        path = tmp_path / "m.csv"
+        path.write_text(("a,b,c\n" if has_header else "") + "\n" + bad)
+        line = 4 if has_header else 3
+        with pytest.raises(ValueError) as err:
+            read_matrix_csv(path, has_header=has_header)
+        assert str(err.value) == f"{path}:{line}: {message}"
 
 
 class TestParamsJson:

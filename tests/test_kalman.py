@@ -19,6 +19,7 @@ from conftest import (
     kalman_smoother_classical,
     oracle_state_blocks,
     riccati_step_loop,
+    toeplitz_params,
     woodbury_inverse,
 )
 from dfm_em.kalman import _observed_directions, _psd_clip, _riccati, _scan, _symmetrize
@@ -69,9 +70,10 @@ class TestFilterBasics:
     def test_loglik_matches_joint_gaussian(self):
         for seed, (r, q) in [(4, (2, 2)), (5, (3, 2))]:
             draw = _draw(n=5, T=10, r=r, q=q, tau=0.5, delta=0.2, seed=seed)
-            init = stationary_init(draw.params)
-            filt = kalman_filter(draw.panel, draw.params, init)
-            _, _, ll = dense_joint_moments(draw.panel, draw.params, init)
+            p = toeplitz_params(draw)
+            init = stationary_init(p)
+            filt = kalman_filter(draw.panel, p, init)
+            _, _, ll = dense_joint_moments(draw.panel, p, init)
             assert abs(filt.loglik - ll) < 1e-6
 
     def test_prediction_mse_norm_monotone(self):
@@ -193,7 +195,8 @@ def _special_case(name):
     rng = np.random.default_rng(31)
     if name == "stationary_long":
         draw = _draw(n=5, T=150, r=3, q=2, tau=0.5, delta=0.2, seed=32)
-        return draw.panel, draw.params, stationary_init(draw.params)
+        p = toeplitz_params(draw)
+        return draw.panel, p, stationary_init(p)
     if name == "random_walk":
         p = DfmParams(Lambda=0.1 * rng.standard_normal((5, 2)), A=np.eye(2),
                       H=np.eye(2), gamma_e=rng.uniform(0.5, 1.5, 5))
@@ -317,7 +320,7 @@ class TestSmoother:
         """Smoothed means, MSEs and lag-1 cross-covariances against the
         direct joint-Gaussian projection (nT <= 60)."""
         draw = _draw(n=5, T=10, r=r, q=q, tau=tau, delta=delta, seed=seed)
-        p = draw.params
+        p = toeplitz_params(draw)
         init = stationary_init(p)
         filt = kalman_filter(draw.panel, p, init)
         sm = kalman_smoother(filt, p)
@@ -420,8 +423,6 @@ def _riccati_case(name):
     if name in ("q_lt_r", "q_eq_r", "T0", "T1", "T2", "T3"):
         q = 4 if name == "q_eq_r" else 2
         p = _draw(n=100, T=100, r=4, q=q, tau=0.5, delta=0.2, seed=42).params
-        p = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H,
-                      gamma_e=np.diag(p.gamma_e_matrix()).copy())
         T = int(name[1]) if name[0] == "T" else 100
         P0 = stationary_init(p).P0
     elif name == "r8_late_freeze":
@@ -522,10 +523,7 @@ class TestPsdClip:
 def _filter_only_output():
     """The filter run of a ``filter_only`` Monte Carlo replication."""
     draw = _draw(n=15, T=30, r=4, q=2, tau=0.5, delta=0.2, seed=18)
-    truth = draw.params
-    p = DfmParams(Lambda=truth.Lambda, A=truth.A, H=truth.H,
-                  gamma_e=np.diag(truth.gamma_e_matrix()).copy())
-    return kalman_filter(draw.panel, p, stationary_init(p))
+    return kalman_filter(draw.panel, draw.params, stationary_init(draw.params))
 
 
 class TestSteadyState:

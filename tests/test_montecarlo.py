@@ -8,7 +8,6 @@ from dfm_em import (
     CellAbortError,
     McCell,
     McGrid,
-    McReport,
     run_cell,
     run_grid,
     write_report,

@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
 from dfm_em import DgpConfig, DfmParams, ModelDims, draw_dgp, simulate_given, stream
-from dfm_em.simulate import Innovation, _standardized_t4, _toeplitz_root
-from conftest import simulate_loop
+from dfm_em.simulate import _standardized_t4, _toeplitz_root
+from conftest import simulate_loop, toeplitz_params
 
 
 def _config(**kw):
@@ -56,14 +56,19 @@ class TestDrawDgp:
         p = draw.params
         gamma_f = solve_discrete_lyapunov(p.A, p.H @ p.H.T)
         var_chi = np.einsum("ij,jk,ik->i", p.Lambda, gamma_f, p.Lambda)
-        var_xi = np.diag(p.gamma_e_matrix()) / (1.0 - p.rho**2)
+        var_xi = p.gamma_e / (1.0 - p.rho**2)
         share = var_chi / (var_chi + var_xi)
         assert np.allclose(share, 1.0 / 3.0, atol=1e-10)
 
     def test_toeplitz_gamma_exact(self):
+        """A tau > 0 draw carries its law tau and the diagonal of
+        toeplitz(tau^|i-j|), not the n x n matrix."""
         draw = draw_dgp(_config(seed=5, tau=0.5))
         expected = toeplitz(0.5 ** np.arange(50))
-        assert np.array_equal(draw.params.gamma_e, expected)
+        assert draw.tau == 0.5
+        assert np.array_equal(draw.params.gamma_e, np.diag(expected))
+        assert np.array_equal(toeplitz_params(draw).gamma_e, expected)
+        assert draw_dgp(_config(seed=5)).tau == 0.0
 
     def test_panel_decomposition(self):
         draw = draw_dgp(_config(seed=6))
@@ -175,11 +180,12 @@ class TestToeplitzShocks:
     @pytest.mark.parametrize("innovation", ["gaussian", "student_t4"])
     @pytest.mark.parametrize("delta", [0.0, 0.2])
     def test_draw_matches_the_cholesky_loop(self, delta, innovation):
-        """tau > 0 draws agree with the old Cholesky path to round-off."""
+        """tau > 0 draws agree to round-off with the Cholesky factor of
+        the explicit toeplitz(tau^|i-j|)."""
         cfg = _config(n=60, T=50, tau=0.6, delta=delta, seed=8,
                       innovation=innovation)
         draw = draw_dgp(cfg)
-        F, X = simulate_loop(draw.params, cfg.dims.T, innovation,
+        F, X = simulate_loop(toeplitz_params(draw), cfg.dims.T, innovation,
                              stream(cfg.seed, 0))
         assert np.array_equal(draw.factors.F, F)
         assert _rel_maxnorm(draw.panel.X, X) <= 1e-13
