@@ -40,8 +40,8 @@ mse_em = common_mse(draw.chi, chi_em)
 print(f"\ncommon-component MSE   PCA: {mse_pc:.4f}   EM: {mse_em:.4f}   "
       f"ratio EM/PCA: {mse_em / mse_pc:.3f}")
 print(f"factor trace statistic PCA: "
-      f"{trace_statistic(draw.factors.F, pc.Ftilde):.4f}   "
-      f"EM: {trace_statistic(draw.factors.F, res.factors.F_smooth):.4f}")
+      f"{trace_statistic(draw.factors, pc.Ftilde):.4f}   "
+      f"EM: {trace_statistic(draw.factors, res.factors.F_smooth):.4f}")
 
 rmse_idio = np.sqrt(np.mean((chi_em - draw.panel.X) ** 2))
 print(f"residual (idiosyncratic) RMSE of the EM fit: {rmse_idio:.3f}")

@@ -4,7 +4,6 @@ harness for evaluating the estimators on synthetic panels."""
 
 from .model import (
     DfmParams,
-    FactorPath,
     ModelDims,
     Panel,
     ShapeError,

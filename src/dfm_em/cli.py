@@ -189,7 +189,7 @@ def _cmd_eval(args) -> int:
     # A "fit" directory starts with the two files of a "pc" directory.
     _, F_path, chi_path, params_path = dfm_io._output_paths("simulate", args.truth)
     fit_params_path, fit_F_path = dfm_io._output_paths("pc", args.fit)
-    F_true, chi_true, F_hat = (dfm_io.read_matrix_csv(p, has_header=True).T
+    F_true, chi_true, F_hat = (dfm_io.read_matrix_csv(p).T
                                for p in (F_path, chi_path, fit_F_path))
     true_params = dfm_io.read_params_json(params_path)
     fit_params = dfm_io.read_params_json(fit_params_path)

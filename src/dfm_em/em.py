@@ -17,8 +17,8 @@ closed-form M-step:
 
 with off-diagonal idiosyncratic covariances forced to zero. H is the
 symmetric square root of Gom when q = r, and otherwise loads the top-q
-eigenpairs of Gom with eigenvalues shrunk by the small ridge vartheta
-(default 0.1/T) that keeps the singular case well defined.
+eigenpairs of Gom with eigenvalues shrunk by the small ridge
+vartheta = 0.1/T that keeps the singular case well defined.
 
 Convergence uses the relative log-likelihood change
 |l_{k+1} - l_k| / |l_{k+1} + l_k|, where l is the exact filter (marginal)
@@ -57,6 +57,8 @@ __all__ = [
 
 _GAMMA_FLOOR = 1e-12
 _GAMMA_RTOL = 1e-8
+# The q < r M-step shrinks each eigenvalue of Gom by vartheta = _SHRINK / T.
+_SHRINK = 0.1
 
 
 class EmError(RuntimeError):
@@ -137,16 +139,15 @@ def build_stats(panel: Panel, smooth: SmootherOutput) -> SufficientStats:
                            S_P=Ps.sum(axis=0), F_smooth=Fs)
 
 
-def e_step(panel: Panel, params: DfmParams, init: InitState = None):
-    """One expectation step: smoother pass plus sufficient statistics.
+def e_step(panel: Panel, params: DfmParams, init: InitState):
+    """One expectation step from the initial state ``init``: smoother
+    pass plus sufficient statistics.
 
     Returns
     -------
     (SufficientStats, SmootherOutput, float)
         The third element is the filter log-likelihood at ``params``.
     """
-    if init is None:
-        init = stationary_init(params)
     filt = kalman_filter(panel, params, init)
     smooth = kalman_smoother(filt, params)
     return build_stats(panel, smooth), smooth, filt.loglik
@@ -157,16 +158,13 @@ def _symmetric_sqrt(M):
     return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
 
-def m_step(stats: SufficientStats, panel: Panel, q: int,
-           vartheta_mstep: float = None) -> DfmParams:
+def m_step(stats: SufficientStats, panel: Panel, q: int) -> DfmParams:
     """Closed-form maximization step; returns diagonal-gamma parameters. For
-    q < r, H is ``pca._shock_loading`` of Gom with shrink ``vartheta_mstep``.
+    q < r, H is ``pca._shock_loading`` of Gom with shrink vartheta = 0.1/T.
     The squared residuals (x_it - lambda_i' F_{t|T})^2 of the gamma update
     are summed block by block of rows, in cache, with no n x T array."""
     X = panel.X
     T = panel.T
-    if vartheta_mstep is None:
-        vartheta_mstep = 0.1 / T
 
     try:
         Lam = np.linalg.solve(stats.S_FF, stats.S_xF.T).T
@@ -198,7 +196,7 @@ def m_step(stats: SufficientStats, panel: Panel, q: int,
     if q == r:
         H = _symmetric_sqrt(Gom)
     else:
-        H, clamped = _shock_loading(Gom, q, vartheta_mstep)
+        H, clamped = _shock_loading(Gom, q, _SHRINK / T)
         if clamped:
             warnings.warn("shock-covariance eigenvalue below the ridge level; "
                           "clamping the corresponding H column to zero scale",

@@ -179,22 +179,21 @@ def _ar_updates(X, Lam, smooth):
     smoothed factor MSE / cross-covariance corrections, i.e.
     E[xi_t^2 | X] = resid_t^2 + lambda' P_{t|T} lambda and
     E[xi_t xi_{t-1} | X] = resid_t resid_{t-1} + lambda' C_{t,t-1|T} lambda.
+    The corrections are summed over time first, so each series costs one
+    r x r quadratic form per sum; the two lag-0 residual sums are the full
+    row sum less the last or the first squared residual.
     """
-    Fs, Ps, Cs = smooth.F_smooth, smooth.P_smooth, smooth.C_lag1
-    n, r = Lam.shape
-    T = Fs.shape[1]
-    resid = _residual(X, Lam, Fs)
-    # lambda_i' M_t lambda_i for all (i, t) as one product: the rows
-    # vec(lambda_i lambda_i') against the stacked vec(M_t).
-    LL = (Lam[:, :, None] * Lam[:, None, :]).reshape(n, r * r)
-    quad_P = LL @ Ps.reshape(T, r * r).T
-    quad_C = LL @ Cs.reshape(T, r * r).T
+    Ps, Cs = smooth.P_smooth, smooth.C_lag1
+    T = Ps.shape[0]
+    resid = _residual(X, Lam, smooth.F_smooth)
 
-    sq = resid**2 + quad_P                     # E[xi_t^2 | X], per (i, t)
-    lag = resid[:, 1:] * resid[:, :-1] + quad_C[:, 1:]
+    def quad(S):
+        return np.sum((Lam @ S) * Lam, axis=1)
 
-    num = lag.sum(axis=1)
-    den = sq[:, :-1].sum(axis=1)
+    ss = np.einsum("it,it->i", resid, resid)
+    num = (np.einsum("it,it->i", resid[:, 1:], resid[:, :-1])
+           + quad(Cs[1:].sum(axis=0)))
+    den = ss - resid[:, -1] ** 2 + quad(Ps[:-1].sum(axis=0))
     rho = num / den
     bad = np.abs(rho) >= 1.0
     if np.any(bad):
@@ -205,7 +204,7 @@ def _ar_updates(X, Lam, smooth):
         )
         rho[bad] = np.sign(rho[bad]) * 0.99
 
-    head = sq[:, 1:].sum(axis=1)
+    head = ss - resid[:, 0] ** 2 + quad(Ps[1:].sum(axis=0))
     gamma = (head - 2.0 * rho * num + rho**2 * den) / (T - 1)
     gamma = np.maximum(gamma, 1e-12)
     return rho, gamma

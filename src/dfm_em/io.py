@@ -1,6 +1,7 @@
 """File formats: CSV panels and factor paths, JSON parameter documents.
 
-Panel CSV layout: the first row holds the series identifiers and each
+Every matrix CSV has one header row naming its columns, then one row per
+matrix row. A panel's header holds the series identifiers and each
 subsequent row is one time point, so the file has T data rows and n
 columns. All floats are written with shortest round-trip precision
 (``repr``), so read(write(x)) == x bitwise.
@@ -63,24 +64,22 @@ def write_panel_csv(panel: Panel, path):
     write_matrix_csv(panel.X.T, path, header=panel.names)
 
 
-def _read_csv(path, has_header: bool):
-    """(header fields or None, float rows) of a CSV file, blank lines
-    skipped. A row not as wide as the first line, or a field that is not
-    a number, raises ValueError naming file:line."""
-    header, rows, width = None, [], None
+def _read_csv(path):
+    """(header fields, float rows) of a CSV file whose first non-blank line
+    is its header, blank lines skipped. A row not as wide as the header,
+    or a field that is not a number, raises ValueError naming file:line."""
+    header, rows = None, []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.strip().split(",")
             if fields == [""]:
                 continue
-            if width is None:
-                width = len(fields)
-                if has_header:
-                    header = fields
-                    continue
-            if len(fields) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(fields)}")
+            if header is None:
+                header = fields
+                continue
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} "
+                                 f"columns, got {len(fields)}")
             try:
                 rows.append([float(v) for v in fields])
             except ValueError as exc:
@@ -90,27 +89,30 @@ def _read_csv(path, has_header: bool):
 
 def read_panel_csv(path) -> Panel:
     """Read a panel written by :func:`write_panel_csv`."""
-    header, rows = _read_csv(path, has_header=True)
+    header, rows = _read_csv(path)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return Panel(X=np.array(rows).T, names=tuple(header))
 
 
-def write_matrix_csv(M: np.ndarray, path, header: list = None):
-    """Write a 2-D array as CSV, one matrix row per line."""
+def write_matrix_csv(M: np.ndarray, path, header):
+    """Write a 2-D array as CSV: the column names in ``header``, then one
+    matrix row per line. A header not as wide as M raises ValueError, as
+    :func:`read_matrix_csv` would on the file."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    lines = []
-    if header is not None:
-        lines.append(",".join(header))
+    if len(header) != M.shape[1]:
+        raise ValueError(f"{len(header)} header fields for {M.shape[1]} columns")
+    lines = [",".join(header)]
     for row in M:
         lines.append(",".join(_fmt(v) for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_matrix_csv(path, has_header: bool = False) -> np.ndarray:
-    """Read a 2-D array written by :func:`write_matrix_csv`."""
-    return np.array(_read_csv(path, has_header)[1])
+def read_matrix_csv(path) -> np.ndarray:
+    """Read a 2-D array written by :func:`write_matrix_csv`, skipping its
+    header row."""
+    return np.array(_read_csv(path)[1])
 
 
 def _params_doc(params: DfmParams) -> dict:
@@ -152,8 +154,8 @@ def write_dgp_draw(draw: DgpDraw, outdir, overwrite: bool = False):
     panel_csv, factors_csv, chi_csv, params_json = paths
     os.makedirs(outdir, exist_ok=True)
     write_panel_csv(draw.panel, panel_csv)
-    write_matrix_csv(draw.factors.F.T, factors_csv,
-                     header=[f"F{j+1}" for j in range(draw.factors.r)])
+    write_matrix_csv(draw.factors.T, factors_csv,
+                     header=[f"F{j+1}" for j in range(draw.params.r)])
     write_matrix_csv(draw.chi.T, chi_csv, header=list(draw.panel.names))
     _write_json(dict(_params_doc(draw.params), tau=draw.tau), params_json)
 

@@ -111,6 +111,7 @@ __all__ = [
 
 _RANK_RTOL = 1e-12
 _FREEZE_RTOL = 1e-15
+_STEADY_TOL = 1e-8
 _NOT_PD = "innovation covariance not positive definite"
 
 
@@ -177,9 +178,9 @@ class FilterOutput:
 class SmootherOutput:
     """Backward-pass output: smoothed moments plus lag-one cross-covariances.
 
-    C_lag1[t] holds C_{t,t-1|T} (zero matrix at t=1, which has no
-    predecessor inside the sample). F0_smooth/P0_smooth are the smoothed
-    time-zero moments used to warm-start subsequent filter runs.
+    C_lag1[t-1] holds C_{t,t-1|T} for t = 1..T; C_lag1[0] = C_{1,0|T}
+    pairs the first period with the time-zero state, whose smoothed
+    moments F0_smooth/P0_smooth warm-start subsequent filter runs.
     """
 
     F_smooth: np.ndarray
@@ -283,11 +284,12 @@ def _solve(a, b):
     """np.linalg.solve, with NaN in place of a batch that holds an exactly
     singular system. I + P J_w is singular only for an indefinite P, past
     a step the checks of :func:`_riccati` reject; the NaN reaches the
-    next P_{t|t-1} check instead of raising here."""
+    next P_{t|t-1} check instead of raising here. The NaN takes b's
+    shape, which is the solution's at both call sites."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        return np.full(np.broadcast_shapes(a.shape, b.shape), np.nan)
+        return np.full(b.shape, np.nan)
 
 
 def _update_factor(P, Vk, d, Si):
@@ -492,9 +494,7 @@ def kalman_smoother(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
     PA = P @ A.T
     F_s = F + (PA @ R[..., None])[..., 0]
     P_s = _psd_clip(P - PA @ N @ np.swapaxes(PA, 1, 2))
-    C = np.zeros((T, r, r))
-    C[1:] = ((np.eye(r) - PA[2:] @ N[2:] @ A) @ filt.J[1:]
-             @ np.swapaxes(PA[1:T], 1, 2))
+    C = (np.eye(r) - PA[1:] @ N[1:] @ A) @ filt.J @ np.swapaxes(PA[:T], 1, 2)
 
     return SmootherOutput(F_smooth=F_s[1:].T, P_smooth=P_s[1:], C_lag1=C,
                           F0_smooth=F_s[0], P0_smooth=P_s[0])
@@ -506,8 +506,8 @@ class SteadyStateDiagnostics:
 
     tr_pred[t-1] = tr(P_{t|t-1})/q and tr_filt[t-1] = tr(P_{t|t}) n / q for
     t = 1..min(T, 5); t_bar is the first t at which consecutive one-step
-    MSE matrices differ by less than the tolerance in spectral norm (None
-    if never reached).
+    MSE matrices differ by less than 1e-8 in spectral norm (None if never
+    reached).
     """
 
     tr_pred: np.ndarray
@@ -515,8 +515,7 @@ class SteadyStateDiagnostics:
     t_bar: int | None
 
 
-def steady_state_diagnostics(filt: FilterOutput, q: int,
-                             tol: float = 1e-8) -> SteadyStateDiagnostics:
+def steady_state_diagnostics(filt: FilterOutput, q: int) -> SteadyStateDiagnostics:
     """Per-period trace summaries of the filter MSEs.
 
     The first observed period plays the role of time zero: it anchors the
@@ -526,13 +525,13 @@ def steady_state_diagnostics(filt: FilterOutput, q: int,
     there: tr(P_{t|t-1})/q and tr(P_{t|t}) * n/q.
 
     ``t_bar`` is the first reporting index at which consecutive
-    one-step-ahead MSEs agree to ``tol`` in spectral norm.
+    one-step-ahead MSEs agree to 1e-8 (_STEADY_TOL) in spectral norm.
     """
     T = filt.T
     k = min(T - 1, 5)
     tr_pred = np.trace(filt.P_pred[1:k + 1], axis1=1, axis2=2) / q
     tr_filt = np.trace(filt.P_filt[1:k + 1], axis1=1, axis2=2) * filt.n / q
     steps = np.linalg.norm(np.diff(filt.P_pred, axis=0), 2, axis=(1, 2))
-    hit = np.flatnonzero(steps < tol)
+    hit = np.flatnonzero(steps < _STEADY_TOL)
     t_bar = int(hit[0]) + 2 if hit.size else None
     return SteadyStateDiagnostics(tr_pred=tr_pred, tr_filt=tr_filt, t_bar=t_bar)

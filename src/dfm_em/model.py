@@ -22,7 +22,6 @@ __all__ = [
     "ModelDims",
     "Panel",
     "DfmParams",
-    "FactorPath",
     "ShapeError",
     "validate",
 ]
@@ -104,28 +103,6 @@ class Panel:
         v = self.X.var(axis=1)
         v.flags.writeable = False
         return v
-
-
-@dataclass(frozen=True)
-class FactorPath:
-    """An r x T matrix of factor values."""
-
-    F: np.ndarray
-
-    def __post_init__(self):
-        F = _as_matrix(self.F, "F")
-        F.flags.writeable = False
-        object.__setattr__(self, "F", F)
-        if not np.all(np.isfinite(F)):
-            raise ValueError("factor path contains non-finite entries")
-
-    @property
-    def r(self):
-        return self.F.shape[0]
-
-    @property
-    def T(self):
-        return self.F.shape[1]
 
 
 @dataclass(frozen=True)

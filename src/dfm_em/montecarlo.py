@@ -206,7 +206,7 @@ def _run_replication(args):
         stats = []  # in the order of _EM_STATS
         for F_hat, Lam_hat in ((res.factors.F_smooth, res.params.Lambda),
                                (pc.Ftilde, pc.Lambda0)):
-            stats += [trace_statistic(draw.factors.F, F_hat),
+            stats += [trace_statistic(draw.factors, F_hat),
                       trace_statistic(draw.params.Lambda, Lam_hat),
                       common_mse(draw.chi, Lam_hat @ F_hat)]
         acc = ZAccumulator()

@@ -8,11 +8,14 @@ The classical inverting smoother, the Woodbury inverse and the dense AR(1)
 covariance and precision are further closed-form references, the
 step-by-step Riccati loop is the reference for the filter's
 prefix-doubling pass, and the per-period simulation loop is the
-reference for ``simulate``. ``toeplitz_params`` gives a draw's parameters
-with the full Gamma^e its tau stands for.
+reference for ``simulate``, and the per-(series, period) residual moments
+are the reference for ECM's AR(1) updates. ``toeplitz_params`` gives a
+draw's parameters with the full Gamma^e its tau stands for.
 """
 
 import dataclasses
+
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from dfm_em.kalman import (
     _psd_clip,
     _symmetrize,
 )
+from dfm_em.simulate import BURN_IN
 
 
 def dense_joint_moments(panel, params, init):
@@ -77,17 +81,16 @@ def dense_joint_moments(panel, params, init):
 
 
 def oracle_state_blocks(post_mean, post_cov, r, T):
-    """Unpack the stacked posterior into per-t means, MSEs, lag-1 covs."""
+    """Unpack the stacked posterior into per-t means, MSEs, lag-1 covs;
+    C[0] pairs the first period with the time-zero state (block 0)."""
     F = np.empty((r, T))
     P = np.empty((T, r, r))
-    C = np.zeros((T, r, r))
+    C = np.empty((T, r, r))
     for t in range(T):
         blk = slice((t + 1) * r, (t + 2) * r)
         F[:, t] = post_mean[blk]
         P[t] = post_cov[blk, blk]
-        if t >= 1:
-            prev = slice(t * r, (t + 1) * r)
-            C[t] = post_cov[blk, prev]
+        C[t] = post_cov[blk, t * r:(t + 1) * r]
     return F, P, C
 
 
@@ -145,7 +148,7 @@ def kalman_smoother_classical(filt, params):
 
     F_s = np.empty((r, T))
     P_s = np.empty((T, r, r))
-    C = np.zeros((T, r, r))
+    C = np.empty((T, r, r))
     F_s[:, T - 1] = filt.F_filt[:, T - 1]
     P_s[T - 1] = filt.P_filt[T - 1]
     for t in range(T - 2, -1, -1):
@@ -157,7 +160,7 @@ def kalman_smoother_classical(filt, params):
     J0 = filt.init.P0 @ A.T @ np.linalg.inv(filt.P_pred[0])
     F0_s = filt.init.F0 + J0 @ (F_s[:, 0] - filt.F_pred[:, 0])
     P0_s = _symmetrize(filt.init.P0 + J0 @ (P_s[0] - filt.P_pred[0]) @ J0.T)
-    C[0] = 0.0
+    C[0] = P_s[0] @ J0.T
 
     return SmootherOutput(F_smooth=F_s, P_smooth=P_s, C_lag1=C,
                           F0_smooth=F0_s, P0_smooth=P0_s)
@@ -241,17 +244,17 @@ def toeplitz_params(draw):
         draw.params, gamma_e=toeplitz(draw.tau ** np.arange(draw.params.n)))
 
 
-def simulate_loop(params, T, innovation, rng, burn_in=100):
+def simulate_loop(params, T, innovation, rng):
     """(F, X) of ``simulate.simulate_given`` computed the plain way.
 
     Shocks are drawn in the same order (common, then idiosyncratic), the
     idiosyncratic ones are multiplied by the square root of a diagonal
     Gamma^e or by the Cholesky factor of a full one, and both the factor
     VAR(1) and the idiosyncratic AR(1) run one period at a time from zero,
-    burn-in included.
+    the BURN_IN pre-sample periods included.
     """
     n, r, q = params.n, params.r, params.q
-    total = T + burn_in
+    total = T + BURN_IN
     if innovation == "gaussian":
         u = rng.standard_normal((q, total))
         z = rng.standard_normal((n, total))
@@ -276,8 +279,34 @@ def simulate_loop(params, T, innovation, rng, burn_in=100):
         prev_xi = params.rho * prev_xi + e[:, t]
         xi[:, t] = prev_xi
 
-    F = F[:, burn_in:]
-    return F, params.Lambda @ F + xi[:, burn_in:]
+    F = F[:, BURN_IN:]
+    return F, params.Lambda @ F + xi[:, BURN_IN:]
+
+
+def ar_updates_reference(X, Lam, smooth):
+    """``extensions._ar_updates`` from the n x T arrays of expected
+    squared and lagged residual moments, one entry per (series, period)."""
+    Fs, Ps, Cs = smooth.F_smooth, smooth.P_smooth, smooth.C_lag1
+    n, r = Lam.shape
+    T = Fs.shape[1]
+    resid = X - Lam @ Fs
+    # lambda_i' M_t lambda_i for all (i, t) as one product: the rows
+    # vec(lambda_i lambda_i') against the stacked vec(M_t).
+    LL = (Lam[:, :, None] * Lam[:, None, :]).reshape(n, r * r)
+    quad_P = LL @ Ps.reshape(T, r * r).T
+    quad_C = LL @ Cs.reshape(T, r * r).T
+    sq = resid**2 + quad_P                     # E[xi_t^2 | X], per (i, t)
+    lag = resid[:, 1:] * resid[:, :-1] + quad_C[:, 1:]
+    num = lag.sum(axis=1)
+    den = sq[:, :-1].sum(axis=1)
+    rho = num / den
+    bad = np.abs(rho) >= 1.0
+    if np.any(bad):
+        warnings.warn("idiosyncratic AR estimates clamped", RuntimeWarning)
+        rho[bad] = np.sign(rho[bad]) * 0.99
+    head = sq[:, 1:].sum(axis=1)
+    gamma = (head - 2.0 * rho * num + rho**2 * den) / (T - 1)
+    return rho, np.maximum(gamma, 1e-12)
 
 
 @pytest.fixture

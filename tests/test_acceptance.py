@@ -172,7 +172,7 @@ def test_criterion_7_oracle_equivalences():
         worst_a = max(worst_a,
                       float(np.max(np.abs(sm.F_smooth - F_o))),
                       float(np.max(np.abs(sm.P_smooth - P_o))),
-                      float(np.max(np.abs(sm.C_lag1[1:] - C_o[1:]))))
+                      float(np.max(np.abs(sm.C_lag1 - C_o))))
     checks.append((worst_a < 1e-8, f"(a) dense-oracle diff {worst_a:.2e} (<1e-8)"))
 
     # (b) inversion-free smoother vs classical fixed-interval smoother, q=r.
@@ -184,7 +184,7 @@ def test_criterion_7_oracle_equivalences():
     s2 = kalman_smoother_classical(filt, fp)
     worst_b = max(float(np.max(np.abs(s1.F_smooth - s2.F_smooth))),
                   float(np.max(np.abs(s1.P_smooth - s2.P_smooth))),
-                  float(np.max(np.abs(s1.C_lag1[1:] - s2.C_lag1[1:]))))
+                  float(np.max(np.abs(s1.C_lag1 - s2.C_lag1))))
     checks.append((worst_b < 1e-8, f"(b) classical-smoother diff {worst_b:.2e} (<1e-8)"))
 
     # (c) Woodbury inverse vs dense inverse.
@@ -200,13 +200,12 @@ def test_criterion_7_oracle_equivalences():
 
     # (d) M-step with zero smoother-MSE stats = known-factor regressions.
     draw = draw_dgp(DgpConfig(dims=ModelDims(n=15, T=50, r=3, q=3), seed=13))
-    X, F = draw.panel.X, draw.factors.F
+    X, F = draw.panel.X, draw.factors
     r, T = F.shape
     sm0 = type(s1)(F_smooth=F, P_smooth=np.zeros((T, r, r)),
                    C_lag1=np.zeros((T, r, r)), F0_smooth=np.zeros(r),
                    P0_smooth=np.zeros((r, r)))
-    out = m_step(build_stats(draw.panel, sm0), draw.panel, q=r,
-                 vartheta_mstep=0.0)
+    out = m_step(build_stats(draw.panel, sm0), draw.panel, q=r)
     Lam_ols = np.linalg.solve(F @ F.T, F @ X.T).T
     gam_ols = np.mean((X - Lam_ols @ F) ** 2, axis=1)
     F1, F2 = F[:, :-1], F[:, 1:]
@@ -226,7 +225,8 @@ def test_criterion_7_oracle_equivalences():
     checks.append((res_e < 1e-8, f"(e) ridge stationarity residual {res_e:.2e} (<1e-8)"))
 
     # (f) GLS loadings at rho = 0 equal the ordinary loadings update.
-    stats, smooth, _ = e_step(draw.panel, draw.params)
+    stats, smooth, _ = e_step(draw.panel, draw.params,
+                             stationary_init(draw.params))
     lam_gls = gls_loadings(stats, smooth, draw.panel, np.zeros(draw.panel.n))
     lam_ols = np.linalg.solve(stats.S_FF, stats.S_xF.T).T
     diff_f = float(np.max(np.abs(lam_gls - lam_ols)))

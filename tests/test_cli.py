@@ -11,9 +11,11 @@ from dfm_em.cli import (
     EXIT_VALIDATION,
     main,
 )
+from dfm_em import EmConfig, ModelDims, em_fit
 from dfm_em.em import AscentViolationError, EmError
 from dfm_em.io import (
     read_matrix_csv,
+    read_panel_csv,
     read_params_json,
     write_matrix_csv,
 )
@@ -155,9 +157,21 @@ class TestFit:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         params = read_params_json(out / "params.json")
-        F_hat = read_matrix_csv(out / "factors.csv", has_header=True).T
+        F_hat = read_matrix_csv(out / "factors.csv").T
         chi_hat = params.Lambda @ F_hat
         assert np.sqrt(np.mean((chi_hat - X) ** 2)) < 1e-6
+
+    def test_factors_csv_reads_back_as_the_fitted_factors(self, tmp_path):
+        draw = _simulate(tmp_path, "d")
+        out = tmp_path / "fit"
+        assert main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", "--max-iter", "3", "--out", str(out)]) \
+            in (EXIT_OK, EXIT_NONCONVERGENCE)
+        panel = read_panel_csv(draw / "panel.csv")
+        res = em_fit(panel, ModelDims(n=panel.n, T=panel.T, r=2, q=2),
+                     EmConfig(max_iter=3))
+        F = read_matrix_csv(out / "factors.csv")
+        assert np.array_equal(F, res.factors.F_smooth.T)
 
     def test_max_iter_one(self, tmp_path):
         path, _ = self._write_noiseless(tmp_path)
@@ -301,7 +315,7 @@ class TestPc:
                      "--r", "2", "--q", "2", "--out", str(out)])
         assert code == EXIT_OK
         assert "eigenvalues" in capsys.readouterr().out
-        F = read_matrix_csv(out / "factors.csv", has_header=True)
+        F = read_matrix_csv(out / "factors.csv")
         assert F.shape == (40, 2)
 
     def test_refuses_overwrite(self, tmp_path):
@@ -502,7 +516,7 @@ class TestEval:
         fit = tmp_path / "pc"
         assert main(["pc", "--panel", str(draw / "panel.csv"), "--r", "2",
                      "--q", "2", "--out", str(fit)]) == EXIT_OK
-        F = read_matrix_csv(fit / "factors.csv", has_header=True)
+        F = read_matrix_csv(fit / "factors.csv")
         F[:, 1] = F[:, 0]
         write_matrix_csv(F, fit / "factors.csv", header=["F1", "F2"])
         capsys.readouterr()

@@ -18,7 +18,7 @@ from dfm_em import (
     ridge_fit,
 )
 from dfm_em import em as em_module
-from dfm_em.em import AscentViolationError, EmDivergenceError, \
+from dfm_em.em import AscentViolationError, EmDivergenceError, EmError, \
     SufficientStats, build_stats
 from dfm_em.kalman import stationary_init
 from dfm_em.model import ShapeError
@@ -67,7 +67,7 @@ class TestEStep:
         from dfm_em.model import DfmParams
 
         p = DfmParams(Lambda=Lam, A=A, H=np.eye(r), gamma_e=np.full(n, 1e-6))
-        stats, _, _ = e_step(Panel(X=X), p)
+        stats, _, _ = e_step(Panel(X=X), p, stationary_init(p))
         Lam_hat = np.linalg.solve(stats.S_FF, stats.S_xF.T).T
         assert np.max(np.abs(Lam_hat - Lam)) < 1e-6
 
@@ -76,14 +76,16 @@ class TestEStep:
 
         p = DfmParams(Lambda=np.ones((3, 1)), A=np.array([[0.5]]),
                       H=np.eye(1), gamma_e=np.ones(3))
-        _, smooth, _ = e_step(Panel(X=np.ones((3, 1))), p)
+        _, smooth, _ = e_step(Panel(X=np.ones((3, 1))), p,
+                             stationary_init(p))
         stats = build_stats(Panel(X=np.ones((3, 1))), smooth)
         assert np.array_equal(stats.S_FF_lag, np.zeros((1, 1)))
         assert np.array_equal(stats.S_FF_head, np.zeros((1, 1)))
 
     def test_S_FF_positive_definite(self):
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=10, T=30, r=3, q=2), seed=2))
-        stats, _, _ = e_step(draw.panel, draw.params)
+        stats, _, _ = e_step(draw.panel, draw.params,
+                             stationary_init(draw.params))
         assert np.min(np.linalg.eigvalsh(stats.S_FF)) > 0
 
 
@@ -96,7 +98,7 @@ class TestMStep:
         F = rng.standard_normal((r, T))
         X = Lam @ F + 0.5 * rng.standard_normal((n, T))
         stats = _known_factor_stats(X, F)
-        out = m_step(stats, Panel(X=X), q, vartheta_mstep=0.0)
+        out = m_step(stats, Panel(X=X), q)
 
         Lam_star = np.linalg.solve(F @ F.T, F @ X.T).T
         assert np.max(np.abs(out.Lambda - Lam_star)) < 1e-10
@@ -124,16 +126,18 @@ class TestMStep:
             S_P=np.zeros((2, 2)),
             F_smooth=np.zeros((2, T)),
         )
-        out = m_step(stats, Panel(X=X), q=2, vartheta_mstep=0.0)
+        out = m_step(stats, Panel(X=X), q=2)
         assert np.allclose(out.H, 2.0 * np.eye(2), atol=1e-12)
 
     def test_top_eigenpair_q_less_r(self):
-        """H loads the top eigenpair, signed by its first nonzero entry: in
-        the second input that is row 1, since row 0 is zero."""
+        """H loads the top eigenpair, its eigenvalue shrunk by 0.1/T and
+        signed by its first nonzero entry: in the second input that is
+        row 1, since row 0 is zero."""
         T = 10
         X = np.zeros((5, T))
-        for head, want in ((np.diag([9.0, 1.0]), [[3.0], [0.0]]),
-                           (np.diag([1.0, 9.0]), [[0.0], [3.0]])):
+        h = np.sqrt(9.0 - 0.1 / T)
+        for head, want in ((np.diag([9.0, 1.0]), [[h], [0.0]]),
+                           (np.diag([1.0, 9.0]), [[0.0], [h]])):
             stats = SufficientStats(
                 S_xF=np.zeros((5, 2)),
                 S_FF=np.eye(2),
@@ -143,10 +147,11 @@ class TestMStep:
                 S_P=np.zeros((2, 2)),
                 F_smooth=np.zeros((2, T)),
             )
-            out = m_step(stats, Panel(X=X), q=1, vartheta_mstep=0.0)
+            out = m_step(stats, Panel(X=X), q=1)
             assert np.allclose(out.H, want, atol=1e-12)
 
     def test_eigenvalue_clamp_warns(self):
+        """Gom's top eigenvalue 1e-9 lies below the shrink 0.1/T = 0.01."""
         T = 10
         X = np.zeros((5, T))
         stats = SufficientStats(
@@ -159,13 +164,25 @@ class TestMStep:
             F_smooth=np.zeros((2, T)),
         )
         with pytest.warns(RuntimeWarning):
-            out = m_step(stats, Panel(X=X), q=1, vartheta_mstep=0.1)
+            out = m_step(stats, Panel(X=X), q=1)
         assert np.allclose(out.H, 0.0)
+
+    @pytest.mark.parametrize("singular", ["S_FF", "S_FF_tail"])
+    def test_singular_moment_raises_em_error(self, singular):
+        T = 10
+        fields = dict(S_xF=np.zeros((5, 2)), S_FF=np.eye(2),
+                      S_FF_lag=np.zeros((2, 2)), S_FF_head=np.eye(2),
+                      S_FF_tail=np.eye(2), S_P=np.zeros((2, 2)),
+                      F_smooth=np.zeros((2, T)))
+        fields[singular] = np.zeros((2, 2))
+        with pytest.raises(EmError, match=f"{singular} numerically singular"):
+            m_step(SufficientStats(**fields), Panel(X=np.zeros((5, T))), q=2)
 
     def test_gamma_exactly_diagonal(self):
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=10, T=30, r=2, q=2),
                                   tau=0.5, seed=3))
-        stats, _, _ = e_step(draw.panel, toeplitz_params(draw))
+        p = toeplitz_params(draw)
+        stats, _, _ = e_step(draw.panel, p, stationary_init(p))
         out = m_step(stats, draw.panel, 2)
         assert out.gamma_e_is_diagonal
         assert np.all(out.gamma_e > 0)
@@ -247,7 +264,7 @@ class TestEmFit:
         dims = ModelDims(n=100, T=100, r=4, q=4)
         draw = draw_dgp(DgpConfig(dims=dims, seed=7))
         p = draw.params
-        init = PcEstimate(Lambda0=p.Lambda, Ftilde=draw.factors.F, A0=p.A,
+        init = PcEstimate(Lambda0=p.Lambda, Ftilde=draw.factors, A0=p.A,
                           H0=p.H, GammaE0=np.array(p.gamma_e),
                           eigvals=np.arange(4, 0, -1.0))
         res = em_fit(draw.panel, dims, EmConfig(epsilon=1e-15, max_iter=3),

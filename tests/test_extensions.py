@@ -14,7 +14,9 @@ from dfm_em import (
 )
 from dfm_em.em import _GAMMA_FLOOR, _GAMMA_RTOL, e_step, m_step
 from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
-from conftest import ar1_covariance, ar1_precision, toeplitz_params
+from dfm_em.kalman import stationary_init
+from conftest import ar1_covariance, ar1_precision, ar_updates_reference, \
+    toeplitz_params
 
 
 def _random_psd(rng, n):
@@ -147,7 +149,8 @@ class TestFactoredRidgeMStep:
         dims = ModelDims(n=n, T=T, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
         X = draw.panel.X
-        stats, _, _ = e_step(draw.panel, toeplitz_params(draw))
+        p = toeplitz_params(draw)
+        stats, _, _ = e_step(draw.panel, p, stationary_init(p))
         Lam = m_step(stats, draw.panel, dims.q).Lambda
         S_resid = (X @ X.T - Lam @ stats.S_xF.T - stats.S_xF @ Lam.T
                    + Lam @ stats.S_FF @ Lam.T) / T
@@ -214,7 +217,8 @@ class TestGlsLoadings:
     def test_rho_zero_equals_ols(self):
         dims = ModelDims(n=12, T=50, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, seed=13))
-        stats, smooth, _ = e_step(draw.panel, draw.params)
+        stats, smooth, _ = e_step(draw.panel, draw.params,
+                                 stationary_init(draw.params))
         ols = np.linalg.solve(stats.S_FF, stats.S_xF.T).T
         gls = gls_loadings(stats, smooth, draw.panel, np.zeros(12))
         assert np.max(np.abs(gls - ols)) < 1e-8
@@ -224,7 +228,8 @@ class TestGlsLoadings:
         against a dense T x T construction of the same normal equations."""
         dims = ModelDims(n=6, T=25, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=14))
-        stats, smooth, _ = e_step(draw.panel, draw.params)
+        stats, smooth, _ = e_step(draw.panel, draw.params,
+                                 stationary_init(draw.params))
         rho = np.linspace(-0.6, 0.6, 6)
         Lam = gls_loadings(stats, smooth, draw.panel, rho)
 
@@ -253,6 +258,19 @@ class TestGlsLoadings:
 
 
 class TestArUpdates:
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_matches_the_per_period_moments(self, q):
+        """Time sums first agree with the n x T expected-moment arrays."""
+        dims = ModelDims(n=30, T=40, r=3, q=q)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.3, delta=0.2, seed=16))
+        _, smooth, _ = e_step(draw.panel, draw.params,
+                              stationary_init(draw.params))
+        Lam = 1.1 * draw.params.Lambda
+        rho, gamma = _ar_updates(draw.panel.X, Lam, smooth)
+        rho_ref, gamma_ref = ar_updates_reference(draw.panel.X, Lam, smooth)
+        assert np.allclose(rho, rho_ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(gamma, gamma_ref, rtol=1e-12, atol=0.0)
+
     def test_explosive_estimate_clamped_with_warning(self):
         from types import SimpleNamespace
 

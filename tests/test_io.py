@@ -64,27 +64,37 @@ class TestMatrixCsv:
     def test_round_trip(self, rng, tmp_path):
         M = rng.standard_normal((4, 6))
         path = tmp_path / "m.csv"
-        write_matrix_csv(M, path)
+        write_matrix_csv(M, path, header=list("abcdef"))
         assert np.array_equal(read_matrix_csv(path), M)
+        again = tmp_path / "again.csv"
+        write_matrix_csv(read_matrix_csv(path), again, header=list("abcdef"))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_header_skipped(self, rng, tmp_path):
+        """The first line is the header even when its fields read as numbers."""
         M = rng.standard_normal((2, 3))
         path = tmp_path / "m.csv"
-        write_matrix_csv(M, path, header=["a", "b", "c"])
-        assert np.array_equal(read_matrix_csv(path, has_header=True), M)
+        write_matrix_csv(M, path, header=["1", "2", "3"])
+        assert np.array_equal(read_matrix_csv(path), M)
 
-    @pytest.mark.parametrize("has_header", [False, True])
+    def test_header_must_match_the_columns(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match="1 header fields for 3 columns"):
+            write_matrix_csv(np.ones((2, 3)), path, header=["a"])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("blank", [False, True])
     @pytest.mark.parametrize("bad, message", [
         ("1.0,2.0,3.0\n4.0,5.0\n", "expected 3 columns, got 2"),
         ("1.0,2.0,3.0\n4.0,x,6.0\n", "could not convert string to float: 'x'"),
     ], ids=["ragged", "non_numeric"])
-    def test_bad_row_names_file_and_line(self, tmp_path, has_header, bad,
-                                         message):
+    def test_bad_row_names_file_and_line(self, tmp_path, blank, bad, message):
+        """Blank lines are skipped but counted in the line number."""
         path = tmp_path / "m.csv"
-        path.write_text(("a,b,c\n" if has_header else "") + "\n" + bad)
-        line = 4 if has_header else 3
+        path.write_text("a,b,c\n" + ("\n" if blank else "") + bad)
+        line = 4 if blank else 3
         with pytest.raises(ValueError) as err:
-            read_matrix_csv(path, has_header=has_header)
+            read_matrix_csv(path)
         assert str(err.value) == f"{path}:{line}: {message}"
 
 
@@ -133,9 +143,9 @@ class TestDirectories:
         write_dgp_draw(draw, out)
         for name in ("panel.csv", "factors.csv", "chi.csv", "params.json"):
             assert (out / name).exists()
-        F = read_matrix_csv(out / "factors.csv", has_header=True)
-        assert np.array_equal(F, draw.factors.F.T)
-        chi = read_matrix_csv(out / "chi.csv", has_header=True)
+        F = read_matrix_csv(out / "factors.csv")
+        assert np.array_equal(F, draw.factors.T)
+        chi = read_matrix_csv(out / "chi.csv")
         assert np.array_equal(chi, draw.chi.T)
 
     def test_writers_write_exactly_their_listed_files(self, tmp_path):
@@ -166,7 +176,7 @@ class TestDirectories:
         for name in ("params.json", "factors.csv", "loglik_trace.csv",
                      "summary.json"):
             assert (out / name).exists()
-        trace = read_matrix_csv(out / "loglik_trace.csv", has_header=True)
+        trace = read_matrix_csv(out / "loglik_trace.csv")
         assert np.array_equal(trace[:, 0], res.loglik_trace)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iters"] == res.iters

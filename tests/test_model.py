@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,26 @@ class TestValidate:
         with pytest.raises(ShapeError):
             validate(_params(n=6), dims)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("A", np.eye(3)),
+        ("H", np.eye(2)[:, :1]),
+        ("gamma_e", np.ones(5)),
+        ("gamma_e", np.eye(5)),
+        ("rho", np.zeros(5)),
+    ], ids=["A", "H", "gamma_e_diagonal", "gamma_e_full", "rho"])
+    def test_each_shape_mismatch_names_its_field(self, field, bad):
+        dims = ModelDims(n=6, T=10, r=2, q=2)
+        p = dataclasses.replace(_params(), **{field: bad})
+        with pytest.raises(ShapeError, match=f"^{field} shape"):
+            validate(p, dims)
+
+    def test_non_symmetric_full_gamma(self):
+        dims = ModelDims(n=6, T=10, r=2, q=2)
+        g = np.eye(6)
+        g[0, 1] = 0.1
+        msgs = validate(_params(gamma=g), dims)
+        assert msgs == ["gamma_e not symmetric"]
+
     def test_pure(self):
         dims = ModelDims(n=6, T=10, r=2, q=2)
         p = _params(A=np.eye(2))
@@ -83,6 +105,10 @@ class TestPanel:
         X[1, 2] = np.nan
         with pytest.raises(ValueError):
             Panel(X=X)
+
+    def test_names_must_match_the_series(self):
+        with pytest.raises(ShapeError, match="names length"):
+            Panel(X=np.zeros((3, 4)), names=("a", "b"))
 
     def test_default_names(self):
         p = Panel(X=np.zeros((3, 4)))

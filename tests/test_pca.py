@@ -101,7 +101,7 @@ class TestPcEstimate:
             draw = draw_dgp(DgpConfig(dims=ModelDims(n=100, T=100, r=4, q=4),
                                       seed=seed))
             est = pc_estimate(draw.panel, 4, 4)
-            vals.append(trace_statistic(draw.factors.F, est.Ftilde))
+            vals.append(trace_statistic(draw.factors, est.Ftilde))
         assert np.mean(vals) > 0.85
 
     def test_white_noise_panel_no_recovery(self, rng):
@@ -121,6 +121,14 @@ class TestPcEstimate:
         with pytest.raises(IdentificationError):
             pc_estimate(Panel(X=X), 2, 1)
 
+    def test_fewer_than_r_positive_eigenvalues_raises(self, rng):
+        """r = n skips the tie check; a constant series leaves a zero
+        eigenvalue among the r."""
+        X = rng.standard_normal((3, 10))
+        X[2] = 1.0
+        with pytest.raises(IdentificationError, match="fewer than r positive"):
+            pc_estimate(Panel(X=X), 3, 1)
+
     def test_T_too_short(self):
         with pytest.raises(ValueError):
             pc_estimate(Panel(X=np.zeros((10, 4))), 3, 2)
@@ -139,6 +147,10 @@ class TestPcEstimate:
 
 
 class TestVarFromFactors:
+    def test_one_time_point_raises(self):
+        with pytest.raises(ValueError, match="at least two time points"):
+            var_from_factors(np.ones((2, 1)), 1)
+
     def test_degenerate_input_raises(self):
         F = np.zeros((2, 10))
         F[:, 0] = [1.0, 2.0]  # rank-deficient lag matrix
@@ -156,7 +168,7 @@ class TestVarFromFactors:
         p = DfmParams(Lambda=np.ones((5, 2)), A=A_true, H=H_true,
                       gamma_e=np.ones(5))
         F, _ = simulate_given(p, 50000, seed=8)
-        A, H, _ = var_from_factors(F.F, 2)
+        A, H, _ = var_from_factors(F, 2)
         assert np.linalg.norm(A - A_true) < 0.02
         assert np.linalg.norm(H @ H.T - H_true @ H_true.T) < 0.05
 

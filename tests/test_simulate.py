@@ -18,6 +18,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="delta"):
             _config(delta=0.4)
 
+    def test_negative_delta_refused(self):
+        with pytest.raises(ValueError, match="delta must be nonnegative"):
+            _config(delta=-0.1)
+
     def test_tau_range(self):
         with pytest.raises(ValueError):
             _config(tau=1.0)
@@ -41,8 +45,15 @@ class TestDrawDgp:
     def test_shapes_and_zero_rho(self):
         draw = draw_dgp(_config(seed=1))
         assert draw.panel.X.shape == (50, 75)
-        assert draw.factors.F.shape == (4, 75)
+        assert draw.factors.shape == (4, 75)
         assert np.all(draw.params.rho == 0.0)
+
+    def test_factors_and_chi_are_read_only(self):
+        draw = draw_dgp(_config(n=10, T=20, r=2, q=1, seed=2))
+        F, _ = simulate_given(draw.params, 20, seed=2)
+        for a in (draw.factors, draw.chi, F):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
 
     def test_spectral_radius_equals_mu(self):
         for seed in (1, 2, 3):
@@ -74,7 +85,7 @@ class TestDrawDgp:
         draw = draw_dgp(_config(seed=6))
         xi = draw.panel.X - draw.chi
         assert np.allclose(draw.panel.X, draw.chi + xi)
-        assert np.allclose(draw.chi, draw.params.Lambda @ draw.factors.F)
+        assert np.allclose(draw.chi, draw.params.Lambda @ draw.factors)
 
     def test_rho_support(self):
         draw = draw_dgp(_config(seed=7, delta=0.2))
@@ -111,7 +122,7 @@ class TestSimulateGiven:
         p = DfmParams(Lambda=np.ones((5, 2)), A=0.5 * np.eye(2),
                       H=np.zeros((2, 2)), gamma_e=np.ones(5))
         F, panel = simulate_given(p, 20, seed=3)
-        assert np.array_equal(F.F, np.zeros((2, 20)))
+        assert np.array_equal(F, np.zeros((2, 20)))
         # panel is then pure idiosyncratic noise
         assert np.std(panel.X) > 0.0
 
@@ -150,7 +161,7 @@ class TestSimulateGiven:
         p = DfmParams(Lambda=np.ones((5, 2)), A=A, H=np.eye(2),
                       gamma_e=np.ones(5))
         F, _ = simulate_given(p, 20000, seed=21)
-        sample = F.F @ F.F.T / F.T
+        sample = F @ F.T / F.shape[1]
         target = solve_discrete_lyapunov(A, np.eye(2))
         rel = np.linalg.norm(sample - target) / np.linalg.norm(target)
         assert rel < 0.05
@@ -187,7 +198,7 @@ class TestToeplitzShocks:
         draw = draw_dgp(cfg)
         F, X = simulate_loop(toeplitz_params(draw), cfg.dims.T, innovation,
                              stream(cfg.seed, 0))
-        assert np.array_equal(draw.factors.F, F)
+        assert np.array_equal(draw.factors, F)
         assert _rel_maxnorm(draw.panel.X, X) <= 1e-13
 
 
@@ -203,7 +214,7 @@ class TestAgainstTheLoop:
         assert np.any(draw.params.rho) == (delta > 0.0)
         F, X = simulate_loop(draw.params, cfg.dims.T, innovation,
                              stream(cfg.seed, 0))
-        assert np.array_equal(draw.factors.F, F)
+        assert np.array_equal(draw.factors, F)
         assert np.array_equal(draw.panel.X, X)
 
     @pytest.mark.parametrize("rho", [0.0, 0.4])
@@ -215,9 +226,9 @@ class TestAgainstTheLoop:
         gamma_e = B @ B.T + n * np.eye(n) if full else rng.uniform(0.5, 1.5, n)
         p = DfmParams(Lambda=rng.standard_normal((n, 2)), A=0.5 * np.eye(2),
                       H=np.eye(2), gamma_e=gamma_e, rho=np.full(n, rho))
-        F, panel = simulate_given(p, 30, seed=5, burn_in=10)
-        F0, X0 = simulate_loop(p, 30, "gaussian", stream(5), burn_in=10)
-        assert np.array_equal(F.F, F0)
+        F, panel = simulate_given(p, 30, seed=5)
+        F0, X0 = simulate_loop(p, 30, "gaussian", stream(5))
+        assert np.array_equal(F, F0)
         assert np.array_equal(panel.X, X0)
 
 
