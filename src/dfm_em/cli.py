@@ -131,7 +131,13 @@ def _cmd_fit(args) -> int:
     panel = dfm_io.read_panel_csv(args.panel)
     if args.standardize:
         X = panel.X - panel.X.mean(axis=1, keepdims=True)
-        X /= X.std(axis=1, keepdims=True)
+        sd = X.std(axis=1)
+        flat = ~(sd > 0.0)
+        if np.any(flat):
+            names = ", ".join(name for name, f in zip(panel.names, flat) if f)
+            raise ValueError("--standardize cannot scale a series with zero "
+                             f"variance: {names}")
+        X /= sd[:, None]
         panel = Panel(X=X, names=panel.names)
     dims = ModelDims(n=panel.n, T=panel.T, r=args.r, q=args.q)
     if args.idio_cov == "ridge":

@@ -15,9 +15,13 @@ Two variants are provided:
   f = (1 + nu / (sqrt(nu^2 + 4 mu) + 2 sqrt(mu))) / 2: the map on the
   range of Z, sqrt(mu) on its null space. That costs
   O(n (T + r)^2 + n^2 (T + r)) per M-step instead of the O(n^3) of an
-  n x n eigendecomposition, which remains for n <= T + r. The start value
-  is the map applied elementwise to the principal-components variances,
-  so the first E-step runs the diagonal filter.
+  n x n eigendecomposition, which remains for n <= T + r. The M-step
+  hands this eigenbasis on to the next E-step: the parameters carry
+  c = sqrt(mu), B = Z W diag(f)^{1/2} and B'B = diag(f nu), and the filter
+  inverts Gamma = c I + B B' through them instead of an n x n Cholesky
+  factor. The start value is the map applied elementwise to the
+  principal-components variances, so the first E-step runs the diagonal
+  filter.
 
 * ``ecm_fit`` — AR(1) idiosyncratic components handled by conditional
   maximization: each M-step runs ordinary loadings, then updates the AR
@@ -86,24 +90,43 @@ def _ridge_map(nu, mu):
 
 def _ridge_gamma(X, Lam, stats, mu):
     """Ridge M-step ``ridge_covariance(Z Z', mu)`` from the expected
-    residual factor Z of the module docstring.
+    residual factor Z of the module docstring, and the factors
+    (c, B, delta) of Gamma = c I + B B' when it takes the factored
+    branch (None otherwise).
 
     Each column of Z W / sqrt(nu) is a unit eigenvector of Z Z' with
     eigenvalue nu, so f = (ridge(nu) - sqrt(mu)) / nu, here written
-    without cancellation and without dividing by nu.
+    without cancellation and without dividing by nu. The factored branch
+    hands its eigenbasis on: B = Z W diag(f)^{1/2}, c = sqrt(mu) and
+    B'B = diag(delta) with delta = f nu, since W diagonalises Z'Z.
     """
     n, T = X.shape
     Z = np.hstack([X - Lam @ stats.F_smooth,
                    Lam @ _symmetric_sqrt(stats.S_P)]) / np.sqrt(T)
     if mu == 0.0 or n <= Z.shape[1]:
-        return ridge_covariance(Z @ Z.T, mu)
+        return ridge_covariance(Z @ Z.T, mu), None
     nu, W = np.linalg.eigh(Z.T @ Z)
     root = np.sqrt(mu)
     f = 0.5 * (1.0 + nu / (np.sqrt(nu**2 + 4.0 * mu) + 2.0 * root))
     B = (Z @ W) * np.sqrt(f)
     G = B @ B.T
     G[np.diag_indices(n)] += root
-    return G
+    return G, (root, B, f * nu)
+
+
+def _with_gamma_factors(params, factors):
+    """``params`` with the factors (c, B, delta) of its ``gamma_e``
+    attached for :func:`kalman._whitener` (``factors`` may be None).
+
+    The only setter of ``DfmParams._gamma_factors``: it is called on the
+    ``DfmParams`` just built from the Gamma these factors make, and B and
+    delta become read-only like Gamma, so the two cannot disagree.
+    """
+    if factors is not None:
+        for a in factors[1:]:
+            a.flags.writeable = False
+        object.__setattr__(params, "_gamma_factors", factors)
+    return params
 
 
 def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
@@ -130,8 +153,10 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
         raise ValueError(f"ridge mu must be finite and nonnegative, got {mu!r}")
 
     def update(stats, smooth, base):
-        return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H,
-                         gamma_e=_ridge_gamma(panel.X, base.Lambda, stats, mu))
+        gamma, factors = _ridge_gamma(panel.X, base.Lambda, stats, mu)
+        return _with_gamma_factors(
+            DfmParams(Lambda=base.Lambda, A=base.A, H=base.H, gamma_e=gamma),
+            factors)
 
     return _fit(panel, dims, config, init, update,
                 gamma0=lambda g: _ridge_map(g, mu))

@@ -32,12 +32,12 @@ F_{t|t} = J_t A F_{t-1|t-1} + P V_k S_y^{-1} y_t and the smoother's L_t,
 and it stays accurate when the gain nearly cancels a large A.
 The log-likelihood adds to the collapsed one the closed form
 -1/2 sum_t [(n-k) log 2 pi + log|Gamma| + log|D_k| + e_t' Gamma^{-1} e_t]
-with e_t = x_t - Lambda V_k y_t. For a diagonal Gamma the residual is
-reduced to e_t' Gamma^{-1} e_t block by block of rows, in cache, never
-as the difference ||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t, which cancels
-to round-off when the noise is many orders below the signal. A full
-Gamma costs one n x n Cholesky factor per call and one triangular solve
-on the residual, formed whole in one n x T buffer.
+with e_t = x_t - Lambda V_k y_t, never as the difference
+||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t, which cancels to round-off when
+the noise is many orders below the signal. Gamma enters by one of three
+routes (_whitener): elementwise for a diagonal Gamma, by Woodbury
+through the factors c I + B B' that the ridge M-step attaches (no n x n
+work), and otherwise by one n x n Cholesky factor per call.
 
 The Riccati recursion for P_{t|t-1}, W_t and P_{t|t} does not depend on
 the data, so it runs first, by prefix doubling over the filtering
@@ -93,7 +93,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.blas import dtrsm
 
 from .model import DfmParams, Panel, _residual, _sq_residual_sums
 
@@ -232,17 +233,45 @@ def stationary_init(params: DfmParams) -> InitState:
     return InitState(F0=np.zeros(r), P0=P0)
 
 
-def _whitener(gamma_e, Lam):
-    """The whitened loadings Gamma^{-1/2} Lambda, the product
-    Gamma^{-1} Lambda, log|Gamma| and the map from (X, L, F) to the
-    per-period norms e_t' Gamma^{-1} e_t of the residual E = X - L F.
+def _whitener(params):
+    """Gamma^{-1} Lambda, M = Lambda' Gamma^{-1} Lambda, the map from
+    (X, L, F) to the per-period norms e_t' Gamma^{-1} e_t of the residual
+    E = X - L F, and log|Gamma|, by one of three routes:
 
-    A diagonal Gamma acts elementwise: the norms are 1/gamma times the
-    squared residuals, reduced block by block of rows, in cache
-    (model._sq_residual_sums). A full Gamma is whitened by its Cholesky
-    factor: triangular solves for the loadings, and one on the whole
-    residual (a solve couples the rows) before it is squared and summed.
+    * A diagonal Gamma acts elementwise: the norms are 1/gamma times the
+      squared residuals, reduced block by block of rows, in cache
+      (model._sq_residual_sums).
+    * A full Gamma = c I + B B' with B'B = diag(delta), whose factors the
+      ridge M-step attached (``params._gamma_factors``), is inverted by
+      Woodbury, Gamma^{-1} = (I - B diag(1/(c + delta)) B') / c, with
+      log|Gamma| = n log c + sum_j log1p(delta_j / c) and
+      e_t' Gamma^{-1} e_t = (||e_t||^2 - sum_j (b_j' e_t)^2 / (c + delta_j)) / c:
+      one product B'E on the n x T residual and no n x n work.
+    * Any other full Gamma is whitened by its Cholesky factor L:
+      triangular solves for the loadings, and one in place on the whole
+      residual (a solve couples the rows) before it is squared and summed.
     """
+    gamma_e, Lam = params.gamma_e, params.Lambda
+    factors = params._gamma_factors
+    if factors is not None:
+        c, B, delta = factors
+        if not all(np.all(np.isfinite(a)) for a in factors):
+            raise FilterNumericalError("idiosyncratic covariance factors not finite", 1)
+        s = c + delta
+        if not (c > 0.0 and np.all(s > 0.0)):
+            raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
+
+        def norms(X, L, F):
+            E = _residual(X, L, F)
+            BE = B.T @ E
+            BE *= BE
+            E *= E
+            return (E.sum(axis=0) - (1.0 / s) @ BE) / c
+
+        Lg = (Lam - B @ ((B.T @ Lam) / s[:, None])) / c
+        return (Lg, _symmetrize(Lam.T @ Lg), norms,
+                float(Lam.shape[0] * np.log(c) + np.sum(np.log1p(delta / c))))
+
     if not np.all(np.isfinite(gamma_e)):
         raise FilterNumericalError("idiosyncratic covariance not finite", 1)
     if gamma_e.ndim == 1:
@@ -253,29 +282,33 @@ def _whitener(gamma_e, Lam):
         def norms(X, L, F):
             return _sq_residual_sums(X, L, F, inv)
 
-        return (Lam / np.sqrt(gamma_e)[:, None], Lam * inv[:, None], norms,
+        Lw = Lam / np.sqrt(gamma_e)[:, None]
+        return (Lam * inv[:, None], _symmetrize(Lw.T @ Lw), norms,
                 float(np.sum(np.log(gamma_e))))
     try:
-        chol = np.linalg.cholesky(gamma_e)
+        chol = cholesky(gamma_e, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FilterNumericalError(
             f"idiosyncratic covariance not positive definite: {exc}", 1) from exc
 
     def norms(X, L, F):
-        E = solve_triangular(chol, _residual(X, L, F), lower=True,
-                             overwrite_b=True)
-        E *= E
-        return E.sum(axis=0)
+        # (L^{-1} E)' = E' L^{-T}, a right-side solve in place on the
+        # Fortran-ordered view E' of the residual.
+        Et = dtrsm(1.0, chol, _residual(X, L, F).T, side=1, lower=1,
+                   trans_a=1, overwrite_b=1)
+        Et *= Et
+        return Et.sum(axis=1)
 
-    Lw = solve_triangular(chol, Lam, lower=True)
-    return (Lw, solve_triangular(chol, Lw, lower=True, trans="T"), norms,
+    Lw = solve_triangular(chol, Lam, lower=True, check_finite=False)
+    return (solve_triangular(chol, Lw, lower=True, trans="T", check_finite=False),
+            _symmetrize(Lw.T @ Lw), norms,
             float(2.0 * np.sum(np.log(np.diag(chol)))))
 
 
-def _observed_directions(Lw):
-    """The eigenpairs (D_k, V_k) of M = Lw' Lw that the rank rule keeps,
-    for the whitened loadings Lw."""
-    d, V = np.linalg.eigh(_symmetrize(Lw.T @ Lw))
+def _observed_directions(M):
+    """The eigenpairs (D_k, V_k) of M = Lambda' Gamma^{-1} Lambda that the
+    rank rule keeps."""
+    d, V = np.linalg.eigh(M)
     keep = d > _RANK_RTOL * d[-1] if d[-1] > 0.0 else np.zeros(d.size, dtype=bool)
     return d[keep], V[:, keep]
 
@@ -433,11 +466,11 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     r = params.r
     A = params.A
     Lam = params.Lambda
-    Lw, Lg, resid_norms, logdet_gamma = _whitener(params.gamma_e, Lam)
+    Lg, M, resid_norms, logdet_gamma = _whitener(params)
 
     # Rank-revealing collapse onto the k directions of the state that the
     # panel observes, and the residual norms e_t' Gamma^{-1} e_t.
-    d, Vk = _observed_directions(Lw)
+    d, Vk = _observed_directions(M)
     Y = (Vk.T @ (Lg.T @ X)) / d[:, None]
     e_norms = resid_norms(X, Lam, Vk @ Y)
 

@@ -13,7 +13,7 @@ All containers are immutable value objects; the functions here are pure.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -123,6 +123,11 @@ class DfmParams:
     rho : ndarray, shape (n,)
         AR(1) coefficients of the idiosyncratic components (all zero for
         serially uncorrelated idiosyncratics).
+
+    A ridge M-step that builds a 2-D ``gamma_e`` as c I + B B' with
+    B'B = diag(delta) also attaches (c, B, delta) as ``_gamma_factors``
+    (``extensions._with_gamma_factors``), so the filter whitens through
+    them; a ``DfmParams`` built from its fields carries none.
     """
 
     Lambda: np.ndarray
@@ -130,6 +135,8 @@ class DfmParams:
     H: np.ndarray
     gamma_e: np.ndarray
     rho: np.ndarray = None
+    _gamma_factors: tuple = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         Lam = _as_matrix(self.Lambda, "Lambda")

@@ -18,9 +18,10 @@ from dfm_em.io import (
     read_panel_csv,
     read_params_json,
     write_matrix_csv,
+    write_panel_csv,
 )
 from dfm_em.kalman import FilterNumericalError
-from dfm_em.model import ShapeError
+from dfm_em.model import Panel, ShapeError
 from dfm_em.montecarlo import CellAbortError
 from dfm_em.pca import IdentificationError
 
@@ -285,6 +286,21 @@ class TestFit:
                      "--q", "2", "--standardize", "--max-iter", "5",
                      "--out", str(tmp_path / "fs")])
         assert code in (EXIT_OK, EXIT_NONCONVERGENCE)
+
+    def test_standardize_refuses_a_constant_series(self, tmp_path, capsys,
+                                                  recwarn):
+        X = np.random.default_rng(3).standard_normal((6, 30))
+        X[1] = 0.1
+        path = tmp_path / "panel.csv"
+        write_panel_csv(Panel(X=X, names=tuple(f"s{i + 1}" for i in range(6))),
+                        path)
+        code = main(["fit", "--panel", str(path), "--r", "1", "--q", "1",
+                     "--standardize", "--out", str(tmp_path / "fs")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "zero variance: s2" in err and "non-finite" not in err
+        assert not recwarn.list
+        assert not (tmp_path / "fs").exists()
 
     @pytest.mark.parametrize("stale", ["params.json", "factors.csv",
                                        "loglik_trace.csv", "summary.json"])

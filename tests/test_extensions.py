@@ -1,22 +1,30 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dfm_em import (
+    DfmParams,
     DgpConfig,
     EmConfig,
+    FilterNumericalError,
+    InitState,
     ModelDims,
+    Panel,
     draw_dgp,
     ecm_fit,
     gls_loadings,
+    kalman_filter,
     pc_estimate,
     ridge_covariance,
     ridge_fit,
 )
 from dfm_em.em import _GAMMA_FLOOR, _GAMMA_RTOL, e_step, m_step
-from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
-from dfm_em.kalman import stationary_init
+from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map, \
+    _with_gamma_factors
+from dfm_em.kalman import _whitener, stationary_init
 from conftest import ar1_covariance, ar1_precision, ar_updates_reference, \
-    toeplitz_params
+    dense_joint_moments, toeplitz_params
 
 
 def _random_psd(rng, n):
@@ -155,8 +163,21 @@ class TestFactoredRidgeMStep:
         S_resid = (X @ X.T - Lam @ stats.S_xF.T - stats.S_xF @ Lam.T
                    + Lam @ stats.S_FF @ Lam.T) / T
         want = ridge_covariance(S_resid, mu)
-        got = _ridge_gamma(X, Lam, stats, mu)
+        got = _ridge_gamma(X, Lam, stats, mu)[0]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_factors_rebuild_gamma(self):
+        """On the factored branch Gamma = c I + B B' with c = sqrt(mu) and
+        B'B = diag(delta)."""
+        dims = ModelDims(n=40, T=20, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
+        p = toeplitz_params(draw)
+        stats, _, _ = e_step(draw.panel, p, stationary_init(p))
+        G, (c, B, delta) = _ridge_gamma(draw.panel.X, p.Lambda, stats, 3.0)
+        assert c == np.sqrt(3.0) and B.shape == (40, 22)
+        scale = np.max(np.abs(G))
+        assert np.max(np.abs(c * np.eye(40) + B @ B.T - G)) <= 1e-14 * scale
+        assert np.max(np.abs(B.T @ B - np.diag(delta))) <= 1e-12 * scale
 
     def test_diagonal_start_equals_full_map_of_diagonal(self, rng):
         g = rng.uniform(0.05, 3.0, size=12)
@@ -165,6 +186,97 @@ class TestFactoredRidgeMStep:
             assert np.allclose(_ridge_map(g, mu), np.diag(full),
                                rtol=1e-15, atol=0.0)
             assert np.array_equal(full, np.diag(np.diag(full)))
+
+
+def _factored_case(r, q, rank_deficient=False):
+    """A ridge Gamma from the factored M-step (n > T + r) after one E-step,
+    as plain ``DfmParams`` and as the same parameters carrying its
+    factors."""
+    dims = ModelDims(n=14, T=8, r=r, q=q)
+    draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=23))
+    p = toeplitz_params(draw)
+    stats, _, _ = e_step(draw.panel, p, stationary_init(p))
+    base = m_step(stats, draw.panel, q)
+    Lam = base.Lambda
+    if rank_deficient:
+        Lam = np.outer(Lam[:, 0], [1.0, -0.5])
+    gamma, factors = _ridge_gamma(draw.panel.X, Lam, stats, 3.0)
+    plain = DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_e=gamma)
+    return (draw.panel, plain,
+            _with_gamma_factors(dataclasses.replace(plain), factors))
+
+
+FACTORED_CASES = {"q_eq_r": (2, 2), "q_lt_r": (3, 1), "rank_deficient": (2, 2, True)}
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestFactoredWhitening:
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    def test_matches_the_cholesky_route(self, case):
+        """Gamma^{-1} Lambda, M, log|Gamma| and the residual norms from the
+        M-step's factors equal those of the Cholesky factor of Gamma."""
+        panel, plain, fact = _factored_case(*FACTORED_CASES[case])
+        assert plain._gamma_factors is None and fact._gamma_factors is not None
+        Lg, M, norms, logdet = _whitener(fact)
+        Lg_c, M_c, norms_c, logdet_c = _whitener(plain)
+        assert _rel(Lg, Lg_c) <= 1e-12
+        assert _rel(M, M_c) <= 1e-12
+        assert abs(logdet - logdet_c) <= 1e-12 * abs(logdet_c)
+        F = np.random.default_rng(5).standard_normal((plain.r, panel.T))
+        want = norms_c(panel.X, plain.Lambda, F)
+        assert _rel(norms(panel.X, plain.Lambda, F), want) <= 1e-12
+
+    @pytest.mark.parametrize("case", FACTORED_CASES)
+    def test_filter_matches_the_dense_oracle(self, case):
+        panel, plain, fact = _factored_case(*FACTORED_CASES[case])
+        init = InitState(F0=np.zeros(plain.r), P0=np.eye(plain.r))
+        ll = kalman_filter(panel, fact, init).loglik
+        assert abs(ll - dense_joint_moments(panel, plain, init)[2]) < 1e-8
+        assert abs(ll - kalman_filter(panel, plain, init).loglik) <= 1e-12 * abs(ll)
+
+    @pytest.mark.parametrize("bad, why", [
+        ("B", "not finite"), ("c", "not finite"),
+        ("delta", "not positive definite"), ("c_zero", "not positive definite"),
+    ])
+    def test_bad_factors_flag_t1(self, bad, why):
+        rng = np.random.default_rng(7)
+        c, B = 1.0, rng.standard_normal((6, 2))
+        delta = np.sum(B * B, axis=0)
+        gamma = c * np.eye(6) + B @ B.T
+        if bad == "B":
+            B[0, 0] = np.nan
+        elif bad == "c":
+            c = np.inf
+        elif bad == "c_zero":
+            c = 0.0
+        else:
+            delta[1] = -1.0
+        p = _with_gamma_factors(
+            DfmParams(Lambda=np.ones((6, 1)), A=np.array([[0.5]]),
+                      H=np.ones((1, 1)), gamma_e=gamma),
+            (c, B, delta))
+        with pytest.raises(FilterNumericalError, match=why) as err:
+            kalman_filter(Panel(X=np.zeros((6, 4))), p,
+                          InitState(F0=[0.0], P0=[[1.0]]))
+        assert err.value.t == 1
+
+    def test_params_rebuilt_from_fields_carry_no_factors(self):
+        dims = ModelDims(n=30, T=12, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=29))
+        res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3))
+        c, B, delta = res.params._gamma_factors
+        assert not (B.flags.writeable or delta.flags.writeable)
+        p = res.params
+        rebuilt = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_e=p.gamma_e,
+                            rho=p.rho)
+        init = InitState(F0=np.zeros(2), P0=np.eye(2))
+        ll = kalman_filter(draw.panel, p, init).loglik
+        for q in (rebuilt, dataclasses.replace(p)):
+            assert q._gamma_factors is None
+            assert abs(kalman_filter(draw.panel, q, init).loglik - ll) <= 1e-12 * abs(ll)
 
 
 class TestRidgeAscent:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 
 from dfm_em import (
     DfmParams,
@@ -22,8 +24,9 @@ from conftest import (
     toeplitz_params,
     woodbury_inverse,
 )
+from dfm_em import kalman as kalman_module
 from dfm_em.kalman import _observed_directions, _psd_clip, _riccati, _scan, \
-    _solve, _symmetrize
+    _solve, _symmetrize, _whitener
 from dfm_em.model import _BLOCK_ELEMS
 
 
@@ -292,6 +295,28 @@ class TestWhitening:
             assert _rel(getattr(vec, name), getattr(full, name)) <= 1e-12, name
         assert np.linalg.matrix_rank(vec.W[-1]) == k
 
+    def test_full_gamma_residual_is_solved_in_place(self, monkeypatch):
+        """The triangular solve on the residual writes into its buffer
+        (no Fortran-ordered copy) and agrees with solve_triangular."""
+        rng = np.random.default_rng(42)
+        B = rng.standard_normal((7, 7))
+        p = DfmParams(Lambda=rng.standard_normal((7, 2)), A=0.5 * np.eye(2),
+                      H=np.eye(2), gamma_e=B @ B.T / 7 + np.eye(7))
+        X, F = rng.standard_normal((7, 9)), rng.standard_normal((2, 9))
+        solved = []
+
+        def spy(alpha, a, b, **kw):
+            out = dtrsm(alpha, a, b, **kw)
+            solved.append(np.shares_memory(out, b))
+            return out
+
+        monkeypatch.setattr(kalman_module, "dtrsm", spy)
+        got = _whitener(p)[2](X, p.Lambda, F)
+        assert solved == [True]
+        E = solve_triangular(np.linalg.cholesky(p.gamma_e), X - p.Lambda @ F,
+                             lower=True)
+        assert _rel(np.sum(E * E, axis=0), got) <= 1e-13
+
     @pytest.mark.parametrize("n,T", [(30, 40), (3 * (_BLOCK_ELEMS // 160) + 1, 160)])
     def test_residual_term_keeps_its_digits_on_a_near_noiseless_panel(self, n, T):
         """Signal 1e12 times the noise variance. The log-likelihood of the
@@ -479,7 +504,8 @@ def _riccati_case(name):
     else:
         panel, p, init = _special_case(name)
         T, P0 = panel.T, init.P0
-    d, Vk = _observed_directions(p.Lambda / np.sqrt(p.gamma_e)[:, None])
+    Lw = p.Lambda / np.sqrt(p.gamma_e)[:, None]
+    d, Vk = _observed_directions(Lw.T @ Lw)
     return p.A, p.H @ p.H.T, P0, Vk, d, T
 
 
