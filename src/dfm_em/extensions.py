@@ -10,18 +10,15 @@ Two variants are provided:
   The expected residual covariance is S = Z Z' with the n x (T + r)
   factor Z = [X - Lambda F_{.|T}, Lambda S_P^{1/2}] / sqrt(T). When
   T + r < n the M-step eigendecomposes the (T + r) x (T + r) Gram Z'Z
-  = W nu W' instead of S, and returns
-  Gamma = sqrt(mu) I + (Z W) diag(f) (Z W)' with
+  = W nu W' instead of S, and returns Gamma = c I + B B' as its factors
+  c = sqrt(mu) and B = Z W diag(f)^{1/2}, with
   f = (1 + nu / (sqrt(nu^2 + 4 mu) + 2 sqrt(mu))) / 2: the map on the
-  range of Z, sqrt(mu) on its null space. That costs
-  O(n (T + r)^2 + n^2 (T + r)) per M-step instead of the O(n^3) of an
-  n x n eigendecomposition, which remains for n <= T + r. The M-step
-  hands this eigenbasis on to the next E-step: the parameters carry
-  c = sqrt(mu), B = Z W diag(f)^{1/2} and B'B = diag(f nu), and the filter
-  inverts Gamma = c I + B B' through them instead of an n x n Cholesky
-  factor. The start value is the map applied elementwise to the
-  principal-components variances, so the first E-step runs the diagonal
-  filter.
+  range of Z, sqrt(mu) on its null space, and B'B = diag(f nu). That
+  costs O(n (T + r)^2) per M-step and forms no n x n array, instead of
+  the O(n^3) of an n x n eigendecomposition, which remains for
+  n <= T + r; the filter inverts Gamma through the same factors. The
+  start value is the map applied elementwise to the principal-components
+  variances, so the first E-step runs the diagonal filter.
 
 * ``ecm_fit`` — AR(1) idiosyncratic components handled by conditional
   maximization: each M-step runs ordinary loadings, then updates the AR
@@ -37,8 +34,9 @@ Two variants are provided:
 Both estimators run the EM loop of :mod:`dfm_em.em` and supply only their
 initial idiosyncratic covariance and the map from the diagonal M-step to
 their own parameters. Their estimates are the result's ``DfmParams``:
-ridge's covariance is a 2-D ``gamma_e``; ECM's AR(1) laws are ``rho`` and
-a 1-D ``gamma_e`` of innovation variances.
+ridge's covariance is its ``gamma_factors`` (c, B) on the factored
+branch and a 2-D ``gamma_e`` otherwise (n <= T + r, or mu = 0); ECM's
+AR(1) laws are ``rho`` and a 1-D ``gamma_e`` of innovation variances.
 """
 
 from __future__ import annotations
@@ -90,15 +88,16 @@ def _ridge_map(nu, mu):
 
 def _ridge_gamma(X, Lam, stats, mu):
     """Ridge M-step ``ridge_covariance(Z Z', mu)`` from the expected
-    residual factor Z of the module docstring, and the factors
-    (c, B, delta) of Gamma = c I + B B' when it takes the factored
-    branch (None otherwise).
+    residual factor Z of the module docstring, as the pair
+    (gamma_e, gamma_factors) of :class:`DfmParams`: a dense Gamma and
+    None, or None and the factors (c, B) of Gamma = c I + B B' when it
+    takes the factored branch.
 
     Each column of Z W / sqrt(nu) is a unit eigenvector of Z Z' with
     eigenvalue nu, so f = (ridge(nu) - sqrt(mu)) / nu, here written
     without cancellation and without dividing by nu. The factored branch
-    hands its eigenbasis on: B = Z W diag(f)^{1/2}, c = sqrt(mu) and
-    B'B = diag(delta) with delta = f nu, since W diagonalises Z'Z.
+    hands its eigenbasis on: B = Z W diag(f)^{1/2} and c = sqrt(mu), and
+    B'B = diag(f nu) since W diagonalises Z'Z.
     """
     n, T = X.shape
     Z = np.hstack([X - Lam @ stats.F_smooth,
@@ -106,27 +105,8 @@ def _ridge_gamma(X, Lam, stats, mu):
     if mu == 0.0 or n <= Z.shape[1]:
         return ridge_covariance(Z @ Z.T, mu), None
     nu, W = np.linalg.eigh(Z.T @ Z)
-    root = np.sqrt(mu)
-    f = 0.5 * (1.0 + nu / (np.sqrt(nu**2 + 4.0 * mu) + 2.0 * root))
-    B = (Z @ W) * np.sqrt(f)
-    G = B @ B.T
-    G[np.diag_indices(n)] += root
-    return G, (root, B, f * nu)
-
-
-def _with_gamma_factors(params, factors):
-    """``params`` with the factors (c, B, delta) of its ``gamma_e``
-    attached for :func:`kalman._whitener` (``factors`` may be None).
-
-    The only setter of ``DfmParams._gamma_factors``: it is called on the
-    ``DfmParams`` just built from the Gamma these factors make, and B and
-    delta become read-only like Gamma, so the two cannot disagree.
-    """
-    if factors is not None:
-        for a in factors[1:]:
-            a.flags.writeable = False
-        object.__setattr__(params, "_gamma_factors", factors)
-    return params
+    f = 0.5 * (1.0 + nu / (np.sqrt(nu**2 + 4.0 * mu) + 2.0 * np.sqrt(mu)))
+    return None, (np.sqrt(mu), (Z @ W) * np.sqrt(f))
 
 
 def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
@@ -154,9 +134,8 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
 
     def update(stats, smooth, base):
         gamma, factors = _ridge_gamma(panel.X, base.Lambda, stats, mu)
-        return _with_gamma_factors(
-            DfmParams(Lambda=base.Lambda, A=base.A, H=base.H, gamma_e=gamma),
-            factors)
+        return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H, gamma_e=gamma,
+                         gamma_factors=factors)
 
     return _fit(panel, dims, config, init, update,
                 gamma0=lambda g: _ridge_map(g, mu))

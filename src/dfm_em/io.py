@@ -7,9 +7,13 @@ columns. All floats are written with shortest round-trip precision
 (``repr``), so read(write(x)) == x bitwise.
 
 Parameters are stored as a JSON document with named matrices in row-major
-nested-list form; a 1-D ``gamma_e`` marks the diagonal variant. A draw's
-document also records ``tau``: at tau > 0 its Gamma^e = toeplitz(tau^|i-j|)
-is not written out, and ``gamma_e`` holds the diagonal (ones).
+nested-list form; a 1-D ``gamma_e`` marks the diagonal variant and a 2-D
+one the full variant. A covariance given by its factors
+(``DfmParams.gamma_factors``, Gamma^e = c I + B B') is stored as the two
+keys ``gamma_c`` and ``gamma_B`` in place of ``gamma_e``: n m + 1 numbers
+rather than n^2. A draw's document also records ``tau``: at tau > 0 its
+Gamma^e = toeplitz(tau^|i-j|) is not written out, and ``gamma_e`` holds
+the diagonal (ones).
 """
 
 from __future__ import annotations
@@ -116,11 +120,16 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def _params_doc(params: DfmParams) -> dict:
+    if params.gamma_factors is None:
+        gamma = {"gamma_e": params.gamma_e.tolist()}
+    else:
+        c, B = params.gamma_factors
+        gamma = {"gamma_c": c, "gamma_B": B.tolist()}
     return {
         "Lambda": params.Lambda.tolist(),
         "A": params.A.tolist(),
         "H": params.H.tolist(),
-        "gamma_e": params.gamma_e.tolist(),
+        **gamma,
         "gamma_e_diagonal": params.gamma_e_is_diagonal,
         "rho": params.rho.tolist(),
     }
@@ -136,15 +145,21 @@ def write_params_json(params: DfmParams, path):
 
 
 def read_params_json(path) -> DfmParams:
+    """Read the parameters written by :func:`write_params_json` (or in a
+    draw's or a fit's ``params.json``). A missing key raises ValueError
+    naming the file and the key."""
     with open(path) as fh:
         doc = json.load(fh)
-    return DfmParams(
-        Lambda=np.array(doc["Lambda"], dtype=float),
-        A=np.array(doc["A"], dtype=float),
-        H=np.array(doc["H"], dtype=float),
-        gamma_e=np.array(doc["gamma_e"], dtype=float),
-        rho=np.array(doc["rho"], dtype=float),
-    )
+    factored = "gamma_c" in doc or "gamma_B" in doc
+    fields = {}
+    for key in ("Lambda", "A", "H", "rho") + (
+            ("gamma_c", "gamma_B") if factored else ("gamma_e",)):
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+        fields[key] = np.array(doc[key], dtype=float)
+    if factored:
+        fields["gamma_factors"] = (fields.pop("gamma_c"), fields.pop("gamma_B"))
+    return DfmParams(**fields)
 
 
 def write_dgp_draw(draw: DgpDraw, outdir, overwrite: bool = False):

@@ -36,8 +36,8 @@ with e_t = x_t - Lambda V_k y_t, never as the difference
 ||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t, which cancels to round-off when
 the noise is many orders below the signal. Gamma enters by one of three
 routes (_whitener): elementwise for a diagonal Gamma, by Woodbury
-through the factors c I + B B' that the ridge M-step attaches (no n x n
-work), and otherwise by one n x n Cholesky factor per call.
+through the factors c I + B B' of a ridge estimate (no n x n work), and
+otherwise by one n x n Cholesky factor per call.
 
 The Riccati recursion for P_{t|t-1}, W_t and P_{t|t} does not depend on
 the data, so it runs first, by prefix doubling over the filtering
@@ -241,9 +241,10 @@ def _whitener(params):
     * A diagonal Gamma acts elementwise: the norms are 1/gamma times the
       squared residuals, reduced block by block of rows, in cache
       (model._sq_residual_sums).
-    * A full Gamma = c I + B B' with B'B = diag(delta), whose factors the
-      ridge M-step attached (``params._gamma_factors``), is inverted by
-      Woodbury, Gamma^{-1} = (I - B diag(1/(c + delta)) B') / c, with
+    * A full Gamma = c I + B B' given by its factors
+      (``params.gamma_factors``), with B'B = diag(delta) and delta the
+      column sums of squares of B, is inverted by Woodbury,
+      Gamma^{-1} = (I - B diag(1/(c + delta)) B') / c, with
       log|Gamma| = n log c + sum_j log1p(delta_j / c) and
       e_t' Gamma^{-1} e_t = (||e_t||^2 - sum_j (b_j' e_t)^2 / (c + delta_j)) / c:
       one product B'E on the n x T residual and no n x n work.
@@ -252,14 +253,14 @@ def _whitener(params):
       residual (a solve couples the rows) before it is squared and summed.
     """
     gamma_e, Lam = params.gamma_e, params.Lambda
-    factors = params._gamma_factors
-    if factors is not None:
-        c, B, delta = factors
-        if not all(np.all(np.isfinite(a)) for a in factors):
+    if params.gamma_factors is not None:
+        c, B = params.gamma_factors
+        if not (np.isfinite(c) and np.all(np.isfinite(B))):
             raise FilterNumericalError("idiosyncratic covariance factors not finite", 1)
-        s = c + delta
-        if not (c > 0.0 and np.all(s > 0.0)):
+        if not c > 0.0:
             raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
+        delta = np.sum(B * B, axis=0)
+        s = c + delta
 
         def norms(X, L, F):
             E = _residual(X, L, F)

@@ -25,6 +25,7 @@ from scipy.special import ndtri
 
 from .em import EmResult
 from .extensions import _ar1_weighted
+from .kalman import _whitener
 
 __all__ = [
     "CoverageTable",
@@ -100,7 +101,9 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     V_it = Fhat_t' (T^{-1} sum_s Fhat_s gamma_ii^{-1} Fhat_s')^{-1} Fhat_t.
 
     Modes: "diag_ols" uses the fitted diagonal gamma; "ridge_w" uses the
-    full regularized covariance inverse inside W; "gls_v" weights the
+    full regularized covariance inverse inside W, taking Gamma^{-1} Lambda
+    from the filter's whitener (Woodbury through the factors of a ridge
+    estimate, a Cholesky factor otherwise); "gls_v" weights the
     V-denominator by the tridiagonal inverse covariance of the fitted AR(1)
     laws ``params.rho`` and ``params.gamma_e`` (the batched weighting of
     ``extensions.gls_loadings``), which at rho = 0 is "diag_ols".
@@ -113,12 +116,13 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     n = Lam.shape[0]
     T = F.shape[1]
 
-    gamma_diag = (params.gamma_e if params.gamma_e_is_diagonal
+    # 1-D for a diagonal Gamma and for one given by its factors
+    gamma_diag = (params.gamma_e if params.gamma_e.ndim == 1
                   else np.diag(params.gamma_e))
     if mode == "ridge_w":
         if params.gamma_e_is_diagonal:
             raise ValueError("ridge_w mode requires a full fitted covariance")
-        Ginv_Lam = np.linalg.solve(params.gamma_e, Lam)
+        Ginv_Lam = _whitener(params)[0]
     else:
         Ginv_Lam = Lam / gamma_diag[:, None]
     inner_W = Lam.T @ Ginv_Lam / n

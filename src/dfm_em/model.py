@@ -13,7 +13,7 @@ All containers are immutable value objects; the functions here are pure.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -119,30 +119,40 @@ class DfmParams:
         Loading of the q common shocks onto the r factor innovations.
     gamma_e : ndarray, shape (n,) or (n, n)
         Idiosyncratic innovation covariance. A 1-D array is the diagonal
-        variant; a 2-D array is the full variant.
+        variant; a 2-D array is the full variant. With ``gamma_factors``
+        it may be omitted: it is then their diagonal, and a given one must
+        equal it (ValueError otherwise).
     rho : ndarray, shape (n,)
         AR(1) coefficients of the idiosyncratic components (all zero for
         serially uncorrelated idiosyncratics).
-
-    A ridge M-step that builds a 2-D ``gamma_e`` as c I + B B' with
-    B'B = diag(delta) also attaches (c, B, delta) as ``_gamma_factors``
-    (``extensions._with_gamma_factors``), so the filter whitens through
-    them; a ``DfmParams`` built from its fields carries none.
+    gamma_factors : tuple (c, B), optional
+        A full idiosyncratic covariance in factored form,
+        Gamma^e = c I + B B' with a scalar c > 0, B of shape (n, m) and
+        B'B diagonal, as the ridge M-step estimates it; ``gamma_e`` is then
+        the 1-D diagonal c + sum_j B_ij^2, and no n x n array is formed.
     """
 
     Lambda: np.ndarray
     A: np.ndarray
     H: np.ndarray
-    gamma_e: np.ndarray
+    gamma_e: np.ndarray = None
     rho: np.ndarray = None
-    _gamma_factors: tuple = field(default=None, init=False, repr=False,
-                                  compare=False)
+    gamma_factors: tuple = None
 
     def __post_init__(self):
         Lam = _as_matrix(self.Lambda, "Lambda")
         A = _as_matrix(self.A, "A")
         H = _as_matrix(self.H, "H")
-        g = np.asarray(self.gamma_e, dtype=float)
+        factors = self.gamma_factors
+        if factors is not None:
+            c, B = float(factors[0]), _as_matrix(factors[1], "gamma_factors B")
+            B.flags.writeable = False
+            factors, g = (c, B), np.sum(B * B, axis=1) + c
+            given = self.gamma_e
+            if given is not None and not np.array_equal(given, g, equal_nan=True):
+                raise ValueError("gamma_e is not the diagonal of gamma_factors")
+        else:
+            g = np.asarray(self.gamma_e, dtype=float)
         if g.ndim not in (1, 2):
             raise ShapeError("gamma_e must be 1-D (diagonal) or 2-D (full)")
         rho = self.rho
@@ -154,6 +164,7 @@ class DfmParams:
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "gamma_e", g)
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "gamma_factors", factors)
 
     @property
     def n(self):
@@ -169,7 +180,7 @@ class DfmParams:
 
     @property
     def gamma_e_is_diagonal(self):
-        return self.gamma_e.ndim == 1
+        return self.gamma_factors is None and self.gamma_e.ndim == 1
 
 
 def validate(params: DfmParams, dims: ModelDims) -> list:
@@ -187,6 +198,9 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
         raise ShapeError(f"A shape {params.A.shape} != ({r}, {r})")
     if params.H.shape != (r, q):
         raise ShapeError(f"H shape {params.H.shape} != ({r}, {q})")
+    factors = params.gamma_factors
+    if factors is not None and factors[1].shape[0] != n:
+        raise ShapeError(f"gamma_factors B shape {factors[1].shape} needs n={n} rows")
     g = params.gamma_e
     if (g.ndim == 1 and g.shape != (n,)) or (g.ndim == 2 and g.shape != (n, n)):
         raise ShapeError(f"gamma_e shape {g.shape} incompatible with n={n}")
@@ -201,6 +215,17 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
         violations.append("idiosyncratic AR coefficient |rho_i| >= 1")
     if g.ndim == 2 and not np.allclose(g, g.T, atol=1e-10):
         violations.append("gamma_e not symmetric")
+    if factors is not None:
+        c, B = factors
+        if not c > 0.0:
+            violations.append("gamma_factors c not positive")
+        # The ridge M-step's B'B is diagonal up to about 1e-15 of its
+        # largest entry, which lies on the diagonal; 1e-10 of it flags only
+        # a B whose columns are not orthogonal.
+        BtB = B.T @ B
+        off = BtB - np.diag(np.diag(BtB))
+        if np.max(np.abs(off), initial=0.0) > 1e-10 * np.max(BtB, initial=0.0):
+            violations.append("gamma_factors B'B not diagonal")
     variances = g if g.ndim == 1 else np.diag(g)
     if np.any(variances <= 0.0):
         violations.append("gamma_e has a non-positive diagonal entry")

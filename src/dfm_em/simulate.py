@@ -196,7 +196,8 @@ def simulate_given(params: DfmParams, T: int, innovation=Innovation.GAUSSIAN,
 
     Processes start at zero and BURN_IN pre-sample periods are discarded
     so the kept sample is effectively stationary. A full Gamma^e enters
-    through its Cholesky factor.
+    through its Cholesky factor; one given by its factors (c, B) is
+    formed as c I + B B' first.
     """
     return _simulate(params, T, innovation, stream(seed), 0.0)
 
@@ -204,7 +205,8 @@ def simulate_given(params: DfmParams, T: int, innovation=Innovation.GAUSSIAN,
 def _simulate(params, T, innovation, rng, tau):
     """:func:`simulate_given` drawing from ``rng``. At ``tau`` > 0 the
     idiosyncratic shocks have Gamma^e = toeplitz(tau^|i-j|) and come from
-    :func:`_toeplitz_root`; otherwise from ``params.gamma_e``."""
+    :func:`_toeplitz_root`; otherwise from ``params.gamma_e`` or
+    ``params.gamma_factors``."""
     innovation = Innovation(innovation)
     n, r, q = params.n, params.r, params.q
     total = T + BURN_IN
@@ -220,7 +222,12 @@ def _simulate(params, T, innovation, rng, tau):
     elif params.gamma_e_is_diagonal:
         e = np.sqrt(params.gamma_e)[:, None] * z
     else:
-        e = np.linalg.cholesky(params.gamma_e) @ z
+        gamma = params.gamma_e
+        if params.gamma_factors is not None:
+            c, B = params.gamma_factors
+            gamma = B @ B.T
+            gamma[np.diag_indices(n)] += c
+        e = np.linalg.cholesky(gamma) @ z
 
     F = np.zeros((r, total))
     Hu = params.H @ u

@@ -10,7 +10,9 @@ step-by-step Riccati loop is the reference for the filter's
 prefix-doubling pass, and the per-period simulation loop is the
 reference for ``simulate``, and the per-(series, period) residual moments
 are the reference for ECM's AR(1) updates. ``toeplitz_params`` gives a
-draw's parameters with the full Gamma^e its tau stands for.
+draw's parameters with the full Gamma^e its tau stands for, and
+``dense_gamma`` the n x n Gamma^e of any parameters, factored ones
+included.
 """
 
 import dataclasses
@@ -33,6 +35,16 @@ from dfm_em.kalman import (
 from dfm_em.simulate import BURN_IN
 
 
+def dense_gamma(params):
+    """The n x n Gamma^e of ``params``: c I + B B' from its factors, its
+    2-D ``gamma_e``, or the diagonal matrix of a 1-D one."""
+    if params.gamma_factors is not None:
+        c, B = params.gamma_factors
+        return c * np.eye(B.shape[0]) + B @ B.T
+    g = params.gamma_e
+    return np.diag(g) if g.ndim == 1 else np.array(g)
+
+
 def dense_joint_moments(panel, params, init):
     """Posterior mean/covariance of (F_0..F_T) given the panel, plus the
     exact joint-Gaussian log-likelihood of the panel.
@@ -46,8 +58,7 @@ def dense_joint_moments(panel, params, init):
     r = params.r
     A = params.A
     HHt = params.H @ params.H.T
-    Gxi = params.gamma_e
-    Gxi = np.diag(Gxi) if Gxi.ndim == 1 else np.asarray(Gxi)
+    Gxi = dense_gamma(params)
 
     m = (T + 1) * r
     mean = np.empty(m)
@@ -264,7 +275,7 @@ def simulate_loop(params, T, innovation, rng):
     if params.gamma_e_is_diagonal:
         e = np.sqrt(params.gamma_e)[:, None] * z
     else:
-        e = np.linalg.cholesky(params.gamma_e) @ z
+        e = np.linalg.cholesky(dense_gamma(params)) @ z
 
     F = np.zeros((r, total))
     Hu = params.H @ u

@@ -526,6 +526,26 @@ class TestEval:
         assert code == EXIT_VALIDATION
         assert f"{chi}:5: expected 30 columns, got 29" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["Lambda", "gamma_c", "gamma_B"])
+    def test_missing_params_key_names_file_and_key(self, tmp_path, capsys,
+                                                   key):
+        """A ridge fit at n > T + r writes Gamma as its factors; a
+        params.json missing any key exits 2 naming the file and the key."""
+        draw = _simulate(tmp_path, "d", n=30, T=12, tau=0.5)
+        fit = tmp_path / "fit"
+        assert main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", "--idio-cov", "ridge", "--out", str(fit)]) == EXIT_OK
+        path = fit / "params.json"
+        doc = json.loads(path.read_text())
+        assert "gamma_e" not in doc and len(doc["gamma_B"]) == 30
+        assert main(["eval", "--truth", str(draw), "--fit", str(fit)]) == EXIT_OK
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["eval", "--truth", str(draw), "--fit", str(fit)])
+        assert code == EXIT_VALIDATION
+        assert f"{path}: missing key {key!r}" in capsys.readouterr().err
+
     def test_rank_deficient_estimate_exits_numerical(self, tmp_path, capsys):
         """np.linalg.LinAlgError subclasses ValueError; it still exits 3."""
         draw = _simulate(tmp_path, "d", n=30, T=60)

@@ -20,11 +20,11 @@ from dfm_em import (
     ridge_fit,
 )
 from dfm_em.em import _GAMMA_FLOOR, _GAMMA_RTOL, e_step, m_step
-from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map, \
-    _with_gamma_factors
+from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
 from dfm_em.kalman import _whitener, stationary_init
+from dfm_em.model import validate
 from conftest import ar1_covariance, ar1_precision, ar_updates_reference, \
-    dense_joint_moments, toeplitz_params
+    dense_gamma, dense_joint_moments, toeplitz_params
 
 
 def _random_psd(rng, n):
@@ -163,21 +163,28 @@ class TestFactoredRidgeMStep:
         S_resid = (X @ X.T - Lam @ stats.S_xF.T - stats.S_xF @ Lam.T
                    + Lam @ stats.S_FF @ Lam.T) / T
         want = ridge_covariance(S_resid, mu)
-        got = _ridge_gamma(X, Lam, stats, mu)[0]
+        gamma, factors = _ridge_gamma(X, Lam, stats, mu)
+        assert (gamma is None) == (n > T + 2 and mu > 0.0)
+        got = dense_gamma(dataclasses.replace(p, Lambda=Lam, gamma_e=gamma,
+                                              gamma_factors=factors))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_factors_rebuild_gamma(self):
         """On the factored branch Gamma = c I + B B' with c = sqrt(mu) and
-        B'B = diag(delta)."""
+        B'B diagonal, and the parameters built from them pass validate."""
         dims = ModelDims(n=40, T=20, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
         p = toeplitz_params(draw)
         stats, _, _ = e_step(draw.panel, p, stationary_init(p))
-        G, (c, B, delta) = _ridge_gamma(draw.panel.X, p.Lambda, stats, 3.0)
+        gamma, (c, B) = _ridge_gamma(draw.panel.X, p.Lambda, stats, 3.0)
+        assert gamma is None
         assert c == np.sqrt(3.0) and B.shape == (40, 22)
-        scale = np.max(np.abs(G))
-        assert np.max(np.abs(c * np.eye(40) + B @ B.T - G)) <= 1e-14 * scale
-        assert np.max(np.abs(B.T @ B - np.diag(delta))) <= 1e-12 * scale
+        BtB = B.T @ B
+        scale = np.max(np.diag(BtB))
+        assert np.max(np.abs(BtB - np.diag(np.diag(BtB)))) <= 1e-12 * scale
+        fact = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_factors=(c, B))
+        assert validate(fact, dims) == []
+        assert np.array_equal(fact.gamma_e, c + np.sum(B * B, axis=1))
 
     def test_diagonal_start_equals_full_map_of_diagonal(self, rng):
         g = rng.uniform(0.05, 3.0, size=12)
@@ -190,8 +197,8 @@ class TestFactoredRidgeMStep:
 
 def _factored_case(r, q, rank_deficient=False):
     """A ridge Gamma from the factored M-step (n > T + r) after one E-step,
-    as plain ``DfmParams`` and as the same parameters carrying its
-    factors."""
+    as plain ``DfmParams`` holding the dense c I + B B' and as the same
+    parameters holding the factors (c, B)."""
     dims = ModelDims(n=14, T=8, r=r, q=q)
     draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=23))
     p = toeplitz_params(draw)
@@ -200,10 +207,10 @@ def _factored_case(r, q, rank_deficient=False):
     Lam = base.Lambda
     if rank_deficient:
         Lam = np.outer(Lam[:, 0], [1.0, -0.5])
-    gamma, factors = _ridge_gamma(draw.panel.X, Lam, stats, 3.0)
-    plain = DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_e=gamma)
-    return (draw.panel, plain,
-            _with_gamma_factors(dataclasses.replace(plain), factors))
+    _, factors = _ridge_gamma(draw.panel.X, Lam, stats, 3.0)
+    fact = DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_factors=factors)
+    plain = DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_e=dense_gamma(fact))
+    return draw.panel, plain, fact
 
 
 FACTORED_CASES = {"q_eq_r": (2, 2), "q_lt_r": (3, 1), "rank_deficient": (2, 2, True)}
@@ -219,7 +226,7 @@ class TestFactoredWhitening:
         """Gamma^{-1} Lambda, M, log|Gamma| and the residual norms from the
         M-step's factors equal those of the Cholesky factor of Gamma."""
         panel, plain, fact = _factored_case(*FACTORED_CASES[case])
-        assert plain._gamma_factors is None and fact._gamma_factors is not None
+        assert plain.gamma_factors is None and fact.gamma_factors is not None
         Lg, M, norms, logdet = _whitener(fact)
         Lg_c, M_c, norms_c, logdet_c = _whitener(plain)
         assert _rel(Lg, Lg_c) <= 1e-12
@@ -239,44 +246,40 @@ class TestFactoredWhitening:
 
     @pytest.mark.parametrize("bad, why", [
         ("B", "not finite"), ("c", "not finite"),
-        ("delta", "not positive definite"), ("c_zero", "not positive definite"),
+        ("c_zero", "not positive definite"),
     ])
     def test_bad_factors_flag_t1(self, bad, why):
         rng = np.random.default_rng(7)
         c, B = 1.0, rng.standard_normal((6, 2))
-        delta = np.sum(B * B, axis=0)
-        gamma = c * np.eye(6) + B @ B.T
         if bad == "B":
             B[0, 0] = np.nan
         elif bad == "c":
             c = np.inf
-        elif bad == "c_zero":
-            c = 0.0
         else:
-            delta[1] = -1.0
-        p = _with_gamma_factors(
-            DfmParams(Lambda=np.ones((6, 1)), A=np.array([[0.5]]),
-                      H=np.ones((1, 1)), gamma_e=gamma),
-            (c, B, delta))
+            c = 0.0
+        p = DfmParams(Lambda=np.ones((6, 1)), A=np.array([[0.5]]),
+                      H=np.ones((1, 1)), gamma_factors=(c, B))
         with pytest.raises(FilterNumericalError, match=why) as err:
             kalman_filter(Panel(X=np.zeros((6, 4))), p,
                           InitState(F0=[0.0], P0=[[1.0]]))
         assert err.value.t == 1
 
-    def test_params_rebuilt_from_fields_carry_no_factors(self):
+    def test_replace_keeps_the_factors_and_a_dense_rebuild_has_none(self):
         dims = ModelDims(n=30, T=12, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=29))
         res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3))
-        c, B, delta = res.params._gamma_factors
-        assert not (B.flags.writeable or delta.flags.writeable)
         p = res.params
-        rebuilt = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_e=p.gamma_e,
-                            rho=p.rho)
+        B = p.gamma_factors[1]
+        assert not (B.flags.writeable or p.gamma_e.flags.writeable)
         init = InitState(F0=np.zeros(2), P0=np.eye(2))
         ll = kalman_filter(draw.panel, p, init).loglik
-        for q in (rebuilt, dataclasses.replace(p)):
-            assert q._gamma_factors is None
-            assert abs(kalman_filter(draw.panel, q, init).loglik - ll) <= 1e-12 * abs(ll)
+        kept = dataclasses.replace(p)
+        assert kept.gamma_factors[1] is B
+        assert kalman_filter(draw.panel, kept, init).loglik == ll
+        rebuilt = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H,
+                            gamma_e=dense_gamma(p), rho=p.rho)
+        assert rebuilt.gamma_factors is None
+        assert abs(kalman_filter(draw.panel, rebuilt, init).loglik - ll) <= 1e-12 * abs(ll)
 
 
 class TestRidgeAscent:
@@ -300,7 +303,7 @@ class TestRidgeAscent:
         g0 = np.maximum(pc_estimate(draw.panel, 2, 2).GammaE0,
                         np.maximum(_GAMMA_FLOOR, _GAMMA_RTOL * X.var(axis=1)))
         pen = [np.sum(_ridge_map(g0, mu) ** -2.0)]
-        pen += [np.sum(np.linalg.inv(run(k).params.gamma_e) ** 2)
+        pen += [np.sum(np.linalg.inv(dense_gamma(run(k).params)) ** 2)
                 for k in range(1, 8)]
         objective = full.loglik_trace - 0.25 * T * mu * np.array(pen)
         assert np.all(np.diff(objective) > 0.0)

@@ -125,6 +125,25 @@ class TestParamsJson:
         assert not back.gamma_e_is_diagonal
         assert np.array_equal(back.gamma_e, p.gamma_e)
 
+    def test_round_trip_factored_covariance(self, rng, tmp_path):
+        """Factors write as gamma_c and gamma_B, n m + 1 numbers in place
+        of an n x n gamma_e, and read back bitwise."""
+        from dfm_em.model import DfmParams
+
+        p = DfmParams(Lambda=rng.standard_normal((6, 2)), A=0.3 * np.eye(2),
+                      H=np.eye(2), gamma_factors=(np.sqrt(3.0),
+                                                  rng.standard_normal((6, 4))))
+        path = tmp_path / "params.json"
+        write_params_json(p, path)
+        doc = json.loads(path.read_text())
+        assert "gamma_e" not in doc and doc["gamma_e_diagonal"] is False
+        back = read_params_json(path)
+        assert back.gamma_factors[0] == p.gamma_factors[0]
+        assert np.array_equal(back.gamma_factors[1], p.gamma_factors[1])
+        for name in ("Lambda", "A", "H", "gamma_e", "rho"):
+            assert np.array_equal(getattr(back, name), getattr(p, name))
+        assert not back.gamma_e_is_diagonal
+
     def test_diagonal_flag_in_document(self, tmp_path):
         from dfm_em.model import DfmParams
 

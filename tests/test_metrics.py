@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dfm_em import (
     draw_dgp,
     ecm_fit,
     em_fit,
+    ridge_fit,
     run_cell,
     trace_statistic,
     z_scores,
@@ -24,7 +27,7 @@ from dfm_em.kalman import SmootherOutput
 from dfm_em.metrics import _NORMAL_QUANTILES
 from dfm_em.model import DfmParams
 from dfm_em.simulate import stream
-from conftest import ar1_precision
+from conftest import ar1_precision, dense_gamma
 
 
 def _make_result(Lambda, F, gamma_e, A=None, H=None):
@@ -195,6 +198,20 @@ class TestAsvar:
         # with identity covariance the ridge form equals the diagonal form
         W0, _ = asvar_matrices(_make_result(Lam, F, np.ones(n)), "diag_ols")
         assert np.allclose(W, W0)
+
+    def test_ridge_w_factored_matches_dense(self):
+        """W from the factors (c, B) of a ridge fit at n > T + r equals W
+        from the same Gamma as a dense 2-D gamma_e."""
+        dims = ModelDims(n=30, T=12, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=29))
+        res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3))
+        p = res.params
+        assert p.gamma_factors is not None
+        dense = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_e=dense_gamma(p))
+        W, V = asvar_matrices(res, "ridge_w")
+        W0, V0 = asvar_matrices(dataclasses.replace(res, params=dense), "ridge_w")
+        assert np.max(np.abs(W - W0)) <= 1e-12 * np.max(np.abs(W0))
+        assert np.max(np.abs(V - V0)) <= 1e-12 * np.max(np.abs(V0))
 
     def test_unknown_mode_raises(self, rng):
         res = _make_result(np.ones((3, 1)), np.ones((1, 5)), np.ones(3))

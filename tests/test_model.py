@@ -93,10 +93,74 @@ class TestValidate:
         msgs = validate(_params(gamma=g), dims)
         assert msgs == ["gamma_e not symmetric"]
 
+    def _factored(self, n=6, c=2.0, B=None):
+        B = np.diag([1.0, 2.0, 0.5])[:, :2] if B is None else B
+        B = np.vstack([B, np.zeros((n - B.shape[0], B.shape[1]))])
+        return dataclasses.replace(_params(n=n), gamma_e=None,
+                                   gamma_factors=(c, B))
+
+    def test_factored_gamma_slack(self):
+        dims = ModelDims(n=6, T=10, r=2, q=2)
+        p = self._factored()
+        assert validate(p, dims) == []
+        assert np.array_equal(p.gamma_e, [3.0, 6.0, 2.0, 2.0, 2.0, 2.0])
+
+    def test_factors_with_wrong_row_count_raise(self):
+        dims = ModelDims(n=7, T=10, r=2, q=2)
+        p = dataclasses.replace(self._factored(), Lambda=np.ones((7, 2)),
+                                rho=np.zeros(7))
+        with pytest.raises(ShapeError, match="^gamma_factors B shape"):
+            validate(p, dims)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_nonpositive_c(self, c):
+        dims = ModelDims(n=6, T=10, r=2, q=2)
+        B = 3.0 * np.kron(np.eye(2), np.ones((3, 1)))  # every row nonzero
+        msgs = validate(self._factored(c=c, B=B), dims)
+        assert msgs == ["gamma_factors c not positive"]
+
+    def test_factor_columns_not_orthogonal(self):
+        dims = ModelDims(n=6, T=10, r=2, q=2)
+        B = np.array([[1.0, 0.0], [0.0, 1.0], [1e-4, 1e-4]])
+        # off-diagonal 1e-8 of the largest diagonal entry
+        assert validate(self._factored(B=B), dims) == [
+            "gamma_factors B'B not diagonal"]
+        # 1e-12 of it is within the tolerance
+        B[2] = 1e-4, 1e-8
+        assert validate(self._factored(B=B), dims) == []
+
     def test_pure(self):
         dims = ModelDims(n=6, T=10, r=2, q=2)
         p = _params(A=np.eye(2))
         assert validate(p, dims) == validate(p, dims)
+
+
+class TestGammaFactors:
+    def test_gamma_e_is_the_diagonal(self, rng):
+        B = rng.standard_normal((6, 3))
+        p = _params(gamma=None)
+        f = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_factors=(0.5, B))
+        assert np.array_equal(f.gamma_e, np.sum(B * B, axis=1) + 0.5)
+        assert f.gamma_e.ndim == 1 and not f.gamma_e_is_diagonal
+        assert not (f.gamma_e.flags.writeable or B.flags.writeable)
+
+    def test_replace_keeps_the_factors(self, rng):
+        p = _params()
+        f = dataclasses.replace(p, gamma_e=None,
+                                gamma_factors=(0.5, rng.standard_normal((6, 3))))
+        kept = dataclasses.replace(f, A=0.2 * np.eye(2))
+        assert kept.gamma_factors[1] is f.gamma_factors[1]
+        assert np.array_equal(kept.gamma_e, f.gamma_e)
+
+    @pytest.mark.parametrize("shape", ["diagonal", "full"])
+    def test_disagreeing_gamma_e_raises(self, rng, shape):
+        B = rng.standard_normal((6, 3))
+        diag = np.sum(B * B, axis=1) + 0.5
+        gamma = (np.nextafter(diag, np.inf) if shape == "diagonal"
+                 else 0.5 * np.eye(6) + B @ B.T)
+        with pytest.raises(ValueError, match="not the diagonal of gamma_factors"):
+            dataclasses.replace(_params(), gamma_e=gamma,
+                                gamma_factors=(0.5, B))
 
 
 class TestPanel:

@@ -4,7 +4,7 @@ from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
 from dfm_em import DgpConfig, DfmParams, ModelDims, draw_dgp, simulate_given, stream
 from dfm_em.simulate import _standardized_t4, _toeplitz_root
-from conftest import simulate_loop, toeplitz_params
+from conftest import dense_gamma, simulate_loop, toeplitz_params
 
 
 def _config(**kw):
@@ -230,6 +230,21 @@ class TestAgainstTheLoop:
         F0, X0 = simulate_loop(p, 30, "gaussian", stream(5))
         assert np.array_equal(F, F0)
         assert np.array_equal(panel.X, X0)
+
+    def test_simulate_given_from_factors_is_the_dense_draw(self):
+        """Factors (c, B) draw through the Cholesky factor of c I + B B',
+        bitwise as from the same Gamma given dense."""
+        rng = stream(29)
+        n = 7
+        p = DfmParams(Lambda=rng.standard_normal((n, 2)), A=0.5 * np.eye(2),
+                      H=np.eye(2), rho=np.full(n, 0.4),
+                      gamma_factors=(1.5, rng.standard_normal((n, 3))))
+        dense = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, rho=p.rho,
+                          gamma_e=dense_gamma(p))
+        F, panel = simulate_given(p, 30, seed=5)
+        for want in (simulate_given(dense, 30, seed=5)[1].X,
+                     simulate_loop(p, 30, "gaussian", stream(5))[1]):
+            assert np.array_equal(panel.X, want)
 
 
 class TestStream:
