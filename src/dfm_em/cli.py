@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, fit, pc, montecarlo, eval. Exit codes: 0 success,
-2 validation error, 3 numerical failure, 4 non-convergence.
+2 validation or file error (any OSError), 3 numerical failure,
+4 non-convergence.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import sys
 import numpy as np
 
 from . import io as dfm_io
-from .em import AscentViolationError, EmConfig, EmError, em_fit
+from .em import EmConfig, EmError, em_fit
 from .extensions import ecm_fit, ridge_fit
 from .kalman import FilterNumericalError
 from .metrics import common_mse, trace_statistic
-from .model import DfmParams, ModelDims, Panel, ShapeError
+from .model import DfmParams, ModelDims, Panel
 from .montecarlo import CellAbortError, McGrid, _report_paths, run_grid, \
     write_report
 from .pca import IdentificationError, pc_estimate
@@ -229,12 +230,11 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # LinAlgError subclasses ValueError, so the numerical clause goes first.
-    except (FilterNumericalError, IdentificationError, AscentViolationError,
-            CellAbortError, EmError, np.linalg.LinAlgError) as exc:
+    except (FilterNumericalError, IdentificationError, CellAbortError,
+            EmError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, ShapeError, FileExistsError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -16,7 +16,8 @@ Two variants are provided:
   range of Z, sqrt(mu) on its null space, and B'B = diag(f nu). That
   costs O(n (T + r)^2) per M-step and forms no n x n array, instead of
   the O(n^3) of an n x n eigendecomposition, which remains for
-  n <= T + r; the filter inverts Gamma through the same factors. The
+  n <= T + r, where :func:`ridge_covariance` returns the same form from
+  its own eigenbasis; the filter inverts Gamma through the factors. The
   start value is the map applied elementwise to the principal-components
   variances, so the first E-step runs the diagonal filter.
 
@@ -34,9 +35,9 @@ Two variants are provided:
 Both estimators run the EM loop of :mod:`dfm_em.em` and supply only their
 initial idiosyncratic covariance and the map from the diagonal M-step to
 their own parameters. Their estimates are the result's ``DfmParams``:
-ridge's covariance is its ``gamma_factors`` (c, B) on the factored
-branch and a 2-D ``gamma_e`` otherwise (n <= T + r, or mu = 0); ECM's
-AR(1) laws are ``rho`` and a 1-D ``gamma_e`` of innovation variances.
+ridge's covariance is its ``gamma_factors`` (c, B), on either branch;
+ECM's AR(1) laws are ``rho`` and a 1-D ``gamma_e`` of innovation
+variances.
 """
 
 from __future__ import annotations
@@ -60,13 +61,16 @@ __all__ = [
 ]
 
 
-def ridge_covariance(S: np.ndarray, mu: float) -> np.ndarray:
-    """Closed-form ridge-penalized covariance.
+def ridge_covariance(S: np.ndarray, mu: float) -> tuple:
+    """Closed-form ridge-penalized covariance, as its factors (c, B).
 
-    Eigenvectors of S are preserved; each eigenvalue nu maps to
-    (nu + sqrt(nu^2 + 4 mu)) / 2, so the output is positive definite with
-    minimum eigenvalue at least sqrt(mu) and solves the stationarity
-    equation Gamma - S - mu Gamma^{-1} = 0.
+    With S = V diag(nu) V', Gamma keeps the eigenvectors of S and maps
+    each eigenvalue nu to g = (nu + sqrt(nu^2 + 4 mu)) / 2 (g = nu at
+    mu = 0), so it solves the stationarity equation
+    Gamma - S - mu Gamma^{-1} = 0 and its minimum eigenvalue is at least
+    sqrt(mu). It is returned as Gamma = c I + B B' with c the smallest g
+    and B = V diag(g - c)^{1/2}, so B'B is diagonal: the
+    ``gamma_factors`` of :class:`DfmParams`.
     """
     S = np.asarray(S, dtype=float)
     if mu < 0.0:
@@ -74,11 +78,10 @@ def ridge_covariance(S: np.ndarray, mu: float) -> np.ndarray:
     scale = max(np.max(np.abs(S)), 1.0)
     if np.max(np.abs(S - S.T)) > 1e-10 * scale:
         raise ValueError("S must be symmetric")
-    S = 0.5 * (S + S.T)
-    if mu == 0.0:
-        return S
-    w, V = np.linalg.eigh(S)
-    return (V * _ridge_map(w, mu)) @ V.T
+    nu, V = np.linalg.eigh(0.5 * (S + S.T))
+    g = nu if mu == 0.0 else _ridge_map(nu, mu)
+    c = np.min(g)
+    return c, V * np.sqrt(g - c)
 
 
 def _ridge_map(nu, mu):
@@ -88,25 +91,25 @@ def _ridge_map(nu, mu):
 
 def _ridge_gamma(X, Lam, stats, mu):
     """Ridge M-step ``ridge_covariance(Z Z', mu)`` from the expected
-    residual factor Z of the module docstring, as the pair
-    (gamma_e, gamma_factors) of :class:`DfmParams`: a dense Gamma and
-    None, or None and the factors (c, B) of Gamma = c I + B B' when it
-    takes the factored branch.
+    residual factor Z of the module docstring, as the factors (c, B) of
+    Gamma = c I + B B'.
 
-    Each column of Z W / sqrt(nu) is a unit eigenvector of Z Z' with
-    eigenvalue nu, so f = (ridge(nu) - sqrt(mu)) / nu, here written
-    without cancellation and without dividing by nu. The factored branch
-    hands its eigenbasis on: B = Z W diag(f)^{1/2} and c = sqrt(mu), and
-    B'B = diag(f nu) since W diagonalises Z'Z.
+    For n <= T + r it eigendecomposes Z Z' itself. Otherwise each column
+    of Z W / sqrt(nu) is a unit eigenvector of Z Z' with eigenvalue nu, so
+    f = (ridge(nu) - sqrt(mu)) / nu, here written without cancellation
+    and without dividing by nu. The Gram branch hands its eigenbasis on:
+    B = Z W diag(f)^{1/2} and c = sqrt(mu), and B'B = diag(f nu) since W
+    diagonalises Z'Z. At mu = 0 that c is 0, the singular Z Z' of rank
+    T + r < n, which the next filter call rejects at t = 1.
     """
     n, T = X.shape
     Z = np.hstack([X - Lam @ stats.F_smooth,
                    Lam @ _symmetric_sqrt(stats.S_P)]) / np.sqrt(T)
-    if mu == 0.0 or n <= Z.shape[1]:
-        return ridge_covariance(Z @ Z.T, mu), None
+    if n <= Z.shape[1]:
+        return ridge_covariance(Z @ Z.T, mu)
     nu, W = np.linalg.eigh(Z.T @ Z)
     f = 0.5 * (1.0 + nu / (np.sqrt(nu**2 + 4.0 * mu) + 2.0 * np.sqrt(mu)))
-    return None, (np.sqrt(mu), (Z @ W) * np.sqrt(f))
+    return np.sqrt(mu), (Z @ W) * np.sqrt(f)
 
 
 def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
@@ -133,9 +136,9 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
         raise ValueError(f"ridge mu must be finite and nonnegative, got {mu!r}")
 
     def update(stats, smooth, base):
-        gamma, factors = _ridge_gamma(panel.X, base.Lambda, stats, mu)
-        return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H, gamma_e=gamma,
-                         gamma_factors=factors)
+        return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H,
+                         gamma_factors=_ridge_gamma(panel.X, base.Lambda,
+                                                    stats, mu))
 
     return _fit(panel, dims, config, init, update,
                 gamma0=lambda g: _ridge_map(g, mu))

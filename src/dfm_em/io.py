@@ -7,11 +7,13 @@ columns. All floats are written with shortest round-trip precision
 (``repr``), so read(write(x)) == x bitwise.
 
 Parameters are stored as a JSON document with named matrices in row-major
-nested-list form; a 1-D ``gamma_e`` marks the diagonal variant and a 2-D
-one the full variant. A covariance given by its factors
-(``DfmParams.gamma_factors``, Gamma^e = c I + B B') is stored as the two
-keys ``gamma_c`` and ``gamma_B`` in place of ``gamma_e``: n m + 1 numbers
-rather than n^2. A draw's document also records ``tau``: at tau > 0 its
+nested-list form. A diagonal Gamma^e is the 1-D ``gamma_e``; a full one,
+which is always given by its factors (``DfmParams.gamma_factors``,
+Gamma^e = c I + B B'), is stored as the two keys ``gamma_c`` and
+``gamma_B`` in place of ``gamma_e``: n m + 1 numbers rather than n^2. An
+older document's 2-D ``gamma_e`` G is read as the factors
+``ridge_covariance(G, 0)``, which rebuild G to round-off. A draw's
+document also records ``tau``: at tau > 0 its
 Gamma^e = toeplitz(tau^|i-j|) is not written out, and ``gamma_e`` holds
 the diagonal (ones).
 """
@@ -24,6 +26,7 @@ import os
 import numpy as np
 
 from .em import EmResult
+from .extensions import ridge_covariance
 from .model import DfmParams, Panel
 from .simulate import DgpDraw
 
@@ -146,10 +149,13 @@ def write_params_json(params: DfmParams, path):
 
 def read_params_json(path) -> DfmParams:
     """Read the parameters written by :func:`write_params_json` (or in a
-    draw's or a fit's ``params.json``). A missing key raises ValueError
-    naming the file and the key."""
+    draw's or a fit's ``params.json``); a 2-D ``gamma_e`` is read as its
+    factors. A document that is not a JSON object, a missing key or a
+    2-D ``gamma_e`` that is not square raises ValueError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
     factored = "gamma_c" in doc or "gamma_B" in doc
     fields = {}
     for key in ("Lambda", "A", "H", "rho") + (
@@ -159,6 +165,11 @@ def read_params_json(path) -> DfmParams:
         fields[key] = np.array(doc[key], dtype=float)
     if factored:
         fields["gamma_factors"] = (fields.pop("gamma_c"), fields.pop("gamma_B"))
+    elif fields["gamma_e"].ndim == 2:
+        G = fields.pop("gamma_e")
+        if G.shape[0] != G.shape[1]:
+            raise ValueError(f"{path}: gamma_e of shape {G.shape} is not square")
+        fields["gamma_factors"] = ridge_covariance(G, 0.0)
     return DfmParams(**fields)
 
 

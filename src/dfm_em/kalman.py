@@ -34,10 +34,9 @@ The log-likelihood adds to the collapsed one the closed form
 -1/2 sum_t [(n-k) log 2 pi + log|Gamma| + log|D_k| + e_t' Gamma^{-1} e_t]
 with e_t = x_t - Lambda V_k y_t, never as the difference
 ||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t, which cancels to round-off when
-the noise is many orders below the signal. Gamma enters by one of three
-routes (_whitener): elementwise for a diagonal Gamma, by Woodbury
-through the factors c I + B B' of a ridge estimate (no n x n work), and
-otherwise by one n x n Cholesky factor per call.
+the noise is many orders below the signal. Gamma enters by one of two
+routes (_whitener): elementwise for a diagonal Gamma, and by Woodbury
+through the factors c I + B B' of a full one (no n x n work).
 
 The Riccati recursion for P_{t|t-1}, W_t and P_{t|t} does not depend on
 the data, so it runs first, by prefix doubling over the filtering
@@ -93,8 +92,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.blas import dtrsm
 
 from .model import DfmParams, Panel, _residual, _sq_residual_sums
 
@@ -236,21 +233,18 @@ def stationary_init(params: DfmParams) -> InitState:
 def _whitener(params):
     """Gamma^{-1} Lambda, M = Lambda' Gamma^{-1} Lambda, the map from
     (X, L, F) to the per-period norms e_t' Gamma^{-1} e_t of the residual
-    E = X - L F, and log|Gamma|, by one of three routes:
+    E = X - L F, and log|Gamma|, by one of two routes:
 
     * A diagonal Gamma acts elementwise: the norms are 1/gamma times the
       squared residuals, reduced block by block of rows, in cache
       (model._sq_residual_sums).
-    * A full Gamma = c I + B B' given by its factors
+    * A full Gamma = c I + B B', always given by its factors
       (``params.gamma_factors``), with B'B = diag(delta) and delta the
       column sums of squares of B, is inverted by Woodbury,
       Gamma^{-1} = (I - B diag(1/(c + delta)) B') / c, with
       log|Gamma| = n log c + sum_j log1p(delta_j / c) and
       e_t' Gamma^{-1} e_t = (||e_t||^2 - sum_j (b_j' e_t)^2 / (c + delta_j)) / c:
       one product B'E on the n x T residual and no n x n work.
-    * Any other full Gamma is whitened by its Cholesky factor L:
-      triangular solves for the loadings, and one in place on the whole
-      residual (a solve couples the rows) before it is squared and summed.
     """
     gamma_e, Lam = params.gamma_e, params.Lambda
     if params.gamma_factors is not None:
@@ -275,35 +269,16 @@ def _whitener(params):
 
     if not np.all(np.isfinite(gamma_e)):
         raise FilterNumericalError("idiosyncratic covariance not finite", 1)
-    if gamma_e.ndim == 1:
-        if np.any(gamma_e <= 0.0):
-            raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
-        inv = 1.0 / gamma_e
-
-        def norms(X, L, F):
-            return _sq_residual_sums(X, L, F, inv)
-
-        Lw = Lam / np.sqrt(gamma_e)[:, None]
-        return (Lam * inv[:, None], _symmetrize(Lw.T @ Lw), norms,
-                float(np.sum(np.log(gamma_e))))
-    try:
-        chol = cholesky(gamma_e, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FilterNumericalError(
-            f"idiosyncratic covariance not positive definite: {exc}", 1) from exc
+    if np.any(gamma_e <= 0.0):
+        raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
+    inv = 1.0 / gamma_e
 
     def norms(X, L, F):
-        # (L^{-1} E)' = E' L^{-T}, a right-side solve in place on the
-        # Fortran-ordered view E' of the residual.
-        Et = dtrsm(1.0, chol, _residual(X, L, F).T, side=1, lower=1,
-                   trans_a=1, overwrite_b=1)
-        Et *= Et
-        return Et.sum(axis=1)
+        return _sq_residual_sums(X, L, F, inv)
 
-    Lw = solve_triangular(chol, Lam, lower=True, check_finite=False)
-    return (solve_triangular(chol, Lw, lower=True, trans="T", check_finite=False),
-            _symmetrize(Lw.T @ Lw), norms,
-            float(2.0 * np.sum(np.log(np.diag(chol)))))
+    Lw = Lam / np.sqrt(gamma_e)[:, None]
+    return (Lam * inv[:, None], _symmetrize(Lw.T @ Lw), norms,
+            float(np.sum(np.log(gamma_e))))
 
 
 def _observed_directions(M):

@@ -102,10 +102,10 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
 
     Modes: "diag_ols" uses the fitted diagonal gamma; "ridge_w" uses the
     full regularized covariance inverse inside W, taking Gamma^{-1} Lambda
-    from the filter's whitener (Woodbury through the factors of a ridge
-    estimate, a Cholesky factor otherwise); "gls_v" weights the
-    V-denominator by the tridiagonal inverse covariance of the fitted AR(1)
-    laws ``params.rho`` and ``params.gamma_e`` (the batched weighting of
+    from the filter's whitener (Woodbury through the factors (c, B) of a
+    ridge estimate); "gls_v" weights the V-denominator by the tridiagonal
+    inverse covariance of the fitted AR(1) laws ``params.rho`` and
+    ``params.gamma_e`` (the batched weighting of
     ``extensions.gls_loadings``), which at rho = 0 is "diag_ols".
     """
     if mode not in ("diag_ols", "ridge_w", "gls_v"):
@@ -116,9 +116,7 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     n = Lam.shape[0]
     T = F.shape[1]
 
-    # 1-D for a diagonal Gamma and for one given by its factors
-    gamma_diag = (params.gamma_e if params.gamma_e.ndim == 1
-                  else np.diag(params.gamma_e))
+    gamma_diag = params.gamma_e
     if mode == "ridge_w":
         if params.gamma_e_is_diagonal:
             raise ValueError("ridge_w mode requires a full fitted covariance")

@@ -117,19 +117,21 @@ class DfmParams:
         VAR(1) coefficient matrix of the factors.
     H : ndarray, shape (r, q)
         Loading of the q common shocks onto the r factor innovations.
-    gamma_e : ndarray, shape (n,) or (n, n)
-        Idiosyncratic innovation covariance. A 1-D array is the diagonal
-        variant; a 2-D array is the full variant. With ``gamma_factors``
+    gamma_e : ndarray, shape (n,)
+        Diagonal of the idiosyncratic innovation covariance, which is
+        diagonal unless ``gamma_factors`` is given. With ``gamma_factors``
         it may be omitted: it is then their diagonal, and a given one must
-        equal it (ValueError otherwise).
+        equal it (ValueError otherwise). A 2-D array raises ShapeError: a
+        full covariance is given by its factors.
     rho : ndarray, shape (n,)
         AR(1) coefficients of the idiosyncratic components (all zero for
         serially uncorrelated idiosyncratics).
     gamma_factors : tuple (c, B), optional
-        A full idiosyncratic covariance in factored form,
+        A full idiosyncratic covariance, the only form one takes:
         Gamma^e = c I + B B' with a scalar c > 0, B of shape (n, m) and
-        B'B diagonal, as the ridge M-step estimates it; ``gamma_e`` is then
-        the 1-D diagonal c + sum_j B_ij^2, and no n x n array is formed.
+        B'B diagonal, as the ridge M-step and ``ridge_covariance`` give
+        it; ``gamma_e`` is then the diagonal c + sum_j B_ij^2, and no
+        n x n array is formed.
     """
 
     Lambda: np.ndarray
@@ -153,8 +155,9 @@ class DfmParams:
                 raise ValueError("gamma_e is not the diagonal of gamma_factors")
         else:
             g = np.asarray(self.gamma_e, dtype=float)
-        if g.ndim not in (1, 2):
-            raise ShapeError("gamma_e must be 1-D (diagonal) or 2-D (full)")
+            if g.ndim != 1:
+                raise ShapeError("gamma_e must be 1-D (the diagonal); give a "
+                                 "full covariance as gamma_factors (c, B)")
         rho = self.rho
         rho = np.zeros(Lam.shape[0]) if rho is None else np.asarray(rho, dtype=float)
         for a in (Lam, A, H, g, rho):
@@ -180,7 +183,7 @@ class DfmParams:
 
     @property
     def gamma_e_is_diagonal(self):
-        return self.gamma_factors is None and self.gamma_e.ndim == 1
+        return self.gamma_factors is None
 
 
 def validate(params: DfmParams, dims: ModelDims) -> list:
@@ -202,7 +205,7 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
     if factors is not None and factors[1].shape[0] != n:
         raise ShapeError(f"gamma_factors B shape {factors[1].shape} needs n={n} rows")
     g = params.gamma_e
-    if (g.ndim == 1 and g.shape != (n,)) or (g.ndim == 2 and g.shape != (n, n)):
+    if g.shape != (n,):
         raise ShapeError(f"gamma_e shape {g.shape} incompatible with n={n}")
     if params.rho.shape != (n,):
         raise ShapeError(f"rho shape {params.rho.shape} != ({n},)")
@@ -213,8 +216,6 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
         violations.append(f"A not stable: spectral radius {spectral_radius:.6g} >= 1")
     if np.any(np.abs(params.rho) >= 1.0):
         violations.append("idiosyncratic AR coefficient |rho_i| >= 1")
-    if g.ndim == 2 and not np.allclose(g, g.T, atol=1e-10):
-        violations.append("gamma_e not symmetric")
     if factors is not None:
         c, B = factors
         if not c > 0.0:
@@ -226,8 +227,7 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
         off = BtB - np.diag(np.diag(BtB))
         if np.max(np.abs(off), initial=0.0) > 1e-10 * np.max(BtB, initial=0.0):
             violations.append("gamma_factors B'B not diagonal")
-    variances = g if g.ndim == 1 else np.diag(g)
-    if np.any(variances <= 0.0):
+    if np.any(g <= 0.0):
         violations.append("gamma_e has a non-positive diagonal entry")
     if np.linalg.matrix_rank(params.H) < q:
         violations.append(f"H rank-deficient: rank < q={q}")

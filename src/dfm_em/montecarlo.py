@@ -186,7 +186,9 @@ def _rep_seed(base_seed: int, cell_key: int, b: int) -> int:
 
 
 def _run_replication(args):
-    """One replication; returns a picklable result dict."""
+    """One replication; returns a picklable result dict. A typed numerical
+    failure (EM, filter, identification, a singular system) fails the
+    replication; any other exception is a defect and propagates."""
     cell, seed = args
     try:
         config = cell.dgp_config(seed)
@@ -214,7 +216,7 @@ def _run_replication(args):
         return {"failed": False, "stats": stats, "acc": acc,
                 "converged": res.converged}
     except (EmError, FilterNumericalError, IdentificationError,
-            np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+            np.linalg.LinAlgError) as exc:
         return {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
 
 

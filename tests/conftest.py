@@ -10,9 +10,10 @@ step-by-step Riccati loop is the reference for the filter's
 prefix-doubling pass, and the per-period simulation loop is the
 reference for ``simulate``, and the per-(series, period) residual moments
 are the reference for ECM's AR(1) updates. ``toeplitz_params`` gives a
-draw's parameters with the full Gamma^e its tau stands for, and
-``dense_gamma`` the n x n Gamma^e of any parameters, factored ones
-included.
+draw's parameters with the full Gamma^e its tau stands for, as factors,
+``dense_gamma`` the n x n Gamma^e of any parameters, and
+``cholesky_whitener`` whitens by the Cholesky factor of that dense
+Gamma^e: the reference for the filter's Woodbury route.
 """
 
 import dataclasses
@@ -21,8 +22,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_triangular, toeplitz
 from scipy.linalg.lapack import dposv
+
+from dfm_em.extensions import ridge_covariance
 
 from dfm_em.kalman import (
     _FREEZE_RTOL,
@@ -36,13 +39,28 @@ from dfm_em.simulate import BURN_IN
 
 
 def dense_gamma(params):
-    """The n x n Gamma^e of ``params``: c I + B B' from its factors, its
-    2-D ``gamma_e``, or the diagonal matrix of a 1-D one."""
+    """The n x n Gamma^e of ``params``: c I + B B' from its factors, or the
+    diagonal matrix of its ``gamma_e``."""
     if params.gamma_factors is not None:
         c, B = params.gamma_factors
         return c * np.eye(B.shape[0]) + B @ B.T
-    g = params.gamma_e
-    return np.diag(g) if g.ndim == 1 else np.array(g)
+    return np.diag(params.gamma_e)
+
+
+def cholesky_whitener(params):
+    """``kalman._whitener`` by the Cholesky factor L of ``dense_gamma``:
+    triangular solves for Gamma^{-1} Lambda and for the residual, whose
+    whitened columns give the norms e_t' Gamma^{-1} e_t, and
+    log|Gamma| = 2 sum log L_ii."""
+    L = np.linalg.cholesky(dense_gamma(params))
+    Lw = solve_triangular(L, params.Lambda, lower=True)
+
+    def norms(X, Lam, F):
+        E = solve_triangular(L, X - Lam @ F, lower=True)
+        return np.sum(E * E, axis=0)
+
+    return (solve_triangular(L, Lw, lower=True, trans="T"),
+            _symmetrize(Lw.T @ Lw), norms, 2.0 * np.sum(np.log(np.diag(L))))
 
 
 def dense_joint_moments(panel, params, init):
@@ -247,12 +265,13 @@ def ar1_covariance(rho, gamma, T):
 
 def toeplitz_params(draw):
     """``draw.params`` with Gamma^e = toeplitz(tau^|i-j|), the law of a
-    tau > 0 draw's shocks, which the draw carries only as ``draw.tau``.
-    At tau = 0 the draw's own (diagonal) parameters."""
+    tau > 0 draw's shocks, which the draw carries only as ``draw.tau``,
+    given by its factors. At tau = 0 the draw's own (diagonal) parameters."""
     if draw.tau == 0.0:
         return draw.params
-    return dataclasses.replace(
-        draw.params, gamma_e=toeplitz(draw.tau ** np.arange(draw.params.n)))
+    G = toeplitz(draw.tau ** np.arange(draw.params.n))
+    return dataclasses.replace(draw.params, gamma_e=None,
+                               gamma_factors=ridge_covariance(G, 0.0))
 
 
 def simulate_loop(params, T, innovation, rng):
@@ -260,9 +279,9 @@ def simulate_loop(params, T, innovation, rng):
 
     Shocks are drawn in the same order (common, then idiosyncratic), the
     idiosyncratic ones are multiplied by the square root of a diagonal
-    Gamma^e or by the Cholesky factor of a full one, and both the factor
-    VAR(1) and the idiosyncratic AR(1) run one period at a time from zero,
-    the BURN_IN pre-sample periods included.
+    Gamma^e or by the Cholesky factor of a full one (``dense_gamma``), and
+    both the factor VAR(1) and the idiosyncratic AR(1) run one period at a
+    time from zero, the BURN_IN pre-sample periods included.
     """
     n, r, q = params.n, params.r, params.q
     total = T + BURN_IN

@@ -220,7 +220,8 @@ def test_criterion_7_oracle_equivalences():
     # (e) ridge eigenvalue map solves Gamma - S - mu Gamma^{-1} = 0.
     S = rng.standard_normal((8, 8))
     S = 0.5 * (S + S.T)
-    G = ridge_covariance(S, mu=0.7)
+    c, B = ridge_covariance(S, mu=0.7)
+    G = c * np.eye(8) + B @ B.T
     res_e = float(np.max(np.abs(G - S - 0.7 * np.linalg.inv(G))))
     checks.append((res_e < 1e-8, f"(e) ridge stationarity residual {res_e:.2e} (<1e-8)"))
 

@@ -45,6 +45,8 @@ class TestExitCodes:
         (FileExistsError("out exists"), EXIT_VALIDATION),
         (FileNotFoundError("no file"), EXIT_VALIDATION),
         (json.JSONDecodeError("bad json", "{", 1), EXIT_VALIDATION),
+        (IsADirectoryError("a directory"), EXIT_VALIDATION),
+        (PermissionError("no access"), EXIT_VALIDATION),
         (FilterNumericalError("not PD", 3), EXIT_NUMERICAL),
         (IdentificationError("tie"), EXIT_NUMERICAL),
         (AscentViolationError("fell", 2), EXIT_NUMERICAL),
@@ -280,6 +282,12 @@ class TestFit:
                      "--r", "2", "--q", "2", "--out", str(tmp_path / "f")])
         assert code == EXIT_VALIDATION
 
+    def test_panel_that_is_a_directory_exits_validation(self, tmp_path, capsys):
+        code = main(["fit", "--panel", str(tmp_path), "--r", "2", "--q", "2",
+                     "--out", str(tmp_path / "f")])
+        assert code == EXIT_VALIDATION
+        assert "Is a directory" in capsys.readouterr().err
+
     def test_standardize_flag(self, tmp_path):
         draw = _simulate(tmp_path, "d")
         code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
@@ -469,6 +477,12 @@ class TestMontecarlo:
         assert code == EXIT_VALIDATION
         assert "line 3" in capsys.readouterr().err
 
+    def test_experiment_that_is_a_directory_exits_validation(self, tmp_path,
+                                                            capsys):
+        code = main(["montecarlo", str(tmp_path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+        assert "Is a directory" in capsys.readouterr().err
+
     def test_unknown_experiment_name(self, tmp_path, capsys):
         code = main(["montecarlo", "no_such_experiment",
                      "--out", str(tmp_path / "r")])
@@ -545,6 +559,53 @@ class TestEval:
         code = main(["eval", "--truth", str(draw), "--fit", str(fit)])
         assert code == EXIT_VALIDATION
         assert f"{path}: missing key {key!r}" in capsys.readouterr().err
+
+    def _ridge_fit_at_small_n(self, tmp_path):
+        """A truth and a ridge fit at n <= T + r (n = 20, T = 40)."""
+        draw = _simulate(tmp_path, "d", tau=0.5)
+        fit = tmp_path / "fit"
+        assert main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", "--idio-cov", "ridge", "--out", str(fit)]) == EXIT_OK
+        return draw, fit
+
+    def test_ridge_fit_at_small_n_writes_factors_and_a_legacy_gamma_reads(
+            self, tmp_path, capsys):
+        """The n <= T + r ridge fit writes its Gamma as factors; the same
+        Gamma as an older document's 2-D gamma_e evaluates alike."""
+        draw, fit = self._ridge_fit_at_small_n(tmp_path)
+        path = fit / "params.json"
+        doc = json.loads(path.read_text())
+        assert "gamma_e" not in doc and len(doc["gamma_B"]) == 20
+        capsys.readouterr()
+        assert main(["eval", "--truth", str(draw), "--fit", str(fit)]) == EXIT_OK
+        want = json.loads(capsys.readouterr().out)
+        B = np.array(doc.pop("gamma_B"))
+        doc["gamma_e"] = (doc.pop("gamma_c") * np.eye(20) + B @ B.T).tolist()
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--truth", str(draw), "--fit", str(fit)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == want
+
+    @pytest.mark.parametrize("text, why", [
+        ("3", "not a JSON object"),
+        ("legacy", "is not square"),
+    ])
+    def test_malformed_params_exits_validation_naming_the_file(
+            self, tmp_path, capsys, text, why):
+        """A params.json that is not a JSON object, or whose 2-D gamma_e is
+        not square, exits 2 naming the file."""
+        draw, fit = self._ridge_fit_at_small_n(tmp_path)
+        path = fit / "params.json"
+        if text == "legacy":
+            doc = json.loads(path.read_text())
+            del doc["gamma_c"], doc["gamma_B"]
+            doc["gamma_e"] = np.ones((20, 19)).tolist()
+            text = json.dumps(doc)
+        path.write_text(text)
+        capsys.readouterr()
+        code = main(["eval", "--truth", str(draw), "--fit", str(fit)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and why in err
 
     def test_rank_deficient_estimate_exits_numerical(self, tmp_path, capsys):
         """np.linalg.LinAlgError subclasses ValueError; it still exits 3."""

@@ -11,6 +11,7 @@ from dfm_em import (
     InitState,
     ModelDims,
     Panel,
+    ShapeError,
     draw_dgp,
     ecm_fit,
     gls_loadings,
@@ -24,7 +25,7 @@ from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
 from dfm_em.kalman import _whitener, stationary_init
 from dfm_em.model import validate
 from conftest import ar1_covariance, ar1_precision, ar_updates_reference, \
-    dense_gamma, dense_joint_moments, toeplitz_params
+    cholesky_whitener, dense_gamma, dense_joint_moments, toeplitz_params
 
 
 def _random_psd(rng, n):
@@ -32,47 +33,67 @@ def _random_psd(rng, n):
     return B @ B.T / n
 
 
+def _ridge_dense(S, mu):
+    """The n x n c I + B B' of ``ridge_covariance(S, mu)``."""
+    c, B = ridge_covariance(S, mu)
+    return c * np.eye(B.shape[0]) + B @ B.T
+
+
 class TestRidgeCovariance:
     def test_mu_zero_returns_input(self, rng):
+        """At mu = 0 the factors rebuild S to round-off, with c its
+        smallest eigenvalue."""
         S = _random_psd(rng, 6)
-        assert np.array_equal(ridge_covariance(S, 0.0), S)
+        c, _ = ridge_covariance(S, 0.0)
+        assert c == np.linalg.eigh(S)[0].min()
+        assert np.max(np.abs(_ridge_dense(S, 0.0) - S)) <= 1e-12 * np.max(np.abs(S))
+
+    def test_factors_are_c_and_orthogonal_columns(self, rng):
+        """c is the smallest eigenvalue of Gamma and B'B is diagonal, so
+        the factors pass validate's checks; one column of B is zero."""
+        S = _random_psd(rng, 6)
+        c, B = ridge_covariance(S, 0.7)
+        assert c == _ridge_map(np.linalg.eigh(S)[0], 0.7).min()
+        BtB = B.T @ B
+        assert np.max(np.abs(BtB - np.diag(np.diag(BtB)))) <= 1e-12 * np.max(BtB)
+        assert np.sum(np.all(B == 0.0, axis=0)) == 1
 
     def test_zero_eigenvalue_maps_to_one(self):
         # nu = 0, mu = 1: (0 + sqrt(0 + 4)) / 2 = 1
         S = np.zeros((3, 3))
-        assert np.allclose(ridge_covariance(S, 1.0), np.eye(3), atol=1e-12)
+        assert np.allclose(_ridge_dense(S, 1.0), np.eye(3), atol=1e-12)
 
     def test_eigenvalue_three_mu_four_maps_to_four(self):
         # (3 + sqrt(9 + 16)) / 2 = 4
         S = 3.0 * np.eye(2)
-        assert np.allclose(ridge_covariance(S, 4.0), 4.0 * np.eye(2), atol=1e-12)
+        assert np.allclose(_ridge_dense(S, 4.0), 4.0 * np.eye(2), atol=1e-12)
 
     def test_stationarity_equation(self, rng):
         S = _random_psd(rng, 8)
         mu = 0.7
-        G = ridge_covariance(S, mu)
+        G = _ridge_dense(S, mu)
         resid = G - S - mu * np.linalg.inv(G)
         assert np.linalg.norm(resid) < 1e-8 * np.linalg.norm(G)
 
     def test_orthogonal_conjugation(self, rng):
         S = _random_psd(rng, 5)
         Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        lhs = ridge_covariance(Q @ S @ Q.T, 0.3)
-        rhs = Q @ ridge_covariance(S, 0.3) @ Q.T
+        lhs = _ridge_dense(Q @ S @ Q.T, 0.3)
+        rhs = Q @ _ridge_dense(S, 0.3) @ Q.T
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_eigenvalues_monotone_in_mu(self, rng):
         S = _random_psd(rng, 6)
-        prev = np.linalg.eigvalsh(ridge_covariance(S, 0.0))
+        prev = np.linalg.eigvalsh(_ridge_dense(S, 0.0))
         for mu in (0.1, 1.0, 10.0, 100.0):
-            cur = np.linalg.eigvalsh(ridge_covariance(S, mu))
+            cur = np.linalg.eigvalsh(_ridge_dense(S, mu))
             assert np.all(cur >= prev - 1e-12)
             prev = cur
 
     def test_min_eigenvalue_at_least_sqrt_mu(self, rng):
         S = _random_psd(rng, 6)
         for mu in (0.01, 1.0, 25.0):
-            w = np.linalg.eigvalsh(ridge_covariance(S, mu))
+            w = np.linalg.eigvalsh(_ridge_dense(S, mu))
             assert w.min() >= np.sqrt(mu) - 1e-10
 
     def test_asymmetric_input_raises(self):
@@ -110,8 +131,8 @@ class TestRidgeConfig:
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=11))
         res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=7.5)
         auto = ridge_fit(draw.panel, dims, EmConfig(max_iter=3))
-        assert np.linalg.eigvalsh(res.params.gamma_e).min() >= np.sqrt(7.5) - 1e-8
-        assert np.linalg.eigvalsh(auto.params.gamma_e).min() < np.sqrt(7.5)
+        assert np.linalg.eigvalsh(dense_gamma(res.params)).min() >= np.sqrt(7.5) - 1e-8
+        assert np.linalg.eigvalsh(dense_gamma(auto.params)).min() < np.sqrt(7.5)
         # n^2 / T = 10: a given mu below the rule's value is not overridden
         dims = ModelDims(n=20, T=40, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=11))
@@ -132,17 +153,38 @@ class TestRidgeFit:
         dims = ModelDims(n=20, T=40, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=11))
         res = ridge_fit(draw.panel, dims, EmConfig(max_iter=10))
-        assert res.params.gamma_e.ndim == 2
+        assert res.params.gamma_factors is not None
         assert np.all(np.isfinite(res.loglik_trace))
         # penalized covariance is invertible by construction
-        w = np.linalg.eigvalsh(res.params.gamma_e)
+        w = np.linalg.eigvalsh(dense_gamma(res.params))
         assert w.min() >= np.sqrt(20.0 * 20.0 / 40.0) - 1e-8
+
+    def test_filter_of_the_eigh_branch_matches_the_dense_oracle(self):
+        """At n <= T + r the fit's factors come from the eigendecomposition
+        of Z Z', and the filter through them matches the dense oracle."""
+        dims = ModelDims(n=6, T=10, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=13))
+        p = ridge_fit(draw.panel, dims, EmConfig(max_iter=3)).params
+        assert p.gamma_factors is not None
+        assert validate(p, dims) == []
+        init = InitState(F0=np.zeros(2), P0=np.eye(2))
+        ll = kalman_filter(draw.panel, p, init).loglik
+        assert abs(ll - dense_joint_moments(draw.panel, p, init)[2]) < 1e-8
+
+    def test_mu_zero_above_the_gram_size_fails_at_t1(self):
+        """At mu = 0 and n > T + r the M-step's Gamma is the singular
+        Z Z' of rank T + r, c = 0, and the next E-step rejects it at t = 1."""
+        dims = ModelDims(n=30, T=12, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=29))
+        with pytest.raises(FilterNumericalError, match="not positive definite") as err:
+            ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=0.0)
+        assert err.value.t == 1
 
     def test_off_diagonal_mass_tracked_on_correlated_noise(self):
         dims = ModelDims(n=15, T=60, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.7, seed=12))
         res = ridge_fit(draw.panel, dims, EmConfig(max_iter=15))
-        G = res.params.gamma_e
+        G = dense_gamma(res.params)
         off = G - np.diag(np.diag(G))
         assert np.linalg.norm(off) > 0
 
@@ -151,9 +193,9 @@ class TestFactoredRidgeMStep:
     @pytest.mark.parametrize("n, T, mu", [(40, 20, 3.0), (15, 30, 3.0),
                                           (40, 20, 0.0)])
     def test_matches_eigh_of_expanded_residual_covariance(self, n, T, mu):
-        """T + r < n takes the Gram route; n <= T + r and mu = 0 form
-        Z Z'. All three agree with the map applied to the expanded
-        S_resid = (XX' - Lam S_xF' - S_xF Lam' + Lam S_FF Lam') / T."""
+        """T + r < n takes the Gram route, at mu = 0 too; n <= T + r
+        eigendecomposes Z Z'. All three agree with the map applied to the
+        expanded S_resid = (XX' - Lam S_xF' - S_xF Lam' + Lam S_FF Lam') / T."""
         dims = ModelDims(n=n, T=T, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
         X = draw.panel.X
@@ -162,11 +204,10 @@ class TestFactoredRidgeMStep:
         Lam = m_step(stats, draw.panel, dims.q).Lambda
         S_resid = (X @ X.T - Lam @ stats.S_xF.T - stats.S_xF @ Lam.T
                    + Lam @ stats.S_FF @ Lam.T) / T
-        want = ridge_covariance(S_resid, mu)
-        gamma, factors = _ridge_gamma(X, Lam, stats, mu)
-        assert (gamma is None) == (n > T + 2 and mu > 0.0)
-        got = dense_gamma(dataclasses.replace(p, Lambda=Lam, gamma_e=gamma,
-                                              gamma_factors=factors))
+        want = _ridge_dense(S_resid, mu)
+        got = dense_gamma(dataclasses.replace(
+            p, Lambda=Lam, gamma_e=None,
+            gamma_factors=_ridge_gamma(X, Lam, stats, mu)))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_factors_rebuild_gamma(self):
@@ -176,8 +217,7 @@ class TestFactoredRidgeMStep:
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
         p = toeplitz_params(draw)
         stats, _, _ = e_step(draw.panel, p, stationary_init(p))
-        gamma, (c, B) = _ridge_gamma(draw.panel.X, p.Lambda, stats, 3.0)
-        assert gamma is None
+        c, B = _ridge_gamma(draw.panel.X, p.Lambda, stats, 3.0)
         assert c == np.sqrt(3.0) and B.shape == (40, 22)
         BtB = B.T @ B
         scale = np.max(np.diag(BtB))
@@ -186,10 +226,22 @@ class TestFactoredRidgeMStep:
         assert validate(fact, dims) == []
         assert np.array_equal(fact.gamma_e, c + np.sum(B * B, axis=1))
 
+    def test_mu_zero_takes_the_gram_branch_with_c_zero(self):
+        """At mu = 0 and n > T + r the factors are c = 0 and the T + r
+        columns of Z W, which validate refuses."""
+        dims = ModelDims(n=40, T=20, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
+        p = toeplitz_params(draw)
+        stats, _, _ = e_step(draw.panel, p, stationary_init(p))
+        c, B = _ridge_gamma(draw.panel.X, p.Lambda, stats, 0.0)
+        assert c == 0.0 and B.shape == (40, 22)
+        fact = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_factors=(c, B))
+        assert validate(fact, dims) == ["gamma_factors c not positive"]
+
     def test_diagonal_start_equals_full_map_of_diagonal(self, rng):
         g = rng.uniform(0.05, 3.0, size=12)
         for mu in (0.0, 0.3, 40.0):
-            full = ridge_covariance(np.diag(g), mu)
+            full = _ridge_dense(np.diag(g), mu)
             assert np.allclose(_ridge_map(g, mu), np.diag(full),
                                rtol=1e-15, atol=0.0)
             assert np.array_equal(full, np.diag(np.diag(full)))
@@ -197,8 +249,7 @@ class TestFactoredRidgeMStep:
 
 def _factored_case(r, q, rank_deficient=False):
     """A ridge Gamma from the factored M-step (n > T + r) after one E-step,
-    as plain ``DfmParams`` holding the dense c I + B B' and as the same
-    parameters holding the factors (c, B)."""
+    as ``DfmParams`` holding its factors (c, B)."""
     dims = ModelDims(n=14, T=8, r=r, q=q)
     draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=23))
     p = toeplitz_params(draw)
@@ -207,10 +258,16 @@ def _factored_case(r, q, rank_deficient=False):
     Lam = base.Lambda
     if rank_deficient:
         Lam = np.outer(Lam[:, 0], [1.0, -0.5])
-    _, factors = _ridge_gamma(draw.panel.X, Lam, stats, 3.0)
-    fact = DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_factors=factors)
-    plain = DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_e=dense_gamma(fact))
-    return draw.panel, plain, fact
+    factors = _ridge_gamma(draw.panel.X, Lam, stats, 3.0)
+    return draw.panel, DfmParams(Lambda=Lam, A=base.A, H=base.H,
+                                 gamma_factors=factors)
+
+
+def _refactored(p):
+    """``p`` with its Gamma given by other factors: those of
+    ``ridge_covariance`` of the dense c I + B B', whose B is n x n."""
+    return dataclasses.replace(p, gamma_e=None,
+                               gamma_factors=ridge_covariance(dense_gamma(p), 0.0))
 
 
 FACTORED_CASES = {"q_eq_r": (2, 2), "q_lt_r": (3, 1), "rank_deficient": (2, 2, True)}
@@ -225,24 +282,26 @@ class TestFactoredWhitening:
     def test_matches_the_cholesky_route(self, case):
         """Gamma^{-1} Lambda, M, log|Gamma| and the residual norms from the
         M-step's factors equal those of the Cholesky factor of Gamma."""
-        panel, plain, fact = _factored_case(*FACTORED_CASES[case])
-        assert plain.gamma_factors is None and fact.gamma_factors is not None
+        panel, fact = _factored_case(*FACTORED_CASES[case])
         Lg, M, norms, logdet = _whitener(fact)
-        Lg_c, M_c, norms_c, logdet_c = _whitener(plain)
+        Lg_c, M_c, norms_c, logdet_c = cholesky_whitener(fact)
         assert _rel(Lg, Lg_c) <= 1e-12
         assert _rel(M, M_c) <= 1e-12
         assert abs(logdet - logdet_c) <= 1e-12 * abs(logdet_c)
-        F = np.random.default_rng(5).standard_normal((plain.r, panel.T))
-        want = norms_c(panel.X, plain.Lambda, F)
-        assert _rel(norms(panel.X, plain.Lambda, F), want) <= 1e-12
+        F = np.random.default_rng(5).standard_normal((fact.r, panel.T))
+        want = norms_c(panel.X, fact.Lambda, F)
+        assert _rel(norms(panel.X, fact.Lambda, F), want) <= 1e-12
 
     @pytest.mark.parametrize("case", FACTORED_CASES)
     def test_filter_matches_the_dense_oracle(self, case):
-        panel, plain, fact = _factored_case(*FACTORED_CASES[case])
-        init = InitState(F0=np.zeros(plain.r), P0=np.eye(plain.r))
+        """The filter through the M-step's factors matches the dense oracle,
+        and the filter through other factors of the same Gamma."""
+        panel, fact = _factored_case(*FACTORED_CASES[case])
+        init = InitState(F0=np.zeros(fact.r), P0=np.eye(fact.r))
         ll = kalman_filter(panel, fact, init).loglik
-        assert abs(ll - dense_joint_moments(panel, plain, init)[2]) < 1e-8
-        assert abs(ll - kalman_filter(panel, plain, init).loglik) <= 1e-12 * abs(ll)
+        assert abs(ll - dense_joint_moments(panel, fact, init)[2]) < 1e-8
+        other = kalman_filter(panel, _refactored(fact), init).loglik
+        assert abs(ll - other) <= 1e-12 * abs(ll)
 
     @pytest.mark.parametrize("bad, why", [
         ("B", "not finite"), ("c", "not finite"),
@@ -276,9 +335,12 @@ class TestFactoredWhitening:
         kept = dataclasses.replace(p)
         assert kept.gamma_factors[1] is B
         assert kalman_filter(draw.panel, kept, init).loglik == ll
-        rebuilt = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H,
-                            gamma_e=dense_gamma(p), rho=p.rho)
-        assert rebuilt.gamma_factors is None
+        # a dense Gamma is refused: a full one is given by its factors
+        with pytest.raises(ShapeError, match="gamma_factors"):
+            DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_e=dense_gamma(p),
+                      rho=p.rho)
+        rebuilt = _refactored(p)
+        assert rebuilt.gamma_factors[1].shape == (30, 30)
         assert abs(kalman_filter(draw.panel, rebuilt, init).loglik - ll) <= 1e-12 * abs(ll)
 
 

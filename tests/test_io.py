@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dfm_em import DgpConfig, EmConfig, ModelDims, Panel, draw_dgp, em_fit
+from dfm_em import DgpConfig, EmConfig, ModelDims, Panel, draw_dgp, em_fit, \
+    ridge_covariance
 from dfm_em.io import (
     _output_paths,
     read_matrix_csv,
@@ -15,6 +16,7 @@ from dfm_em.io import (
     write_panel_csv,
     write_params_json,
 )
+from conftest import dense_gamma
 
 
 class TestPanelCsv:
@@ -113,17 +115,48 @@ class TestParamsJson:
         assert back.gamma_e_is_diagonal
 
     def test_round_trip_full_covariance(self, rng, tmp_path):
+        """A full Gamma, given by the factors ridge_covariance(G, 0), reads
+        back bitwise and still rebuilds G."""
         from dfm_em.model import DfmParams
 
         B = rng.standard_normal((4, 4))
+        G = B @ B.T + 4.0 * np.eye(4)
         p = DfmParams(Lambda=rng.standard_normal((4, 2)),
                       A=0.3 * np.eye(2), H=np.eye(2),
-                      gamma_e=B @ B.T + 4.0 * np.eye(4))
+                      gamma_factors=ridge_covariance(G, 0.0))
         path = tmp_path / "params.json"
         write_params_json(p, path)
         back = read_params_json(path)
         assert not back.gamma_e_is_diagonal
-        assert np.array_equal(back.gamma_e, p.gamma_e)
+        assert back.gamma_factors[0] == p.gamma_factors[0]
+        assert np.array_equal(back.gamma_factors[1], p.gamma_factors[1])
+        assert np.max(np.abs(dense_gamma(back) - G)) <= 1e-12 * np.max(np.abs(G))
+
+    def test_legacy_full_gamma_e_reads_as_factors(self, rng, tmp_path):
+        """A document with a 2-D gamma_e G, as older versions wrote, reads
+        as the factors of G, which rebuild it to 1e-12."""
+        B = rng.standard_normal((5, 5))
+        G = B @ B.T + np.eye(5)
+        doc = {"Lambda": rng.standard_normal((5, 2)).tolist(),
+               "A": (0.3 * np.eye(2)).tolist(), "H": np.eye(2).tolist(),
+               "gamma_e": G.tolist(), "gamma_e_diagonal": False,
+               "rho": np.zeros(5).tolist()}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        back = read_params_json(path)
+        assert back.gamma_factors is not None and back.gamma_e.ndim == 1
+        assert np.max(np.abs(dense_gamma(back) - G)) <= 1e-12 * np.max(np.abs(G))
+
+    @pytest.mark.parametrize("text, why", [
+        ("3", "not a JSON object"), ("[1, 2]", "not a JSON object"),
+        (json.dumps({"Lambda": [[1.0]], "A": [[0.5]], "H": [[1.0]],
+                     "rho": [0.0], "gamma_e": [[1.0, 0.0]]}), "not square"),
+    ], ids=["number", "list", "gamma_e_not_square"])
+    def test_malformed_document_raises_naming_the_file(self, tmp_path, text, why):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"params.json.*{why}"):
+            read_params_json(path)
 
     def test_round_trip_factored_covariance(self, rng, tmp_path):
         """Factors write as gamma_c and gamma_B, n m + 1 numbers in place

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrsm
 
 from dfm_em import (
     DfmParams,
@@ -13,6 +11,7 @@ from dfm_em import (
     draw_dgp,
     kalman_filter,
     kalman_smoother,
+    ridge_covariance,
     stationary_init,
     steady_state_diagnostics,
 )
@@ -24,9 +23,8 @@ from conftest import (
     toeplitz_params,
     woodbury_inverse,
 )
-from dfm_em import kalman as kalman_module
 from dfm_em.kalman import _observed_directions, _psd_clip, _riccati, _scan, \
-    _solve, _symmetrize, _whitener
+    _solve, _symmetrize
 from dfm_em.model import _BLOCK_ELEMS
 
 
@@ -191,14 +189,16 @@ class TestFilterBasics:
                           InitState(F0=[0.0], P0=[[1.0]]))
         assert err.value.t == 1
 
-    @pytest.mark.parametrize("gamma_e, why", [
-        (np.array([1.0, np.nan, 1.0]), "not finite"),
-        (np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    @pytest.mark.parametrize("gamma, why", [
+        ({"gamma_e": np.array([1.0, np.nan, 1.0])}, "not finite"),
+        # the factors of an indefinite Gamma have c = -1
+        ({"gamma_factors": ridge_covariance(np.array(
+            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 0.0)},
          "not positive definite"),
     ], ids=["non_finite", "full_not_pd"])
-    def test_bad_idiosyncratic_covariance_flags_t1(self, gamma_e, why):
+    def test_bad_idiosyncratic_covariance_flags_t1(self, gamma, why):
         p = DfmParams(Lambda=np.ones((3, 1)), A=np.array([[0.5]]),
-                      H=np.ones((1, 1)), gamma_e=gamma_e)
+                      H=np.ones((1, 1)), **gamma)
         with pytest.raises(FilterNumericalError, match=why) as err:
             kalman_filter(Panel(X=np.zeros((3, 4))), p,
                           InitState(F0=[0.0], P0=[[1.0]]))
@@ -277,8 +277,8 @@ def _rel(a, b):
 class TestWhitening:
     @pytest.mark.parametrize("k", [2, 1, 0])
     def test_diagonal_and_full_gamma_agree(self, k):
-        """gamma_e as a vector (whitened elementwise) and as np.diag of it
-        (whitened by its Cholesky factor) give the same filter, for loadings
+        """gamma_e as a vector (whitened elementwise) and np.diag of it as
+        factors (inverted by Woodbury) give the same filter, for loadings
         of full rank (k = r), of rank one (k < r) and zero (k = 0)."""
         rng = np.random.default_rng(41)
         lam = rng.standard_normal((6, 2))
@@ -288,34 +288,13 @@ class TestWhitening:
         A = np.array([[0.6, 0.2], [0.0, 0.3]])
         init = InitState(F0=[0.3, -0.2], P0=np.eye(2))
         vec, full = (kalman_filter(panel, DfmParams(Lambda=Lam, A=A, H=np.eye(2),
-                                                    gamma_e=g), init)
-                     for g in (gamma, np.diag(gamma)))
+                                                    **g), init)
+                     for g in ({"gamma_e": gamma},
+                               {"gamma_factors": ridge_covariance(np.diag(gamma), 0.0)}))
         assert abs(vec.loglik - full.loglik) <= 1e-12 * abs(vec.loglik)
         for name in ("F_filt", "W", "g"):
             assert _rel(getattr(vec, name), getattr(full, name)) <= 1e-12, name
         assert np.linalg.matrix_rank(vec.W[-1]) == k
-
-    def test_full_gamma_residual_is_solved_in_place(self, monkeypatch):
-        """The triangular solve on the residual writes into its buffer
-        (no Fortran-ordered copy) and agrees with solve_triangular."""
-        rng = np.random.default_rng(42)
-        B = rng.standard_normal((7, 7))
-        p = DfmParams(Lambda=rng.standard_normal((7, 2)), A=0.5 * np.eye(2),
-                      H=np.eye(2), gamma_e=B @ B.T / 7 + np.eye(7))
-        X, F = rng.standard_normal((7, 9)), rng.standard_normal((2, 9))
-        solved = []
-
-        def spy(alpha, a, b, **kw):
-            out = dtrsm(alpha, a, b, **kw)
-            solved.append(np.shares_memory(out, b))
-            return out
-
-        monkeypatch.setattr(kalman_module, "dtrsm", spy)
-        got = _whitener(p)[2](X, p.Lambda, F)
-        assert solved == [True]
-        E = solve_triangular(np.linalg.cholesky(p.gamma_e), X - p.Lambda @ F,
-                             lower=True)
-        assert _rel(np.sum(E * E, axis=0), got) <= 1e-13
 
     @pytest.mark.parametrize("n,T", [(30, 40), (3 * (_BLOCK_ELEMS // 160) + 1, 160)])
     def test_residual_term_keeps_its_digits_on_a_near_noiseless_panel(self, n, T):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,7 @@ from dfm_em.simulate import stream
 from conftest import ar1_precision, dense_gamma
 
 
-def _make_result(Lambda, F, gamma_e, A=None, H=None):
+def _make_result(Lambda, F, gamma_e, A=None, H=None, gamma_factors=None):
     n, r = Lambda.shape
     T = F.shape[1]
     params = DfmParams(
@@ -38,6 +36,7 @@ def _make_result(Lambda, F, gamma_e, A=None, H=None):
         A=0.5 * np.eye(r) if A is None else A,
         H=np.eye(r) if H is None else H,
         gamma_e=gamma_e,
+        gamma_factors=gamma_factors,
     )
     smooth = SmootherOutput(
         F_smooth=F,
@@ -193,7 +192,7 @@ class TestAsvar:
         n, r, T = 5, 1, 10
         Lam = rng.standard_normal((n, r))
         F = rng.standard_normal((r, T))
-        res = _make_result(Lam, F, np.eye(n))
+        res = _make_result(Lam, F, None, gamma_factors=(1.0, np.zeros((n, 1))))
         W, _ = asvar_matrices(res, "ridge_w")
         # with identity covariance the ridge form equals the diagonal form
         W0, _ = asvar_matrices(_make_result(Lam, F, np.ones(n)), "diag_ols")
@@ -201,17 +200,18 @@ class TestAsvar:
 
     def test_ridge_w_factored_matches_dense(self):
         """W from the factors (c, B) of a ridge fit at n > T + r equals W
-        from the same Gamma as a dense 2-D gamma_e."""
+        from the same Gamma solved dense, and V is the diagonal mode's."""
         dims = ModelDims(n=30, T=12, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=29))
         res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3))
         p = res.params
         assert p.gamma_factors is not None
-        dense = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_e=dense_gamma(p))
+        Lam = p.Lambda
+        inner = Lam.T @ np.linalg.solve(dense_gamma(p), Lam) / dims.n
+        W0 = np.einsum("ir,ir->i", Lam, np.linalg.solve(inner, Lam.T).T)
         W, V = asvar_matrices(res, "ridge_w")
-        W0, V0 = asvar_matrices(dataclasses.replace(res, params=dense), "ridge_w")
         assert np.max(np.abs(W - W0)) <= 1e-12 * np.max(np.abs(W0))
-        assert np.max(np.abs(V - V0)) <= 1e-12 * np.max(np.abs(V0))
+        assert np.array_equal(V, asvar_matrices(res, "diag_ols")[1])
 
     def test_unknown_mode_raises(self, rng):
         res = _make_result(np.ones((3, 1)), np.ones((1, 5)), np.ones(3))

@@ -73,25 +73,18 @@ class TestValidate:
         with pytest.raises(ShapeError):
             validate(_params(n=6), dims)
 
-    @pytest.mark.parametrize("field, bad", [
-        ("A", np.eye(3)),
-        ("H", np.eye(2)[:, :1]),
-        ("gamma_e", np.ones(5)),
-        ("gamma_e", np.eye(5)),
-        ("rho", np.zeros(5)),
+    @pytest.mark.parametrize("field, bad, match", [
+        ("A", np.eye(3), "^A shape"),
+        ("H", np.eye(2)[:, :1], "^H shape"),
+        ("gamma_e", np.ones(5), "^gamma_e shape"),
+        # a full Gamma^e is refused when built: it is given by its factors
+        ("gamma_e", np.eye(6), "^gamma_e must be 1-D .* gamma_factors"),
+        ("rho", np.zeros(5), "^rho shape"),
     ], ids=["A", "H", "gamma_e_diagonal", "gamma_e_full", "rho"])
-    def test_each_shape_mismatch_names_its_field(self, field, bad):
+    def test_each_shape_mismatch_names_its_field(self, field, bad, match):
         dims = ModelDims(n=6, T=10, r=2, q=2)
-        p = dataclasses.replace(_params(), **{field: bad})
-        with pytest.raises(ShapeError, match=f"^{field} shape"):
-            validate(p, dims)
-
-    def test_non_symmetric_full_gamma(self):
-        dims = ModelDims(n=6, T=10, r=2, q=2)
-        g = np.eye(6)
-        g[0, 1] = 0.1
-        msgs = validate(_params(gamma=g), dims)
-        assert msgs == ["gamma_e not symmetric"]
+        with pytest.raises(ShapeError, match=match):
+            validate(dataclasses.replace(_params(), **{field: bad}), dims)
 
     def _factored(self, n=6, c=2.0, B=None):
         B = np.diag([1.0, 2.0, 0.5])[:, :2] if B is None else B

@@ -13,6 +13,7 @@ from dfm_em import (
     write_report,
 )
 from dfm_em.em import AscentViolationError
+from dfm_em.model import ShapeError
 from dfm_em.montecarlo import _cell_key, _rep_seed, _run_replication
 
 
@@ -213,6 +214,23 @@ class TestRunCell:
         assert rep.failures == 1
         assert all(np.isfinite(v) for v in rep.stats.values())
         assert rep.coverage.count > 0
+
+    def test_untyped_replication_error_stops_the_cell(self, monkeypatch):
+        """A ShapeError (a ValueError) inside one replication is a defect,
+        not a counted failure: run_cell raises it."""
+        import dfm_em.montecarlo as mc
+
+        real, calls = mc.em_fit, []
+
+        def em_fit_broken_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise ShapeError("broken shape")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "em_fit", em_fit_broken_once)
+        with pytest.raises(ShapeError, match="broken shape"):
+            mc.run_cell(_small_cell(), B=5, base_seed=0)
 
 
 class TestRunGrid:
