@@ -125,6 +125,8 @@ def _ridge_mu(text: str):
 def _cmd_fit(args) -> int:
     if args.idio_cov == "ridge" and args.idio_ar == "ecm":
         raise ValueError("--idio-cov ridge and --idio-ar ecm are mutually exclusive")
+    if args.ridge_mu != "auto" and args.idio_cov != "ridge":
+        raise ValueError("--ridge-mu applies only with --idio-cov ridge")
     mu = _ridge_mu(args.ridge_mu)
     config = EmConfig(epsilon=args.epsilon, max_iter=args.max_iter)
     dfm_io._refuse_existing(dfm_io._output_paths("fit", args.out),

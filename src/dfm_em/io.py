@@ -10,9 +10,10 @@ Parameters are stored as a JSON document with named matrices in row-major
 nested-list form. A diagonal Gamma^e is the 1-D ``gamma_e``; a full one,
 which is always given by its factors (``DfmParams.gamma_factors``,
 Gamma^e = c I + B B'), is stored as the two keys ``gamma_c`` and
-``gamma_B`` in place of ``gamma_e``: n m + 1 numbers rather than n^2. An
-older document's 2-D ``gamma_e`` G is read as the factors
-``ridge_covariance(G, 0)``, which rebuild G to round-off. A draw's
+``gamma_B`` in place of ``gamma_e``: n m + 1 numbers rather than n^2, and
+these keys alone say which form Gamma^e has. An older document's 2-D
+``gamma_e`` G is read as the factors ``ridge_covariance(G, 0)``, which
+rebuild G to round-off, and its flag for the form is ignored. A draw's
 document also records ``tau``: at tau > 0 its
 Gamma^e = toeplitz(tau^|i-j|) is not written out, and ``gamma_e`` holds
 the diagonal (ones).
@@ -27,7 +28,7 @@ import numpy as np
 
 from .em import EmResult
 from .extensions import ridge_covariance
-from .model import DfmParams, Panel
+from .model import DfmParams, Panel, _factor_violations
 from .simulate import DgpDraw
 
 __all__ = [
@@ -133,7 +134,6 @@ def _params_doc(params: DfmParams) -> dict:
         "A": params.A.tolist(),
         "H": params.H.tolist(),
         **gamma,
-        "gamma_e_diagonal": params.gamma_e_is_diagonal,
         "rho": params.rho.tolist(),
     }
 
@@ -150,8 +150,10 @@ def write_params_json(params: DfmParams, path):
 def read_params_json(path) -> DfmParams:
     """Read the parameters written by :func:`write_params_json` (or in a
     draw's or a fit's ``params.json``); a 2-D ``gamma_e`` is read as its
-    factors. A document that is not a JSON object, a missing key or a
-    2-D ``gamma_e`` that is not square raises ValueError naming the file."""
+    factors. A document that is not a JSON object, a missing key, a 2-D
+    ``gamma_e`` that is not square or not symmetric, or factors that break
+    c > 0 or B'B diagonal (which the filter relies on) raise ValueError
+    naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -169,8 +171,15 @@ def read_params_json(path) -> DfmParams:
         G = fields.pop("gamma_e")
         if G.shape[0] != G.shape[1]:
             raise ValueError(f"{path}: gamma_e of shape {G.shape} is not square")
-        fields["gamma_factors"] = ridge_covariance(G, 0.0)
-    return DfmParams(**fields)
+        try:
+            fields["gamma_factors"] = ridge_covariance(G, 0.0)
+        except ValueError as exc:
+            raise ValueError(f"{path}: gamma_e: {exc}") from None
+    params = DfmParams(**fields)
+    bad = params.gamma_factors and _factor_violations(*params.gamma_factors)
+    if bad:
+        raise ValueError(f"{path}: {'; '.join(bad)}")
+    return params
 
 
 def write_dgp_draw(draw: DgpDraw, outdir, overwrite: bool = False):

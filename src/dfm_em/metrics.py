@@ -92,24 +92,22 @@ def common_mse(chi_true: np.ndarray, chi_est: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
-    """Asymptotic-variance building blocks for every (i, t).
+def asvar_matrices(result: EmResult):
+    """Asymptotic-variance building blocks for every (i, t), from the
+    fitted model's own idiosyncratic covariance.
 
     Returns (W, V) with W of shape (n,) — the loadings-direction variance
     W_i = lambda_i' (n^{-1} Lambda' Gamma^{-1} Lambda)^{-1} lambda_i does
     not depend on t — and V of shape (n, T) with
     V_it = Fhat_t' (T^{-1} sum_s Fhat_s gamma_ii^{-1} Fhat_s')^{-1} Fhat_t.
 
-    Modes: "diag_ols" uses the fitted diagonal gamma; "ridge_w" uses the
-    full regularized covariance inverse inside W, taking Gamma^{-1} Lambda
-    from the filter's whitener (Woodbury through the factors (c, B) of a
-    ridge estimate); "gls_v" weights the V-denominator by the tridiagonal
-    inverse covariance of the fitted AR(1) laws ``params.rho`` and
-    ``params.gamma_e`` (the batched weighting of
-    ``extensions.gls_loadings``), which at rho = 0 is "diag_ols".
+    Gamma^{-1} Lambda divides by the diagonal ``params.gamma_e``, or, for a
+    full Gamma given by its factors (c, B) (a ridge estimate), is the
+    filter's Woodbury whitener. When some ``params.rho`` is nonzero (an
+    ECM estimate), the V-denominator is weighted by the tridiagonal inverse
+    covariance of the fitted AR(1) laws (``params.rho``, ``params.gamma_e``),
+    the batched weighting of ``extensions.gls_loadings``.
     """
-    if mode not in ("diag_ols", "ridge_w", "gls_v"):
-        raise ValueError(f"unknown mode {mode!r}")
     params = result.params
     F = result.factors.F_smooth
     Lam = params.Lambda
@@ -117,16 +115,14 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     T = F.shape[1]
 
     gamma_diag = params.gamma_e
-    if mode == "ridge_w":
-        if params.gamma_e_is_diagonal:
-            raise ValueError("ridge_w mode requires a full fitted covariance")
-        Ginv_Lam = _whitener(params)[0]
-    else:
+    if params.gamma_factors is None:
         Ginv_Lam = Lam / gamma_diag[:, None]
+    else:
+        Ginv_Lam = _whitener(params)[0]
     inner_W = Lam.T @ Ginv_Lam / n
     W = np.einsum("ir,ir->i", Lam, np.linalg.solve(inner_W, Lam.T).T)
 
-    if mode == "gls_v":
+    if np.any(params.rho):
         ends = np.outer(F[:, 0], F[:, 0]) + np.outer(F[:, -1], F[:, -1])
         S1 = F[:, 1:] @ F[:, :-1].T
         inner = (_ar1_weighted(params.rho, F @ F.T, ends, S1 + S1.T)
@@ -140,15 +136,15 @@ def asvar_matrices(result: EmResult, mode: str = "diag_ols"):
     return W, V
 
 
-def z_scores(result: EmResult, chi_true: np.ndarray,
-             mode: str = "diag_ols") -> np.ndarray:
-    """Standardized common-component errors Z_it."""
+def z_scores(result: EmResult, chi_true: np.ndarray) -> np.ndarray:
+    """Standardized common-component errors Z_it, with the variances
+    :func:`asvar_matrices` reads from the fit."""
     chi_hat = result.params.Lambda @ result.factors.F_smooth
     chi_true = np.asarray(chi_true, dtype=float)
     if chi_true.shape != chi_hat.shape:
         raise ValueError("chi_true shape mismatch")
     n, T = chi_hat.shape
-    W, V = asvar_matrices(result, mode)
+    W, V = asvar_matrices(result)
     denom = np.sqrt(W[:, None] / n + V / T)
     return (chi_hat - chi_true) / denom
 

@@ -131,7 +131,7 @@ class DfmParams:
         Gamma^e = c I + B B' with a scalar c > 0, B of shape (n, m) and
         B'B diagonal, as the ridge M-step and ``ridge_covariance`` give
         it; ``gamma_e`` is then the diagonal c + sum_j B_ij^2, and no
-        n x n array is formed.
+        n x n array is formed. Without it, Gamma^e is diagonal.
     """
 
     Lambda: np.ndarray
@@ -181,9 +181,22 @@ class DfmParams:
     def q(self):
         return self.H.shape[1]
 
-    @property
-    def gamma_e_is_diagonal(self):
-        return self.gamma_factors is None
+
+def _factor_violations(c, B) -> list:
+    """The constraints that the Woodbury whitener of Gamma^e = c I + B B'
+    relies on, c > 0 and B'B diagonal, as violation descriptors (empty
+    when both hold)."""
+    violations = []
+    if not c > 0.0:
+        violations.append("gamma_factors c not positive")
+    # The ridge M-step's B'B is diagonal up to about 1e-15 of its largest
+    # entry, which lies on the diagonal; 1e-10 of it flags only a B whose
+    # columns are not orthogonal.
+    BtB = B.T @ B
+    off = BtB - np.diag(np.diag(BtB))
+    if np.max(np.abs(off), initial=0.0) > 1e-10 * np.max(BtB, initial=0.0):
+        violations.append("gamma_factors B'B not diagonal")
+    return violations
 
 
 def validate(params: DfmParams, dims: ModelDims) -> list:
@@ -217,16 +230,7 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
     if np.any(np.abs(params.rho) >= 1.0):
         violations.append("idiosyncratic AR coefficient |rho_i| >= 1")
     if factors is not None:
-        c, B = factors
-        if not c > 0.0:
-            violations.append("gamma_factors c not positive")
-        # The ridge M-step's B'B is diagonal up to about 1e-15 of its
-        # largest entry, which lies on the diagonal; 1e-10 of it flags only
-        # a B whose columns are not orthogonal.
-        BtB = B.T @ B
-        off = BtB - np.diag(np.diag(BtB))
-        if np.max(np.abs(off), initial=0.0) > 1e-10 * np.max(BtB, initial=0.0):
-            violations.append("gamma_factors B'B not diagonal")
+        violations += _factor_violations(*factors)
     if np.any(g <= 0.0):
         violations.append("gamma_e has a non-positive diagonal entry")
     if np.linalg.matrix_rank(params.H) < q:

@@ -153,8 +153,6 @@ class McGrid:
 
 @dataclass
 class McCellReport:
-    label: str
-    mode: str
     cell: McCell
     B: int
     failures: int
@@ -244,8 +242,7 @@ def run_cell(cell: McCell, B: int, base_seed: int,
         raise CellAbortError(cell.label, failures, B)
     ok = [r for r in results if not r["failed"]]
 
-    report = McCellReport(label=cell.label, mode=cell.mode, cell=cell,
-                          B=B, failures=failures)
+    report = McCellReport(cell=cell, B=B, failures=failures)
     m = len(ok)
     if cell.mode == "filter_only":
         report.stats = {k: sum((r[k] for r in ok), np.zeros_like(ok[0][k])) / m
@@ -319,10 +316,10 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
         cell = c.cell
         # Fields by column name: identity fields as they are, numbers by
         # _fmt, and empty where the cell's mode reports no such statistic.
-        as_is = dict(label=c.label, mode=c.mode, n=cell.n, T=cell.T,
+        as_is = dict(label=cell.label, mode=cell.mode, n=cell.n, T=cell.T,
                      r=cell.r, q=cell.q, B=c.B, failures=c.failures)
         nums = dict(c.stats, tau=cell.tau, delta=cell.delta)
-        if c.mode == "em":
+        if cell.mode == "em":
             cov = c.coverage
             nums.update(zip(_COVERAGE_COLUMNS, [*cov.C, cov.mean, cov.std,
                                                 cov.skewness, cov.kurtosis]))
@@ -335,7 +332,7 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
     with open(cells_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    em_cells = [c for c in report.cells if c.mode == "em"]
+    em_cells = [c for c in report.cells if c.cell.mode == "em"]
     for c, hpath in zip(em_cells, hist_paths):
         hlines = ["bin_left,bin_right,count"]
         for k in range(len(c.hist)):
@@ -355,9 +352,9 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
         "numpy_version": np.__version__,
         "base_seed": report.base_seed,
         "B": report.B,
-        "cells": [c.label for c in report.cells],
+        "cells": [c.cell.label for c in report.cells],
         "seconds_total": report.seconds,
-        "seconds_per_cell": {c.label: c.seconds for c in report.cells},
+        "seconds_per_cell": {c.cell.label: c.seconds for c in report.cells},
     }
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)

@@ -219,7 +219,7 @@ def _simulate(params, T, innovation, rng, tau):
         z = _standardized_t4(rng, (n, total))
     if tau > 0.0:
         e = _toeplitz_root(tau, z)
-    elif params.gamma_e_is_diagonal:
+    elif params.gamma_factors is None:
         e = np.sqrt(params.gamma_e)[:, None] * z
     else:
         c, B = params.gamma_factors

@@ -291,7 +291,7 @@ def simulate_loop(params, T, innovation, rng):
     else:
         u = rng.standard_t(4, size=(q, total)) / np.sqrt(2.0)
         z = rng.standard_t(4, size=(n, total)) / np.sqrt(2.0)
-    if params.gamma_e_is_diagonal:
+    if params.gamma_factors is None:
         e = np.sqrt(params.gamma_e)[:, None] * z
     else:
         e = np.linalg.cholesky(dense_gamma(params)) @ z

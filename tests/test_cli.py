@@ -95,7 +95,7 @@ class TestSimulate:
         not the n x n matrix, and still serves as the truth for eval."""
         draw = _simulate(tmp_path, "d", n=300, T=30, tau=0.5, delta=0.2)
         doc = json.loads((draw / "params.json").read_text())
-        assert doc["tau"] == 0.5 and doc["gamma_e_diagonal"] is True
+        assert doc["tau"] == 0.5 and "gamma_c" not in doc
         assert doc["gamma_e"] == [1.0] * 300
         assert read_params_json(draw / "params.json").gamma_e.shape == (300,)
         assert json.loads((_simulate(tmp_path, "w") / "params.json")
@@ -230,6 +230,20 @@ class TestFit:
                      "--r", "2", "--q", "2", "--idio-cov", "ridge",
                      "--idio-ar", "ecm", "--out", str(tmp_path / "f")])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("flags", [[], ["--idio-ar", "ecm"]],
+                             ids=["diag", "ecm"])
+    def test_ridge_mu_without_ridge_covariance_exits_validation(
+            self, tmp_path, capsys, flags):
+        """A fixed --ridge-mu acts only on the ridge covariance; without
+        --idio-cov ridge it is refused, not ignored."""
+        draw = _simulate(tmp_path, "d")
+        code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", *flags, "--ridge-mu", "5",
+                     "--out", str(tmp_path / "f")])
+        assert code == EXIT_VALIDATION
+        assert "--ridge-mu applies only with --idio-cov ridge" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
 
     def test_bad_ridge_mu(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d")
@@ -588,17 +602,29 @@ class TestEval:
     @pytest.mark.parametrize("text, why", [
         ("3", "not a JSON object"),
         ("legacy", "is not square"),
+        ("asymmetric", "gamma_e: S must be symmetric"),
+        ("random_B", "B'B not diagonal"),
+        ("zero_c", "c not positive"),
     ])
     def test_malformed_params_exits_validation_naming_the_file(
             self, tmp_path, capsys, text, why):
-        """A params.json that is not a JSON object, or whose 2-D gamma_e is
-        not square, exits 2 naming the file."""
+        """A params.json that is not a JSON object, whose 2-D gamma_e is
+        not square or not symmetric, or whose factors (c, B) break c > 0
+        or B'B diagonal, exits 2 naming the file."""
         draw, fit = self._ridge_fit_at_small_n(tmp_path)
         path = fit / "params.json"
-        if text == "legacy":
-            doc = json.loads(path.read_text())
-            del doc["gamma_c"], doc["gamma_B"]
-            doc["gamma_e"] = np.ones((20, 19)).tolist()
+        doc = json.loads(path.read_text())
+        if text in ("legacy", "asymmetric"):
+            B = np.array(doc.pop("gamma_B"))
+            G = doc.pop("gamma_c") * np.eye(20) + B @ B.T
+            G[0, 1] += 0.5
+            doc["gamma_e"] = (G if text == "asymmetric"
+                              else np.ones((20, 19))).tolist()
+        elif text == "random_B":
+            doc["gamma_B"] = np.random.default_rng(0).standard_normal((20, 3)).tolist()
+        elif text == "zero_c":
+            doc["gamma_c"] = 0.0
+        if text != "3":
             text = json.dumps(doc)
         path.write_text(text)
         capsys.readouterr()

@@ -184,7 +184,7 @@ class TestMStep:
         p = toeplitz_params(draw)
         stats, _, _ = e_step(draw.panel, p, stationary_init(p))
         out = m_step(stats, draw.panel, 2)
-        assert out.gamma_e_is_diagonal
+        assert out.gamma_factors is None
         assert np.all(out.gamma_e > 0)
 
 

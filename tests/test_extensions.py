@@ -470,7 +470,7 @@ class TestEcmFit:
         draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=15))
         res = ecm_fit(draw.panel, dims, EmConfig(max_iter=15))
         assert res.params.rho.shape == (20,)
-        assert res.params.gamma_e_is_diagonal
+        assert res.params.gamma_factors is None
         assert np.all(np.abs(res.params.rho) < 1.0)
         assert np.all(res.params.gamma_e > 0)
 

@@ -100,6 +100,11 @@ class TestMatrixCsv:
         assert str(err.value) == f"{path}:{line}: {message}"
 
 
+# The keys of a two-series, one-factor document but its Gamma^e.
+_TWO_SERIES = {"Lambda": [[1.0], [1.0]], "A": [[0.5]], "H": [[1.0]],
+               "rho": [0.0, 0.0]}
+
+
 class TestParamsJson:
     def test_round_trip_diagonal(self, rng, tmp_path):
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=6, T=10, r=2, q=1),
@@ -112,7 +117,7 @@ class TestParamsJson:
         assert np.array_equal(back.H, draw.params.H)
         assert np.array_equal(back.gamma_e, draw.params.gamma_e)
         assert np.array_equal(back.rho, draw.params.rho)
-        assert back.gamma_e_is_diagonal
+        assert back.gamma_factors is None
 
     def test_round_trip_full_covariance(self, rng, tmp_path):
         """A full Gamma, given by the factors ridge_covariance(G, 0), reads
@@ -127,7 +132,6 @@ class TestParamsJson:
         path = tmp_path / "params.json"
         write_params_json(p, path)
         back = read_params_json(path)
-        assert not back.gamma_e_is_diagonal
         assert back.gamma_factors[0] == p.gamma_factors[0]
         assert np.array_equal(back.gamma_factors[1], p.gamma_factors[1])
         assert np.max(np.abs(dense_gamma(back) - G)) <= 1e-12 * np.max(np.abs(G))
@@ -151,7 +155,14 @@ class TestParamsJson:
         ("3", "not a JSON object"), ("[1, 2]", "not a JSON object"),
         (json.dumps({"Lambda": [[1.0]], "A": [[0.5]], "H": [[1.0]],
                      "rho": [0.0], "gamma_e": [[1.0, 0.0]]}), "not square"),
-    ], ids=["number", "list", "gamma_e_not_square"])
+        (json.dumps(dict(_TWO_SERIES, gamma_e=[[2.0, 0.5], [0.0, 2.0]])),
+         "gamma_e: S must be symmetric"),
+        (json.dumps(dict(_TWO_SERIES, gamma_c=0.0, gamma_B=[[1.0], [0.0]])),
+         "c not positive"),
+        (json.dumps(dict(_TWO_SERIES, gamma_c=1.0,
+                         gamma_B=[[1.0, 1.0], [0.0, 1.0]])), "B'B not diagonal"),
+    ], ids=["number", "list", "gamma_e_not_square", "gamma_e_not_symmetric",
+            "gamma_c_not_positive", "gamma_B_not_orthogonal"])
     def test_malformed_document_raises_naming_the_file(self, tmp_path, text, why):
         path = tmp_path / "params.json"
         path.write_text(text)
@@ -163,21 +174,22 @@ class TestParamsJson:
         of an n x n gamma_e, and read back bitwise."""
         from dfm_em.model import DfmParams
 
+        B = np.linalg.qr(rng.standard_normal((6, 4)))[0] * [2.0, 1.5, 1.0, 0.5]
         p = DfmParams(Lambda=rng.standard_normal((6, 2)), A=0.3 * np.eye(2),
-                      H=np.eye(2), gamma_factors=(np.sqrt(3.0),
-                                                  rng.standard_normal((6, 4))))
+                      H=np.eye(2), gamma_factors=(np.sqrt(3.0), B))
         path = tmp_path / "params.json"
         write_params_json(p, path)
         doc = json.loads(path.read_text())
-        assert "gamma_e" not in doc and doc["gamma_e_diagonal"] is False
+        assert set(doc) == {"Lambda", "A", "H", "gamma_c", "gamma_B", "rho"}
         back = read_params_json(path)
         assert back.gamma_factors[0] == p.gamma_factors[0]
         assert np.array_equal(back.gamma_factors[1], p.gamma_factors[1])
         for name in ("Lambda", "A", "H", "gamma_e", "rho"):
             assert np.array_equal(getattr(back, name), getattr(p, name))
-        assert not back.gamma_e_is_diagonal
 
-    def test_diagonal_flag_in_document(self, tmp_path):
+    def test_diagonal_document_has_no_flag_and_reads_diagonal(self, tmp_path):
+        """The keys alone say the form: a diagonal Gamma^e writes gamma_e
+        and no flag, and reads back diagonal."""
         from dfm_em.model import DfmParams
 
         p = DfmParams(Lambda=np.ones((3, 1)), A=np.array([[0.5]]),
@@ -185,7 +197,10 @@ class TestParamsJson:
         path = tmp_path / "params.json"
         write_params_json(p, path)
         doc = json.loads(path.read_text())
-        assert doc["gamma_e_diagonal"] is True
+        assert set(doc) == {"Lambda", "A", "H", "gamma_e", "rho"}
+        back = read_params_json(path)
+        assert back.gamma_factors is None
+        assert np.array_equal(back.gamma_e, p.gamma_e)
 
 
 class TestDirectories:

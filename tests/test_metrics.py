@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,8 @@ from dfm_em.simulate import stream
 from conftest import ar1_precision, dense_gamma
 
 
-def _make_result(Lambda, F, gamma_e, A=None, H=None, gamma_factors=None):
+def _make_result(Lambda, F, gamma_e, A=None, H=None, gamma_factors=None,
+                 rho=None):
     n, r = Lambda.shape
     T = F.shape[1]
     params = DfmParams(
@@ -36,6 +39,7 @@ def _make_result(Lambda, F, gamma_e, A=None, H=None, gamma_factors=None):
         A=0.5 * np.eye(r) if A is None else A,
         H=np.eye(r) if H is None else H,
         gamma_e=gamma_e,
+        rho=rho,
         gamma_factors=gamma_factors,
     )
     smooth = SmootherOutput(
@@ -148,24 +152,39 @@ class TestAsvar:
         assert np.allclose(W2, c**2 * W1)
 
     def test_gls_v_at_rho_zero_matches_diag_ols(self, rng):
+        """Where the rule switches: the AR(1)-weighted ("gls_v") V that any
+        nonzero rho selects agrees at rho = 1e-300 with the white
+        ("diag_ols") V of rho = 0, and W does not read rho."""
         n, r, T = 6, 2, 25
         Lam = rng.standard_normal((n, r))
         F = rng.standard_normal((r, T))
         gam = rng.uniform(0.5, 1.5, n)
-        res = _make_result(Lam, F, gam)
-        W0, V0 = asvar_matrices(res, "diag_ols")
-        Wg, Vg = asvar_matrices(res, "gls_v")
+        W0, V0 = asvar_matrices(_make_result(Lam, F, gam))
+        Wg, Vg = asvar_matrices(_make_result(Lam, F, gam, rho=np.full(n, 1e-300)))
         assert np.max(np.abs(Vg - V0)) < 1e-10
         assert np.max(np.abs(Wg - W0)) < 1e-10
 
     def test_gls_v_on_em_fit_matches_diag_ols(self):
+        """An em_fit has a diagonal Gamma and rho = 0: W and V are the
+        diagonal, serially uncorrelated ("diag_ols") formulas, bitwise,
+        and the AR(1) weighting of rho = 1e-300 moves V by round-off. At
+        seed 18, W from Lambda * (1 / gamma) differs from W0 in the last
+        bit, so the bitwise check pins the division."""
         dims = ModelDims(n=20, T=50, r=2, q=2)
-        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=16))
-        res = em_fit(draw.panel, dims, EmConfig(max_iter=10))
-        W0, V0 = asvar_matrices(res, "diag_ols")
-        Wg, Vg = asvar_matrices(res, "gls_v")
-        assert np.array_equal(Wg, W0)
-        assert np.max(np.abs(Vg - V0)) < 1e-10 * np.max(V0)
+        for seed in (16, 18):
+            draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=seed))
+            res = em_fit(draw.panel, dims, EmConfig(max_iter=10))
+            Lam, F, g = res.params.Lambda, res.factors.F_smooth, res.params.gamma_e
+            inner_W = Lam.T @ (Lam / g[:, None]) / dims.n
+            W0 = np.einsum("ir,ir->i", Lam, np.linalg.solve(inner_W, Lam.T).T)
+            base = np.einsum("rt,rt->t", F, np.linalg.solve(F @ F.T / dims.T, F))
+            V0 = g[:, None] * base[None, :]
+            W, V = asvar_matrices(res)
+            assert np.array_equal(W, W0) and np.array_equal(V, V0)
+            tiny = replace(res, params=replace(res.params, rho=np.full(dims.n, 1e-300)))
+            Wg, Vg = asvar_matrices(tiny)
+            assert np.array_equal(Wg, W0)
+            assert np.max(np.abs(Vg - V0)) < 1e-10 * np.max(V0)
 
     def test_gls_v_on_ecm_fit_matches_dense_oracle(self):
         """V_it = F_t' (F P_i F' / T)^{-1} F_t with P_i the dense AR(1)
@@ -176,31 +195,28 @@ class TestAsvar:
         rho, gam = res.params.rho, res.params.gamma_e
         assert np.all(rho != 0.0)
         F = res.factors.F_smooth
-        _, V = asvar_matrices(res, "gls_v")
+        _, V = asvar_matrices(res)
         for i in range(dims.n):
             inner = F @ ar1_precision(rho[i], gam[i], dims.T) @ F.T / dims.T
             want = np.einsum("rt,rt->t", F, np.linalg.solve(inner, F))
             assert np.max(np.abs(V[i] - want)) < 1e-10 * np.max(want)
 
-    def test_ridge_w_requires_full_covariance(self, rng):
-        res = _make_result(rng.standard_normal((5, 1)),
-                           rng.standard_normal((1, 10)), np.ones(5))
-        with pytest.raises(ValueError):
-            asvar_matrices(res, "ridge_w")
-
     def test_ridge_w_full_covariance(self, rng):
+        """The factors (1, 0) of I take the Woodbury route to W and give
+        the W of the diagonal I to 1e-12, and the same white V."""
         n, r, T = 5, 1, 10
         Lam = rng.standard_normal((n, r))
         F = rng.standard_normal((r, T))
         res = _make_result(Lam, F, None, gamma_factors=(1.0, np.zeros((n, 1))))
-        W, _ = asvar_matrices(res, "ridge_w")
-        # with identity covariance the ridge form equals the diagonal form
-        W0, _ = asvar_matrices(_make_result(Lam, F, np.ones(n)), "diag_ols")
-        assert np.allclose(W, W0)
+        W, V = asvar_matrices(res)
+        W0, V0 = asvar_matrices(_make_result(Lam, F, np.ones(n)))
+        assert np.max(np.abs(W - W0)) <= 1e-12 * np.max(np.abs(W0))
+        assert np.array_equal(V, V0)
 
     def test_ridge_w_factored_matches_dense(self):
         """W from the factors (c, B) of a ridge fit at n > T + r equals W
-        from the same Gamma solved dense, and V is the diagonal mode's."""
+        from the same Gamma solved dense, and V is that of the diagonal
+        of Gamma."""
         dims = ModelDims(n=30, T=12, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=29))
         res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3))
@@ -209,14 +225,10 @@ class TestAsvar:
         Lam = p.Lambda
         inner = Lam.T @ np.linalg.solve(dense_gamma(p), Lam) / dims.n
         W0 = np.einsum("ir,ir->i", Lam, np.linalg.solve(inner, Lam.T).T)
-        W, V = asvar_matrices(res, "ridge_w")
+        W, V = asvar_matrices(res)
         assert np.max(np.abs(W - W0)) <= 1e-12 * np.max(np.abs(W0))
-        assert np.array_equal(V, asvar_matrices(res, "diag_ols")[1])
-
-    def test_unknown_mode_raises(self, rng):
-        res = _make_result(np.ones((3, 1)), np.ones((1, 5)), np.ones(3))
-        with pytest.raises(ValueError):
-            asvar_matrices(res, "bogus")
+        diagonal = replace(res, params=replace(p, gamma_factors=None))
+        assert np.array_equal(V, asvar_matrices(diagonal)[1])
 
 
 class TestZScores:

@@ -134,7 +134,7 @@ class TestGammaFactors:
         p = _params(gamma=None)
         f = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_factors=(0.5, B))
         assert np.array_equal(f.gamma_e, np.sum(B * B, axis=1) + 0.5)
-        assert f.gamma_e.ndim == 1 and not f.gamma_e_is_diagonal
+        assert f.gamma_e.ndim == 1 and f.gamma_factors is not None
         assert not (f.gamma_e.flags.writeable or B.flags.writeable)
 
     def test_replace_keeps_the_factors(self, rng):

@@ -238,7 +238,7 @@ class TestRunGrid:
         grid = McGrid(cells=(_small_cell("a"), _small_cell("b", T=30)),
                       B=2, base_seed=3)
         report = run_grid(grid)
-        assert [c.label for c in report.cells] == ["a", "b"]
+        assert [c.cell.label for c in report.cells] == ["a", "b"]
         assert report.B == 2 and report.base_seed == 3
 
     def test_cell_order_does_not_change_cell_results(self):
