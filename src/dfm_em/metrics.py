@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .em import EmResult
 from .extensions import _ar1_weighted
@@ -42,9 +41,13 @@ __all__ = [
 DEFAULT_ALPHAS = (0.99, 0.95, 0.90, 0.84, 0.16, 0.10, 0.05, 0.01)
 BURN_IN_T = 5  # pooled statistics keep t >= 5 (1-indexed)
 HIST_EDGES = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.1), 10)
-# Standard normal quantiles of the coverage levels (``ndtri`` is the inverse
-# normal CDF; it spares importing ``scipy.stats``).
-_NORMAL_QUANTILES = tuple(ndtri(np.asarray(DEFAULT_ALPHAS)).tolist())
+# Standard normal quantiles of the coverage levels, the repr of
+# scipy.special.ndtri(DEFAULT_ALPHAS): the same bits, without importing scipy's
+# special functions. The 0.05 and 0.95 quantiles are not exact negatives.
+_NORMAL_QUANTILES = (
+    2.3263478740408408, 1.6448536269514722, 1.2815515655446004, 0.994457883209753,
+    -0.994457883209753, -1.2815515655446004, -1.6448536269514729, -2.3263478740408408,
+)
 
 
 @dataclass(frozen=True)

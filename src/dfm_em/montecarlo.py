@@ -27,7 +27,6 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +123,10 @@ class McGrid:
     base_seed: int = 0
 
     def __post_init__(self):
+        for name in ("B", "base_seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.B < 1:
             raise ValueError("B must be >= 1")
         object.__setattr__(self, "cells", tuple(self.cells))
@@ -145,8 +148,8 @@ class McGrid:
             ) from exc
         try:
             cells = tuple(McCell(**c) for c in doc["cells"])
-            return McGrid(cells=cells, B=int(doc.get("B", 100)),
-                          base_seed=int(doc.get("base_seed", 0)))
+            return McGrid(cells=cells, B=doc.get("B", 100),
+                          base_seed=doc.get("base_seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: invalid experiment file: {exc}") from exc
 
@@ -232,6 +235,9 @@ def run_cell(cell: McCell, B: int, base_seed: int,
     key = _cell_key(cell)
     jobs = [(cell, _rep_seed(base_seed, key, b)) for b in range(B)]
     if parallelism > 1:
+        # Imported here, so multiprocessing loads only for a parallel run.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(_run_replication, jobs, chunksize=1))
     else:

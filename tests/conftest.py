@@ -274,14 +274,17 @@ def toeplitz_params(draw):
                                gamma_factors=ridge_covariance(G, 0.0))
 
 
-def simulate_loop(params, T, innovation, rng):
-    """(F, X) of ``simulate.simulate_given`` computed the plain way.
+def simulate_loop(params, T, innovation, rng, tau=0.0):
+    """(F, X) of ``simulate.simulate_given`` computed the plain way, or
+    with ``tau`` > 0 of ``simulate.draw_dgp``'s Toeplitz shocks.
 
     Shocks are drawn in the same order (common, then idiosyncratic), the
     idiosyncratic ones are multiplied by the square root of a diagonal
-    Gamma^e or by the Cholesky factor of a full one (``dense_gamma``), and
-    both the factor VAR(1) and the idiosyncratic AR(1) run one period at a
-    time from zero, the BURN_IN pre-sample periods included.
+    Gamma^e or by the Cholesky factor of a full one (``dense_gamma``), or at
+    tau > 0 run through the AR(1) recursion across series out of place
+    (e = sqrt(1 - tau^2) z, e_0 = z_0, e_i += tau e_{i-1}), and both the
+    factor VAR(1) and the idiosyncratic AR(1) run one period at a time from
+    zero, the BURN_IN pre-sample periods included; X = Lambda F + xi.
     """
     n, r, q = params.n, params.r, params.q
     total = T + BURN_IN
@@ -291,7 +294,12 @@ def simulate_loop(params, T, innovation, rng):
     else:
         u = rng.standard_t(4, size=(q, total)) / np.sqrt(2.0)
         z = rng.standard_t(4, size=(n, total)) / np.sqrt(2.0)
-    if params.gamma_factors is None:
+    if tau > 0.0:
+        e = np.sqrt(1.0 - tau * tau) * z
+        e[0] = z[0]
+        for i in range(1, n):
+            e[i] += tau * e[i - 1]
+    elif params.gamma_factors is None:
         e = np.sqrt(params.gamma_e)[:, None] * z
     else:
         e = np.linalg.cholesky(dense_gamma(params)) @ z

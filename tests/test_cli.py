@@ -456,6 +456,25 @@ class TestMontecarlo:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("B", 2.7), ("B", True), ("base_seed", 1.9)])
+    def test_non_integer_count_or_seed_exits_before_running(
+            self, tmp_path, monkeypatch, capsys, key, value):
+        """A B of 2.7 is refused naming the file, not run as 2 replications."""
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps({key: value, "cells": [
+            {"label": "good", "n": 12, "T": 25, "r": 2, "q": 2}]}))
+
+        def run_grid(*args, **kwargs):
+            raise AssertionError("run_grid ran on a grid with a non-integer count")
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        out = tmp_path / "report"
+        assert main(["montecarlo", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(path) in err and f"{key} must be an integer" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("parallel", ["0", "-1"])
     def test_parallel_below_one_exits_before_running(self, tmp_path,
                                                      monkeypatch, capsys,

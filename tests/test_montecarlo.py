@@ -116,6 +116,32 @@ class TestCells:
         with pytest.raises(ValueError):
             McGrid(cells=(), B=0)
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"B": 2.5}, "B must be an integer, got 2.5"),
+        ({"B": True}, "B must be an integer, got True"),
+        ({"base_seed": 1.9}, "base_seed must be an integer, got 1.9"),
+    ])
+    def test_grid_rejects_non_integer_count_and_seed(self, kw, message):
+        """A float B would otherwise fail later, in range(B)."""
+        with pytest.raises(ValueError, match=message):
+            McGrid(cells=(_small_cell(),), **kw)
+
+    def test_grid_accepts_numpy_integers(self):
+        grid = McGrid(cells=(), B=np.int64(3), base_seed=np.int32(7))
+        assert grid.B == 3 and grid.base_seed == 7
+
+    @pytest.mark.parametrize("key,value", [
+        ("B", 2.7), ("B", True), ("base_seed", 1.9)])
+    def test_grid_from_json_rejects_non_integer_count_and_seed(
+            self, tmp_path, key, value):
+        """The file's B and base_seed are not truncated: 2.7 is not 2."""
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({key: value, "cells": [
+            {"label": "x", "n": 10, "T": 20, "r": 2, "q": 1}]}))
+        with pytest.raises(ValueError,
+                           match=f"invalid experiment file: {key} must be an integer"):
+            McGrid.from_json(path)
+
     def test_grid_rejects_duplicate_labels(self):
         """Two cells with one label would write one zhist_<label>.csv."""
         with pytest.raises(ValueError, match="duplicate cell label 'same'"):

@@ -205,9 +205,9 @@ class TestToeplitzShocks:
 
 
 class TestAgainstTheLoop:
-    """Diagonal Gamma^e (tau = 0) and full Gamma^e (its factors) passed to
-    simulate_given reproduce the per-period loop bitwise, with and without
-    AR(1) idiosyncratics."""
+    """Diagonal Gamma^e (tau = 0), Toeplitz shocks (tau > 0) and full
+    Gamma^e (its factors) reproduce the per-period, out-of-place loop
+    bitwise, with and without AR(1) idiosyncratics."""
 
     @pytest.mark.parametrize("innovation", ["gaussian", "student_t4"])
     @pytest.mark.parametrize("delta", [0.0, 0.2])
@@ -217,6 +217,20 @@ class TestAgainstTheLoop:
         assert np.any(draw.params.rho) == (delta > 0.0)
         F, X = simulate_loop(draw.params, cfg.dims.T, innovation,
                              stream(cfg.seed, 0))
+        assert np.array_equal(draw.factors, F)
+        assert np.array_equal(draw.panel.X, X)
+
+    @pytest.mark.parametrize("innovation", ["gaussian", "student_t4"])
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    @pytest.mark.parametrize("tau", [0.5, 0.9])
+    def test_tau_draw_is_bitwise(self, tau, delta, innovation):
+        """The in-place Toeplitz root and panel give the bits of the
+        out-of-place arithmetic."""
+        cfg = _config(n=40, T=60, tau=tau, delta=delta, seed=19,
+                      innovation=innovation)
+        draw = draw_dgp(cfg)
+        F, X = simulate_loop(draw.params, cfg.dims.T, innovation,
+                             stream(cfg.seed, 0), tau)
         assert np.array_equal(draw.factors, F)
         assert np.array_equal(draw.panel.X, X)
 
