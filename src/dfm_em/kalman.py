@@ -58,23 +58,27 @@ steps before the freeze take S_y^{-1} from one batched inverse and
 log|S_y| from one batched Cholesky; only when that Cholesky fails does a
 per-step search find the first non-positive-definite S_y.
 
-Every other recursion is linear, x_t = M_t x_{t-1} + b_t (optionally
-with N_t = M_t N_{t-1} M_t' + Q_t), and runs as an odd-even scan: combine
-neighbouring pairs of steps, solve the half-length recursion on the
-pairs, then fill in the remaining steps. That is O(T) batched r x r work
-in O(log T) numpy calls. The filtered means are the scan of
-F_{t|t} = J_t A F_{t-1|t-1} + P V_k S_y^{-1} y_t, with F_{0|0} folded into
-the first step. The smoother scans, over reversed time, the
-inversion-free backward pair
+The two recursions that carry data are linear, x_t = M_t x_{t-1} + b_t
+forward or x_t = M_t x_{t+1} + b_t backward, so each is one unit
+block-bidiagonal triangular system in the Tr stacked unknowns, solved
+by one LAPACK band substitution (dtbtrs, bandwidth 2r - 1): O(T r^2)
+work in a single call. The filtered means solve
+F_{t|t} = J_t A F_{t-1|t-1} + P V_k S_y^{-1} y_t, with F_{0|0} folded
+into the first step. The smoother's backward pair
 
     r_T = 0, N_T = 0,
     L_t = A J_t,
     r_{t-1} = g_t + L_t' r_t,
     N_{t-1} = W_t + L_t' N_t L_t,
 
-which never inverts P and therefore also covers the singular q < r case.
-The smoothed moments are formed from the filtered ones for t = 0..T at
-once, with (F_{0|0}, P_{0|0}) in front:
+solves r_t the same way (upper triangular) and runs the data-free
+N_t = M_t N_{t-1} M_t' + Q_t over reversed time as an odd-even scan:
+combine neighbouring pairs of steps, solve the half-length recursion on
+the pairs, then fill in the remaining steps, O(T) batched r x r work in
+O(log T) numpy calls. The pair never inverts P and therefore also
+covers the singular q < r case. The smoothed moments are formed from
+the filtered ones for t = 0..T at once, with (F_{0|0}, P_{0|0}) in
+front:
 
     F_{t|T} = F_{t|t} + P_{t|t} A' r_t,
     P_{t|T} = P_{t|t} - P_{t|t} A' N_t A P_{t|t},
@@ -92,6 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .model import DfmParams, Panel, _residual, _sq_residual_sums
 
@@ -390,36 +395,53 @@ def _riccati(A, HHt, P0, Vk, d, T):
     return P_pred, P_filt, Sinv, Udiag, stop, why
 
 
-def _scan(M, b, Q=None):
-    """x_t = M_t x_{t-1} + b_t from x_{-1} = 0 for every t, and with Q
-    also N_t = M_t N_{t-1} M_t' + Q_t from N_{-1} = 0 (None without Q).
+def _bidiagonal_solve(M, b, uplo):
+    """x_t = M_t x_{t-1} + b_t from x_{-1} = 0 (uplo "L") or
+    x_t = M_t x_{t+1} + b_t from x_T = 0 (uplo "U"), for every t.
+
+    The stacked x solves one unit block-bidiagonal triangular system with
+    the identity on its diagonal and -M_t beside it, below (L) or above
+    (U); in LAPACK band storage its bandwidth is 2r - 1, and one dtbtrs
+    call does the substitution. Column j of M_t lands on band rows that
+    shift with j, one strided assignment per j.
+    """
+    T, r = b.shape
+    if T == 0:
+        return np.empty((0, r))
+    ab = np.zeros((2 * r, T * r), order="F")
+    for j in range(r):
+        if uplo == "L":
+            np.negative(M[1:, :, j].T, out=ab[r - j:2 * r - j, j:(T - 1) * r:r])
+        else:
+            np.negative(M[:-1, :, j].T, out=ab[r - 1 - j:2 * r - 1 - j, r + j::r])
+    ab[0 if uplo == "L" else 2 * r - 1] = 1.0
+    x, info = dtbtrs(ab, b.reshape(-1, 1), uplo=uplo, diag="U")
+    if info != 0:
+        raise RuntimeError(f"dtbtrs failed with info={info}")
+    return x.reshape(T, r)
+
+
+def _scan(M, Q):
+    """N_t = M_t N_{t-1} M_t' + Q_t from N_{-1} = 0, for every t.
 
     Odd-even recursive doubling: steps 2i and 2i+1 combine into one step
-    (M_{2i+1} M_{2i}, M_{2i+1} b_{2i} + b_{2i+1}) from x_{2i-1} to
-    x_{2i+1}; the half-length recursion on these pairs gives the odd
+    (M_{2i+1} M_{2i}, M_{2i+1} Q_{2i} M_{2i+1}' + Q_{2i+1}) from N_{2i-1}
+    to N_{2i+1}; the half-length recursion on these pairs gives the odd
     positions, and one batched step from each gives the even ones.
     """
-    T = len(b)
+    T = len(Q)
     if T <= 1:
-        return b.copy(), (None if Q is None else Q.copy())
+        return Q.copy()
     h = T // 2
     Me, Mo = M[0:2 * h:2], M[1::2]
-    x_odd, N_odd = _scan(
-        Mo @ Me, (Mo @ b[0:2 * h:2, :, None])[..., 0] + b[1::2],
-        None if Q is None else Mo @ Q[0:2 * h:2] @ np.swapaxes(Mo, 1, 2) + Q[1::2])
-    # x_{2i} = M_{2i} x_{2i-1} + b_{2i}, with x_{-1} = 0
+    N_odd = _scan(Mo @ Me, Mo @ Q[0:2 * h:2] @ np.swapaxes(Mo, 1, 2) + Q[1::2])
+    # N_{2i} = M_{2i} N_{2i-1} M_{2i}' + Q_{2i}, with N_{-1} = 0
     M2 = M[2::2]
-    x = np.empty_like(b)
-    x[0] = b[0]
-    x[1::2] = x_odd
-    x[2::2] = (M2 @ x_odd[:T - 1 - h, :, None])[..., 0] + b[2::2]
-    if Q is None:
-        return x, None
     N = np.empty_like(Q)
     N[0] = Q[0]
     N[1::2] = N_odd
     N[2::2] = M2 @ N_odd[:T - 1 - h] @ np.swapaxes(M2, 1, 2) + Q[2::2]
-    return x, N
+    return N
 
 
 def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOutput:
@@ -463,7 +485,7 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     c = (K @ Y.T[:T_ok, :, None])[..., 0]
     c[:1] += Phi[:1] @ init.F0
     F_filt = np.zeros((r, T))
-    F_filt[:, :T_ok] = _scan(Phi, c)[0].T
+    F_filt[:, :T_ok] = _bidiagonal_solve(Phi, c, "L").T
     F_pred = A @ np.column_stack([init.F0, F_filt[:, :T - 1]])
     v = (Y - Vk.T @ F_pred).T[:T_ok, :, None]
     terms = (n * np.log(2.0 * np.pi) + logdet_gamma + np.sum(np.log(d))
@@ -488,22 +510,23 @@ def kalman_smoother(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
     T, r = filt.T, filt.r
     A = params.A
 
-    # r_{t-1} = g_t + L_t' r_t, N_{t-1} = W_t + L_t' N_t L_t as a forward
-    # scan over reversed time; then r_t, N_t for t = 0..T, with r_T = 0
-    # and N_T = 0 appended.
+    # r_{t-1} = g_t + L_t' r_t as one backward band solve and
+    # N_{t-1} = W_t + L_t' N_t L_t as a forward scan over reversed time;
+    # then r_t, N_t for t = 0..T, with r_T = 0 and N_T = 0 appended.
     Lt = np.swapaxes(A @ filt.J, 1, 2)
-    R, N = _scan(Lt[::-1], filt.g.T[::-1], filt.W[::-1])
-    R = np.vstack([R[::-1], np.zeros((1, r))])
-    N = np.concatenate([_symmetrize(N[::-1]), np.zeros((1, r, r))])
+    R = np.vstack([_bidiagonal_solve(Lt, filt.g.T, "U"), np.zeros((1, r))])
+    N = np.concatenate([_symmetrize(_scan(Lt[::-1], filt.W[::-1])[::-1]),
+                        np.zeros((1, r, r))])
 
     # Filtered form, with (F_{0|0}, P_{0|0}) stacked in front of the
     # filtered moments; A P_{t|t} = (P_{t|t} A')' as P_{t|t} is symmetric.
     F = np.vstack([filt.init.F0, filt.F_filt.T])
     P = np.concatenate([filt.init.P0[None], filt.P_filt])
     PA = P @ A.T
+    PAN = PA @ N
     F_s = F + (PA @ R[..., None])[..., 0]
-    P_s = _psd_clip(P - PA @ N @ np.swapaxes(PA, 1, 2))
-    C = (np.eye(r) - PA[1:] @ N[1:] @ A) @ filt.J @ np.swapaxes(PA[:T], 1, 2)
+    P_s = _psd_clip(P - PAN @ np.swapaxes(PA, 1, 2))
+    C = (np.eye(r) - PAN[1:] @ A) @ filt.J @ np.swapaxes(PA[:T], 1, 2)
 
     return SmootherOutput(F_smooth=F_s[1:].T, P_smooth=P_s[1:], C_lag1=C,
                           F0_smooth=F_s[0], P0_smooth=P_s[0])

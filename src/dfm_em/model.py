@@ -259,9 +259,10 @@ def _sq_residual_sums(X, L, F, w=None):
     column sums weighted by w, w'(X - L F)^2 (length T).
 
     The residual is reduced block by block of rows, in cache: each block's
-    product, difference, square and reduction run in one buffer of about
-    _BLOCK_ELEMS doubles (at least one row), so no n x T array is formed.
-    Each row is summed whole; a weighted column sum adds the blocks'
+    product and difference run in one buffer of about _BLOCK_ELEMS doubles
+    (at least one row), so no n x T array is formed. A row sum is one
+    einsum reduction of the block against itself, each row summed whole; a
+    weighted column sum squares the block in place and adds the blocks'
     partial sums, which changes only the order of summation."""
     n, T = X.shape
     rows = max(1, _BLOCK_ELEMS // T)
@@ -271,9 +272,9 @@ def _sq_residual_sums(X, L, F, w=None):
         j = min(i + rows, n)
         E = np.matmul(L[i:j], F, out=buf[:j - i])
         np.subtract(X[i:j], E, out=E)
-        E *= E
         if w is None:
-            E.sum(axis=1, out=out[i:j])
+            np.einsum("ij,ij->i", E, E, out=out[i:j])
         else:
+            E *= E
             out += w[i:j] @ E
     return out

@@ -348,10 +348,10 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
         with open(hpath, "w") as fh:
             fh.write("\n".join(hlines) + "\n")
 
+    from importlib.metadata import PackageNotFoundError, version
     try:
-        from importlib.metadata import version
         pkg_version = version("dfm-em")
-    except Exception:
+    except PackageNotFoundError:
         pkg_version = "unknown"
     manifest = {
         "package_version": pkg_version,

@@ -236,12 +236,17 @@ def _simulate(params, T, innovation, rng, tau):
         gamma[np.diag_indices(n)] += c
         e = np.linalg.cholesky(gamma) @ z
 
-    F = np.zeros((r, total))
-    Hu = params.H @ u
+    # The factor VAR(1), one period per row of a row-major buffer, so each
+    # step reads and writes contiguous r-vectors: A F_{t-1} is written into
+    # row t and H u_t added in place, the loop's operations in its order.
+    Fb = np.empty((total, r))
+    HuT = np.ascontiguousarray((params.H @ u).T)
     prev = np.zeros(r)
     for t in range(total):
-        prev = params.A @ prev + Hu[:, t]
-        F[:, t] = prev
+        row = Fb[t]
+        np.matmul(params.A, prev, out=row)
+        row += HuT[t]
+        prev = row
 
     # The shocks become the AR(1) idiosyncratic path in place; with every
     # rho_i = 0 that path is the shocks themselves.
@@ -250,7 +255,7 @@ def _simulate(params, T, innovation, rng, tau):
         for t in range(1, total):
             xi[:, t] += params.rho * xi[:, t - 1]
 
-    F = F[:, BURN_IN:]
+    F = np.ascontiguousarray(Fb[BURN_IN:].T)
     F.flags.writeable = False
     X = params.Lambda @ F
     X += xi[:, BURN_IN:]

@@ -23,8 +23,8 @@ from conftest import (
     toeplitz_params,
     woodbury_inverse,
 )
-from dfm_em.kalman import _observed_directions, _psd_clip, _riccati, _scan, \
-    _solve, _symmetrize
+from dfm_em.kalman import _bidiagonal_solve, _observed_directions, _psd_clip, \
+    _riccati, _scan, _solve, _symmetrize
 from dfm_em.model import _BLOCK_ELEMS
 
 
@@ -422,30 +422,57 @@ class TestWoodbury:
         assert np.allclose(out, np.diag([0.5, 0.25]))
 
 
-def _scan_loop(M, b, Q):
+def _recursion_loop(M, b, Q, backward=False):
+    """x_t = M_t x_{t-1} + b_t and N_t = M_t N_{t-1} M_t' + Q_t one step at
+    a time from zero, or with ``backward`` the same steps over reversed
+    time, x_t = M_t x_{t+1} + b_t from x_T = 0."""
     x, N = np.zeros(b.shape[1]), np.zeros(Q.shape[1:])
     xs, Ns = np.empty_like(b), np.empty_like(Q)
-    for t in range(len(b)):
+    for t in (reversed(range(len(b))) if backward else range(len(b))):
         xs[t] = x = M[t] @ x + b[t]
         Ns[t] = N = M[t] @ N @ M[t].T + Q[t]
     return xs, Ns
 
 
+def _recursion_case(T, r):
+    rng = np.random.default_rng(100 * T + r)
+    M = 0.9 * rng.standard_normal((T, r, r)) / np.sqrt(r)
+    b = rng.standard_normal((T, r))
+    G = rng.standard_normal((T, r, r))
+    return M, b, G @ np.swapaxes(G, 1, 2)
+
+
+class TestBidiagonalSolve:
+    """The data recursions of the filter (forward) and the smoother
+    (backward) as one band triangular solve each."""
+
+    @pytest.mark.parametrize("T", [0, 1, 2, 3, 4, 7, 64, 101])
+    @pytest.mark.parametrize("r", [1, 4, 8])
+    @pytest.mark.parametrize("uplo", ["L", "U"])
+    def test_matches_a_plain_loop(self, uplo, r, T):
+        M, b, Q = _recursion_case(T, r)
+        x = _bidiagonal_solve(M, b, uplo)
+        x_ref = _recursion_loop(M, b, Q, backward=uplo == "U")[0]
+        assert x.shape == (T, r)
+        if T:
+            assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+
+    def test_leaves_its_inputs_alone(self):
+        M, b, _ = _recursion_case(7, 4)
+        M0, b0 = M.copy(), b.copy()
+        for uplo in ("L", "U"):
+            _bidiagonal_solve(M, b, uplo)
+        assert np.array_equal(M, M0) and np.array_equal(b, b0)
+
+
 class TestScan:
     @pytest.mark.parametrize("T", [1, 2, 3, 4, 7, 64, 101])
-    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("r", [1, 4, 8])
     def test_matches_a_plain_loop(self, T, r):
-        rng = np.random.default_rng(100 * T + r)
-        M = 0.9 * rng.standard_normal((T, r, r)) / np.sqrt(r)
-        b = rng.standard_normal((T, r))
-        G = rng.standard_normal((T, r, r))
-        Q = G @ np.swapaxes(G, 1, 2)
-        x, N = _scan(M, b, Q)
-        x_ref, N_ref = _scan_loop(M, b, Q)
-        assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+        M, b, Q = _recursion_case(T, r)
+        N = _scan(M, Q)
+        N_ref = _recursion_loop(M, b, Q)[1]
         assert np.max(np.abs(N - N_ref)) <= 1e-13 * np.max(np.abs(N_ref))
-        x_only, none = _scan(M, b)
-        assert np.array_equal(x_only, x) and none is None
 
 
 def _riccati_case(name):

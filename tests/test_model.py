@@ -208,3 +208,16 @@ class TestSqResidualSums:
                           (_sq_residual_sums(X, L, F, w), w @ sq)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want) / want) <= 1e-13
+
+    @pytest.mark.parametrize("noise", [1.0, 1e-9])
+    def test_row_sums_over_blocks(self, noise):
+        """The row sums, reduced by one einsum per block, agree with the
+        whole squared residual also when the noise is many orders below
+        L F."""
+        n, T, r = 3 * _ROWS_300 + 7, 300, 8
+        rng = np.random.default_rng(7)
+        L = rng.standard_normal((n, r))
+        F = rng.standard_normal((r, T))
+        X = L @ F + noise * rng.standard_normal((n, T))
+        want = ((X - L @ F) ** 2).sum(1)
+        assert np.max(np.abs(_sq_residual_sums(X, L, F) - want) / want) <= 1e-14

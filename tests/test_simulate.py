@@ -220,6 +220,19 @@ class TestAgainstTheLoop:
         assert np.array_equal(draw.factors, F)
         assert np.array_equal(draw.panel.X, X)
 
+    @pytest.mark.parametrize("q", [4, 8])
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_eight_factor_draw_is_bitwise(self, tau, q):
+        """The factor VAR, run row by row in place, gives the loop's bits
+        at r = 8, and the path comes back C-contiguous."""
+        cfg = _config(n=40, T=60, r=8, q=q, tau=tau, delta=0.2, seed=21)
+        draw = draw_dgp(cfg)
+        F, X = simulate_loop(draw.params, cfg.dims.T, "gaussian",
+                             stream(cfg.seed, 0), tau)
+        assert draw.factors.flags.c_contiguous
+        assert np.array_equal(draw.factors, F)
+        assert np.array_equal(draw.panel.X, X)
+
     @pytest.mark.parametrize("innovation", ["gaussian", "student_t4"])
     @pytest.mark.parametrize("delta", [0.0, 0.2])
     @pytest.mark.parametrize("tau", [0.5, 0.9])
