@@ -46,7 +46,7 @@ import warnings
 
 import numpy as np
 
-from .em import EmConfig, EmResult, _fit, _symmetric_sqrt
+from .em import EmConfig, EmResult, _fit, _floor_gamma, _symmetric_sqrt
 # Not called here: bench/tracing.py wraps these by their extensions.* names.
 from .em import e_step, m_step  # noqa: F401
 from .kalman import stationary_init  # noqa: F401
@@ -70,11 +70,11 @@ def ridge_covariance(S: np.ndarray, mu: float) -> tuple:
     Gamma - S - mu Gamma^{-1} = 0 and its minimum eigenvalue is at least
     sqrt(mu). It is returned as Gamma = c I + B B' with c the smallest g
     and B = V diag(g - c)^{1/2}, so B'B is diagonal: the
-    ``gamma_factors`` of :class:`DfmParams`.
+    ``gamma_factors`` of :class:`DfmParams`. ``mu`` must be finite and
+    nonnegative.
     """
     S = np.asarray(S, dtype=float)
-    if mu < 0.0:
-        raise ValueError("mu must be nonnegative")
+    _check_mu(mu)
     scale = max(np.max(np.abs(S)), 1.0)
     if np.max(np.abs(S - S.T)) > 1e-10 * scale:
         raise ValueError("S must be symmetric")
@@ -82,6 +82,12 @@ def ridge_covariance(S: np.ndarray, mu: float) -> tuple:
     g = nu if mu == 0.0 else _ridge_map(nu, mu)
     c = np.min(g)
     return c, V * np.sqrt(g - c)
+
+
+def _check_mu(mu):
+    """Refuse a ridge penalty that is not finite and nonnegative."""
+    if not 0.0 <= mu < np.inf:
+        raise ValueError(f"ridge mu must be finite and nonnegative, got {mu!r}")
 
 
 def _ridge_map(nu, mu):
@@ -132,8 +138,7 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     if mu is None:
         mu = dims.n * dims.n / dims.T
         mu = mu if mu >= 1.0 else 0.0
-    elif not 0.0 <= mu < np.inf:
-        raise ValueError(f"ridge mu must be finite and nonnegative, got {mu!r}")
+    _check_mu(mu)
 
     def update(stats, smooth, base):
         return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H,
@@ -212,9 +217,7 @@ def _ar_updates(X, Lam, smooth):
         rho[bad] = np.sign(rho[bad]) * 0.99
 
     head = ss - resid[:, 0] ** 2 + quad(Ps[1:].sum(axis=0))
-    gamma = (head - 2.0 * rho * num + rho**2 * den) / (T - 1)
-    gamma = np.maximum(gamma, 1e-12)
-    return rho, gamma
+    return rho, (head - 2.0 * rho * num + rho**2 * den) / (T - 1)
 
 
 def ecm_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
@@ -231,12 +234,14 @@ def ecm_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     is not enforced.
 
     The fitted AR(1) laws are ``params.rho`` (the coefficients) and
-    ``params.gamma_e`` (the innovation variances) of the result.
+    ``params.gamma_e`` (the innovation variances, under em's floor of a
+    fixed fraction of each series' sample variance) of the result.
     """
 
     def update(stats, smooth, base):
         rho, gamma = _ar_updates(panel.X, base.Lambda, smooth)
         Lam = gls_loadings(stats, smooth, panel, rho)
-        return DfmParams(Lambda=Lam, A=base.A, H=base.H, gamma_e=gamma, rho=rho)
+        return DfmParams(Lambda=Lam, A=base.A, H=base.H,
+                         gamma_e=_floor_gamma(gamma, panel), rho=rho)
 
     return _fit(panel, dims, config, init, update)

@@ -282,7 +282,7 @@ def _whitener(params):
         return _sq_residual_sums(X, L, F, inv)
 
     Lw = Lam / np.sqrt(gamma_e)[:, None]
-    return (Lam * inv[:, None], _symmetrize(Lw.T @ Lw), norms,
+    return (Lam / gamma_e[:, None], _symmetrize(Lw.T @ Lw), norms,
             float(np.sum(np.log(gamma_e))))
 
 

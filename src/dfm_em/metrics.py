@@ -104,12 +104,13 @@ def asvar_matrices(result: EmResult):
     not depend on t — and V of shape (n, T) with
     V_it = Fhat_t' (T^{-1} sum_s Fhat_s gamma_ii^{-1} Fhat_s')^{-1} Fhat_t.
 
-    Gamma^{-1} Lambda divides by the diagonal ``params.gamma_e``, or, for a
-    full Gamma given by its factors (c, B) (a ridge estimate), is the
-    filter's Woodbury whitener. When some ``params.rho`` is nonzero (an
-    ECM estimate), the V-denominator is weighted by the tridiagonal inverse
-    covariance of the fitted AR(1) laws (``params.rho``, ``params.gamma_e``),
-    the batched weighting of ``extensions.gls_loadings``.
+    Gamma^{-1} Lambda is the filter's (``kalman._whitener``): a division
+    by the diagonal ``params.gamma_e``, or, for a full Gamma given by its
+    factors (c, B) (a ridge estimate), Woodbury through them. When some
+    ``params.rho`` is nonzero (an ECM estimate), the V-denominator is
+    weighted by the tridiagonal inverse covariance of the fitted AR(1)
+    laws (``params.rho``, ``params.gamma_e``), the batched weighting of
+    ``extensions.gls_loadings``.
     """
     params = result.params
     F = result.factors.F_smooth
@@ -118,11 +119,7 @@ def asvar_matrices(result: EmResult):
     T = F.shape[1]
 
     gamma_diag = params.gamma_e
-    if params.gamma_factors is None:
-        Ginv_Lam = Lam / gamma_diag[:, None]
-    else:
-        Ginv_Lam = _whitener(params)[0]
-    inner_W = Lam.T @ Ginv_Lam / n
+    inner_W = Lam.T @ _whitener(params)[0] / n
     W = np.einsum("ir,ir->i", Lam, np.linalg.solve(inner_W, Lam.T).T)
 
     if np.any(params.rho):

@@ -205,7 +205,9 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
 
     Returns an empty list when all constraints hold; otherwise a list of
     human-readable violation descriptors, each naming the constraint
-    breached. Shape mismatches raise :class:`ShapeError` instead.
+    breached. A field with a NaN or infinite entry is reported as not
+    finite, and then no other constraint is checked. Shape mismatches
+    raise :class:`ShapeError` instead.
     """
     n, r, q = dims.n, dims.r, dims.q
     if params.Lambda.shape != (n, r):
@@ -222,6 +224,14 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
         raise ShapeError(f"gamma_e shape {g.shape} incompatible with n={n}")
     if params.rho.shape != (n,):
         raise ShapeError(f"rho shape {params.rho.shape} != ({n},)")
+
+    # The eigen and rank checks below are undefined on NaN or inf entries.
+    fields = {"Lambda": params.Lambda, "A": params.A, "H": params.H,
+              "gamma_e": g, "rho": params.rho}
+    nonfinite = [f"{name} not finite" for name, a in fields.items()
+                 if not np.all(np.isfinite(a))]
+    if nonfinite:
+        return nonfinite
 
     violations = []
     spectral_radius = np.max(np.abs(np.linalg.eigvals(params.A)))

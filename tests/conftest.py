@@ -343,8 +343,7 @@ def ar_updates_reference(X, Lam, smooth):
         warnings.warn("idiosyncratic AR estimates clamped", RuntimeWarning)
         rho[bad] = np.sign(rho[bad]) * 0.99
     head = sq[:, 1:].sum(axis=1)
-    gamma = (head - 2.0 * rho * num + rho**2 * den) / (T - 1)
-    return rho, np.maximum(gamma, 1e-12)
+    return rho, (head - 2.0 * rho * num + rho**2 * den) / (T - 1)
 
 
 @pytest.fixture

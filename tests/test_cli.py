@@ -213,6 +213,9 @@ class TestFit:
                      "--out", str(tmp_path / "fit")]) == EXIT_OK
 
     def test_ridge_and_ecm_variants(self, tmp_path):
+        """Both variants fit; the ECM fit writes its AR(1) laws as a
+        nonzero rho and a diagonal gamma_e, with no gamma_e_diagonal key,
+        and eval reads them back."""
         draw = _simulate(tmp_path, "d", tau=0.5, delta=0.2)
         panel = draw / "panel.csv"
         assert main(["fit", "--panel", str(panel), "--r", "2", "--q", "2",
@@ -223,6 +226,11 @@ class TestFit:
                      "--idio-ar", "ecm", "--max-iter", "5",
                      "--out", str(tmp_path / "fe")]) in (
                          EXIT_OK, EXIT_NONCONVERGENCE)
+        doc = json.loads((tmp_path / "fe" / "params.json").read_text())
+        assert any(doc["rho"]) and len(doc["gamma_e"]) == 20
+        assert "gamma_e_diagonal" not in doc
+        assert main(["eval", "--truth", str(draw), "--fit",
+                     str(tmp_path / "fe")]) == EXIT_OK
 
     def test_ridge_and_ecm_mutually_exclusive(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d")
@@ -397,8 +405,12 @@ class TestMontecarlo:
               "--parallel", "2"])
         assert ((tmp_path / "r1" / "cells.csv").read_bytes()
                 == (tmp_path / "r2" / "cells.csv").read_bytes())
-        assert ((tmp_path / "r1" / "zhist_em_cell.csv").read_bytes()
-                == (tmp_path / "r2" / "zhist_em_cell.csv").read_bytes())
+        hists = sorted(p.name for p in (tmp_path / "r1").glob("zhist_*.csv"))
+        assert hists == sorted(p.name for p in (tmp_path / "r2").glob("zhist_*.csv"))
+        assert "zhist_em_cell.csv" in hists
+        for name in hists:
+            assert ((tmp_path / "r1" / name).read_bytes()
+                    == (tmp_path / "r2" / name).read_bytes())
 
     @pytest.mark.parametrize("stale", ["cells.csv", "zhist_em_cell.csv"])
     def test_refuses_before_running_the_grid(self, tmp_path, monkeypatch,
@@ -576,8 +588,9 @@ class TestEval:
     @pytest.mark.parametrize("key", ["Lambda", "gamma_c", "gamma_B"])
     def test_missing_params_key_names_file_and_key(self, tmp_path, capsys,
                                                    key):
-        """A ridge fit at n > T + r writes Gamma as its factors; a
-        params.json missing any key exits 2 naming the file and the key."""
+        """A ridge fit at n > T + r writes Gamma as its factors, with
+        T + r columns in B and no n x n array; a params.json missing any
+        key exits 2 naming the file and the key."""
         draw = _simulate(tmp_path, "d", n=30, T=12, tau=0.5)
         fit = tmp_path / "fit"
         assert main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
@@ -585,6 +598,10 @@ class TestEval:
         path = fit / "params.json"
         doc = json.loads(path.read_text())
         assert "gamma_e" not in doc and len(doc["gamma_B"]) == 30
+        assert {len(row) for row in doc["gamma_B"]} == {12 + 2}
+        square = [k for k, v in doc.items() if isinstance(v, list)
+                  and np.shape(v) == (30, 30)]
+        assert not square, f"n x n arrays in params.json: {square}"
         assert main(["eval", "--truth", str(draw), "--fit", str(fit)]) == EXIT_OK
         del doc[key]
         path.write_text(json.dumps(doc))
@@ -609,6 +626,7 @@ class TestEval:
         path = fit / "params.json"
         doc = json.loads(path.read_text())
         assert "gamma_e" not in doc and len(doc["gamma_B"]) == 20
+        assert isinstance(doc["gamma_c"], float)
         capsys.readouterr()
         assert main(["eval", "--truth", str(draw), "--fit", str(fit)]) == EXIT_OK
         want = json.loads(capsys.readouterr().out)

@@ -141,11 +141,17 @@ class TestRidgeConfig:
         assert not np.array_equal(res.params.gamma_e, auto.params.gamma_e)
 
     def test_validation(self):
+        """ridge_fit and ridge_covariance refuse a penalty that is not
+        finite and nonnegative with one check, instead of returning a NaN
+        covariance."""
         dims = ModelDims(n=20, T=40, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, seed=11))
+        match = "ridge mu must be finite and nonnegative"
         for mu in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 ridge_fit(draw.panel, dims, mu=mu)
+            with pytest.raises(ValueError, match=match):
+                ridge_covariance(2.0 * np.eye(3), mu)
 
 
 class TestRidgeFit:
@@ -473,6 +479,16 @@ class TestEcmFit:
         assert res.params.gamma_factors is None
         assert np.all(np.abs(res.params.rho) < 1.0)
         assert np.all(res.params.gamma_e > 0)
+
+    def test_innovation_variances_take_the_em_floor(self):
+        """ECM floors its innovation variances at em's 1e-8 of each
+        series' variance, not at an absolute 1e-12, on a near-noiseless
+        panel where the unfloored estimates fall to about 1e-12 of it."""
+        dims = ModelDims(n=40, T=80, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=3))
+        panel = Panel(X=draw.chi + 1e-7 * (draw.panel.X - draw.chi))
+        res = ecm_fit(panel, dims)
+        assert np.all(res.params.gamma_e >= _GAMMA_RTOL * panel.var)
 
     def test_rho_recovery_on_serially_correlated_draws(self):
         """Average |rho_hat - rho| across series stays below 0.1 on draws

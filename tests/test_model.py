@@ -86,6 +86,18 @@ class TestValidate:
         with pytest.raises(ShapeError, match=match):
             validate(dataclasses.replace(_params(), **{field: bad}), dims)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["gamma_e", "rho", "Lambda", "A", "H"])
+    def test_nonfinite_field_is_a_violation(self, field, bad):
+        """A NaN or inf entry is reported before the eigen and rank checks,
+        which would raise on it or pass it."""
+        dims = ModelDims(n=6, T=10, r=2, q=2)
+        p = _params(rho=np.zeros(6))
+        value = getattr(p, field).copy()
+        value.flat[1] = bad
+        assert validate(dataclasses.replace(p, **{field: value}), dims) == [
+            f"{field} not finite"]
+
     def _factored(self, n=6, c=2.0, B=None):
         B = np.diag([1.0, 2.0, 0.5])[:, :2] if B is None else B
         B = np.vstack([B, np.zeros((n - B.shape[0], B.shape[1]))])
