@@ -15,14 +15,13 @@ import sys
 import numpy as np
 
 from . import io as dfm_io
-from .em import EmConfig, EmError, em_fit
+from .em import _NUMERICAL_FAILURES, EmConfig, em_fit
 from .extensions import ecm_fit, ridge_fit
-from .kalman import FilterNumericalError
 from .metrics import common_mse, trace_statistic
 from .model import DfmParams, ModelDims, Panel
 from .montecarlo import CellAbortError, McGrid, _report_paths, run_grid, \
     write_report
-from .pca import IdentificationError, pc_estimate
+from .pca import pc_estimate
 from .simulate import DgpConfig, draw_dgp
 
 __all__ = ["main"]
@@ -232,8 +231,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # LinAlgError subclasses ValueError, so the numerical clause goes first.
-    except (FilterNumericalError, IdentificationError, CellAbortError,
-            EmError, np.linalg.LinAlgError) as exc:
+    except (*_NUMERICAL_FAILURES, CellAbortError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

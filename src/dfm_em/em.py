@@ -34,14 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kalman import (
+    FilterNumericalError,
     InitState,
     SmootherOutput,
     kalman_filter,
     kalman_smoother,
     stationary_init,
 )
-from .model import DfmParams, ModelDims, Panel, ShapeError, _sq_residual_sums
-from .pca import PcEstimate, _shock_loading, pc_estimate
+from .model import DfmParams, ModelDims, Panel, ShapeError, _check_integer, \
+    _sq_residual_sums
+from .pca import IdentificationError, PcEstimate, _shock_loading, pc_estimate
 
 __all__ = [
     "EmConfig",
@@ -83,6 +85,12 @@ class AscentViolationError(EmError):
         self.iteration = iteration
 
 
+# The typed numerical failures of a fit: EM's own, the filter's, an
+# unidentified principal-components start and a singular linear system.
+_NUMERICAL_FAILURES = (EmError, FilterNumericalError, IdentificationError,
+                       np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class EmConfig:
     """EM loop controls: the relative log-likelihood tolerance and the
@@ -92,10 +100,9 @@ class EmConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if isinstance(self.epsilon, bool) or not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        _check_integer("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -280,8 +287,8 @@ def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     is started at the principal-components factor value and the stationary
     state covariance (P0 = I if the initial VAR has none: a unit or an
     explosive root); later iterations warm-start from the previous
-    smoother's time-zero moments, whose covariance the smoother already
-    returns symmetric and PSD-clipped.
+    smoother's time-zero moments, whose covariance the smoother returns
+    symmetrized and unrepaired, for :class:`InitState` to check.
     ``ridge_fit`` and ``ecm_fit`` share this loop.
 
     Raises

@@ -50,7 +50,7 @@ from .em import EmConfig, EmResult, _fit, _floor_gamma, _symmetric_sqrt
 # Not called here: bench/tracing.py wraps these by their extensions.* names.
 from .em import e_step, m_step  # noqa: F401
 from .kalman import stationary_init  # noqa: F401
-from .model import DfmParams, ModelDims, Panel, _residual
+from .model import DfmParams, ModelDims, Panel, _ar1_weighted, _residual
 from .pca import PcEstimate, pc_estimate  # noqa: F401
 
 __all__ = [
@@ -147,13 +147,6 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
 
     return _fit(panel, dims, config, init, update,
                 gamma0=lambda g: _ridge_map(g, mu))
-
-
-def _ar1_weighted(rho, lag0, ends, lag1):
-    """(1 + rho_i^2) lag0 - rho_i^2 ends - rho_i lag1 for each series i: a sum
-    weighted by gamma_i times its AR(1) inverse covariance, stacked on axis 0."""
-    p = np.asarray(rho)[:, None, None]
-    return (1.0 + p**2) * lag0 - p**2 * ends - p * lag1
 
 
 def gls_loadings(stats, smooth, panel: Panel, rho: np.ndarray) -> np.ndarray:

@@ -11,10 +11,8 @@ nested-list form. A diagonal Gamma^e is the 1-D ``gamma_e``; a full one,
 which is always given by its factors (``DfmParams.gamma_factors``,
 Gamma^e = c I + B B'), is stored as the two keys ``gamma_c`` and
 ``gamma_B`` in place of ``gamma_e``: n m + 1 numbers rather than n^2, and
-these keys alone say which form Gamma^e has. An older document's 2-D
-``gamma_e`` G is read as the factors ``ridge_covariance(G, 0)``, which
-rebuild G to round-off, and its flag for the form is ignored. A draw's
-document also records ``tau``: at tau > 0 its
+these keys alone say which form Gamma^e has; a 2-D ``gamma_e`` is refused.
+A draw's document also records ``tau``: at tau > 0 its
 Gamma^e = toeplitz(tau^|i-j|) is not written out, and ``gamma_e`` holds
 the diagonal (ones).
 """
@@ -27,7 +25,6 @@ import os
 import numpy as np
 
 from .em import EmResult
-from .extensions import ridge_covariance
 from .model import DfmParams, Panel, _factor_violations
 from .simulate import DgpDraw
 
@@ -149,11 +146,10 @@ def write_params_json(params: DfmParams, path):
 
 def read_params_json(path) -> DfmParams:
     """Read the parameters written by :func:`write_params_json` (or in a
-    draw's or a fit's ``params.json``); a 2-D ``gamma_e`` is read as its
-    factors. A document that is not a JSON object, a missing key, a 2-D
-    ``gamma_e`` that is not square or not symmetric, or factors that break
-    c > 0 or B'B diagonal (which the filter relies on) raise ValueError
-    naming the file."""
+    draw's or a fit's ``params.json``). A document that is not a JSON
+    object, a missing key, a ``gamma_e`` that is not 1-D, or factors that
+    break c > 0 or B'B diagonal (which the filter relies on) raise
+    ValueError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -167,14 +163,9 @@ def read_params_json(path) -> DfmParams:
         fields[key] = np.array(doc[key], dtype=float)
     if factored:
         fields["gamma_factors"] = (fields.pop("gamma_c"), fields.pop("gamma_B"))
-    elif fields["gamma_e"].ndim == 2:
-        G = fields.pop("gamma_e")
-        if G.shape[0] != G.shape[1]:
-            raise ValueError(f"{path}: gamma_e of shape {G.shape} is not square")
-        try:
-            fields["gamma_factors"] = ridge_covariance(G, 0.0)
-        except ValueError as exc:
-            raise ValueError(f"{path}: gamma_e: {exc}") from None
+    elif fields["gamma_e"].ndim != 1:
+        raise ValueError(f"{path}: gamma_e must be 1-D (the diagonal); a full "
+                         "Gamma^e is stored as its factors gamma_c/gamma_B")
     params = DfmParams(**fields)
     bad = params.gamma_factors and _factor_violations(*params.gamma_factors)
     if bad:

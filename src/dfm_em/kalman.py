@@ -201,26 +201,6 @@ def _symmetrize(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def _psd_clip(M):
-    """Nearest PSD matrix under eigenvalue clipping, for one matrix or a
-    stack of them; removes the tiny negative eigenvalues the backward
-    subtraction can produce when the measurement noise is many orders
-    below the signal. A stack that one batched Cholesky factors is
-    positive definite and comes back symmetrized only; otherwise only
-    matrices with a negative eigenvalue change."""
-    M = _symmetrize(M)
-    try:
-        np.linalg.cholesky(M)
-        return M
-    except np.linalg.LinAlgError:
-        pass
-    neg = np.linalg.eigvalsh(M)[..., 0] < 0.0
-    if np.any(neg):
-        w, V = np.linalg.eigh(M[neg])
-        M[neg] = (V * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
-    return M
-
-
 def stationary_init(params: DfmParams) -> InitState:
     """Zero-mean initialization at the stationary state covariance.
 
@@ -506,7 +486,11 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
 
 
 def kalman_smoother(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
-    """Backward smoothing pass; valid for singular P_{t|t-1} (q < r)."""
+    """Backward smoothing pass; valid for singular P_{t|t-1} (q < r).
+
+    The smoothed covariances are returned as computed, only symmetrized:
+    nothing repairs an indefinite one, so a check downstream sees it.
+    """
     T, r = filt.T, filt.r
     A = params.A
 
@@ -525,7 +509,7 @@ def kalman_smoother(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
     PA = P @ A.T
     PAN = PA @ N
     F_s = F + (PA @ R[..., None])[..., 0]
-    P_s = _psd_clip(P - PAN @ np.swapaxes(PA, 1, 2))
+    P_s = _symmetrize(P - PAN @ np.swapaxes(PA, 1, 2))
     C = (np.eye(r) - PAN[1:] @ A) @ filt.J @ np.swapaxes(PA[:T], 1, 2)
 
     return SmootherOutput(F_smooth=F_s[1:].T, P_smooth=P_s[1:], C_lag1=C,

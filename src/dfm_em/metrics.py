@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .em import EmResult
-from .extensions import _ar1_weighted
 from .kalman import _whitener
+from .model import _ar1_weighted
 
 __all__ = [
     "CoverageTable",

@@ -40,6 +40,14 @@ def _as_matrix(a, name):
     return a
 
 
+def _check_integer(name, v, low):
+    """Refuse a v that is not an integer (a bool is not one) or is below low."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < low:
+        raise ValueError(f"{name} must be >= {low}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ModelDims:
     """Problem dimensions: n series, T periods, r factors, q common shocks."""
@@ -50,15 +58,9 @@ class ModelDims:
     q: int
 
     def __post_init__(self):
-        for name in ("n", "T", "r", "q"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if self.T < 2:
-            raise ValueError("T must be >= 2")
-        if not (1 <= self.q <= self.r < self.n):
+        for name, low in (("n", 2), ("T", 2), ("r", 1), ("q", 1)):
+            _check_integer(name, getattr(self, name), low)
+        if not self.q <= self.r < self.n:
             raise ValueError(f"need 1 <= q <= r < n, got q={self.q}, r={self.r}, n={self.n}")
 
 
@@ -180,6 +182,13 @@ class DfmParams:
     @property
     def q(self):
         return self.H.shape[1]
+
+
+def _ar1_weighted(rho, lag0, ends, lag1):
+    """(1 + rho_i^2) lag0 - rho_i^2 ends - rho_i lag1 for each series i: a sum
+    weighted by gamma_i times its AR(1) inverse covariance, stacked on axis 0."""
+    p = np.asarray(rho)[:, None, None]
+    return (1.0 + p**2) * lag0 - p**2 * ends - p * lag1
 
 
 def _factor_violations(c, B) -> list:

@@ -31,18 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import EmConfig, EmError, em_fit
+from .em import _NUMERICAL_FAILURES, EmConfig, em_fit
 from .io import _fmt, _refuse_existing
-from .kalman import (
-    FilterNumericalError,
-    kalman_filter,
-    stationary_init,
-    steady_state_diagnostics,
-)
+from .kalman import kalman_filter, stationary_init, steady_state_diagnostics
 from .metrics import DEFAULT_ALPHAS, HIST_EDGES, CoverageTable, ZAccumulator, \
     common_mse, trace_statistic, z_scores
-from .model import ModelDims
-from .pca import IdentificationError, _check_length, pc_estimate
+from .model import ModelDims, _check_integer
+from .pca import _check_length, pc_estimate
 from .simulate import DgpConfig, draw_dgp
 
 __all__ = [
@@ -123,12 +118,8 @@ class McGrid:
     base_seed: int = 0
 
     def __post_init__(self):
-        for name in ("B", "base_seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.B < 1:
-            raise ValueError("B must be >= 1")
+        _check_integer("B", self.B, 1)
+        _check_integer("base_seed", self.base_seed, 0)
         object.__setattr__(self, "cells", tuple(self.cells))
         seen = set()
         for c in self.cells:
@@ -216,8 +207,7 @@ def _run_replication(args):
         acc.update(z_scores(res, draw.chi))
         return {"failed": False, "stats": stats, "acc": acc,
                 "converged": res.converged}
-    except (EmError, FilterNumericalError, IdentificationError,
-            np.linalg.LinAlgError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         return {"failed": True, "error": f"{type(exc).__name__}: {exc}"}
 
 

@@ -47,7 +47,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
-from .model import DfmParams, ModelDims, Panel, validate
+from .model import DfmParams, ModelDims, Panel, _check_integer, validate
 
 __all__ = ["Innovation", "DgpConfig", "DgpDraw", "stream", "draw_dgp", "simulate_given"]
 
@@ -83,6 +83,7 @@ class DgpConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "innovation", Innovation(self.innovation))
+        _check_integer("seed", self.seed, 0)
         # NaN fails every comparison, so the range checks below alone
         # would let a NaN delta or theta through.
         for name in ("tau", "delta", "theta", "mu"):

@@ -32,7 +32,6 @@ from dfm_em.kalman import (
     _NOT_PD,
     _RANK_RTOL,
     SmootherOutput,
-    _psd_clip,
     _symmetrize,
 )
 from dfm_em.simulate import BURN_IN
@@ -183,7 +182,7 @@ def kalman_smoother_classical(filt, params):
     for t in range(T - 2, -1, -1):
         J = filt.P_filt[t] @ A.T @ np.linalg.inv(filt.P_pred[t + 1])
         F_s[:, t] = filt.F_filt[:, t] + J @ (F_s[:, t + 1] - filt.F_pred[:, t + 1])
-        P_s[t] = _psd_clip(filt.P_filt[t] + J @ (P_s[t + 1] - filt.P_pred[t + 1]) @ J.T)
+        P_s[t] = _symmetrize(filt.P_filt[t] + J @ (P_s[t + 1] - filt.P_pred[t + 1]) @ J.T)
         C[t + 1] = P_s[t + 1] @ J.T
 
     J0 = filt.init.P0 @ A.T @ np.linalg.inv(filt.P_pred[0])

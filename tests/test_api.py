@@ -70,3 +70,26 @@ def test_import_does_not_load_scipy_stats():
         ("scipy.stats", "scipy.special", "concurrent.futures.process",
          "multiprocessing")))
     assert unused == []
+
+
+def _imported_modules(module):
+    """The package modules that ``dfm_em/<module>.py`` imports, by name,
+    however the import is written."""
+    tree = ast.parse((Path(dfm_em.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "dfm_em" if node.level else ""
+            base = ".".join(p for p in (base, node.module) if p)
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {name.split(".")[1] for name in names if name.startswith("dfm_em.")}
+
+
+@pytest.mark.parametrize("module", ["metrics", "io"])
+def test_module_does_not_import_the_estimators(module):
+    """Metrics and file formats read estimates; they do not depend on the
+    ridge and ECM estimators that produce some of them."""
+    assert "extensions" not in _imported_modules(module)

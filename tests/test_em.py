@@ -188,6 +188,20 @@ class TestMStep:
         assert np.all(out.gamma_e > 0)
 
 
+class TestEmConfig:
+    @pytest.mark.parametrize("kw,message", [
+        ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+        ({"max_iter": True}, "max_iter must be an integer, got True"),
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"epsilon": True}, "epsilon must be positive and finite, got True"),
+    ])
+    def test_invalid_config_refused_when_built(self, kw, message):
+        """A fractional max_iter used to fail only after the PC start, and
+        True passed as 1."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            EmConfig(**kw)
+
+
 class TestEmFit:
     def test_noiseless_recovery(self, rng):
         n, T, r = 20, 80, 2

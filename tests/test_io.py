@@ -136,9 +136,9 @@ class TestParamsJson:
         assert np.array_equal(back.gamma_factors[1], p.gamma_factors[1])
         assert np.max(np.abs(dense_gamma(back) - G)) <= 1e-12 * np.max(np.abs(G))
 
-    def test_legacy_full_gamma_e_reads_as_factors(self, rng, tmp_path):
-        """A document with a 2-D gamma_e G, as older versions wrote, reads
-        as the factors of G, which rebuild it to 1e-12."""
+    def test_legacy_full_gamma_e_is_refused(self, rng, tmp_path):
+        """A document with a 2-D gamma_e G, as older versions wrote, is
+        refused naming the file and the keys a full Gamma^e is stored as."""
         B = rng.standard_normal((5, 5))
         G = B @ B.T + np.eye(5)
         doc = {"Lambda": rng.standard_normal((5, 2)).tolist(),
@@ -147,16 +147,17 @@ class TestParamsJson:
                "rho": np.zeros(5).tolist()}
         path = tmp_path / "params.json"
         path.write_text(json.dumps(doc))
-        back = read_params_json(path)
-        assert back.gamma_factors is not None and back.gamma_e.ndim == 1
-        assert np.max(np.abs(dense_gamma(back) - G)) <= 1e-12 * np.max(np.abs(G))
+        with pytest.raises(ValueError) as err:
+            read_params_json(path)
+        assert str(err.value) == (f"{path}: gamma_e must be 1-D (the diagonal); a "
+                                  "full Gamma^e is stored as its factors gamma_c/gamma_B")
 
     @pytest.mark.parametrize("text, why", [
         ("3", "not a JSON object"), ("[1, 2]", "not a JSON object"),
         (json.dumps({"Lambda": [[1.0]], "A": [[0.5]], "H": [[1.0]],
-                     "rho": [0.0], "gamma_e": [[1.0, 0.0]]}), "not square"),
+                     "rho": [0.0], "gamma_e": [[1.0, 0.0]]}), "gamma_e must be 1-D"),
         (json.dumps(dict(_TWO_SERIES, gamma_e=[[2.0, 0.5], [0.0, 2.0]])),
-         "gamma_e: S must be symmetric"),
+         "gamma_e must be 1-D"),
         (json.dumps(dict(_TWO_SERIES, gamma_c=0.0, gamma_B=[[1.0], [0.0]])),
          "c not positive"),
         (json.dumps(dict(_TWO_SERIES, gamma_c=1.0,

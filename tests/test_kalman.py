@@ -23,8 +23,8 @@ from conftest import (
     toeplitz_params,
     woodbury_inverse,
 )
-from dfm_em.kalman import _bidiagonal_solve, _observed_directions, _psd_clip, \
-    _riccati, _scan, _solve, _symmetrize
+from dfm_em.kalman import _bidiagonal_solve, _observed_directions, _riccati, \
+    _scan, _solve
 from dfm_em.model import _BLOCK_ELEMS
 
 
@@ -87,10 +87,13 @@ class TestFilterBasics:
             assert b <= a + 1e-10
 
     def test_P_matrices_symmetric_psd(self):
+        """The filter's and the smoother's covariances, which the smoother
+        returns only symmetrized, with no repair."""
         draw = _draw(n=10, T=30, r=3, q=2, seed=7)
         filt = kalman_filter(draw.panel, draw.params,
                              stationary_init(draw.params))
-        for P in list(filt.P_pred) + list(filt.P_filt):
+        sm = kalman_smoother(filt, draw.params)
+        for P in [*filt.P_pred, *filt.P_filt, *sm.P_smooth, sm.P0_smooth]:
             assert np.allclose(P, P.T)
             assert np.min(np.linalg.eigvalsh(P)) > -1e-10
 
@@ -548,35 +551,6 @@ class TestRiccati:
             a, b = a[:T_ok], b[:T_ok]
             if b.size:
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-
-
-class TestPsdClip:
-    def test_positive_definite_stack_is_only_symmetrized(self, rng):
-        G = rng.standard_normal((6, 4, 4))
-        M = G @ np.swapaxes(G, 1, 2) + 1e-3 * np.eye(4)
-        M[:, 0, 1] += 1e-14  # not exactly symmetric
-        assert np.array_equal(_psd_clip(M.copy()), _symmetrize(M))
-
-    def test_only_the_matrix_with_a_negative_eigenvalue_changes(self, rng):
-        G = rng.standard_normal((5, 4, 4))
-        M = _symmetrize(G @ np.swapaxes(G, 1, 2) + 1e-3 * np.eye(4))
-        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-        M[2] = _symmetrize((Q * np.array([-1e-12, 0.5, 1.0, 2.0])) @ Q.T)
-        assert np.linalg.eigvalsh(M[2])[0] < 0.0
-        out = _psd_clip(M.copy())
-        keep = np.arange(5) != 2
-        assert np.array_equal(out[keep], M[keep])
-        assert not np.array_equal(out[2], M[2])
-        assert np.linalg.eigvalsh(out[2])[0] > -1e-15
-        assert np.max(np.abs(out[2] - M[2])) < 1e-11
-
-    def test_singular_psd_matrix_comes_back_unchanged(self):
-        M = np.diag([1.0, 0.0, 3.0])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(M)
-        assert np.array_equal(_psd_clip(M.copy()), M)
-        stack = np.stack([M, np.eye(3)])
-        assert np.array_equal(_psd_clip(stack.copy()), stack)
 
 
 def _filter_only_output():

@@ -127,6 +127,12 @@ class TestCells:
         with pytest.raises(ValueError, match=message):
             McGrid(cells=(_small_cell(),), **kw)
 
+    def test_grid_refuses_a_negative_seed_when_built(self):
+        """A negative base seed used to build and then fail in
+        SeedSequence once the first cell ran."""
+        with pytest.raises(ValueError, match="^base_seed must be >= 0, got -1$"):
+            McGrid(cells=(_small_cell(),), base_seed=-1)
+
     def test_grid_accepts_numpy_integers(self):
         grid = McGrid(cells=(), B=np.int64(3), base_seed=np.int32(7))
         assert grid.B == 3 and grid.base_seed == 7

@@ -35,6 +35,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(theta=0.0)
 
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_seed_must_be_a_nonnegative_integer(self, seed, message):
+        """A float seed used to draw the panel of its integer part."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _config(seed=seed)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["tau", "delta", "theta", "mu"])
     def test_non_finite_refused(self, name, value):
