@@ -618,11 +618,11 @@ class TestEval:
                      "--q", "2", "--idio-cov", "ridge", "--out", str(fit)]) == EXIT_OK
         return draw, fit
 
-    def test_ridge_fit_at_small_n_writes_factors_and_refuses_a_legacy_gamma(
+    def test_ridge_fit_at_small_n_writes_factors_and_a_legacy_gamma_reads(
             self, tmp_path, capsys):
         """The n <= T + r ridge fit writes its Gamma as factors and
-        evaluates; the same Gamma as an older document's 2-D gamma_e exits
-        2 naming the file and the keys a full Gamma^e is stored as."""
+        evaluates; the same Gamma read from an older document's 2-D gamma_e
+        exits 2 naming the file and the keys a full Gamma^e is stored as."""
         draw, fit = self._ridge_fit_at_small_n(tmp_path)
         path = fit / "params.json"
         doc = json.loads(path.read_text())
@@ -640,21 +640,28 @@ class TestEval:
 
     @pytest.mark.parametrize("text, why", [
         ("3", "not a JSON object"),
-        ("legacy", "gamma_e must be 1-D"),
+        # A 2-D gamma_e is refused whatever its shape: the ids name the
+        # older document's defect, the message is the same for both.
+        pytest.param("legacy", "gamma_e must be 1-D", id="legacy-is not square"),
+        pytest.param("asymmetric", "gamma_e must be 1-D",
+                     id="asymmetric-gamma_e: square, not symmetric"),
         ("random_B", "B'B not diagonal"),
         ("zero_c", "c not positive"),
     ])
     def test_malformed_params_exits_validation_naming_the_file(
             self, tmp_path, capsys, text, why):
-        """A params.json that is not a JSON object, that has a 2-D gamma_e,
-        or whose factors (c, B) break c > 0 or B'B diagonal, exits 2 naming
-        the file."""
+        """A params.json that is not a JSON object, that has a 2-D gamma_e
+        (not square, or square and not symmetric), or whose factors (c, B)
+        break c > 0 or B'B diagonal, exits 2 naming the file."""
         draw, fit = self._ridge_fit_at_small_n(tmp_path)
         path = fit / "params.json"
         doc = json.loads(path.read_text())
-        if text == "legacy":
-            del doc["gamma_B"], doc["gamma_c"]
-            doc["gamma_e"] = np.ones((20, 19)).tolist()
+        if text in ("legacy", "asymmetric"):
+            B = np.array(doc.pop("gamma_B"))
+            G = doc.pop("gamma_c") * np.eye(20) + B @ B.T
+            G[0, 1] += 0.5
+            doc["gamma_e"] = (G if text == "asymmetric"
+                              else np.ones((20, 19))).tolist()
         elif text == "random_B":
             doc["gamma_B"] = np.random.default_rng(0).standard_normal((20, 3)).tolist()
         elif text == "zero_c":
