@@ -42,7 +42,7 @@ from .kalman import (
     stationary_init,
 )
 from .model import DfmParams, ModelDims, Panel, ShapeError, _check_integer, \
-    _sq_residual_sums
+    _check_real, _sq_residual_sums
 from .pca import IdentificationError, PcEstimate, _shock_loading, pc_estimate
 
 __all__ = [
@@ -100,8 +100,9 @@ class EmConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if isinstance(self.epsilon, bool) or not 0.0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        eps = self.epsilon
+        if isinstance(eps, bool) or not 0.0 < _check_real("epsilon", eps):
+            raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
         _check_integer("max_iter", self.max_iter, 1)
 
 

@@ -98,7 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .model import DfmParams, Panel, _residual, _sq_residual_sums
+from .model import DfmParams, Panel, _check_integer, _residual, _sq_residual_sums
 
 __all__ = [
     "InitState",
@@ -191,10 +191,6 @@ class SmootherOutput:
     C_lag1: np.ndarray
     F0_smooth: np.ndarray
     P0_smooth: np.ndarray
-
-    @property
-    def T(self):
-        return self.F_smooth.shape[1]
 
 
 def _symmetrize(M):
@@ -543,6 +539,7 @@ def steady_state_diagnostics(filt: FilterOutput, q: int) -> SteadyStateDiagnosti
     ``t_bar`` is the first reporting index at which consecutive
     one-step-ahead MSEs agree to 1e-8 (_STEADY_TOL) in spectral norm.
     """
+    _check_integer("q", q, 1)
     T = filt.T
     k = min(T - 1, 5)
     tr_pred = np.trace(filt.P_pred[1:k + 1], axis1=1, axis2=2) / q

@@ -12,6 +12,7 @@ All containers are immutable value objects; the functions here are pure.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +47,13 @@ def _check_integer(name, v, low):
         raise ValueError(f"{name} must be an integer, got {v!r}")
     if v < low:
         raise ValueError(f"{name} must be >= {low}, got {v!r}")
+
+
+def _check_real(name, v):
+    """v as a float; refuse a v that is not a finite real (a bool is not one)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite real number, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -36,7 +34,7 @@ from .io import _fmt, _refuse_existing
 from .kalman import kalman_filter, stationary_init, steady_state_diagnostics
 from .metrics import DEFAULT_ALPHAS, HIST_EDGES, CoverageTable, ZAccumulator, \
     common_mse, trace_statistic, z_scores
-from .model import ModelDims, _check_integer
+from .model import ModelDims, _check_integer, _check_real
 from .pca import _check_length, pc_estimate
 from .simulate import DgpConfig, draw_dgp
 
@@ -92,11 +90,7 @@ class McCell:
         if self.label in ("", ".", "..") or os.path.basename(self.label) != self.label:
             raise ValueError(f"cell label {self.label!r} is not a plain file name")
         for name in ("tau", "delta", "theta", "mu"):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not math.isfinite(v)):
-                raise ValueError(f"{name} must be a finite real number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         self.dgp_config(0)
         if self.mode == "em":
             _check_length(self.T, self.r)
@@ -213,7 +207,8 @@ def _run_replication(args):
 
 def run_cell(cell: McCell, B: int, base_seed: int,
              parallelism: int = 1) -> McCellReport:
-    """Run B replications of one cell and aggregate.
+    """Run B replications of one cell and aggregate. B >= 1, base_seed >= 0
+    and parallelism >= 1 must be integers, checked before any replication.
 
     Failed replications are excluded and counted; the cell aborts if more
     than 20% fail. Results are reduced in replication order, which makes
@@ -221,6 +216,9 @@ def run_cell(cell: McCell, B: int, base_seed: int,
     depend only on (base_seed, cell contents, b), not on the cell's
     position in a grid.
     """
+    _check_integer("B", B, 1)
+    _check_integer("base_seed", base_seed, 0)
+    _check_integer("parallelism", parallelism, 1)
     t0 = time.perf_counter()
     key = _cell_key(cell)
     jobs = [(cell, _rep_seed(base_seed, key, b)) for b in range(B)]

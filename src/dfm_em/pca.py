@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .model import Panel, _sq_residual_sums
+from .model import Panel, _check_integer, _sq_residual_sums
 
 __all__ = ["PcEstimate", "IdentificationError", "pc_estimate", "var_from_factors"]
 
@@ -88,6 +88,14 @@ def _check_length(T, r):
         raise ValueError(f"need T >= r + 2, got T={T}, r={r}")
 
 
+def _check_ranks(r, q, n):
+    """Raise ValueError unless r and q are integers with 1 <= q <= r <= n."""
+    _check_integer("r", r, 1)
+    _check_integer("q", q, 1)
+    if not q <= r <= n:
+        raise ValueError(f"need q <= r <= n, got q={q}, r={r}, n={n}")
+
+
 def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
     """Principal-components pre-estimator of (Lambda, F, A, H, Gamma^e).
 
@@ -102,9 +110,10 @@ def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
         1e-12 relative to the leading one, so the r-dimensional leading
         eigenspace is not identified.
     ValueError
-        If T < r + 2 (too short to also fit the factor VAR).
+        Unless r and q are integers with 1 <= q <= r <= n, or if T < r + 2.
     """
     n, T = panel.n, panel.T
+    _check_ranks(r, q, n)
     _check_length(T, r)
     Xc = panel.X - panel.X.mean(axis=1, keepdims=True)
 
@@ -134,9 +143,11 @@ def var_from_factors(F: np.ndarray, q: int):
     Returns (A, H, Gom) where A is the OLS coefficient of F_t on F_{t-1},
     Gom the VAR residual covariance, and H its sign-fixed top-q eigenvectors
     times root-eigenvalues: ``_shock_loading`` without the M-step's shrink.
+    Unless q is an integer with 1 <= q <= r, raises ValueError.
     """
     F = np.asarray(F, dtype=float)
     r, T = F.shape
+    _check_ranks(r, q, r)
     if T < 2:
         raise ValueError("need at least two time points for the lag-one fit")
     F0, F1 = F[:, :-1], F[:, 1:]

@@ -47,7 +47,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
-from .model import DfmParams, ModelDims, Panel, _check_integer, validate
+from .model import DfmParams, ModelDims, Panel, _check_integer, _check_real, validate
 
 __all__ = ["Innovation", "DgpConfig", "DgpDraw", "stream", "draw_dgp", "simulate_given"]
 
@@ -84,12 +84,8 @@ class DgpConfig:
     def __post_init__(self):
         object.__setattr__(self, "innovation", Innovation(self.innovation))
         _check_integer("seed", self.seed, 0)
-        # NaN fails every comparison, so the range checks below alone
-        # would let a NaN delta or theta through.
         for name in ("tau", "delta", "theta", "mu"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if not (0.0 <= self.tau < 1.0):
             raise ValueError("tau must lie in [0, 1)")
         if not (0.0 < self.mu < 1.0):
@@ -208,6 +204,7 @@ def simulate_given(params: DfmParams, T: int, innovation=Innovation.GAUSSIAN,
     so the kept sample is effectively stationary. A full Gamma^e, given by
     its factors (c, B), enters through the Cholesky factor of c I + B B'.
     """
+    _check_integer("T", T, 1)
     return _simulate(params, T, innovation, stream(seed), 0.0)
 
 

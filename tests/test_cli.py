@@ -373,6 +373,21 @@ class TestPc:
         assert main(args) == EXIT_VALIDATION
         assert main(args + ["--overwrite"]) == EXIT_OK
 
+    @pytest.mark.parametrize("r,q,message", [
+        ("2", "3", "need q <= r <= n, got q=3, r=2, n=20"),
+        ("0", "0", "r must be >= 1, got 0"),
+    ])
+    def test_bad_dimensions_exit_validation(self, tmp_path, capsys, r, q, message):
+        """--r 2 --q 3 used to exit 0 with a 2x2 H, and --r 0 to exit 3 on
+        an eigenvalue tie at position r=0."""
+        draw = _simulate(tmp_path, "d")
+        out = tmp_path / "pc"
+        code = main(["pc", "--panel", str(draw / "panel.csv"),
+                     "--r", r, "--q", q, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMontecarlo:
     def _experiment(self, tmp_path):

@@ -194,10 +194,15 @@ class TestEmConfig:
         ({"max_iter": True}, "max_iter must be an integer, got True"),
         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
         ({"epsilon": True}, "epsilon must be positive and finite, got True"),
+        ({"epsilon": "1e-4"}, "epsilon must be a finite real number, got '1e-4'"),
+        ({"epsilon": None}, "epsilon must be a finite real number, got None"),
+        ({"epsilon": np.nan}, "epsilon must be a finite real number, got nan"),
+        ({"epsilon": 0.0}, "epsilon must be positive and finite, got 0.0"),
     ])
     def test_invalid_config_refused_when_built(self, kw, message):
-        """A fractional max_iter used to fail only after the PC start, and
-        True passed as 1."""
+        """A fractional max_iter used to fail only after the PC start, True
+        passed as 1, and a string or None epsilon raised an untyped
+        TypeError."""
         with pytest.raises(ValueError, match=f"^{message}"):
             EmConfig(**kw)
 

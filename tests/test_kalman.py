@@ -560,6 +560,15 @@ def _filter_only_output():
 
 
 class TestSteadyState:
+    @pytest.mark.parametrize("q,message", [
+        (0, "q must be >= 1, got 0"),
+        (1.5, "q must be an integer, got 1.5"),
+    ])
+    def test_bad_shock_count_refused(self, q, message):
+        """q = 0 used to divide the traces by zero."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            steady_state_diagnostics(_filter_only_output(), q)
+
     def test_matches_the_per_step_loop(self):
         filt = _filter_only_output()
         diag = steady_state_diagnostics(filt, 2)

@@ -140,6 +140,13 @@ class TestValidate:
         assert validate(p, dims) == validate(p, dims)
 
 
+class TestDfmParams:
+    def test_one_dimensional_Lambda_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="^Lambda must be a 2-D array, got ndim=1$"):
+            DfmParams(Lambda=np.ones(6), A=0.5 * np.eye(2), H=np.eye(2),
+                      gamma_e=np.ones(6))
+
+
 class TestGammaFactors:
     def test_gamma_e_is_the_diagonal(self, rng):
         B = rng.standard_normal((6, 3))
@@ -169,6 +176,10 @@ class TestGammaFactors:
 
 
 class TestPanel:
+    def test_one_dimensional_X_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="^X must be a 2-D array, got ndim=1$"):
+            Panel(X=np.zeros(4))
+
     def test_nonfinite_rejected(self):
         X = np.zeros((3, 4))
         X[1, 2] = np.nan

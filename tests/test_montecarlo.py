@@ -199,6 +199,31 @@ class TestRunCell:
         assert np.array_equal(serial.hist, parallel.hist)
         assert serial.coverage.C.tolist() == parallel.coverage.C.tolist()
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"B": 0}, "B must be >= 1, got 0"),
+        ({"B": -1}, "B must be >= 1, got -1"),
+        ({"B": 2.0}, "B must be an integer, got 2.0"),
+        ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        ({"base_seed": 1.5}, "base_seed must be an integer, got 1.5"),
+        ({"parallelism": 0}, "parallelism must be >= 1, got 0"),
+        ({"parallelism": -1}, "parallelism must be >= 1, got -1"),
+        ({"parallelism": True}, "parallelism must be an integer, got True"),
+        ({"parallelism": 2.5}, "parallelism must be an integer, got 2.5"),
+    ])
+    def test_bad_counts_refused_before_any_replication(self, monkeypatch, kw,
+                                                       message):
+        """B = 0 used to raise IndexError, B = -1 a CellAbortError "0/-1
+        replications failed", parallelism <= 0 or True ran serially and 2.5
+        raised an untyped TypeError."""
+        import dfm_em.montecarlo as mc
+
+        ran = []
+        monkeypatch.setattr(mc, "_run_replication", ran.append)
+        args = {"B": 2, "base_seed": 0, "parallelism": 1, **kw}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mc.run_cell(_small_cell(), **args)
+        assert ran == []
+
     def test_failure_policy_aborts(self, monkeypatch):
         import dfm_em.montecarlo as mc
 

@@ -129,6 +129,25 @@ class TestPcEstimate:
         with pytest.raises(IdentificationError, match="fewer than r positive"):
             pc_estimate(Panel(X=X), 3, 1)
 
+    @pytest.mark.parametrize("r,q,message", [
+        (2, 3, "need q <= r <= n, got q=3, r=2, n=20"),
+        (25, 1, "need q <= r <= n, got q=1, r=25, n=20"),
+        (2.5, 1, "r must be an integer, got 2.5"),
+        (0, 1, "r must be >= 1, got 0"),
+        (2, True, "q must be an integer, got True"),
+        (2, 0, "q must be >= 1, got 0"),
+    ])
+    def test_bad_ranks_refused_before_any_work(self, rng, monkeypatch, r, q, message):
+        """q > r used to return a 2-column H0, and r > n a 20 x 20 Lambda0."""
+        import dfm_em.pca as pca
+
+        def must_not_run(*args):
+            raise AssertionError("the eigendecomposition ran")
+
+        monkeypatch.setattr(pca, "_leading_eigpairs", must_not_run)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pc_estimate(Panel(X=rng.standard_normal((20, 40))), r, q)
+
     def test_T_too_short(self):
         with pytest.raises(ValueError):
             pc_estimate(Panel(X=np.zeros((10, 4))), 3, 2)
@@ -147,6 +166,15 @@ class TestPcEstimate:
 
 
 class TestVarFromFactors:
+    @pytest.mark.parametrize("q,message", [
+        (3, "need q <= r <= n, got q=3, r=2, n=2"),
+        (0, "q must be >= 1, got 0"),
+        (1.0, "q must be an integer, got 1.0"),
+    ])
+    def test_bad_shock_count_refused(self, rng, q, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            var_from_factors(rng.standard_normal((2, 30)), q)
+
     def test_one_time_point_raises(self):
         with pytest.raises(ValueError, match="at least two time points"):
             var_from_factors(np.ones((2, 1)), 1)

@@ -45,11 +45,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             _config(seed=seed)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "0.5", None])
     @pytest.mark.parametrize("name", ["tau", "delta", "theta", "mu"])
     def test_non_finite_refused(self, name, value):
-        with pytest.raises(ValueError, match=name):
+        """theta=True used to draw with theta = 1, and a string or None
+        raised an untyped TypeError."""
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
             _config(**{name: value})
+
+    def test_numbers_stored_as_floats(self):
+        config = _config(tau=np.float64(0.5), theta=1)
+        assert type(config.tau) is float and type(config.theta) is float
 
 
 class TestDrawDgp:
@@ -130,6 +136,18 @@ class TestDrawDgp:
 
 
 class TestSimulateGiven:
+    @pytest.mark.parametrize("T,message", [
+        (0, "T must be >= 1, got 0"),
+        (-5, "T must be >= 1, got -5"),
+        (2.5, "T must be an integer, got 2.5"),
+    ])
+    def test_bad_length_refused(self, T, message):
+        """T <= 0 used to return an n x 0 panel."""
+        p = DfmParams(Lambda=np.ones((5, 2)), A=0.5 * np.eye(2),
+                      H=np.eye(2), gamma_e=np.ones(5))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_given(p, T)
+
     def test_zero_shock_loader_gives_zero_factors(self):
         p = DfmParams(Lambda=np.ones((5, 2)), A=0.5 * np.eye(2),
                       H=np.zeros((2, 2)), gamma_e=np.ones(5))
