@@ -42,6 +42,7 @@ variances.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 
 import numpy as np
@@ -85,7 +86,10 @@ def ridge_covariance(S: np.ndarray, mu: float) -> tuple:
 
 
 def _check_mu(mu):
-    """Refuse a ridge penalty that is not finite and nonnegative."""
+    """Refuse a ridge penalty that is not a real number (a bool is not
+    one), or is not finite and nonnegative."""
+    if isinstance(mu, bool) or not isinstance(mu, numbers.Real):
+        raise ValueError(f"ridge mu must be a real number, got {mu!r}")
     if not 0.0 <= mu < np.inf:
         raise ValueError(f"ridge mu must be finite and nonnegative, got {mu!r}")
 

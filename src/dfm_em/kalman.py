@@ -98,7 +98,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .model import DfmParams, Panel, _check_integer, _residual, _sq_residual_sums
+from .model import (DfmParams, Panel, ShapeError, _check_integer, _residual,
+                    _sq_residual_sums)
 
 __all__ = [
     "InitState",
@@ -430,6 +431,9 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
 
     Raises
     ------
+    ShapeError
+        Before any work, if the panel's rows do not match ``Lambda``'s or
+        the ``InitState`` size does not match r.
     FilterNumericalError
         If the innovation covariance is not numerically positive definite
         or an update is not finite; the exception carries the first
@@ -438,6 +442,11 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
     X = panel.X
     n, T = X.shape
     r = params.r
+    if params.n != n:
+        raise ShapeError(f"panel has {n} rows but Lambda has {params.n}")
+    if init.F0.size != r:
+        raise ShapeError(f"InitState F0 has size {init.F0.size} but Lambda "
+                         f"has r={r} columns")
     A = params.A
     Lam = params.Lambda
     Lg, M, resid_norms, logdet_gamma = _whitener(params)

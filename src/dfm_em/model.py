@@ -109,8 +109,13 @@ class Panel:
     @cached_property
     def var(self):
         """Per-series sample variance of X, computed once (X is read-only,
-        and so is the result)."""
-        v = self.X.var(axis=1)
+        and so is the result). It is reduced block by block of rows, so no
+        n x T temporary is formed; each row is reduced whole, exactly as
+        ``X.var(axis=1)`` reduces it, so the bits are the same."""
+        X = self.X
+        v = np.empty(X.shape[0])
+        for b in _row_blocks(*X.shape):
+            v[b] = X[b].var(axis=1)
         v.flags.writeable = False
         return v
 
@@ -265,10 +270,20 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
     return violations
 
 
-# Doubles in the residual buffer of one row block of _sq_residual_sums.
-# 2^15 doubles (256 KB) stay in a core's L2 cache while the block is
-# formed, squared and reduced.
+# Doubles in one row block of a pass over an n x T array: the residual
+# buffer of _sq_residual_sums, the variance of Panel.var and the centred
+# blocks of the PC start (blocks of columns when n <= T). 2^15 doubles
+# (256 KB) stay in a core's L2 cache while a block is formed, reduced and
+# discarded.
 _BLOCK_ELEMS = 1 << 15
+
+
+def _row_blocks(n, m, elems=_BLOCK_ELEMS):
+    """Slices that cut n rows of length m into consecutive blocks of about
+    ``elems`` doubles, at least one row each; the first block is the
+    largest, so a buffer of its size holds any of them."""
+    rows = max(1, elems // m)
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
 def _residual(X, L, F):
@@ -292,16 +307,15 @@ def _sq_residual_sums(X, L, F, w=None):
     weighted column sum squares the block in place and adds the blocks'
     partial sums, which changes only the order of summation."""
     n, T = X.shape
-    rows = max(1, _BLOCK_ELEMS // T)
-    buf = np.empty((min(rows, n), T))
+    blocks = _row_blocks(n, T)
+    buf = np.empty((blocks[0].stop, T))
     out = np.empty(n) if w is None else np.zeros(T)
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
-        E = np.matmul(L[i:j], F, out=buf[:j - i])
-        np.subtract(X[i:j], E, out=E)
+    for b in blocks:
+        E = np.matmul(L[b], F, out=buf[:b.stop - b.start])
+        np.subtract(X[b], E, out=E)
         if w is None:
-            np.einsum("ij,ij->i", E, E, out=out[i:j])
+            np.einsum("ij,ij->i", E, E, out=out[b])
         else:
             E *= E
-            out += w[i:j] @ E
+            out += w[b] @ E
     return out

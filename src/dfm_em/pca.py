@@ -1,17 +1,27 @@
 """Principal-components pre-estimation of the factor model.
 
-Given a demeaned panel, the r leading eigenpairs (M_hat, V_hat) of the
-sample covariance give
+Given the panel centred per series, Xc = X - mu 1', the r leading
+eigenpairs (M_hat, V_hat) of the sample covariance Xc Xc' / T give
 
-    Lambda0 = V_hat M_hat^{1/2},      Ftilde_t = M_hat^{-1} Lambda0' x_t,
+    Lambda0 = V_hat M_hat^{1/2},      Ftilde_t = M_hat^{-1} Lambda0' xc_t,
 
 with each column of V_hat signed so that its first nonzero entry is positive.
 The factor VAR matrix is the lag-one OLS estimate on Ftilde, H0 comes from
 the top-q eigenpairs of the VAR residual covariance, and the idiosyncratic
 variances are the mean squared reconstruction residuals. When n > T the
-eigendecomposition runs on the T x T Gram matrix instead (identical
+eigendecomposition runs on the T x T Gram matrix Xc' Xc instead (identical
 spectrum, better complexity). Only the top r+1 eigenpairs are computed;
 the (r+1)-th serves the check that the r-th is separated from it.
+
+Xc is never formed. The panel is read in two passes, block by block
+(rows when n > T, columns otherwise), each block centred in one reused
+buffer that stays in cache. The first accumulates the Gram of the
+smaller dimension into its lower triangle by a rank-k update (BLAS syrk)
+per block. The second forms each block's factors (n <= T) or loadings
+(n > T) and its residual, whose squares give GammaE0. When n > T, with
+G_r the top-r Gram eigenvectors and s the sign fix,
+V_hat = Xc G_r diag(T M_hat)^{-1/2}, and Ftilde = sqrt(T) diag(s) G_r'
+exactly, with no pass over the panel.
 """
 
 from __future__ import annotations
@@ -20,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.blas import dsyrk
 
-from .model import Panel, _check_integer, _sq_residual_sums
+from .model import Panel, _check_integer, _row_blocks
 
 __all__ = ["PcEstimate", "IdentificationError", "pc_estimate", "var_from_factors"]
 
@@ -44,10 +55,16 @@ class PcEstimate:
     eigvals: np.ndarray
 
 
+def _column_signs(V):
+    """+1 or -1 per column of V: the sign of its first nonzero entry (+1
+    for a zero column)."""
+    first = V[np.argmax(V != 0.0, axis=0), np.arange(V.shape[1])]
+    return np.where(first < 0.0, -1.0, 1.0)
+
+
 def _sign_fix_columns(V):
     """Flip column signs so each column's first nonzero entry is positive."""
-    first = V[np.argmax(V != 0.0, axis=0), np.arange(V.shape[1])]
-    return np.where(first < 0.0, -V, V)
+    return V * _column_signs(V)
 
 
 def _shock_loading(Gom, q, shrink=0.0):
@@ -60,26 +77,35 @@ def _shock_loading(Gom, q, shrink=0.0):
     return _sign_fix_columns(V) * np.sqrt(np.maximum(scale, 0.0)), clamped
 
 
-def _leading_eigpairs(Xc, r):
-    """Top r+1 eigenvalues (descending; w[r] feeds the tie check) and top-r
-    eigenvectors of Xc Xc' / T, via the smaller of the two Gram forms."""
-    n, T = Xc.shape
+def _centred_blocks(X, mu, by_rows):
+    """(slice, X_b - mu_b) for each block of rows of X (``by_rows``) or of
+    its columns; every block is formed in one reused C-ordered buffer, so
+    a block is valid only until the next one is drawn."""
+    n, T = X.shape
+    blocks = _row_blocks(n, T) if by_rows else _row_blocks(T, n)
+    buf = np.empty(blocks[0].stop * (T if by_rows else n))
+    for b in blocks:
+        k = b.stop - b.start
+        if by_rows:
+            yield b, np.subtract(X[b], mu[b, None], out=buf[:k * T].reshape(k, T))
+        else:
+            yield b, np.subtract(X[:, b], mu[:, None], out=buf[:n * k].reshape(n, k))
+
+
+def _leading_eigpairs(X, mu, r):
+    """Top r+1 eigenvalues of Xc Xc' / T, Xc = X - mu 1' (descending; w[r]
+    feeds the tie check), with the matching unit eigenvectors of the
+    smaller Gram form: of Xc Xc' when n <= T, of Xc' Xc when n > T."""
+    n, T = X.shape
     m = min(n, T)
-    top = [max(m - r - 1, 0), m - 1]
-    if n <= T:
-        w, V = eigh(Xc @ Xc.T / T, subset_by_index=top)
-        w, V = w[::-1], V[:, ::-1]
-    else:
-        w, G = eigh(Xc.T @ Xc / T, subset_by_index=top)
-        w, G = w[::-1], G[:, ::-1]
-        # duality: if (w, g) eigenpair of X'X/T then X g / sqrt(T w) is a
-        # unit eigenvector of XX'/T with the same eigenvalue
-        pos = np.maximum(w[:r], 0.0)
-        V = Xc @ G[:, :r]
-        norms = np.sqrt(T * pos)
-        norms[norms == 0.0] = 1.0
-        V = V / norms
-    return w, V[:, :r]
+    G = np.zeros((m, m), order="F")
+    for _, B in _centred_blocks(X, mu, n > T):
+        # B.T is F-ordered, so syrk reads it in place. Rows: B.T B = B'B,
+        # the T x T Gram; columns: (B.T)' B.T = B B', the n x n one.
+        dsyrk(1.0 / T, B.T, beta=1.0, c=G, trans=int(n <= T), lower=1, overwrite_c=1)
+    w, U = eigh(G, lower=True, overwrite_a=True,
+                subset_by_index=[max(m - r - 1, 0), m - 1])
+    return w[::-1], U[:, ::-1]
 
 
 def _check_length(T, r):
@@ -99,9 +125,10 @@ def _check_ranks(r, q, n):
 def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
     """Principal-components pre-estimator of (Lambda, F, A, H, Gamma^e).
 
-    The panel is demeaned per series before the eigendecomposition. The
-    squared reconstruction residuals behind GammaE0 are summed block by
-    block of rows, in cache, with no n x T array.
+    The panel is demeaned per series before the eigendecomposition. Both
+    passes over it run block by block in cache, with no n x T array; each
+    block is centred before its Gram or residual is formed, so a large
+    mean costs no digits.
 
     Raises
     ------
@@ -115,9 +142,10 @@ def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
     n, T = panel.n, panel.T
     _check_ranks(r, q, n)
     _check_length(T, r)
-    Xc = panel.X - panel.X.mean(axis=1, keepdims=True)
+    X = panel.X
+    mu = X.mean(axis=1)
 
-    w, V = _leading_eigpairs(Xc, r)
+    w, U = _leading_eigpairs(X, mu, r)
     if r < min(n, T) and abs(w[r - 1] - w[r]) <= _TIE_RTOL * max(abs(w[0]), 1e-300):
         raise IdentificationError(
             f"eigenvalue tie at position r={r}: {w[r-1]!r} vs {w[r]!r}"
@@ -126,12 +154,35 @@ def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
     if np.any(M <= 0.0):
         raise IdentificationError("fewer than r positive eigenvalues in the sample covariance")
 
-    V = _sign_fix_columns(V)
-    Lambda0 = V * np.sqrt(M)
-    Ftilde = (Lambda0.T @ Xc) / M[:, None]  # M^{-1} Lambda0' x_t
+    # Each centred block B gives its residual Xc_b - Lambda0_b Ftilde in the
+    # pass that gives its factors (n <= T) or loadings (n > T); when n > T,
+    # Lambda0 Ftilde = Xc G_r G_r', so that residual needs no sign fix.
+    U = np.ascontiguousarray(U[:, :r])
+    sq = np.empty(n) if n > T else np.zeros(n)
+    if n <= T:
+        Lambda0 = U * (_column_signs(U) * np.sqrt(M))
+        Ftilde = np.empty((r, T))
+        for b, B in _centred_blocks(X, mu, False):
+            F_b = Ftilde[:, b]
+            np.divide(Lambda0.T @ B, M[:, None], out=F_b)  # M^{-1} Lambda0' xc_t
+            B -= Lambda0 @ F_b
+            sq += np.einsum("ij,ij->i", B, B)
+    else:
+        # duality: if (w, g) is an eigenpair of Xc'Xc/T, Xc g / sqrt(T w)
+        # is a unit eigenvector of Xc Xc'/T with the same eigenvalue; so
+        # Lambda0 = Xc G_r diag(s) / sqrt(T), and Xc'Xc G_r = T G_r diag(M)
+        # makes M^{-1} Lambda0' Xc exactly sqrt(T) diag(s) G_r'
+        V = np.empty((n, r))
+        for b, B in _centred_blocks(X, mu, True):
+            Vb = np.matmul(B, U, out=V[b])
+            B -= Vb @ U.T
+            np.einsum("ij,ij->i", B, B, out=sq[b])
+        s = _column_signs(V)
+        Lambda0 = V * (s / np.sqrt(T))
+        Ftilde = np.ascontiguousarray(U.T) * (s * np.sqrt(T))[:, None]
 
     A0, H0, _ = var_from_factors(Ftilde, q)
-    GammaE0 = _sq_residual_sums(Xc, Lambda0, Ftilde) / T
+    GammaE0 = sq / T
 
     return PcEstimate(Lambda0=Lambda0, Ftilde=Ftilde, A0=A0, H0=H0,
                       GammaE0=GammaE0, eigvals=w[:r])

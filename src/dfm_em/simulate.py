@@ -23,11 +23,15 @@ That is O(nT) work with no n x n array, where the Cholesky route costs an
 O(n^3) factorisation and an O(n^2 T) product. At n = 2000 with
 T + burn-in = 400 periods it takes about 13 ms against 0.82 s on one
 core. The draws agree with the Cholesky route to round-off.
-Except through a full Gamma^e's factors, the shocks and then the
-idiosyncratic path are formed in the buffer of the standard normals, and
-the panel in the buffer of Lambda F, so a draw holds two n-row arrays (the
-normals over T + BURN_IN periods and the panel); each entry takes the same
-products and sums as out of place, so the bits are the same.
+The panel is formed in the buffer of Lambda F. The shocks are drawn,
+transformed and run through their AR(1) in time one block of rows at a
+time, in two reused buffers of about _DRAW_BLOCK_ELEMS doubles, and each
+block's kept periods are added into the panel; so a draw holds the panel
+and those two buffers, and :func:`draw_dgp` then chi. Block by block the
+normals leave the stream in the order of one n x (T + BURN_IN) draw, and
+each entry takes the same products and sums, so the bits are those of
+the whole-panel draw. The Cholesky factor of a full Gamma^e mixes every
+row, so that route keeps all n rows of normals as one block.
 :func:`simulate_given` has no tau: it scales the shocks by the square
 root of a diagonal Gamma^e or applies the Cholesky factor of a full one,
 formed from its factors as c I + B B'.
@@ -47,11 +51,21 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
-from .model import DfmParams, ModelDims, Panel, _check_integer, _check_real, validate
+from .model import (DfmParams, ModelDims, Panel, _check_integer, _check_real,
+                    _row_blocks, validate)
 
 __all__ = ["Innovation", "DgpConfig", "DgpDraw", "stream", "draw_dgp", "simulate_given"]
 
 BURN_IN = 100
+
+# Doubles in one row block of a draw's shocks. The AR(1) in time takes
+# one Python step per period and block, so a draw's blocks are larger than
+# model._BLOCK_ELEMS. At 2^18 (2 MB) an n = 2000, T = 300 draw has four
+# blocks and its shocks take as long as one whole-panel pass (_simulate
+# 19.7-20.0 against 19.8-20.2 ms, minima of 30 draws, one BLAS thread);
+# 2^16 cost about 5 ms a draw more, and at 2^20, a single block there,
+# a draw holds as much as the whole-panel normals did.
+_DRAW_BLOCK_ELEMS = 1 << 18
 
 
 class Innovation(str, Enum):
@@ -63,8 +77,13 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for the substream (seed, key).
 
     ``stream(seed)`` is the root stream; ``stream(seed, b)`` is the
-    statistically independent stream used by replication b.
+    statistically independent stream used by replication b. The seed and
+    every key must be integers >= 0 (ValueError otherwise), so that no two
+    arguments silently share a stream.
     """
+    _check_integer("seed", seed, 0)
+    for k in key:
+        _check_integer("stream key", k, 0)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -180,16 +199,22 @@ def _standardized_t4(rng, size):
     return x
 
 
-def _toeplitz_root(tau, z):
+def _toeplitz_root(tau, z, prev=None):
     """L z for L the Cholesky factor of toeplitz(tau^|i-j|), in O(nT),
-    formed in the buffer of z: z is overwritten and returned.
+    formed in the buffer of z: z is overwritten and returned. With
+    ``prev``, z holds the rows that follow a block whose last row of L z
+    was ``prev``.
 
     L has L[i, 0] = tau^i and L[i, j] = sqrt(1 - tau^2) tau^(i-j) for
     1 <= j <= i, so e = L z is the AR(1) recursion across series
     e_0 = z_0, e_i = tau e_{i-1} + sqrt(1 - tau^2) z_i. Every entry takes
     the same products and sums as an out-of-place e, so the bits match.
     """
-    z[1:] *= np.sqrt(1.0 - tau * tau)
+    if prev is None:
+        z[1:] *= np.sqrt(1.0 - tau * tau)
+    else:
+        z *= np.sqrt(1.0 - tau * tau)
+        z[0] += tau * prev
     for i in range(1, z.shape[0]):
         z[i] += tau * z[i - 1]
     return z
@@ -217,28 +242,18 @@ def _simulate(params, T, innovation, rng, tau):
     n, r, q = params.n, params.r, params.q
     total = T + BURN_IN
 
-    if innovation is Innovation.GAUSSIAN:
-        u = rng.standard_normal((q, total))
-        z = rng.standard_normal((n, total))
-    else:
-        u = _standardized_t4(rng, (q, total))
-        z = _standardized_t4(rng, (n, total))
-    if tau > 0.0:
-        e = _toeplitz_root(tau, z)
-    elif params.gamma_factors is None:
-        z *= np.sqrt(params.gamma_e)[:, None]
-        e = z
-    else:
-        c, B = params.gamma_factors
-        gamma = B @ B.T
-        gamma[np.diag_indices(n)] += c
-        e = np.linalg.cholesky(gamma) @ z
+    def draw(out):
+        """Fill ``out`` with the next standardized shocks of the stream."""
+        if innovation is Innovation.GAUSSIAN:
+            return rng.standard_normal(out=out)
+        out[...] = _standardized_t4(rng, out.shape)
+        return out
 
     # The factor VAR(1), one period per row of a row-major buffer, so each
     # step reads and writes contiguous r-vectors: A F_{t-1} is written into
     # row t and H u_t added in place, the loop's operations in its order.
     Fb = np.empty((total, r))
-    HuT = np.ascontiguousarray((params.H @ u).T)
+    HuT = np.ascontiguousarray((params.H @ draw(np.empty((q, total)))).T)
     prev = np.zeros(r)
     for t in range(total):
         row = Fb[t]
@@ -246,15 +261,50 @@ def _simulate(params, T, innovation, rng, tau):
         row += HuT[t]
         prev = row
 
-    # The shocks become the AR(1) idiosyncratic path in place; with every
-    # rho_i = 0 that path is the shocks themselves.
-    xi = e
-    if np.any(params.rho):
-        for t in range(1, total):
-            xi[:, t] += params.rho * xi[:, t - 1]
-
     F = np.ascontiguousarray(Fb[BURN_IN:].T)
     F.flags.writeable = False
     X = params.Lambda @ F
-    X += xi[:, BURN_IN:]
+
+    # The idiosyncratic shocks, one row block at a time (see the module
+    # docstring); a full Gamma^e's Cholesky factor mixes all n rows.
+    full = params.gamma_factors is not None
+    if full:
+        c, B = params.gamma_factors
+        gamma = B @ B.T
+        gamma[np.diag_indices(n)] += c
+        chol = np.linalg.cholesky(gamma)
+        blocks = [slice(0, n)]
+    else:
+        blocks = _row_blocks(n, total, _DRAW_BLOCK_ELEMS)
+    ar = np.any(params.rho)
+    size = blocks[0].stop * total
+    shocks = np.empty(size)
+    if ar:
+        # L z leaves the Cholesky route's normals free to hold the path.
+        path = shocks if full else np.empty(size)
+    last = None
+    for b in blocks:
+        k = b.stop - b.start
+        xi = draw(shocks[:k * total].reshape(k, total))
+        if tau > 0.0:
+            _toeplitz_root(tau, xi, last)
+            last = xi[-1].copy()
+        elif full:
+            xi = chol @ xi
+        else:
+            xi *= np.sqrt(params.gamma_e[b])[:, None]
+        # The shocks become the AR(1) idiosyncratic path, one period per
+        # step, in a column-major buffer whose periods are contiguous;
+        # with every rho_i = 0 that path is the shocks themselves.
+        if ar:
+            path_b = path[:k * total].reshape((k, total), order="F")
+            path_b[...] = xi
+            xi = path_b
+            rho, step = params.rho[b], np.empty(k)
+            before = xi[:, 0]
+            for now in xi.T[1:]:
+                np.multiply(rho, before, out=step)
+                now += step
+                before = now
+        X[b] += xi[:, BURN_IN:]
     return F, Panel(X=X)

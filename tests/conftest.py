@@ -13,10 +13,13 @@ are the reference for ECM's AR(1) updates. ``toeplitz_params`` gives a
 draw's parameters with the full Gamma^e its tau stands for, as factors,
 ``dense_gamma`` the n x n Gamma^e of any parameters, and
 ``cholesky_whitener`` whitens by the Cholesky factor of that dense
-Gamma^e: the reference for the filter's Woodbury route.
+Gamma^e: the reference for the filter's Woodbury route. ``traced_call``
+measures the bytes a call allocates, for the bounds on what a draw and a
+fit hold.
 """
 
 import dataclasses
+import tracemalloc
 
 import warnings
 
@@ -343,6 +346,25 @@ def ar_updates_reference(X, Lam, smooth):
         rho[bad] = np.sign(rho[bad]) * 0.99
     head = sq[:, 1:].sum(axis=1)
     return rho, (head - 2.0 * rho * num + rho**2 * den) / (T - 1)
+
+
+def traced_call(f, *args):
+    """(result, peak, retained): ``f(*args)`` with the peak and the
+    retained bytes that tracemalloc counts during the call. It counts
+    numpy's allocations but not BLAS's own work buffers, so a bound on it
+    does not depend on the BLAS build or the number of its threads."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, peak - base, current - base
 
 
 @pytest.fixture

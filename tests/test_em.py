@@ -22,7 +22,8 @@ from dfm_em.em import AscentViolationError, EmDivergenceError, EmError, \
     SufficientStats, build_stats
 from dfm_em.kalman import stationary_init
 from dfm_em.model import ShapeError
-from conftest import dense_joint_moments, oracle_state_blocks, toeplitz_params
+from conftest import dense_joint_moments, oracle_state_blocks, toeplitz_params, \
+    traced_call
 
 ALL_FITS = pytest.mark.parametrize("fit", [em_fit, ridge_fit, ecm_fit],
                                    ids=lambda f: f.__name__)
@@ -208,6 +209,16 @@ class TestEmConfig:
 
 
 class TestEmFit:
+    def test_allocates_a_quarter_panel_beyond_its_outputs(self):
+        """A diagonal fit holds no n x T array besides the panel: the PC
+        start, the variance floor and every residual sum run by row
+        blocks. The centred copy of the PC start alone was X.nbytes."""
+        dims = ModelDims(n=4000, T=200, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=7))
+        panel = Panel(X=draw.panel.X)  # its variance not yet computed
+        _, peak, retained = traced_call(em_fit, panel, dims)
+        assert peak <= retained + 0.25 * panel.X.nbytes
+
     def test_noiseless_recovery(self, rng):
         n, T, r = 20, 80, 2
         Lam = rng.standard_normal((n, r))

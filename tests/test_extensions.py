@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,19 @@ class TestRidgeConfig:
                 ridge_fit(draw.panel, dims, mu=mu)
             with pytest.raises(ValueError, match=match):
                 ridge_covariance(2.0 * np.eye(3), mu)
+
+    @pytest.mark.parametrize("mu", [True, "1", None, 1j])
+    def test_mu_that_is_not_a_real_number_refused(self, mu):
+        """mu=True once fitted with mu = 1, and mu="1" raised an untyped
+        TypeError from the comparison."""
+        dims = ModelDims(n=20, T=40, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, seed=11))
+        match = "^" + re.escape(f"ridge mu must be a real number, got {mu!r}") + "$"
+        with pytest.raises(ValueError, match=match):
+            ridge_covariance(2.0 * np.eye(3), mu)
+        if mu is not None:  # None selects the automatic penalty
+            with pytest.raises(ValueError, match="ridge mu must be a real number"):
+                ridge_fit(draw.panel, dims, mu=mu)
 
 
 class TestRidgeFit:

@@ -25,7 +25,7 @@ from conftest import (
 )
 from dfm_em.kalman import _bidiagonal_solve, _observed_directions, _riccati, \
     _scan, _solve
-from dfm_em.model import _BLOCK_ELEMS
+from dfm_em.model import _BLOCK_ELEMS, ShapeError
 
 
 def _draw(n=5, T=10, r=2, q=2, tau=0.0, delta=0.0, seed=1):
@@ -210,6 +210,27 @@ class TestFilterBasics:
     def test_init_state_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="P0 shape incompatible"):
             InitState(F0=np.zeros(2), P0=np.eye(3))
+
+    def test_panel_rows_against_lambda_refused(self, monkeypatch):
+        """A 5-row panel with a 20-row Lambda once died in a bare numpy
+        matmul error; now a ShapeError names both, before any work."""
+        import dfm_em.kalman as kalman
+
+        def must_not_run(*args):
+            raise AssertionError("the filter ran")
+
+        monkeypatch.setattr(kalman, "_whitener", must_not_run)
+        p = _draw(n=20, r=2).params
+        with pytest.raises(ShapeError, match="^panel has 5 rows but Lambda has 20$"):
+            kalman_filter(Panel(X=np.zeros((5, 10))), p, stationary_init(p))
+
+    def test_init_state_size_against_r_refused(self):
+        """A wrong-size InitState once died in a broadcast error."""
+        draw = _draw(n=6, r=2)
+        with pytest.raises(ShapeError, match="^InitState F0 has size 3 but "
+                                             "Lambda has r=2 columns$"):
+            kalman_filter(draw.panel, draw.params,
+                          InitState(F0=np.zeros(3), P0=np.eye(3)))
 
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_singular_solve_gives_nan(self, batch):

@@ -10,7 +10,7 @@ from dfm_em import (
     ShapeError,
     validate,
 )
-from dfm_em.model import _BLOCK_ELEMS, _sq_residual_sums
+from dfm_em.model import _BLOCK_ELEMS, _row_blocks, _sq_residual_sums
 
 
 def _params(n=6, r=2, q=2, A=None, H=None, gamma=None, rho=None):
@@ -206,6 +206,31 @@ class TestPanel:
         assert p.var is p.var
         with pytest.raises(ValueError):
             p.var[0] = 1.0
+
+
+    @pytest.mark.parametrize("n,T", [(700, 150), (3 * (_BLOCK_ELEMS // 150), 150),
+                                     (4, _BLOCK_ELEMS + 1)])
+    def test_variance_over_row_blocks_is_bitwise(self, n, T):
+        """Each row is reduced whole, block by block, as X.var(axis=1)
+        reduces it."""
+        assert len(_row_blocks(n, T)) >= 3
+        X = np.random.default_rng(n).standard_normal((n, T)) * 3.0 + 1e3
+        assert np.array_equal(Panel(X=X).var, X.var(axis=1))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n,m,elems,rows", [
+        (10, 4, 12, 3),     # a partial last block
+        (9, 4, 12, 3),      # n an exact multiple of the rows
+        (3, 20, 12, 1),     # rows longer than the budget: one row a block
+        (2, 4, 64, 16),     # one block
+    ])
+    def test_slices_cover_the_rows_in_order(self, n, m, elems, rows):
+        blocks = _row_blocks(n, m, elems)
+        assert blocks[0] == slice(0, min(rows, n))
+        assert all(b.stop - b.start <= rows for b in blocks)
+        assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]),
+                              np.arange(n))
 
 
 _ROWS_300 = _BLOCK_ELEMS // 300  # rows per block at T = 300

@@ -13,7 +13,24 @@ from dfm_em import (
 )
 from dfm_em.pca import _sign_fix_columns
 from dfm_em.simulate import simulate_given, stream
-from dfm_em.model import DfmParams
+from dfm_em.model import _row_blocks, DfmParams
+from conftest import traced_call
+
+
+def _dense_pc(X, r):
+    """(eigvals, Lambda0, Ftilde, GammaE0) from a centred copy of the panel
+    and every eigenpair of Xc Xc' / T."""
+    T = X.shape[1]
+    Xc = X - X.mean(axis=1, keepdims=True)
+    w, V = np.linalg.eigh(Xc @ Xc.T / T)
+    w, V = w[::-1][:r], _sign_fix_columns(V[:, ::-1][:, :r])
+    Lam = V * np.sqrt(w)
+    F = Lam.T @ Xc / w[:, None]
+    return w, Lam, F, ((Xc - Lam @ F) ** 2).mean(axis=1)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
 class TestPcEstimate:
@@ -163,6 +180,52 @@ class TestPcEstimate:
         mask = np.ones(30, dtype=bool)
         mask[7] = False
         assert np.max(np.abs(chi[mask] - chi2[mask])) < 1e-8
+
+
+class TestStreamedPcStart:
+    """The PC start never forms the centred panel: the Gram, the loadings
+    and the residual variances are reduced from centred blocks in cache,
+    row blocks when n > T and column blocks otherwise."""
+
+    @pytest.mark.parametrize("n,T", [(700, 150), (150, 700)])
+    def test_matches_the_dense_centred_reference(self, n, T):
+        assert len(_row_blocks(max(n, T), min(n, T))) >= 3
+        draw = draw_dgp(DgpConfig(dims=ModelDims(n=n, T=T, r=4, q=2),
+                                  tau=0.5, delta=0.2, seed=13))
+        est = pc_estimate(draw.panel, 4, 2)
+        w, Lam, F, gamma = _dense_pc(draw.panel.X, 4)
+        assert _rel(est.eigvals, w) <= 1e-12
+        assert _rel(est.Lambda0, Lam) <= 1e-10
+        assert _rel(est.Ftilde, F) <= 1e-10
+        assert _rel(est.GammaE0, gamma) <= 1e-10
+
+    @pytest.mark.parametrize("n,T", [(700, 150), (150, 700)])
+    def test_large_means_cost_no_digits(self, n, T):
+        """Series whose means are 1e6 standard deviations give the centred
+        panel's residual variances: every block is centred before its
+        Gram and its residual are formed. The centred panel lies on the
+        grid of the shifted one, so the shift itself is exact and only the
+        centring's rounding is left (about 2e-15 here); subtracting the
+        mean only after L F, as X - (L F + mu 1'), reads 1e-11 to 4e-11,
+        and an uncentred Gram far more."""
+        draw = draw_dgp(DgpConfig(dims=ModelDims(n=n, T=T, r=4, q=2),
+                                  tau=0.5, delta=0.2, seed=17))
+        X = draw.panel.X
+        mean = 1e6 * X.std(axis=1)[:, None]
+        grid = np.spacing(mean)
+        Xc = np.round((X - X.mean(axis=1, keepdims=True)) / grid) * grid
+        far = Xc + mean
+        assert np.array_equal(far - mean, Xc)
+        want = pc_estimate(Panel(X=Xc), 4, 2).GammaE0
+        got = pc_estimate(Panel(X=far), 4, 2).GammaE0
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("n,T", [(4000, 200), (200, 4000)])
+    def test_allocates_a_quarter_panel_beyond_its_outputs(self, n, T):
+        """A centred copy of the panel alone would be a whole X.nbytes."""
+        draw = draw_dgp(DgpConfig(dims=ModelDims(n=n, T=T, r=2, q=2), seed=5))
+        _, peak, retained = traced_call(pc_estimate, draw.panel, 2, 2)
+        assert peak <= retained + 0.25 * draw.panel.X.nbytes
 
 
 class TestVarFromFactors:
