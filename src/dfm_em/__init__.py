@@ -9,7 +9,7 @@ from .model import (
     ShapeError,
     validate,
 )
-from .simulate import DgpConfig, DgpDraw, Innovation, draw_dgp, simulate_given, stream
+from .simulate import DgpConfig, DgpDraw, Innovation, draw_dgp, stream
 from .kalman import (
     FilterNumericalError,
     FilterOutput,

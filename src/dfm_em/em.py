@@ -227,12 +227,19 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
     ``update(stats, smooth, base)`` maps each diagonal :func:`m_step`
     result ``base`` to the estimator's parameters; both default to the
     identity. ``guard_ascent`` turns on the :class:`AscentViolationError`
-    check. Raises :class:`ShapeError` if ``dims`` does not match the panel.
+    check. Raises :class:`ShapeError`, before any work, if ``dims`` does
+    not match the panel or a given ``init`` does not match ``dims``.
     """
-    if (dims.n, dims.T) != (panel.n, panel.T):
+    n, T, r, q = dims.n, dims.T, dims.r, dims.q
+    if (n, T) != (panel.n, panel.T):
         raise ShapeError(f"{dims} does not match the {panel.n} x {panel.T} panel")
     if init is None:
-        init = pc_estimate(panel, dims.r, dims.q)
+        init = pc_estimate(panel, r, q)
+    for name, shape in (("Lambda0", (n, r)), ("Ftilde", (r, T)), ("A0", (r, r)),
+                        ("H0", (r, q)), ("GammaE0", (n,))):
+        got = np.shape(getattr(init, name))
+        if got != shape:
+            raise ShapeError(f"init {name} has shape {got} but {dims} needs {shape}")
     gamma = _floor_gamma(init.GammaE0, panel)
     params = DfmParams(Lambda=init.Lambda0, A=init.A0, H=init.H0,
                        gamma_e=gamma if gamma0 is None else gamma0(gamma))
@@ -242,7 +249,7 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
     try:
         kf_init = InitState(F0=init.Ftilde[:, 0], P0=stationary_init(params).P0)
     except ValueError:
-        kf_init = InitState(F0=init.Ftilde[:, 0], P0=np.eye(dims.r))
+        kf_init = InitState(F0=init.Ftilde[:, 0], P0=np.eye(r))
 
     trace = []
     converged = False
@@ -265,7 +272,7 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
         if k == config.max_iter:
             break
 
-        base = m_step(stats, panel, dims.q)
+        base = m_step(stats, panel, q)
         params = base if update is None else update(stats, smooth, base)
         iters = k + 1
         kf_init = InitState(F0=smooth.F0_smooth, P0=smooth.P0_smooth)
@@ -294,6 +301,8 @@ def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
 
     Raises
     ------
+    ShapeError
+        Before any work, if ``dims`` does not match the panel or ``init``.
     EmDivergenceError
         If the log-likelihood becomes non-finite.
     AscentViolationError

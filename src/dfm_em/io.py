@@ -70,8 +70,8 @@ def write_panel_csv(panel: Panel, path):
 
 
 def _read_csv(path):
-    """(header fields, float rows) of a CSV file whose first non-blank line
-    is its header, blank lines skipped. A row not as wide as the header,
+    """(header fields, float array rows) of a CSV file whose first non-blank
+    line is its header, blank lines skipped. A row not as wide as the header,
     or a field that is not a number, raises ValueError naming file:line."""
     header, rows = None, []
     with open(path) as fh:
@@ -86,18 +86,21 @@ def _read_csv(path):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} "
                                  f"columns, got {len(fields)}")
             try:
-                rows.append([float(v) for v in fields])
+                rows.append(np.array(fields, dtype=float))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return header, rows
 
 
 def read_panel_csv(path) -> Panel:
-    """Read a panel written by :func:`write_panel_csv`."""
+    """Read a panel written by :func:`write_panel_csv`, C-ordered: its
+    T x n rows are freed before their one transposed copy is made."""
     header, rows = _read_csv(path)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Panel(X=np.array(rows).T, names=tuple(header))
+    XT = np.array(rows)
+    del rows
+    return Panel(X=np.ascontiguousarray(XT.T), names=tuple(header))
 
 
 def write_matrix_csv(M: np.ndarray, path, header):

@@ -198,18 +198,21 @@ def _symmetrize(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def stationary_init(params: DfmParams) -> InitState:
-    """Zero-mean initialization at the stationary state covariance.
+def _lyapunov(A, Q):
+    """The solution P of the discrete Lyapunov equation P = A P A' + Q,
+    symmetrized, via the Kronecker form vec(P) = (I - A (x) A)^{-1} vec(Q).
+    It is the stationary covariance of the VAR(1) state, for the filter's
+    start and for a draw's loadings."""
+    r = A.shape[0]
+    vecP = np.linalg.solve(np.eye(r * r) - np.kron(A, A), Q.reshape(-1))
+    return _symmetrize(vecP.reshape(r, r))
 
-    P_{0|0} solves the discrete Lyapunov equation P = A P A' + HH',
-    computed via the Kronecker form vec(P) = (I - A (x) A)^{-1} vec(HH').
-    """
-    r = params.r
-    HHt = params.H @ params.H.T
-    lhs = np.eye(r * r) - np.kron(params.A, params.A)
-    vecP = np.linalg.solve(lhs, HHt.reshape(-1))
-    P0 = _symmetrize(vecP.reshape(r, r))
-    return InitState(F0=np.zeros(r), P0=P0)
+
+def stationary_init(params: DfmParams) -> InitState:
+    """Zero-mean initialization at the stationary state covariance:
+    P_{0|0} solves P = A P A' + HH' (:func:`_lyapunov`)."""
+    return InitState(F0=np.zeros(params.r),
+                     P0=_lyapunov(params.A, params.H @ params.H.T))
 
 
 def _whitener(params):
@@ -495,8 +498,11 @@ def kalman_smoother(filt: FilterOutput, params: DfmParams) -> SmootherOutput:
 
     The smoothed covariances are returned as computed, only symmetrized:
     nothing repairs an indefinite one, so a check downstream sees it.
+    Raises :class:`ShapeError`, before any work, for ``params`` of another r.
     """
     T, r = filt.T, filt.r
+    if params.r != r:
+        raise ShapeError(f"filter output has r={r} but Lambda has r={params.r} columns")
     A = params.A
 
     # r_{t-1} = g_t + L_t' r_t as one backward band solve and

@@ -16,13 +16,14 @@ A draw proceeds as:
 
 A Toeplitz Gamma^e is never formed. The draw carries its law, tau, in
 ``DgpDraw.tau`` and its diagonal, a vector of ones, in ``params.gamma_e``.
-The shocks come from tau alone: the Cholesky factor L of
-toeplitz(tau^{|i-j|}) is known in closed form, and e = L z is the AR(1)
+The shocks are scaled by the square root of ``params.gamma_e`` (exactly,
+by ones, at tau > 0) and at tau > 0 taken through the Cholesky factor L
+of toeplitz(tau^{|i-j|}), known in closed form: e = L z is the AR(1)
 recursion across series e_0 = z_0, e_i = tau e_{i-1} + sqrt(1 - tau^2) z_i.
-That is O(nT) work with no n x n array, where the Cholesky route costs an
-O(n^3) factorisation and an O(n^2 T) product. At n = 2000 with
+That is O(nT) work with no n x n array, where a dense L costs an O(n^3)
+factorisation and an O(n^2 T) product. At n = 2000 with
 T + burn-in = 400 periods it takes about 13 ms against 0.82 s on one
-core. The draws agree with the Cholesky route to round-off.
+core. The draws agree with the dense product to round-off.
 The panel is formed in the buffer of Lambda F. The shocks are drawn,
 transformed and run through their AR(1) in time one block of rows at a
 time, in two reused buffers of about _DRAW_BLOCK_ELEMS doubles, and each
@@ -30,13 +31,8 @@ block's kept periods are added into the panel; so a draw holds the panel
 and those two buffers, and :func:`draw_dgp` then chi. Block by block the
 normals leave the stream in the order of one n x (T + BURN_IN) draw, and
 each entry takes the same products and sums, so the bits are those of
-the whole-panel draw. The Cholesky factor of a full Gamma^e mixes every
-row, so that route keeps all n rows of normals as one block.
-:func:`simulate_given` has no tau: it scales the shocks by the square
-root of a diagonal Gamma^e or applies the Cholesky factor of a full one,
-formed from its factors as c I + B B'.
-Both discard BURN_IN pre-sample periods and return the r x T factor path
-as a read-only array.
+the whole-panel draw. BURN_IN pre-sample periods are discarded, and the
+r x T factor path is a read-only array.
 
 Randomness is counter-based (Philox). ``stream(seed, b)`` gives the
 independent substream for replication b, so replications can run in any
@@ -49,12 +45,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
+from .kalman import _lyapunov
 from .model import (DfmParams, ModelDims, Panel, _check_integer, _check_real,
                     _row_blocks, validate)
 
-__all__ = ["Innovation", "DgpConfig", "DgpDraw", "stream", "draw_dgp", "simulate_given"]
+__all__ = ["Innovation", "DgpConfig", "DgpDraw", "stream", "draw_dgp"]
 
 BURN_IN = 100
 
@@ -122,10 +118,9 @@ class DgpConfig:
 @dataclass(frozen=True)
 class DgpDraw:
     """A draw: parameters, the r x T factor path, panel and chi = Lambda F
-    (both arrays read-only). At tau > 0
-    the shocks' Gamma^e is toeplitz(tau^|i-j|) and ``params.gamma_e`` holds
-    only its diagonal (ones), so ``simulate_given(draw.params, ...)`` draws
-    cross-sectionally uncorrelated shocks, not the draw's law."""
+    (both arrays read-only). At tau > 0 the shocks' Gamma^e is
+    toeplitz(tau^|i-j|), and ``params.gamma_e`` holds only its diagonal
+    (ones)."""
 
     params: DfmParams
     factors: np.ndarray
@@ -173,7 +168,7 @@ def draw_dgp(config: DgpConfig) -> DgpDraw:
     # explains a share theta/(1+theta) of each series' variance. The
     # idiosyncratic side is left untouched, which keeps Gamma^e exactly
     # Toeplitz when tau > 0.
-    gamma_f = solve_discrete_lyapunov(A, H @ H.T)
+    gamma_f = _lyapunov(A, H @ H.T)
     var_chi = np.einsum("ij,jk,ik->i", Lam, gamma_f, Lam)
     var_xi = gamma_e / (1.0 - rho**2)
     Lam = Lam * np.sqrt(config.theta * var_xi / var_chi)[:, None]
@@ -220,24 +215,10 @@ def _toeplitz_root(tau, z, prev=None):
     return z
 
 
-def simulate_given(params: DfmParams, T: int, innovation=Innovation.GAUSSIAN,
-                   seed: int = 0):
-    """Simulate (factors, panel) of length T from given parameters: the
-    r x T factor path as a read-only array, and the panel.
-
-    Processes start at zero and BURN_IN pre-sample periods are discarded
-    so the kept sample is effectively stationary. A full Gamma^e, given by
-    its factors (c, B), enters through the Cholesky factor of c I + B B'.
-    """
-    _check_integer("T", T, 1)
-    return _simulate(params, T, innovation, stream(seed), 0.0)
-
-
 def _simulate(params, T, innovation, rng, tau):
-    """:func:`simulate_given` drawing from ``rng``. At ``tau`` > 0 the
-    idiosyncratic shocks have Gamma^e = toeplitz(tau^|i-j|) and come from
-    :func:`_toeplitz_root`; otherwise from ``params.gamma_e`` or
-    ``params.gamma_factors``."""
+    """(factors, panel) of length T from ``params``, drawing from ``rng``,
+    with tau as the module docstring describes; the processes start at
+    zero and BURN_IN pre-sample periods are discarded."""
     innovation = Innovation(innovation)
     n, r, q = params.n, params.r, params.q
     total = T + BURN_IN
@@ -266,33 +247,21 @@ def _simulate(params, T, innovation, rng, tau):
     X = params.Lambda @ F
 
     # The idiosyncratic shocks, one row block at a time (see the module
-    # docstring); a full Gamma^e's Cholesky factor mixes all n rows.
-    full = params.gamma_factors is not None
-    if full:
-        c, B = params.gamma_factors
-        gamma = B @ B.T
-        gamma[np.diag_indices(n)] += c
-        chol = np.linalg.cholesky(gamma)
-        blocks = [slice(0, n)]
-    else:
-        blocks = _row_blocks(n, total, _DRAW_BLOCK_ELEMS)
+    # docstring).
+    blocks = _row_blocks(n, total, _DRAW_BLOCK_ELEMS)
     ar = np.any(params.rho)
     size = blocks[0].stop * total
     shocks = np.empty(size)
     if ar:
-        # L z leaves the Cholesky route's normals free to hold the path.
-        path = shocks if full else np.empty(size)
+        path = np.empty(size)
     last = None
     for b in blocks:
         k = b.stop - b.start
         xi = draw(shocks[:k * total].reshape(k, total))
+        xi *= np.sqrt(params.gamma_e[b])[:, None]
         if tau > 0.0:
             _toeplitz_root(tau, xi, last)
             last = xi[-1].copy()
-        elif full:
-            xi = chol @ xi
-        else:
-            xi *= np.sqrt(params.gamma_e[b])[:, None]
         # The shocks become the AR(1) idiosyncratic path, one period per
         # step, in a column-major buffer whose periods are contiguous;
         # with every rho_i = 0 that path is the shocks themselves.

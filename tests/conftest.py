@@ -277,16 +277,18 @@ def toeplitz_params(draw):
 
 
 def simulate_loop(params, T, innovation, rng, tau=0.0):
-    """(F, X) of ``simulate.simulate_given`` computed the plain way, or
-    with ``tau`` > 0 of ``simulate.draw_dgp``'s Toeplitz shocks.
+    """(F, X) of ``simulate.draw_dgp``'s simulation from ``params``
+    computed the plain way, with ``tau`` > 0 its Toeplitz shocks.
 
     Shocks are drawn in the same order (common, then idiosyncratic), the
     idiosyncratic ones are multiplied by the square root of a diagonal
-    Gamma^e or by the Cholesky factor of a full one (``dense_gamma``), or at
-    tau > 0 run through the AR(1) recursion across series out of place
-    (e = sqrt(1 - tau^2) z, e_0 = z_0, e_i += tau e_{i-1}), and both the
-    factor VAR(1) and the idiosyncratic AR(1) run one period at a time from
-    zero, the BURN_IN pre-sample periods included; X = Lambda F + xi.
+    Gamma^e, or at tau > 0 run through the AR(1) recursion across series
+    out of place (e = sqrt(1 - tau^2) z, e_0 = z_0, e_i += tau e_{i-1}).
+    A full Gamma^e given by its factors, such as ``toeplitz_params``
+    gives, enters through the Cholesky factor of ``dense_gamma``: the
+    dense reference for the recursion. Both the factor VAR(1) and the
+    idiosyncratic AR(1) run one period at a time from zero, the BURN_IN
+    pre-sample periods included; X = Lambda F + xi.
     """
     n, r, q = params.n, params.r, params.q
     total = T + BURN_IN

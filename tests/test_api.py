@@ -1,5 +1,7 @@
 """The package's public names: what ``dfm_em/__init__.py`` re-exports is
-declared in its module's ``__all__``, and every declared name exists."""
+declared in its module's ``__all__``, every declared name exists, and the
+package's own modules use every declared name (a name only the tests call
+belongs in the tests)."""
 
 import ast
 import importlib
@@ -44,6 +46,32 @@ def test_declared_names_exist(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def _names_used_by_the_modules():
+    """Every name the package's modules, ``__init__`` not counted, load,
+    read as an attribute or import."""
+    used = set()
+    for module in MODULES:
+        tree = ast.parse((Path(dfm_em.__file__).parent / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_declared_names_are_used_by_the_package():
+    """A public name that only the tests call is a test oracle in the
+    library's API."""
+    used = _names_used_by_the_modules()
+    unused = [f"{module}.{name}" for module in MODULES
+              for name in importlib.import_module(f"dfm_em.{module}").__all__
+              if name not in used]
+    assert unused == []
 
 
 def _modules_loaded_by(statement):

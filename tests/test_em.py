@@ -347,6 +347,31 @@ class TestFitFailures:
         assert err.value.iteration == 1
 
     @ALL_FITS
+    def test_init_of_other_ranks_refused(self, fit):
+        """An r = 3 start under r = 4 dims once fitted r = 3 and reported
+        converged=True."""
+        dims = ModelDims(n=30, T=60, r=4, q=2)
+        panel = draw_dgp(DgpConfig(dims=dims, seed=1)).panel
+        with pytest.raises(ShapeError, match=r"^init Lambda0 has shape \(30, 3\) "
+                                             r"but ModelDims\(n=30, T=60, r=4, q=2\) "
+                                             r"needs \(30, 4\)$"):
+            fit(panel, dims, init=pc_estimate(panel, 3, 2))
+
+    @ALL_FITS
+    @pytest.mark.parametrize("name", ["Lambda0", "Ftilde", "A0", "H0", "GammaE0"])
+    def test_init_field_shapes_refused_before_any_work(self, monkeypatch, fit, name):
+        def must_not_run(*args):
+            raise AssertionError("the loop ran")
+
+        monkeypatch.setattr(em_module, "e_step", must_not_run)
+        shape = {"Lambda0": (20, 3), "Ftilde": (2, 39), "A0": (2, 1),
+                 "H0": (2, 1), "GammaE0": (19,)}[name]
+        init = dataclasses.replace(pc_estimate(self._panel(), 2, 2),
+                                   **{name: np.zeros(shape)})
+        with pytest.raises(ShapeError, match=f"^init {name} has shape"):
+            fit(self._panel(), self.dims, init=init)
+
+    @ALL_FITS
     @pytest.mark.parametrize("wrong", [{"n": 300}, {"T": 39}])
     def test_dims_must_match_panel(self, fit, wrong):
         """ridge_fit's n^2/T rule reads dims, so a mismatch would silently

@@ -232,6 +232,16 @@ class TestFilterBasics:
             kalman_filter(draw.panel, draw.params,
                           InitState(F0=np.zeros(3), P0=np.eye(3)))
 
+    def test_smoother_params_of_other_r_refused(self):
+        """Parameters of another r than the filter output's once died in a
+        bare numpy matmul error."""
+        draw = _draw(n=6, r=2)
+        filt = kalman_filter(draw.panel, draw.params, stationary_init(draw.params))
+        other = _draw(n=6, r=3).params
+        with pytest.raises(ShapeError, match="^filter output has r=2 but "
+                                             "Lambda has r=3 columns$"):
+            kalman_smoother(filt, other)
+
     @pytest.mark.parametrize("batch", [(), (3,)])
     def test_singular_solve_gives_nan(self, batch):
         """An exactly singular system comes back as NaN in the shape of

@@ -12,8 +12,8 @@ from dfm_em import (
     var_from_factors,
 )
 from dfm_em.pca import _sign_fix_columns
-from dfm_em.simulate import simulate_given, stream
-from dfm_em.model import _row_blocks, DfmParams
+from dfm_em.simulate import stream
+from dfm_em.model import _row_blocks
 from conftest import traced_call
 
 
@@ -254,14 +254,12 @@ class TestVarFromFactors:
         assert np.max(np.abs(A)) < 2 * 3 / np.sqrt(10000)
 
     def test_long_sample_consistency(self):
-        A_true = np.array([[0.5, 0.2], [0.0, 0.4]])
-        H_true = np.array([[1.0, 0.0], [0.3, 0.8]])
-        p = DfmParams(Lambda=np.ones((5, 2)), A=A_true, H=H_true,
-                      gamma_e=np.ones(5))
-        F, _ = simulate_given(p, 50000, seed=8)
-        A, H, _ = var_from_factors(F, 2)
-        assert np.linalg.norm(A - A_true) < 0.02
-        assert np.linalg.norm(H @ H.T - H_true @ H_true.T) < 0.05
+        """A long draw's factor path gives back its A and HH'."""
+        draw = draw_dgp(DgpConfig(dims=ModelDims(n=5, T=50000, r=2, q=2), seed=8))
+        p = draw.params
+        A, H, _ = var_from_factors(draw.factors, 2)
+        assert np.linalg.norm(A - p.A) < 0.02
+        assert np.linalg.norm(H @ H.T - p.H @ p.H.T) < 0.05
 
     def test_sign_fix_finds_the_first_nonzero_row(self):
         V = np.array([[0.0, 1.0, 0.0, -0.5],

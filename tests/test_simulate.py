@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
-from dfm_em import DgpConfig, DfmParams, ModelDims, draw_dgp, ridge_covariance, \
-    simulate_given, stream
+from dfm_em import DgpConfig, DfmParams, ModelDims, draw_dgp, stream
 from dfm_em.model import _row_blocks
-from dfm_em.simulate import BURN_IN, _DRAW_BLOCK_ELEMS, _standardized_t4, \
-    _toeplitz_root
+from dfm_em.simulate import BURN_IN, _DRAW_BLOCK_ELEMS, _simulate, \
+    _standardized_t4, _toeplitz_root
 from conftest import dense_gamma, simulate_loop, toeplitz_params, traced_call
 
 
@@ -69,8 +68,7 @@ class TestDrawDgp:
 
     def test_factors_and_chi_are_read_only(self):
         draw = draw_dgp(_config(n=10, T=20, r=2, q=1, seed=2))
-        F, _ = simulate_given(draw.params, 20, seed=2)
-        for a in (draw.factors, draw.chi, F):
+        for a in (draw.factors, draw.chi):
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
 
@@ -138,32 +136,15 @@ class TestDrawDgp:
 
 
 class TestSimulateGiven:
-    @pytest.mark.parametrize("T,message", [
-        (0, "T must be >= 1, got 0"),
-        (-5, "T must be >= 1, got -5"),
-        (2.5, "T must be an integer, got 2.5"),
-    ])
-    def test_bad_length_refused(self, T, message):
-        """T <= 0 used to return an n x 0 panel."""
-        p = DfmParams(Lambda=np.ones((5, 2)), A=0.5 * np.eye(2),
-                      H=np.eye(2), gamma_e=np.ones(5))
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            simulate_given(p, T)
+    """The draw's factor path and shocks."""
 
     def test_zero_shock_loader_gives_zero_factors(self):
         p = DfmParams(Lambda=np.ones((5, 2)), A=0.5 * np.eye(2),
                       H=np.zeros((2, 2)), gamma_e=np.ones(5))
-        F, panel = simulate_given(p, 20, seed=3)
+        F, panel = _simulate(p, 20, "gaussian", stream(3), 0.0)
         assert np.array_equal(F, np.zeros((2, 20)))
         # panel is then pure idiosyncratic noise
         assert np.std(panel.X) > 0.0
-
-    def test_same_seed_bit_identical(self):
-        p = DfmParams(Lambda=np.ones((5, 2)), A=0.5 * np.eye(2),
-                      H=np.eye(2), gamma_e=np.ones(5))
-        _, a = simulate_given(p, 30, seed=9)
-        _, b = simulate_given(p, 30, seed=9)
-        assert np.array_equal(a.X, b.X)
 
     def test_idio_lag1_autocorr_centers_on_zero(self):
         """With rho = 0 and tau = 0 the idiosyncratic part is white."""
@@ -187,14 +168,12 @@ class TestSimulateGiven:
         assert abs(np.var(z) - 1.0) < 0.05
 
     def test_factor_stationary_covariance(self):
-        """Long-sample factor covariance matches the fixed point of the
-        state covariance recursion."""
-        A = np.array([[0.5, 0.1], [0.0, 0.4]])
-        p = DfmParams(Lambda=np.ones((5, 2)), A=A, H=np.eye(2),
-                      gamma_e=np.ones(5))
-        F, _ = simulate_given(p, 20000, seed=21)
+        """Long-sample factor covariance of a draw matches the fixed point
+        of the state covariance recursion."""
+        draw = draw_dgp(_config(n=5, T=20000, r=2, q=2, seed=21))
+        F, p = draw.factors, draw.params
         sample = F @ F.T / F.shape[1]
-        target = solve_discrete_lyapunov(A, np.eye(2))
+        target = solve_discrete_lyapunov(p.A, p.H @ p.H.T)
         rel = np.linalg.norm(sample - target) / np.linalg.norm(target)
         assert rel < 0.05
 
@@ -235,9 +214,9 @@ class TestToeplitzShocks:
 
 
 class TestAgainstTheLoop:
-    """Diagonal Gamma^e (tau = 0), Toeplitz shocks (tau > 0) and full
-    Gamma^e (its factors) reproduce the per-period, out-of-place loop
-    bitwise, with and without AR(1) idiosyncratics."""
+    """Diagonal Gamma^e (tau = 0) and Toeplitz shocks (tau > 0) reproduce
+    the per-period, out-of-place loop bitwise, with and without AR(1)
+    idiosyncratics."""
 
     @pytest.mark.parametrize("innovation", ["gaussian", "student_t4"])
     @pytest.mark.parametrize("delta", [0.0, 0.2])
@@ -276,32 +255,6 @@ class TestAgainstTheLoop:
                              stream(cfg.seed, 0), tau)
         assert np.array_equal(draw.factors, F)
         assert np.array_equal(draw.panel.X, X)
-
-    @pytest.mark.parametrize("rho", [0.0, 0.4])
-    @pytest.mark.parametrize("full", [False, True])
-    def test_simulate_given_is_bitwise(self, full, rho):
-        rng = stream(23)
-        n = 7
-        B = rng.standard_normal((n, n))
-        gamma = ({"gamma_factors": ridge_covariance(B @ B.T + n * np.eye(n), 0.0)}
-                 if full else {"gamma_e": rng.uniform(0.5, 1.5, n)})
-        p = DfmParams(Lambda=rng.standard_normal((n, 2)), A=0.5 * np.eye(2),
-                      H=np.eye(2), rho=np.full(n, rho), **gamma)
-        F, panel = simulate_given(p, 30, seed=5)
-        F0, X0 = simulate_loop(p, 30, "gaussian", stream(5))
-        assert np.array_equal(F, F0)
-        assert np.array_equal(panel.X, X0)
-
-    def test_simulate_given_from_factors_is_the_dense_draw(self):
-        """Factors (c, B) draw through the Cholesky factor of c I + B B',
-        bitwise as the loop does from the dense Gamma."""
-        rng = stream(29)
-        n = 7
-        p = DfmParams(Lambda=rng.standard_normal((n, 2)), A=0.5 * np.eye(2),
-                      H=np.eye(2), rho=np.full(n, 0.4),
-                      gamma_factors=(1.5, rng.standard_normal((n, 3))))
-        F, panel = simulate_given(p, 30, seed=5)
-        assert np.array_equal(panel.X, simulate_loop(p, 30, "gaussian", stream(5))[1])
 
 
 # A draw of T = 150 periods in three row blocks, the last a partial one.
