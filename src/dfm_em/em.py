@@ -272,6 +272,9 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
         if k == config.max_iter:
             break
 
+        # Drop the previous estimate first, so that a ridge fit never
+        # holds two n x (T + r) factors B at once.
+        params = None
         base = m_step(stats, panel, q)
         params = base if update is None else update(stats, smooth, base)
         iters = k + 1

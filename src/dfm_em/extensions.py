@@ -18,7 +18,11 @@ Two variants are provided:
   the O(n^3) of an n x n eigendecomposition, which remains for
   n <= T + r, where :func:`ridge_covariance` returns the same form from
   its own eigenbasis; the filter inverts Gamma through the factors. The
-  start value is the map applied elementwise to the principal-components
+  Gram branch never forms Z: it builds Z by row blocks in two passes, the
+  first adding each block into the Gram and the second turning it into
+  its rows of B, so besides the panel it holds B, the Gram, its
+  eigenvectors and one block of Z, and no other n-row array. The start
+  value is the map applied elementwise to the principal-components
   variances, so the first E-step runs the diagonal filter.
 
 * ``ecm_fit`` — AR(1) idiosyncratic components handled by conditional
@@ -46,12 +50,14 @@ import numbers
 import warnings
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .em import EmConfig, EmResult, _fit, _floor_gamma, _symmetric_sqrt
 # Not called here: bench/tracing.py wraps these by their extensions.* names.
 from .em import e_step, m_step  # noqa: F401
 from .kalman import stationary_init  # noqa: F401
-from .model import DfmParams, ModelDims, Panel, _ar1_weighted, _residual
+from .model import DfmParams, ModelDims, Panel, _ar1_weighted, _residual, \
+    _row_blocks
 from .pca import PcEstimate, pc_estimate  # noqa: F401
 
 __all__ = [
@@ -104,22 +110,54 @@ def _ridge_gamma(X, Lam, stats, mu):
     residual factor Z of the module docstring, as the factors (c, B) of
     Gamma = c I + B B'.
 
-    For n <= T + r it eigendecomposes Z Z' itself. Otherwise each column
-    of Z W / sqrt(nu) is a unit eigenvector of Z Z' with eigenvalue nu, so
-    f = (ridge(nu) - sqrt(mu)) / nu, here written without cancellation
-    and without dividing by nu. The Gram branch hands its eigenbasis on:
-    B = Z W diag(f)^{1/2} and c = sqrt(mu), and B'B = diag(f nu) since W
-    diagonalises Z'Z. At mu = 0 that c is 0, the singular Z Z' of rank
-    T + r < n, which the next filter call rejects at t = 1.
+    For n <= T + r it forms Z and eigendecomposes Z Z' itself. Otherwise
+    Z is never formed: two passes over its row blocks Z_b (_z_blocks)
+    first add each Z_b' Z_b into the lower triangle of the
+    (T + r) x (T + r) Gram Z'Z = W nu W' by a rank-k update (BLAS syrk),
+    then write each B_b = Z_b W diag(f)^{1/2} into its rows of B, so the
+    branch holds B, the Gram, its eigenvectors and one block of Z. Each
+    column of Z W / sqrt(nu) is a unit eigenvector of Z Z' with
+    eigenvalue nu, so f = (ridge(nu) - sqrt(mu)) / nu, here written
+    without cancellation and without dividing by nu; c = sqrt(mu), and
+    B'B = diag(f nu) since W diagonalises Z'Z. At mu = 0 that c is 0, a
+    singular Gamma, which ``ridge_fit`` refuses before any work.
     """
     n, T = X.shape
-    Z = np.hstack([X - Lam @ stats.F_smooth,
-                   Lam @ _symmetric_sqrt(stats.S_P)]) / np.sqrt(T)
-    if n <= Z.shape[1]:
+    F, R = stats.F_smooth, _symmetric_sqrt(stats.S_P)
+    m = T + Lam.shape[1]
+    if n <= m:
+        Z = np.hstack([X - Lam @ F, Lam @ R]) / np.sqrt(T)
         return ridge_covariance(Z @ Z.T, mu)
-    nu, W = np.linalg.eigh(Z.T @ Z)
+    G = np.zeros((m, m), order="F")
+    for b, Zb in _z_blocks(X, Lam, F, R):
+        # Zb.T is F-ordered, so syrk reads it in place.
+        dsyrk(1.0, Zb.T, beta=1.0, c=G, lower=1, overwrite_c=1)
+    del Zb  # frees the first pass's block buffer before the second draws one
+    nu, W = np.linalg.eigh(G, UPLO="L")
     f = 0.5 * (1.0 + nu / (np.sqrt(nu**2 + 4.0 * mu) + 2.0 * np.sqrt(mu)))
-    return np.sqrt(mu), (Z @ W) * np.sqrt(f)
+    W *= np.sqrt(f)
+    B = np.empty((n, m))
+    for b, Zb in _z_blocks(X, Lam, F, R):
+        np.matmul(Zb, W, out=B[b])
+    return np.sqrt(mu), B
+
+
+def _z_blocks(X, Lam, F, R):
+    """(slice, Z_b) for each block of rows of Z = [X - Lam F, Lam R] /
+    sqrt(T), formed in one reused buffer of about model._BLOCK_ELEMS
+    doubles, so a block is valid only until the next one is drawn. Each
+    Z_b has the bits of the same rows of the whole Z."""
+    n, T = X.shape
+    m = T + R.shape[1]
+    blocks = _row_blocks(n, m)
+    buf = np.empty(blocks[0].stop * m)
+    for b in blocks:
+        Zb = buf[:(b.stop - b.start) * m].reshape(-1, m)
+        E = np.matmul(Lam[b], F, out=Zb[:, :T])
+        np.subtract(X[b], E, out=E)
+        np.matmul(Lam[b], R, out=Zb[:, T:])
+        Zb /= np.sqrt(T)
+        yield b, Zb
 
 
 def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
@@ -137,12 +175,19 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
 
     ``mu=None`` selects the n^2/T rule, switched off (mu = 0) when
     n^2/T < 1 since no regularization is needed in that regime. A given
-    ``mu`` must be finite and nonnegative.
+    ``mu`` must be finite and nonnegative, and positive when n > T: the
+    M-step's loadings S_xF S_FF^{-1} lie in the column space of X, and so
+    does Z, so Z Z' has rank at most T and at mu = 0 Gamma is singular
+    (c = 0 on the Gram branch, n > T + r; a zero eigenvalue on the other).
+    Such a fit raises ValueError before any work.
     """
     if mu is None:
         mu = dims.n * dims.n / dims.T
         mu = mu if mu >= 1.0 else 0.0
     _check_mu(mu)
+    if mu == 0.0 and dims.n > dims.T:
+        raise ValueError(f"ridge mu must be positive when n > T, got mu={mu!r} "
+                         f"with n={dims.n}, T={dims.T}")
 
     def update(stats, smooth, base):
         return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H,

@@ -96,10 +96,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dtbtrs
 
-from .model import (DfmParams, Panel, ShapeError, _check_integer, _residual,
-                    _sq_residual_sums)
+from .model import (DfmParams, Panel, ShapeError, _check_integer,
+                    _residual_blocks, _sq_residual_sums)
 
 __all__ = [
     "InitState",
@@ -228,8 +229,12 @@ def _whitener(params):
       column sums of squares of B, is inverted by Woodbury,
       Gamma^{-1} = (I - B diag(1/(c + delta)) B') / c, with
       log|Gamma| = n log c + sum_j log1p(delta_j / c) and
-      e_t' Gamma^{-1} e_t = (||e_t||^2 - sum_j (b_j' e_t)^2 / (c + delta_j)) / c:
-      one product B'E on the n x T residual and no n x n work.
+      e_t' Gamma^{-1} e_t = (||e_t||^2 - sum_j (b_j' e_t)^2 / (c + delta_j)) / c.
+      The residual is reduced block by block of rows, in cache
+      (model._residual_blocks): each block adds its column sums of
+      squares to ||e_t||^2 and B_b' E_b into one m x T array by a BLAS
+      gemm, so no n x T residual, no n x m B o B and no n x n array is
+      formed.
     """
     gamma_e, Lam = params.gamma_e, params.Lambda
     if params.gamma_factors is not None:
@@ -238,15 +243,19 @@ def _whitener(params):
             raise FilterNumericalError("idiosyncratic covariance factors not finite", 1)
         if not c > 0.0:
             raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
-        delta = np.sum(B * B, axis=0)
+        delta = np.einsum("ij,ij->j", B, B)
         s = c + delta
 
         def norms(X, L, F):
-            E = _residual(X, L, F)
-            BE = B.T @ E
+            ee = np.zeros(X.shape[1])
+            BE = np.zeros((B.shape[1], X.shape[1]), order="F")
+            for b, E in _residual_blocks(X, L, F):
+                ee += np.einsum("ij,ij->j", E, E)
+                # B[b].T and E.T are F-ordered views, so gemm reads both in
+                # place and adds B_b' E_b into BE.
+                dgemm(1.0, B[b].T, E.T, beta=1.0, c=BE, trans_b=1, overwrite_c=1)
             BE *= BE
-            E *= E
-            return (E.sum(axis=0) - (1.0 / s) @ BE) / c
+            return (ee - (1.0 / s) @ BE) / c
 
         Lg = (Lam - B @ ((B.T @ Lam) / s[:, None])) / c
         return (Lg, _symmetrize(Lam.T @ Lg), norms,

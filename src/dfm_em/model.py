@@ -164,7 +164,7 @@ class DfmParams:
         if factors is not None:
             c, B = float(factors[0]), _as_matrix(factors[1], "gamma_factors B")
             B.flags.writeable = False
-            factors, g = (c, B), np.sum(B * B, axis=1) + c
+            factors, g = (c, B), _factored_diagonal(c, B)
             given = self.gamma_e
             if given is not None and not np.array_equal(given, g, equal_nan=True):
                 raise ValueError("gamma_e is not the diagonal of gamma_factors")
@@ -195,6 +195,21 @@ class DfmParams:
     @property
     def q(self):
         return self.H.shape[1]
+
+
+def _factored_diagonal(c, B):
+    """The diagonal c + sum_j B_ij^2 of c I + B B', squared block by block
+    of rows in one reused buffer, so no n x m B o B is formed; each row is
+    summed whole, so the bits are those of ``np.sum(B * B, axis=1) + c``."""
+    n, m = B.shape
+    blocks = _row_blocks(n, m)
+    buf = np.empty((blocks[0].stop, m))
+    g = np.empty(n)
+    for b in blocks:
+        sq = np.multiply(B[b], B[b], out=buf[:b.stop - b.start])
+        np.sum(sq, axis=1, out=g[b])
+    g += c
+    return g
 
 
 def _ar1_weighted(rho, lag0, ends, lag1):
@@ -271,10 +286,10 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
 
 
 # Doubles in one row block of a pass over an n x T array: the residual
-# buffer of _sq_residual_sums, the variance of Panel.var and the centred
-# blocks of the PC start (blocks of columns when n <= T). 2^15 doubles
-# (256 KB) stay in a core's L2 cache while a block is formed, reduced and
-# discarded.
+# blocks of the M-step and of the filter's norms, the variance of
+# Panel.var, the centred blocks of the PC start (blocks of columns when
+# n <= T) and the ridge M-step's blocks of Z. 2^15 doubles (256 KB) stay
+# in a core's L2 cache while a block is formed, reduced and discarded.
 _BLOCK_ELEMS = 1 << 15
 
 
@@ -288,31 +303,39 @@ def _row_blocks(n, m, elems=_BLOCK_ELEMS):
 
 def _residual(X, L, F):
     """X - L F, formed in the buffer of the product L F, so that the
-    residual costs one n x T array instead of two. Only the full-Gamma
-    norms of the filter and the ECM moments need the whole residual; a
-    sum of squares is reduced block by block by _sq_residual_sums."""
+    residual costs one n x T array instead of two. Only ECM's moments
+    still need the whole residual; the M-step and the filter reduce it
+    block by block (_residual_blocks)."""
     E = L @ F
     np.subtract(X, E, out=E)
     return E
+
+
+def _residual_blocks(X, L, F):
+    """(slice, X_b - L_b F) for each block of rows of X, formed in one
+    reused buffer of about _BLOCK_ELEMS doubles (at least one row), so no
+    n x T array is formed; a block is valid only until the next one is
+    drawn."""
+    n, T = X.shape
+    blocks = _row_blocks(n, T)
+    buf = np.empty((blocks[0].stop, T))
+    for b in blocks:
+        E = np.matmul(L[b], F, out=buf[:b.stop - b.start])
+        np.subtract(X[b], E, out=E)
+        yield b, E
 
 
 def _sq_residual_sums(X, L, F, w=None):
     """The row sums of (X - L F)^2 (length n), or, when w is given, its
     column sums weighted by w, w'(X - L F)^2 (length T).
 
-    The residual is reduced block by block of rows, in cache: each block's
-    product and difference run in one buffer of about _BLOCK_ELEMS doubles
-    (at least one row), so no n x T array is formed. A row sum is one
-    einsum reduction of the block against itself, each row summed whole; a
-    weighted column sum squares the block in place and adds the blocks'
-    partial sums, which changes only the order of summation."""
-    n, T = X.shape
-    blocks = _row_blocks(n, T)
-    buf = np.empty((blocks[0].stop, T))
-    out = np.empty(n) if w is None else np.zeros(T)
-    for b in blocks:
-        E = np.matmul(L[b], F, out=buf[:b.stop - b.start])
-        np.subtract(X[b], E, out=E)
+    The residual is reduced block by block of rows, in cache
+    (_residual_blocks). A row sum is one einsum reduction of the block
+    against itself, each row summed whole; a weighted column sum squares
+    the block in place and adds the blocks' partial sums, which changes
+    only the order of summation."""
+    out = np.empty(X.shape[0]) if w is None else np.zeros(X.shape[1])
+    for b, E in _residual_blocks(X, L, F):
         if w is None:
             np.einsum("ij,ij->i", E, E, out=out[b])
         else:

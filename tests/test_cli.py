@@ -262,6 +262,18 @@ class TestFit:
             assert code == EXIT_VALIDATION, mu
             assert "ridge-mu" in capsys.readouterr().err, mu
 
+    def test_zero_ridge_mu_with_more_series_than_periods_exits_validation(
+            self, tmp_path, capsys):
+        """At n > T a ridge fit refuses mu = 0 before any work: exit 2 and
+        nothing written."""
+        draw = _simulate(tmp_path, "d", n=60, T=20)
+        code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", "--idio-cov", "ridge", "--ridge-mu", "0",
+                     "--out", str(tmp_path / "f")])
+        assert code == EXIT_VALIDATION
+        assert "ridge mu must be positive when n > T" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_nonfinite_epsilon_exits_validation(self, tmp_path, capsys, epsilon):
         draw = _simulate(tmp_path, "d")

@@ -219,6 +219,19 @@ class TestEmFit:
         _, peak, retained = traced_call(em_fit, panel, dims)
         assert peak <= retained + 0.25 * panel.X.nbytes
 
+    def test_near_noiseless_variances_sit_on_the_floor(self):
+        """On a near-noiseless panel every idiosyncratic variance is floored
+        at 1e-8 of its series' sample variance, exactly."""
+        rng = np.random.default_rng(3)
+        n, T, r = 20, 80, 2
+        Lam = rng.standard_normal((n, r))
+        F = np.zeros((r, T))
+        for t in range(1, T):
+            F[:, t] = 0.6 * F[:, t - 1] + rng.standard_normal(r)
+        panel = Panel(X=Lam @ F + 1e-6 * rng.standard_normal((n, T)))
+        res = em_fit(panel, ModelDims(n=n, T=T, r=r, q=r))
+        assert np.array_equal(res.params.gamma_e, 1e-8 * panel.var)
+
     def test_noiseless_recovery(self, rng):
         n, T, r = 20, 80, 2
         Lam = rng.standard_normal((n, r))

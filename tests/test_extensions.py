@@ -24,9 +24,10 @@ from dfm_em import (
 from dfm_em.em import _GAMMA_FLOOR, _GAMMA_RTOL, e_step, m_step
 from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
 from dfm_em.kalman import _whitener, stationary_init
-from dfm_em.model import validate
+from dfm_em.model import _row_blocks, validate
 from conftest import ar1_covariance, ar1_precision, ar_updates_reference, \
-    cholesky_whitener, dense_gamma, dense_joint_moments, toeplitz_params
+    cholesky_whitener, dense_gamma, dense_joint_moments, toeplitz_params, \
+    traced_call
 
 
 def _random_psd(rng, n):
@@ -191,14 +192,47 @@ class TestRidgeFit:
         ll = kalman_filter(draw.panel, p, init).loglik
         assert abs(ll - dense_joint_moments(draw.panel, p, init)[2]) < 1e-8
 
-    def test_mu_zero_above_the_gram_size_fails_at_t1(self):
-        """At mu = 0 and n > T + r the M-step's Gamma is the singular
-        Z Z' of rank T + r, c = 0, and the next E-step rejects it at t = 1."""
-        dims = ModelDims(n=30, T=12, r=2, q=2)
+    @pytest.mark.parametrize("n", [13, 15])
+    def test_mu_zero_with_more_series_than_periods_refused_before_work(
+            self, monkeypatch, n):
+        """The M-step's loadings lie in the column space of X, so Z Z' has
+        rank at most T and at mu = 0 Gamma is singular once n > T, on the
+        Gram branch (n = 15 > T + r) and on the eigh branch (n = 13): the
+        fit refuses mu = 0 before its PC start. At n = T it still fits."""
+        import dfm_em.em as em_module
+
+        real = em_module.pc_estimate
+        starts = []
+
+        def counted(*args):
+            starts.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(em_module, "pc_estimate", counted)
+        dims = ModelDims(n=n, T=12, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=29))
-        with pytest.raises(FilterNumericalError, match="not positive definite") as err:
+        match = f"^ridge mu must be positive when n > T, got mu=0.0 with n={n}, T=12$"
+        with pytest.raises(ValueError, match=match):
             ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=0.0)
-        assert err.value.t == 1
+        assert starts == []
+        dims = ModelDims(n=12, T=12, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=29))
+        res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=0.0)
+        assert len(starts) == 1 and np.all(np.isfinite(res.loglik_trace))
+
+    def test_allocates_half_a_panel_beyond_its_outputs(self):
+        """Three ridge M-steps on the Gram branch and the Woodbury filter
+        between them hold no n x T or n x (T + r) array besides the panel
+        and the returned factor B: Z is built by row blocks, the filter's
+        residual is reduced by row blocks and the previous B is dropped
+        before the next is built. Whole copies of Z alone were 3 panels."""
+        dims = ModelDims(n=4000, T=200, r=4, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=7))
+        panel = Panel(X=draw.panel.X)  # its variance not yet computed
+        res, peak, retained = traced_call(
+            ridge_fit, panel, dims, EmConfig(epsilon=1e-12, max_iter=3))
+        assert res.iters == 3 and res.params.gamma_factors[1].shape == (4000, 204)
+        assert peak <= retained + 0.5 * panel.X.nbytes
 
     def test_off_diagonal_mass_tracked_on_correlated_noise(self):
         dims = ModelDims(n=15, T=60, r=2, q=2)
@@ -211,11 +245,13 @@ class TestRidgeFit:
 
 class TestFactoredRidgeMStep:
     @pytest.mark.parametrize("n, T, mu", [(40, 20, 3.0), (15, 30, 3.0),
-                                          (40, 20, 0.0)])
+                                          (40, 20, 0.0), (1000, 100, 3.0)])
     def test_matches_eigh_of_expanded_residual_covariance(self, n, T, mu):
-        """T + r < n takes the Gram route, at mu = 0 too; n <= T + r
-        eigendecomposes Z Z'. All three agree with the map applied to the
-        expanded S_resid = (XX' - Lam S_xF' - S_xF Lam' + Lam S_FF Lam') / T."""
+        """T + r < n takes the Gram route, at mu = 0 too, and over several
+        row blocks of Z at n = 1000; n <= T + r eigendecomposes Z Z'. All
+        agree with the map applied to the expanded
+        S_resid = (XX' - Lam S_xF' - S_xF Lam' + Lam S_FF Lam') / T."""
+        assert n < 1000 or len(_row_blocks(n, T + 2)) >= 3
         dims = ModelDims(n=n, T=T, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
         X = draw.panel.X
@@ -267,10 +303,10 @@ class TestFactoredRidgeMStep:
             assert np.array_equal(full, np.diag(np.diag(full)))
 
 
-def _factored_case(r, q, rank_deficient=False):
+def _factored_case(r, q, rank_deficient=False, n=14, T=8):
     """A ridge Gamma from the factored M-step (n > T + r) after one E-step,
     as ``DfmParams`` holding its factors (c, B)."""
-    dims = ModelDims(n=14, T=8, r=r, q=q)
+    dims = ModelDims(n=n, T=T, r=r, q=q)
     draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=23))
     p = toeplitz_params(draw)
     stats, _, _ = e_step(draw.panel, p, stationary_init(p))
@@ -291,6 +327,9 @@ def _refactored(p):
 
 
 FACTORED_CASES = {"q_eq_r": (2, 2), "q_lt_r": (3, 1), "rank_deficient": (2, 2, True)}
+# The residual norms reduce several row blocks at n = 1000, T = 100, where
+# the dense oracle's (nT) x (nT) covariance is out of reach.
+CHOLESKY_CASES = {**FACTORED_CASES, "multi_block": (2, 2, False, 1000, 100)}
 
 
 def _rel(a, b):
@@ -298,11 +337,12 @@ def _rel(a, b):
 
 
 class TestFactoredWhitening:
-    @pytest.mark.parametrize("case", FACTORED_CASES)
+    @pytest.mark.parametrize("case", CHOLESKY_CASES)
     def test_matches_the_cholesky_route(self, case):
         """Gamma^{-1} Lambda, M, log|Gamma| and the residual norms from the
         M-step's factors equal those of the Cholesky factor of Gamma."""
-        panel, fact = _factored_case(*FACTORED_CASES[case])
+        panel, fact = _factored_case(*CHOLESKY_CASES[case])
+        assert panel.n < 1000 or len(_row_blocks(panel.n, panel.T)) >= 3
         Lg, M, norms, logdet = _whitener(fact)
         Lg_c, M_c, norms_c, logdet_c = cholesky_whitener(fact)
         assert _rel(Lg, Lg_c) <= 1e-12

@@ -255,6 +255,39 @@ class TestZScores:
         with pytest.raises(ValueError):
             z_scores(res, np.zeros((3, 6)))
 
+    def test_matches_the_paper_variance_by_hand(self):
+        """Z_it = (chihat_it - chi_it) / sqrt(W_i / n + V_it / T) with
+        W_i = lambda_i' (Lambda' Gamma^{-1} Lambda / n)^{-1} lambda_i and
+        V_it = gamma_i F_t' (F F' / T)^{-1} F_t, worked out entry by entry
+        with the 2 x 2 inverses written out, on a fixed diagonal fit."""
+        lam = [[1.0, 0.0], [0.5, 1.0], [2.0, -1.0]]
+        gamma = [1.0, 2.0, 0.5]
+        F = [[1.0, -1.0, 2.0, 0.5], [0.0, 1.0, 1.0, -2.0]]
+        chi = [[0.3, -0.2, 1.0, 0.0], [1.5, 0.1, -0.4, 2.0], [-1.0, 0.7, 0.2, 0.9]]
+        n, T = 3, 4
+
+        def inv2(a, b, d):  # inverse of the symmetric [[a, b], [b, d]]
+            det = a * d - b * b
+            return d / det, -b / det, a / det
+
+        def quad(v, m):  # v' m v for m = (m11, m12, m22)
+            return m[0] * v[0] ** 2 + 2.0 * m[1] * v[0] * v[1] + m[2] * v[1] ** 2
+
+        Mi = inv2(*(sum(l[j] * l[k] / g for l, g in zip(lam, gamma)) / n
+                    for j, k in ((0, 0), (0, 1), (1, 1))))
+        Si = inv2(*(sum(F[j][t] * F[k][t] for t in range(T)) / T
+                    for j, k in ((0, 0), (0, 1), (1, 1))))
+        want = np.empty((n, T))
+        for i in range(n):
+            for t in range(T):
+                f = (F[0][t], F[1][t])
+                chihat = lam[i][0] * f[0] + lam[i][1] * f[1]
+                var = quad(lam[i], Mi) / n + gamma[i] * quad(f, Si) / T
+                want[i, t] = (chihat - chi[i][t]) / var ** 0.5
+        res = _make_result(np.array(lam), np.array(F), np.array(gamma))
+        got = z_scores(res, np.array(chi))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
 
 class TestCoverage:
     def test_quantiles_equal_scipy_stats_bitwise(self):
@@ -298,6 +331,14 @@ class TestCoverage:
 
 
 class TestZAccumulator:
+    def test_update_keeps_periods_five_on(self):
+        """Pooled statistics start at t = 5 (1-indexed): a 3 x 10 update
+        counts 3 * 6 values, those of columns 5..10."""
+        acc = ZAccumulator()
+        acc.update(np.tile(np.arange(10.0), (3, 1)))
+        assert acc.count == 18
+        assert acc.s1 == 3 * (4 + 5 + 6 + 7 + 8 + 9)
+
     def test_merge_equals_single_update(self, rng):
         Z = rng.standard_normal((10, 100))
         whole = ZAccumulator()

@@ -156,6 +156,17 @@ class TestGammaFactors:
         assert f.gamma_e.ndim == 1 and f.gamma_factors is not None
         assert not (f.gamma_e.flags.writeable or B.flags.writeable)
 
+    def test_gamma_e_over_row_blocks_is_bitwise(self, rng):
+        """The diagonal is squared and summed block by block of rows, each
+        row whole, so a B of four row blocks gives the bits of the whole
+        B o B row sums."""
+        n, m = 3 * (_BLOCK_ELEMS // 300) + 1, 300
+        assert len(_row_blocks(n, m)) == 4
+        B = rng.standard_normal((n, m))
+        p = _params(n=n, gamma=None)
+        f = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_factors=(0.5, B))
+        assert np.array_equal(f.gamma_e, np.sum(B * B, axis=1) + 0.5)
+
     def test_replace_keeps_the_factors(self, rng):
         p = _params()
         f = dataclasses.replace(p, gamma_e=None,

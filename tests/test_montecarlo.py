@@ -254,6 +254,27 @@ class TestRunCell:
         assert rep.coverage.count > 0
 
 
+    @pytest.mark.parametrize("failing", [2, 3])
+    def test_abort_boundary(self, monkeypatch, failing):
+        """A cell aborts when more than 20% of its replications fail: at
+        B = 10, 2 failures run and are counted, and 3 abort the cell."""
+        import dfm_em.montecarlo as mc
+
+        cell = _small_cell("edge")
+        doomed = {_rep_seed(0, _cell_key(cell), b) for b in (1, 4, 7)[:failing]}
+
+        def chosen_fail(args):
+            if args[1] in doomed:
+                return {"failed": True, "error": "boom"}
+            return _run_replication(args)
+
+        monkeypatch.setattr(mc, "_run_replication", chosen_fail)
+        if failing == 3:
+            with pytest.raises(CellAbortError, match="3/10 replications failed"):
+                mc.run_cell(cell, B=10, base_seed=0)
+        else:
+            assert mc.run_cell(cell, B=10, base_seed=0).failures == 2
+
     def test_typed_replication_failure_is_counted(self, monkeypatch):
         """A typed error inside one replication is one counted failure."""
         import dfm_em.montecarlo as mc

@@ -1,0 +1,121 @@
+"""Named one-line mutations of the package, and whether the tests kill them.
+
+    python tools/mutants.py              # every mutant
+    python tools/mutants.py NAME ...     # the named ones
+
+Each mutant replaces one fragment of one file under ``src/`` (the fragment
+must occur exactly once there). For each mutant the script copies ``src/``
+to a temporary directory, applies the mutation, runs the mutant's tests
+from ``tests/`` against the copy with pytest (stopping at the first
+failure) and prints ``killed``, with the first failing test, or
+``survived``. The same tests are first run against an unmutated copy,
+which must pass. It is not part of the test suite; it exits 1 if a mutant
+survives or a run errs.
+"""
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/dfm_em
+    old: str
+    new: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant("z_variance_0.9_V", "metrics.py",
+           "np.sqrt(W[:, None] / n + V / T)",
+           "np.sqrt(W[:, None] / n + 0.9 * V / T)",
+           ("tests/test_metrics.py",)),
+    Mutant("abort_fraction_0.3", "montecarlo.py",
+           "MAX_FAILURE_FRACTION = 0.2", "MAX_FAILURE_FRACTION = 0.3",
+           ("tests/test_montecarlo.py",)),
+    Mutant("gamma_rtol_1e-6", "em.py",
+           "_GAMMA_RTOL = 1e-8", "_GAMMA_RTOL = 1e-6",
+           ("tests/test_em.py",)),
+    Mutant("burn_in_t_4", "metrics.py",
+           "BURN_IN_T = 5", "BURN_IN_T = 4",
+           ("tests/test_metrics.py",)),
+    # The next two drop the last row block when there are several, so only
+    # a test over more than one block can kill them.
+    Mutant("ridge_gram_drops_last_block", "extensions.py",
+           "dsyrk(1.0, Zb.T,", "dsyrk(float(b.start == 0 or b.stop < n), Zb.T,",
+           ("tests/test_extensions.py",)),
+    Mutant("woodbury_norms_drop_last_block", "kalman.py",
+           "dgemm(1.0, B[b].T,",
+           "dgemm(float(b.start == 0 or b.stop < X.shape[0]), B[b].T,",
+           ("tests/test_extensions.py", "tests/test_kalman.py")),
+    Mutant("fit_keeps_previous_estimate", "em.py",
+           "        params = None\n", "",
+           ("tests/test_extensions.py::TestRidgeFit",)),
+)
+
+
+def _run(src, tests):
+    """(pytest exit code, first failing test id) for ``tests`` on ``src``."""
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider",
+         *tests], cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = re.search(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
+    return proc.returncode, failed.group(1) if failed else ""
+
+
+def _copy_src(dest):
+    src = os.path.join(dest, "src")
+    shutil.copytree(os.path.join(ROOT, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _apply(src, m):
+    path = os.path.join(src, "dfm_em", m.path)
+    with open(path) as fh:
+        text = fh.read()
+    if text.count(m.old) != 1:
+        raise SystemExit(f"{m.name}: {m.old!r} occurs {text.count(m.old)} "
+                         f"times in {m.path}, not once")
+    with open(path, "w") as fh:
+        fh.write(text.replace(m.old, m.new))
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = p.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
+    tests = sorted({t for m in chosen for t in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        code, failed = _run(_copy_src(tmp), tests)
+    if code != 0:
+        print(f"unmutated source fails its tests (exit {code}) {failed}")
+        return 1
+    bad = 0
+    for m in chosen:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = _copy_src(tmp)
+            _apply(src, m)
+            code, failed = _run(src, m.tests)
+        verdict = {0: "survived", 1: "killed"}.get(code, f"error (exit {code})")
+        bad += code != 1
+        print(f"{m.name:34s} {verdict:9s} {failed}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
