@@ -56,8 +56,8 @@ from .em import EmConfig, EmResult, _fit, _floor_gamma, _symmetric_sqrt
 # Not called here: bench/tracing.py wraps these by their extensions.* names.
 from .em import e_step, m_step  # noqa: F401
 from .kalman import stationary_init  # noqa: F401
-from .model import DfmParams, ModelDims, Panel, _ar1_weighted, _residual, \
-    _row_blocks
+from .model import DfmParams, ModelDims, Panel, _ar1_weighted, \
+    _residual_blocks, _row_blocks
 from .pca import PcEstimate, pc_estimate  # noqa: F401
 
 __all__ = [
@@ -110,7 +110,7 @@ def _ridge_gamma(X, Lam, stats, mu):
     residual factor Z of the module docstring, as the factors (c, B) of
     Gamma = c I + B B'.
 
-    For n <= T + r it forms Z and eigendecomposes Z Z' itself. Otherwise
+    For n <= T + r it stacks Z's row blocks and eigendecomposes Z Z'. Otherwise
     Z is never formed: two passes over its row blocks Z_b (_z_blocks)
     first add each Z_b' Z_b into the lower triangle of the
     (T + r) x (T + r) Gram Z'Z = W nu W' by a rank-k update (BLAS syrk),
@@ -126,7 +126,7 @@ def _ridge_gamma(X, Lam, stats, mu):
     F, R = stats.F_smooth, _symmetric_sqrt(stats.S_P)
     m = T + Lam.shape[1]
     if n <= m:
-        Z = np.hstack([X - Lam @ F, Lam @ R]) / np.sqrt(T)
+        Z = np.vstack([Zb.copy() for _, Zb in _z_blocks(X, Lam, F, R)])
         return ridge_covariance(Z @ Z.T, mu)
     G = np.zeros((m, m), order="F")
     for b, Zb in _z_blocks(X, Lam, F, R):
@@ -235,20 +235,25 @@ def _ar_updates(X, Lam, smooth):
     E[xi_t xi_{t-1} | X] = resid_t resid_{t-1} + lambda' C_{t,t-1|T} lambda.
     The corrections are summed over time first, so each series costs one
     r x r quadratic form per sum; the two lag-0 residual sums are the full
-    row sum less the last or the first squared residual.
+    row sum less the last or the first squared residual, each reduced by
+    row blocks (model._residual_blocks). A series with no residual
+    variation (a lag-0 denominator that is not positive) gets rho_i = 0,
+    so its innovation variance takes the floor.
     """
     Ps, Cs = smooth.P_smooth, smooth.C_lag1
-    T = Ps.shape[0]
-    resid = _residual(X, Lam, smooth.F_smooth)
+    n, T = X.shape
+    ss, lag, first, last = np.empty((4, n))
+    for b, E in _residual_blocks(X, Lam, smooth.F_smooth):
+        np.einsum("it,it->i", E, E, out=ss[b])
+        np.einsum("it,it->i", E[:, 1:], E[:, :-1], out=lag[b])
+        first[b], last[b] = E[:, 0] ** 2, E[:, -1] ** 2
 
     def quad(S):
         return np.sum((Lam @ S) * Lam, axis=1)
 
-    ss = np.einsum("it,it->i", resid, resid)
-    num = (np.einsum("it,it->i", resid[:, 1:], resid[:, :-1])
-           + quad(Cs[1:].sum(axis=0)))
-    den = ss - resid[:, -1] ** 2 + quad(Ps[:-1].sum(axis=0))
-    rho = num / den
+    num = lag + quad(Cs[1:].sum(axis=0))
+    den = ss - last + quad(Ps[:-1].sum(axis=0))
+    rho = np.divide(num, den, out=np.zeros(n), where=den > 0.0)
     bad = np.abs(rho) >= 1.0
     if np.any(bad):
         warnings.warn(
@@ -258,7 +263,7 @@ def _ar_updates(X, Lam, smooth):
         )
         rho[bad] = np.sign(rho[bad]) * 0.99
 
-    head = ss - resid[:, 0] ** 2 + quad(Ps[1:].sum(axis=0))
+    head = ss - first + quad(Ps[1:].sum(axis=0))
     return rho, (head - 2.0 * rho * num + rho**2 * den) / (T - 1)
 
 
@@ -277,7 +282,8 @@ def ecm_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
 
     The fitted AR(1) laws are ``params.rho`` (the coefficients) and
     ``params.gamma_e`` (the innovation variances, under em's floor of a
-    fixed fraction of each series' sample variance) of the result.
+    fixed fraction of each series' sample variance) of the result; a
+    series with no residual variation gets rho_i = 0 and the floor.
     """
 
     def update(stats, smooth, base):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .em import EmResult
 from .kalman import _whitener
-from .model import _ar1_weighted
+from .model import _ar1_weighted, _row_blocks
 
 __all__ = [
     "CoverageTable",
@@ -110,12 +110,13 @@ def asvar_matrices(result: EmResult):
     ``params.rho`` is nonzero (an ECM estimate), the V-denominator is
     weighted by the tridiagonal inverse covariance of the fitted AR(1)
     laws (``params.rho``, ``params.gamma_e``), the batched weighting of
-    ``extensions.gls_loadings``.
+    ``extensions.gls_loadings``; that V is solved and reduced by row
+    blocks, so no n x r x T array is formed.
     """
     params = result.params
     F = result.factors.F_smooth
     Lam = params.Lambda
-    n = Lam.shape[0]
+    n, r = Lam.shape
     T = F.shape[1]
 
     gamma_diag = params.gamma_e
@@ -127,7 +128,9 @@ def asvar_matrices(result: EmResult):
         S1 = F[:, 1:] @ F[:, :-1].T
         inner = (_ar1_weighted(params.rho, F @ F.T, ends, S1 + S1.T)
                  / (T * gamma_diag)[:, None, None])
-        V = np.einsum("rt,irt->it", F, np.linalg.solve(inner, F[None]))
+        V = np.empty((n, T))
+        for b in _row_blocks(n, r * T):
+            np.einsum("rt,irt->it", F, np.linalg.solve(inner[b], F[None]), out=V[b])
         return W, V
 
     # V_it = gamma_ii * Fhat_t' (T^{-1} sum FF')^{-1} Fhat_t

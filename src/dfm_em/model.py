@@ -286,10 +286,10 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
 
 
 # Doubles in one row block of a pass over an n x T array: the residual
-# blocks of the M-step and of the filter's norms, the variance of
-# Panel.var, the centred blocks of the PC start (blocks of columns when
-# n <= T) and the ridge M-step's blocks of Z. 2^15 doubles (256 KB) stay
-# in a core's L2 cache while a block is formed, reduced and discarded.
+# blocks of the M-step, the filter's norms and ECM's moments, Panel.var,
+# the PC start's centred blocks (of columns when n <= T), the ridge
+# M-step's blocks of Z and the AR(1) V's solves (metrics.asvar_matrices).
+# 2^15 doubles (256 KB) stay in a core's L2 cache while a block is used.
 _BLOCK_ELEMS = 1 << 15
 
 
@@ -299,16 +299,6 @@ def _row_blocks(n, m, elems=_BLOCK_ELEMS):
     largest, so a buffer of its size holds any of them."""
     rows = max(1, elems // m)
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
-
-
-def _residual(X, L, F):
-    """X - L F, formed in the buffer of the product L F, so that the
-    residual costs one n x T array instead of two. Only ECM's moments
-    still need the whole residual; the M-step and the filter reduce it
-    block by block (_residual_blocks)."""
-    E = L @ F
-    np.subtract(X, E, out=E)
-    return E
 
 
 def _residual_blocks(X, L, F):

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,38 @@ class TestArUpdates:
         assert np.allclose(rho, rho_ref, rtol=1e-12, atol=0.0)
         assert np.allclose(gamma, gamma_ref, rtol=1e-12, atol=0.0)
 
+    def test_multi_block_matches_the_per_period_moments(self):
+        """At n = 1000, T = 40 the residual comes in two row blocks; the
+        moments of the last one count as those of the first."""
+        dims = ModelDims(n=1000, T=40, r=3, q=2)
+        assert len(_row_blocks(dims.n, dims.T)) == 2
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.3, delta=0.2, seed=16))
+        _, smooth, _ = e_step(draw.panel, draw.params,
+                              stationary_init(draw.params))
+        Lam = 1.1 * draw.params.Lambda
+        rho, gamma = _ar_updates(draw.panel.X, Lam, smooth)
+        rho_ref, gamma_ref = ar_updates_reference(draw.panel.X, Lam, smooth)
+        assert np.allclose(rho, rho_ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(gamma, gamma_ref, rtol=1e-12, atol=0.0)
+
+    def test_series_without_residual_variation_gets_rho_zero(self):
+        """A zero series with a zero loading has 0 / 0 as its AR ratio:
+        rho_i = 0 and a zero innovation variance, with no warning."""
+        from types import SimpleNamespace
+
+        T = 12
+        X = np.vstack([np.zeros(T), np.sin(np.arange(T))])
+        smooth = SimpleNamespace(
+            F_smooth=np.zeros((1, T)),
+            P_smooth=np.zeros((T, 1, 1)),
+            C_lag1=np.zeros((T, 1, 1)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, gamma = _ar_updates(X, np.zeros((2, 1)), smooth)
+        assert rho[0] == 0.0 and gamma[0] == 0.0
+        assert rho[1] != 0.0 and gamma[1] > 0.0
+
     def test_explosive_estimate_clamped_with_warning(self):
         from types import SimpleNamespace
 
@@ -543,6 +576,33 @@ class TestEcmFit:
         panel = Panel(X=draw.chi + 1e-7 * (draw.panel.X - draw.chi))
         res = ecm_fit(panel, dims)
         assert np.all(res.params.gamma_e >= _GAMMA_RTOL * panel.var)
+
+    def test_zero_series_fits_with_rho_zero_and_floored_variance(self):
+        """An all-zero series used to give rho_i = 0 / 0 = NaN, which the
+        clamp let through and the floor kept, and the next filter call
+        raised FilterNumericalError at t = 1; em_fit fits the same panel."""
+        dims = ModelDims(n=30, T=60, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=3))
+        X = draw.panel.X.copy()
+        X[5] = 0.0
+        res = ecm_fit(Panel(X=X), dims)
+        assert res.converged and res.iters == 3
+        assert res.params.rho[5] == 0.0
+        assert res.params.gamma_e[5] == _GAMMA_FLOOR
+        assert np.all(np.isfinite(res.params.rho))
+        assert np.all(np.isfinite(res.loglik_trace))
+
+    def test_allocates_half_a_panel_beyond_its_outputs(self):
+        """Three ECM M-steps reduce the AR(1) moments' residual by row
+        blocks, so the fit holds no n x T array besides the panel; the
+        whole residual took it to 1.13 panels beyond its outputs."""
+        dims = ModelDims(n=4000, T=200, r=4, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=7))
+        panel = Panel(X=draw.panel.X)  # its variance not yet computed
+        res, peak, retained = traced_call(
+            ecm_fit, panel, dims, EmConfig(epsilon=1e-12, max_iter=3))
+        assert res.iters == 3 and np.all(res.params.rho != 0.0)
+        assert peak <= retained + 0.5 * panel.X.nbytes
 
     def test_rho_recovery_on_serially_correlated_draws(self):
         """Average |rho_hat - rho| across series stays below 0.1 on draws

@@ -25,9 +25,9 @@ from dfm_em import (
 from dfm_em.em import EmResult
 from dfm_em.kalman import SmootherOutput
 from dfm_em.metrics import _NORMAL_QUANTILES
-from dfm_em.model import DfmParams
+from dfm_em.model import DfmParams, _row_blocks
 from dfm_em.simulate import stream
-from conftest import ar1_precision, dense_gamma
+from conftest import ar1_precision, dense_gamma, traced_call
 
 
 def _make_result(Lambda, F, gamma_e, A=None, H=None, gamma_factors=None,
@@ -200,6 +200,33 @@ class TestAsvar:
             inner = F @ ar1_precision(rho[i], gam[i], dims.T) @ F.T / dims.T
             want = np.einsum("rt,rt->t", F, np.linalg.solve(inner, F))
             assert np.max(np.abs(V[i] - want)) < 1e-10 * np.max(want)
+
+    def test_gls_v_over_row_blocks_matches_dense_oracle(self):
+        """At n = 600, T = 60, r = 2 the AR(1) V is solved in three row
+        blocks, and every series, the last block's too, matches the dense
+        oracle."""
+        dims = ModelDims(n=600, T=60, r=2, q=2)
+        assert len(_row_blocks(dims.n, dims.r * dims.T)) == 3
+        draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=5))
+        res = ecm_fit(draw.panel, dims, EmConfig(max_iter=5))
+        rho, gam = res.params.rho, res.params.gamma_e
+        F = res.factors.F_smooth
+        _, V = asvar_matrices(res)
+        for i in range(dims.n):
+            inner = F @ ar1_precision(rho[i], gam[i], dims.T) @ F.T / dims.T
+            want = np.einsum("rt,rt->t", F, np.linalg.solve(inner, F))
+            assert np.max(np.abs(V[i] - want)) < 1e-10 * np.max(want)
+
+    def test_gls_v_holds_no_n_by_r_by_T_array(self, rng):
+        """The AR(1) V is solved by row blocks, so beyond W and V the call
+        holds under half a panel; one solve against all n series held an
+        n x r x T array and peaked at 4 panels beyond them at r = 4."""
+        n, r, T = 2000, 4, 300
+        res = _make_result(rng.standard_normal((n, r)),
+                           rng.standard_normal((r, T)),
+                           rng.uniform(0.5, 1.5, n), rho=rng.uniform(0.2, 0.6, n))
+        (_, V), peak, retained = traced_call(asvar_matrices, res)
+        assert peak <= retained + 0.5 * V.nbytes
 
     def test_ridge_w_full_covariance(self, rng):
         """The factors (1, 0) of I take the Woodbury route to W and give

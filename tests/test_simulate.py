@@ -178,6 +178,42 @@ class TestSimulateGiven:
         assert rel < 0.05
 
 
+class TestDesignFromTheStreams:
+    """The draw's laws and its burn-in, rebuilt by hand from the Philox
+    substreams with the Monte Carlo design's constants written out: A is
+    mu Atilde / nu1(Atilde) with Atilde's diagonal on U[0.5, 0.8] and its
+    off-diagonal on U[0, 0.3]; H is Hcheck's first q columns scaled by
+    the square roots of U[0.8, 1.2] draws; rho is U[delta, 1 - 2 delta]
+    and gamma U[0.5, 1.5]; the factors start at zero 100 periods before
+    the sample."""
+
+    def test_laws_and_factor_path_are_bitwise(self):
+        n, T, r, q, mu, delta, seed = 6, 30, 3, 2, 0.7, 0.2, 23
+        draw = draw_dgp(_config(n=n, T=T, r=r, q=q, mu=mu, delta=delta,
+                                seed=seed))
+        rng = stream(seed)
+        rng.standard_normal((n, r))  # the loadings, rescaled by the draw
+        At = rng.uniform(0.0, 0.3, size=(r, r))
+        At[np.diag_indices(r)] = rng.uniform(0.5, 0.8, size=r)
+        A = mu * At / np.max(np.abs(np.linalg.eigvals(At)))
+        h = rng.uniform(0.8, 1.2, size=q)
+        Q, R = np.linalg.qr(rng.standard_normal((r, r)))
+        H = (Q * np.sign(np.diag(R)))[:, :q] * np.sqrt(h)
+        rho = rng.uniform(delta, 1.0 - 2.0 * delta, size=n)
+        gamma = rng.uniform(0.5, 1.5, size=n)
+        p = draw.params
+        assert np.array_equal(p.A, A) and np.array_equal(p.H, H)
+        assert np.array_equal(p.rho, rho) and np.array_equal(p.gamma_e, gamma)
+
+        Hu = H @ stream(seed, 0).standard_normal((q, 100 + T))
+        F = np.zeros((r, 100 + T))
+        prev = np.zeros(r)
+        for t in range(100 + T):
+            prev = A @ prev + Hu[:, t]
+            F[:, t] = prev
+        assert np.array_equal(draw.factors, F[:, 100:])
+
+
 def _rel_maxnorm(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 

@@ -47,7 +47,7 @@ MUTANTS = (
     Mutant("burn_in_t_4", "metrics.py",
            "BURN_IN_T = 5", "BURN_IN_T = 4",
            ("tests/test_metrics.py",)),
-    # The next two drop the last row block when there are several, so only
+    # The next four drop the last row block when there are several, so only
     # a test over more than one block can kill them.
     Mutant("ridge_gram_drops_last_block", "extensions.py",
            "dsyrk(1.0, Zb.T,", "dsyrk(float(b.start == 0 or b.stop < n), Zb.T,",
@@ -56,9 +56,44 @@ MUTANTS = (
            "dgemm(1.0, B[b].T,",
            "dgemm(float(b.start == 0 or b.stop < X.shape[0]), B[b].T,",
            ("tests/test_extensions.py", "tests/test_kalman.py")),
+    Mutant("ecm_moments_drop_last_block", "extensions.py",
+           'np.einsum("it,it->i", E, E, out=ss[b])',
+           'np.einsum("it,it->i", E, float(b.start == 0 or b.stop < n) * E, out=ss[b])',
+           ("tests/test_extensions.py::TestArUpdates",)),
+    Mutant("ar1_v_drops_last_block", "metrics.py",
+           "np.linalg.solve(inner[b], F[None])",
+           "float(b.start == 0 or b.stop < n) * np.linalg.solve(inner[b], F[None])",
+           ("tests/test_metrics.py::TestAsvar",)),
     Mutant("fit_keeps_previous_estimate", "em.py",
            "        params = None\n", "",
            ("tests/test_extensions.py::TestRidgeFit",)),
+    # The paper's specification: the M-step's sums, the q < r shrink, the
+    # draw's design and the evaluation's statistics.
+    Mutant("s_ff_lag_without_c_lag1", "em.py",
+           "Fs[:, 1:] @ Fs[:, :-1].T + smooth.C_lag1[1:].sum(axis=0)",
+           "Fs[:, 1:] @ Fs[:, :-1].T",
+           ("tests/test_em.py",)),
+    Mutant("gom_from_s_ff", "em.py",
+           "        stats.S_FF_head\n", "        stats.S_FF\n",
+           ("tests/test_em.py",)),
+    Mutant("h_without_shrink", "em.py",
+           "_shock_loading(Gom, q, _SHRINK / T)", "_shock_loading(Gom, q, 0.0)",
+           ("tests/test_em.py",)),
+    Mutant("toeplitz_root_without_scale", "simulate.py",
+           "z[1:] *= np.sqrt(1.0 - tau * tau)", "z[1:] *= 1.0",
+           ("tests/test_simulate.py",)),
+    Mutant("burn_in_50", "simulate.py",
+           "BURN_IN = 100", "BURN_IN = 50",
+           ("tests/test_simulate.py",)),
+    Mutant("var_offdiagonal_0.2", "simulate.py",
+           "rng.uniform(0.0, 0.3, size=(r, r))", "rng.uniform(0.0, 0.2, size=(r, r))",
+           ("tests/test_simulate.py",)),
+    Mutant("trace_statistic_uncapped", "metrics.py",
+           "return min(val, 1.0)", "return val",
+           ("tests/test_metrics.py",)),
+    Mutant("coverage_quantiles_reversed", "metrics.py",
+           "for q in _NORMAL_QUANTILES]", "for q in _NORMAL_QUANTILES[::-1]]",
+           ("tests/test_metrics.py",)),
 )
 
 
