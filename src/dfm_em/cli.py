@@ -16,9 +16,9 @@ import numpy as np
 
 from . import io as dfm_io
 from .em import _NUMERICAL_FAILURES, EmConfig, em_fit
-from .extensions import ecm_fit, ridge_fit
+from .extensions import _check_mu, ecm_fit, ridge_fit
 from .metrics import common_mse, trace_statistic
-from .model import DfmParams, ModelDims, Panel
+from .model import DfmParams, ModelDims, Panel, _check_integer
 from .montecarlo import CellAbortError, McGrid, _report_paths, run_grid, \
     write_report
 from .pca import pc_estimate
@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_NONCONVERGENCE = 4
+
+# The paper's EM (diagonal idiosyncratic covariance) and its two extensions.
+_ESTIMATORS = {"em": em_fit, "ridge": ridge_fit, "ecm": ecm_fit}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,10 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--standardize", action="store_true",
                      help="center and scale each series to unit variance "
                           "before fitting")
-    fit.add_argument("--idio-cov", choices=["diag", "ridge"], default="diag")
-    fit.add_argument("--ridge-mu", default="auto",
-                     help="'auto' for the n^2/T rule or a fixed value")
-    fit.add_argument("--idio-ar", choices=["off", "ecm"], default="off")
+    fit.add_argument("--estimator", choices=list(_ESTIMATORS), default="em")
+    fit.add_argument("--ridge-mu", help="ridge penalty (default: the n^2/T rule)")
     fit.add_argument("--out", required=True)
     fit.add_argument("--overwrite", action="store_true")
 
@@ -107,26 +108,16 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _ridge_mu(text: str):
-    """None (the n^2/T rule) for 'auto', else a finite nonnegative mu."""
-    if text == "auto":
-        return None
-    try:
-        mu = float(text)
-        if 0.0 <= mu < np.inf:
-            return mu
-    except ValueError:
-        pass
-    raise ValueError("--ridge-mu must be 'auto' or a finite nonnegative "
-                     f"number, got {text!r}")
-
-
 def _cmd_fit(args) -> int:
-    if args.idio_cov == "ridge" and args.idio_ar == "ecm":
-        raise ValueError("--idio-cov ridge and --idio-ar ecm are mutually exclusive")
-    if args.ridge_mu != "auto" and args.idio_cov != "ridge":
-        raise ValueError("--ridge-mu applies only with --idio-cov ridge")
-    mu = _ridge_mu(args.ridge_mu)
+    kwargs = {}
+    if args.ridge_mu is not None:
+        if args.estimator != "ridge":
+            raise ValueError("--ridge-mu applies only with --estimator ridge")
+        try:
+            kwargs["mu"] = float(args.ridge_mu)
+            _check_mu(kwargs["mu"])
+        except ValueError as exc:
+            raise ValueError(f"--ridge-mu: {exc}") from None
     config = EmConfig(epsilon=args.epsilon, max_iter=args.max_iter)
     dfm_io._refuse_existing(dfm_io._output_paths("fit", args.out),
                             args.overwrite)
@@ -142,12 +133,7 @@ def _cmd_fit(args) -> int:
         X /= sd[:, None]
         panel = Panel(X=X, names=panel.names)
     dims = ModelDims(n=panel.n, T=panel.T, r=args.r, q=args.q)
-    if args.idio_cov == "ridge":
-        result = ridge_fit(panel, dims, config, mu=mu)
-    elif args.idio_ar == "ecm":
-        result = ecm_fit(panel, dims, config)
-    else:
-        result = em_fit(panel, dims, config)
+    result = _ESTIMATORS[args.estimator](panel, dims, config, **kwargs)
     dfm_io.write_em_result(result, args.out, overwrite=args.overwrite)
     print(f"iterations: {result.iters}")
     print(f"final loglik: {float(result.loglik_trace[-1])!r}")
@@ -172,8 +158,7 @@ def _cmd_pc(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    if args.parallel < 1:
-        raise ValueError(f"--parallel must be >= 1, got {args.parallel}")
+    _check_integer("--parallel", args.parallel, 1)
     path = args.experiment
     if not os.path.exists(path):
         bundled = os.path.join(os.path.dirname(__file__), "experiments",

@@ -219,16 +219,17 @@ def m_step(stats: SufficientStats, panel: Panel, q: int) -> DfmParams:
 
 
 def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
-         update=None, gamma0=None, guard_ascent: bool = False) -> EmResult:
+         update=None, gamma0=None) -> EmResult:
     """The EM loop behind :func:`em_fit`, ``ridge_fit`` and ``ecm_fit``.
 
     ``gamma0`` maps the floored principal-components idiosyncratic
     variances to the initial idiosyncratic covariance, and
     ``update(stats, smooth, base)`` maps each diagonal :func:`m_step`
     result ``base`` to the estimator's parameters; both default to the
-    identity. ``guard_ascent`` turns on the :class:`AscentViolationError`
-    check. Raises :class:`ShapeError`, before any work, if ``dims`` does
-    not match the panel or a given ``init`` does not match ``dims``.
+    identity. Without ``update`` (only the diagonal EM ascends the filter
+    likelihood) a falling likelihood raises :class:`AscentViolationError`.
+    Raises :class:`ShapeError`, before any work, if ``dims`` does not match
+    the panel or a given ``init`` does not match ``dims``.
     """
     n, T, r, q = dims.n, dims.T, dims.r, dims.q
     if (n, T) != (panel.n, panel.T):
@@ -258,7 +259,7 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
         stats, smooth, loglik = e_step(panel, params, kf_init)
         if not np.isfinite(loglik):
             raise EmDivergenceError("non-finite log-likelihood", k)
-        if guard_ascent and trace and loglik < trace[-1] - 1e-8 * abs(trace[-1]):
+        if update is None and trace and loglik < trace[-1] - 1e-8 * abs(trace[-1]):
             raise AscentViolationError(
                 f"log-likelihood decreased from {trace[-1]!r} to {loglik!r}", k
             )
@@ -315,4 +316,4 @@ def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
         t = 2..T, and 3 of 1,000 ``relmse_n100_T100`` replications raise
         it (ROADMAP item 1).
     """
-    return _fit(panel, dims, config, init, guard_ascent=True)
+    return _fit(panel, dims, config, init)

@@ -72,7 +72,8 @@ def write_panel_csv(panel: Panel, path):
 def _read_csv(path):
     """(header fields, float array rows) of a CSV file whose first non-blank
     line is its header, blank lines skipped. A row not as wide as the header,
-    or a field that is not a number, raises ValueError naming file:line."""
+    or a field that is not a finite number (nan and inf included), raises
+    ValueError naming file:line."""
     header, rows = None, []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -86,9 +87,13 @@ def _read_csv(path):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} "
                                  f"columns, got {len(fields)}")
             try:
-                rows.append(np.array(fields, dtype=float))
+                row = np.array(fields, dtype=float)
+                if not np.isfinite(row).all():
+                    raise ValueError("not a finite number: "
+                                     f"{fields[np.isfinite(row).argmin()]!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            rows.append(row)
     return header, rows
 
 
@@ -150,9 +155,10 @@ def write_params_json(params: DfmParams, path):
 def read_params_json(path) -> DfmParams:
     """Read the parameters written by :func:`write_params_json` (or in a
     draw's or a fit's ``params.json``). A document that is not a JSON
-    object, a missing key, a ``gamma_e`` that is not 1-D, or factors that
-    break c > 0 or B'B diagonal (which the filter relies on) raise
-    ValueError naming the file."""
+    object, a missing key, a value that is not a number or a rectangular
+    array of numbers, a ``gamma_e`` that is not 1-D, or factors that break
+    c > 0 or B'B diagonal (which the filter relies on) raise ValueError
+    naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -163,7 +169,10 @@ def read_params_json(path) -> DfmParams:
             ("gamma_c", "gamma_B") if factored else ("gamma_e",)):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
-        fields[key] = np.array(doc[key], dtype=float)
+        try:
+            fields[key] = np.array(doc[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: key {key!r}: {exc}") from None
     if factored:
         fields["gamma_factors"] = (fields.pop("gamma_c"), fields.pop("gamma_B"))
     elif fields["gamma_e"].ndim != 1:

@@ -32,8 +32,8 @@ import numpy as np
 from .em import _NUMERICAL_FAILURES, EmConfig, em_fit
 from .io import _fmt, _refuse_existing
 from .kalman import kalman_filter, stationary_init, steady_state_diagnostics
-from .metrics import DEFAULT_ALPHAS, HIST_EDGES, CoverageTable, ZAccumulator, \
-    common_mse, trace_statistic, z_scores
+from .metrics import BURN_IN_T, DEFAULT_ALPHAS, HIST_EDGES, CoverageTable, \
+    ZAccumulator, common_mse, trace_statistic, z_scores
 from .model import ModelDims, _check_integer, _check_real
 from .pca import _check_length, pc_estimate
 from .simulate import DgpConfig, draw_dgp
@@ -94,6 +94,9 @@ class McCell:
         self.dgp_config(0)
         if self.mode == "em":
             _check_length(self.T, self.r)
+            if self.T < BURN_IN_T:
+                raise ValueError(f"an em cell needs T >= BURN_IN_T = {BURN_IN_T}, "
+                                 f"got T={self.T}")
 
     def dgp_config(self, seed: int) -> DgpConfig:
         return DgpConfig(

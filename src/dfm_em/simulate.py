@@ -47,8 +47,8 @@ from enum import Enum
 import numpy as np
 
 from .kalman import _lyapunov
-from .model import (DfmParams, ModelDims, Panel, _check_integer, _check_real,
-                    _row_blocks, validate)
+from .model import (STABILITY_TOL, DfmParams, ModelDims, Panel, _check_integer,
+                    _check_real, _row_blocks, validate)
 
 __all__ = ["Innovation", "DgpConfig", "DgpDraw", "stream", "draw_dgp"]
 
@@ -103,8 +103,8 @@ class DgpConfig:
             object.__setattr__(self, name, _check_real(name, getattr(self, name)))
         if not (0.0 <= self.tau < 1.0):
             raise ValueError("tau must lie in [0, 1)")
-        if not (0.0 < self.mu < 1.0):
-            raise ValueError("mu must lie in (0, 1)")
+        if not (0.0 < self.mu < 1.0 - STABILITY_TOL):
+            raise ValueError(f"mu must lie in (0, 1 - STABILITY_TOL), got {self.mu!r}")
         if self.theta <= 0.0:
             raise ValueError("theta must be positive")
         if self.delta < 0.0:
@@ -149,7 +149,8 @@ def _draw_shock_loader(rng, r, q):
 
 
 def draw_dgp(config: DgpConfig) -> DgpDraw:
-    """Draw parameters and a simulated panel for one replication."""
+    """Draw parameters and a simulated panel for one replication; drawn
+    parameters that break ``model.validate`` raise ValueError."""
     dims = config.dims
     n, T, r, q = dims.n, dims.T, dims.r, dims.q
     rng = stream(config.seed)
@@ -176,7 +177,7 @@ def draw_dgp(config: DgpConfig) -> DgpDraw:
     params = DfmParams(Lambda=Lam, A=A, H=H, gamma_e=gamma_e, rho=rho)
     bad = validate(params, dims)
     if bad:
-        raise RuntimeError(f"drawn parameters violate model assumptions: {bad}")
+        raise ValueError(f"drawn parameters violate model assumptions: {bad}")
 
     factors, panel = _simulate(params, T, config.innovation,
                                stream(config.seed, 0), config.tau)

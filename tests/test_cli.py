@@ -90,6 +90,23 @@ class TestSimulate:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("flag,value,message", [
+        ("mu", "0.99999999999", "mu must lie in (0, 1 - STABILITY_TOL)"),
+        ("theta", "1e308", "drawn parameters violate model assumptions: "
+                           "['Lambda not finite']"),
+    ])
+    def test_draw_that_breaks_the_model_exits_validation(
+            self, tmp_path, capsys, flag, value, message):
+        """Both once died with an untyped RuntimeError from draw_dgp's own
+        check of its parameters: a traceback and exit 1."""
+        out = tmp_path / "d"
+        code = main(["simulate", "--n", "10", "--T", "20", "--r", "2",
+                     "--q", "1", f"--{flag}", value, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_toeplitz_draw_writes_tau_and_the_diagonal(self, tmp_path, capsys):
         """A tau > 0 draw writes its law tau and the diagonal of Gamma^e,
         not the n x n matrix, and still serves as the truth for eval."""
@@ -219,11 +236,11 @@ class TestFit:
         draw = _simulate(tmp_path, "d", tau=0.5, delta=0.2)
         panel = draw / "panel.csv"
         assert main(["fit", "--panel", str(panel), "--r", "2", "--q", "2",
-                     "--idio-cov", "ridge", "--ridge-mu", "2.5",
+                     "--estimator", "ridge", "--ridge-mu", "2.5",
                      "--max-iter", "5", "--out", str(tmp_path / "fr")]) in (
                          EXIT_OK, EXIT_NONCONVERGENCE)
         assert main(["fit", "--panel", str(panel), "--r", "2", "--q", "2",
-                     "--idio-ar", "ecm", "--max-iter", "5",
+                     "--estimator", "ecm", "--max-iter", "5",
                      "--out", str(tmp_path / "fe")]) in (
                          EXIT_OK, EXIT_NONCONVERGENCE)
         doc = json.loads((tmp_path / "fe" / "params.json").read_text())
@@ -232,32 +249,25 @@ class TestFit:
         assert main(["eval", "--truth", str(draw), "--fit",
                      str(tmp_path / "fe")]) == EXIT_OK
 
-    def test_ridge_and_ecm_mutually_exclusive(self, tmp_path, capsys):
-        draw = _simulate(tmp_path, "d")
-        code = main(["fit", "--panel", str(draw / "panel.csv"),
-                     "--r", "2", "--q", "2", "--idio-cov", "ridge",
-                     "--idio-ar", "ecm", "--out", str(tmp_path / "f")])
-        assert code == EXIT_VALIDATION
-
-    @pytest.mark.parametrize("flags", [[], ["--idio-ar", "ecm"]],
+    @pytest.mark.parametrize("flags", [[], ["--estimator", "ecm"]],
                              ids=["diag", "ecm"])
     def test_ridge_mu_without_ridge_covariance_exits_validation(
             self, tmp_path, capsys, flags):
         """A fixed --ridge-mu acts only on the ridge covariance; without
-        --idio-cov ridge it is refused, not ignored."""
+        --estimator ridge it is refused, not ignored."""
         draw = _simulate(tmp_path, "d")
         code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
                      "--q", "2", *flags, "--ridge-mu", "5",
                      "--out", str(tmp_path / "f")])
         assert code == EXIT_VALIDATION
-        assert "--ridge-mu applies only with --idio-cov ridge" in capsys.readouterr().err
+        assert "--ridge-mu applies only with --estimator ridge" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
 
     def test_bad_ridge_mu(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d")
         for mu in ("lots", "-1", "nan", "inf"):
             code = main(["fit", "--panel", str(draw / "panel.csv"),
-                         "--r", "2", "--q", "2", "--idio-cov", "ridge",
+                         "--r", "2", "--q", "2", "--estimator", "ridge",
                          "--ridge-mu", mu, "--out", str(tmp_path / "f")])
             assert code == EXIT_VALIDATION, mu
             assert "ridge-mu" in capsys.readouterr().err, mu
@@ -268,7 +278,7 @@ class TestFit:
         nothing written."""
         draw = _simulate(tmp_path, "d", n=60, T=20)
         code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--idio-cov", "ridge", "--ridge-mu", "0",
+                     "--q", "2", "--estimator", "ridge", "--ridge-mu", "0",
                      "--out", str(tmp_path / "f")])
         assert code == EXIT_VALIDATION
         assert "ridge mu must be positive when n > T" in capsys.readouterr().err
@@ -285,11 +295,12 @@ class TestFit:
         assert not (tmp_path / "f").exists()
 
     @pytest.mark.parametrize("flags,message", [
-        (["--idio-cov", "ridge", "--idio-ar", "ecm"], "mutually exclusive"),
-        (["--idio-cov", "ridge", "--ridge-mu", "-1"], "ridge-mu"),
+        (["--estimator", "ecm", "--ridge-mu", "5"], "applies only with --estimator ridge"),
+        (["--estimator", "ridge", "--ridge-mu", "-1"], "ridge-mu"),
         (["--epsilon", "nan"], "epsilon"),
         (["--max-iter", "0"], "max_iter"),
         (["--ridge-mu", "lots"], "ridge-mu"),
+        (["--estimator", "ridge", "--ridge-mu", "auto"], "ridge-mu"),
     ])
     def test_flags_checked_before_the_panel_is_read(self, tmp_path, capsys,
                                                     flags, message):
@@ -300,6 +311,21 @@ class TestFit:
         err = capsys.readouterr().err
         assert message in err
         assert "missing.csv" not in err
+
+    def test_one_estimator_switch(self, tmp_path, capsys):
+        """--estimator picks the estimator; the two flags it replaced are
+        unknown options, refused by the parser with its exit code 2."""
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        usage = capsys.readouterr().out
+        assert "--estimator {em,ridge,ecm}" in usage
+        assert "--idio-cov" not in usage and "--idio-ar" not in usage
+        for flags in (["--idio-cov", "ridge"], ["--idio-ar", "ecm"],
+                      ["--estimator", "diag"]):
+            with pytest.raises(SystemExit) as err:
+                main(["fit", "--panel", "p.csv", "--r", "2", "--q", "2",
+                      *flags, "--out", str(tmp_path / "f")])
+            assert err.value.code == EXIT_VALIDATION, flags
 
     def test_printed_loglik_is_the_summary_float(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d")
@@ -477,6 +503,8 @@ class TestMontecarlo:
         ({"q": 3}, "q <= r"),
         ({"T": 3}, "T >= r + 2"),
         ({"n": 12.0}, "n must be an integer"),
+        ({"T": 4, "r": 1, "q": 1}, "an em cell needs T >= BURN_IN_T = 5, got T=4"),
+        ({"mu": 0.99999999999}, "mu must lie in (0, 1 - STABILITY_TOL)"),
     ])
     def test_bad_cell_exits_before_running(self, tmp_path, monkeypatch,
                                            capsys, bad, message):
@@ -621,7 +649,7 @@ class TestEval:
         draw = _simulate(tmp_path, "d", n=30, T=12, tau=0.5)
         fit = tmp_path / "fit"
         assert main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--idio-cov", "ridge", "--out", str(fit)]) == EXIT_OK
+                     "--q", "2", "--estimator", "ridge", "--out", str(fit)]) == EXIT_OK
         path = fit / "params.json"
         doc = json.loads(path.read_text())
         assert "gamma_e" not in doc and len(doc["gamma_B"]) == 30
@@ -642,7 +670,7 @@ class TestEval:
         draw = _simulate(tmp_path, "d", tau=0.5)
         fit = tmp_path / "fit"
         assert main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--idio-cov", "ridge", "--out", str(fit)]) == EXIT_OK
+                     "--q", "2", "--estimator", "ridge", "--out", str(fit)]) == EXIT_OK
         return draw, fit
 
     def test_ridge_fit_at_small_n_writes_factors_and_a_legacy_gamma_reads(

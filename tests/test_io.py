@@ -65,6 +65,16 @@ class TestPanelCsv:
         with pytest.raises(ValueError, match=r"bad\.csv:3: .*'x'"):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_field_names_file_and_line(self, tmp_path, field):
+        """A nan or inf field once passed the reader and was refused by
+        Panel as "panel contains non-finite entries", naming no file."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1.0,2.0\n\n3.0,{field}\n")
+        with pytest.raises(ValueError) as err:
+            read_panel_csv(path)
+        assert str(err.value) == f"{path}:4: not a finite number: {field!r}"
+
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -185,6 +195,21 @@ class TestParamsJson:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"params.json.*{why}"):
             read_params_json(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("Lambda", [[1.0], [1.0, 2.0]]), ("A", "half"), ("gamma_e", [1.0, [2.0]]),
+    ], ids=["ragged", "string", "nested"])
+    def test_value_not_an_array_names_the_file_and_key(self, tmp_path, key,
+                                                       value):
+        """A ragged matrix once raised numpy's "setting an array element
+        with a sequence", naming neither the file nor the key."""
+        doc = dict(_TWO_SERIES, gamma_e=[1.0, 1.0])
+        doc[key] = value
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            read_params_json(path)
+        assert str(err.value).startswith(f"{path}: key {key!r}: ")
 
     def test_round_trip_factored_covariance(self, rng, tmp_path):
         """Factors write as gamma_c and gamma_B, n m + 1 numbers in place

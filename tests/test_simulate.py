@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
 from dfm_em import DgpConfig, DfmParams, ModelDims, draw_dgp, stream
-from dfm_em.model import _row_blocks
+from dfm_em.model import STABILITY_TOL, _row_blocks
 from dfm_em.simulate import BURN_IN, _DRAW_BLOCK_ELEMS, _simulate, \
     _standardized_t4, _toeplitz_root
 from conftest import dense_gamma, simulate_loop, toeplitz_params, traced_call
@@ -31,6 +31,13 @@ class TestConfigValidation:
     def test_mu_range(self):
         with pytest.raises(ValueError):
             _config(mu=1.0)
+
+    @pytest.mark.parametrize("mu", [1.0 - STABILITY_TOL, 1.0 - 1e-11])
+    def test_mu_below_the_stability_bound(self, mu):
+        """validate refuses a spectral radius at or above 1 - STABILITY_TOL,
+        and A's is mu; such a mu once failed only in draw_dgp."""
+        with pytest.raises(ValueError, match=r"^mu must lie in \(0, 1 - STABILITY_TOL\)"):
+            _config(mu=mu)
 
     def test_theta_positive(self):
         with pytest.raises(ValueError):
@@ -104,6 +111,14 @@ class TestDrawDgp:
         xi = draw.panel.X - draw.chi
         assert np.allclose(draw.panel.X, draw.chi + xi)
         assert np.allclose(draw.chi, draw.params.Lambda @ draw.factors)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_parameters_that_break_the_model_raise_value_error(self):
+        """A theta this large overflows the rescaled loadings; the draw
+        once raised an untyped RuntimeError for it."""
+        with pytest.raises(ValueError, match=r"^drawn parameters violate model "
+                                             r"assumptions: \['Lambda not finite'\]$"):
+            draw_dgp(_config(n=10, T=20, r=2, q=1, theta=1e308))
 
     def test_rho_support(self):
         draw = draw_dgp(_config(seed=7, delta=0.2))

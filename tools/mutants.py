@@ -94,6 +94,45 @@ MUTANTS = (
     Mutant("coverage_quantiles_reversed", "metrics.py",
            "for q in _NORMAL_QUANTILES]", "for q in _NORMAL_QUANTILES[::-1]]",
            ("tests/test_metrics.py",)),
+    Mutant("shrink_0.2", "em.py",
+           "_SHRINK = 0.1", "_SHRINK = 0.2",
+           ("tests/test_em.py",)),
+    Mutant("freeze_rtol_1e-9", "kalman.py",
+           "_FREEZE_RTOL = 1e-15", "_FREEZE_RTOL = 1e-9",
+           ("tests/test_kalman.py",)),
+    Mutant("steady_tol_1e-6", "kalman.py",
+           "_STEADY_TOL = 1e-8", "_STEADY_TOL = 1e-6",
+           ("tests/test_kalman.py",)),
+    Mutant("t4_scale_sqrt_1.5", "simulate.py",
+           "x /= np.sqrt(2.0)", "x /= np.sqrt(1.5)",
+           ("tests/test_simulate.py",)),
+    # Killed by the law read back from the stream, not by an empty support.
+    Mutant("rho_support_2.5_delta", "simulate.py",
+           "1.0 - 2.0 * config.delta", "1.0 - 2.5 * config.delta",
+           ("tests/test_simulate.py::TestDesignFromTheStreams",)),
+    # Refusals: each argument is refused when built or read, naming itself.
+    Mutant("em_cell_shorter_than_burn_in", "montecarlo.py",
+           "if self.T < BURN_IN_T:", "if False:",
+           ("tests/test_cli.py::TestMontecarlo::test_bad_cell_exits_before_running",)),
+    Mutant("dgp_mu_up_to_one", "simulate.py",
+           "self.mu < 1.0 - STABILITY_TOL", "self.mu < 1.0",
+           ("tests/test_simulate.py::TestConfigValidation",)),
+    Mutant("draw_violation_untyped", "simulate.py",
+           'raise ValueError(f"drawn parameters', 'raise RuntimeError(f"drawn parameters',
+           ("tests/test_simulate.py::TestDrawDgp",)),
+    Mutant("csv_non_finite_field_read", "io.py",
+           "if not np.isfinite(row).all():", "if False:",
+           ("tests/test_io.py::TestPanelCsv",)),
+    Mutant("params_value_error_unnamed", "io.py",
+           'raise ValueError(f"{path}: key {key!r}: {exc}") from None', "raise",
+           ("tests/test_io.py::TestParamsJson",)),
+    # One value picks the estimator, and the guard follows from it.
+    Mutant("ascent_guard_on_every_estimator", "em.py",
+           "if update is None and trace and", "if trace and",
+           ("tests/test_em.py::TestFitFailures",)),
+    Mutant("cli_ecm_runs_em", "cli.py",
+           '"ecm": ecm_fit}', '"ecm": em_fit}',
+           ("tests/test_cli.py::TestFit",)),
 )
 
 
