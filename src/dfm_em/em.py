@@ -42,7 +42,7 @@ from .kalman import (
     stationary_init,
 )
 from .model import DfmParams, ModelDims, Panel, ShapeError, _check_integer, \
-    _check_real, _sq_residual_sums
+    _check_real, _residual_blocks
 from .pca import IdentificationError, PcEstimate, _shock_loading, pc_estimate
 
 __all__ = [
@@ -182,9 +182,7 @@ def m_step(stats: SufficientStats, panel: Panel, q: int) -> DfmParams:
     q < r, H is ``pca._shock_loading`` of Gom with shrink vartheta = 0.1/T.
     The squared residuals (x_it - lambda_i' F_{t|T})^2 of the gamma update
     are summed block by block of rows, in cache, with no n x T array."""
-    X = panel.X
     T = panel.T
-
     try:
         Lam = np.linalg.solve(stats.S_FF, stats.S_xF.T).T
     except np.linalg.LinAlgError as exc:
@@ -194,8 +192,10 @@ def m_step(stats: SufficientStats, panel: Panel, q: int) -> DfmParams:
     except np.linalg.LinAlgError as exc:
         raise EmError(f"S_FF_tail numerically singular in the VAR update: {exc}") from exc
 
-    gamma = _floor_gamma((_sq_residual_sums(X, Lam, stats.F_smooth)
-                          + np.sum((Lam @ stats.S_P) * Lam, axis=1)) / T, panel)
+    ss = np.empty(panel.n)
+    for b, E in _residual_blocks(panel.X, Lam, stats.F_smooth):
+        np.einsum("ij,ij->i", E, E, out=ss[b])
+    gamma = _floor_gamma((ss + np.sum((Lam @ stats.S_P) * Lam, axis=1)) / T, panel)
 
     Gom = (
         stats.S_FF_head

@@ -155,10 +155,10 @@ def write_params_json(params: DfmParams, path):
 def read_params_json(path) -> DfmParams:
     """Read the parameters written by :func:`write_params_json` (or in a
     draw's or a fit's ``params.json``). A document that is not a JSON
-    object, a missing key, a value that is not a number or a rectangular
-    array of numbers, a ``gamma_e`` that is not 1-D, or factors that break
-    c > 0 or B'B diagonal (which the filter relies on) raise ValueError
-    naming the file."""
+    object, a missing key, a value that is not a finite number (JSON's NaN
+    and Infinity included) or a rectangular array of them, a ``gamma_e``
+    that is not 1-D, or factors that break c > 0 or B'B diagonal (which the
+    filter relies on) raise ValueError naming the file."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -171,6 +171,8 @@ def read_params_json(path) -> DfmParams:
             raise ValueError(f"{path}: missing key {key!r}")
         try:
             fields[key] = np.array(doc[key], dtype=float)
+            if not np.isfinite(fields[key]).all():
+                raise ValueError("not finite")
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: key {key!r}: {exc}") from None
     if factored:

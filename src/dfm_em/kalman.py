@@ -34,9 +34,9 @@ The log-likelihood adds to the collapsed one the closed form
 -1/2 sum_t [(n-k) log 2 pi + log|Gamma| + log|D_k| + e_t' Gamma^{-1} e_t]
 with e_t = x_t - Lambda V_k y_t, never as the difference
 ||Gamma^{-1/2} x_t||^2 - y_t' D_k y_t, which cancels to round-off when
-the noise is many orders below the signal. Gamma enters by one of two
-routes (_whitener): elementwise for a diagonal Gamma, and by Woodbury
-through the factors c I + B B' of a full one (no n x n work).
+the noise is many orders below the signal. Gamma enters by one route
+(_whitener), as D + B B': its diagonal D acts elementwise, and the
+factors c I + B B' of a full Gamma add a Woodbury term (no n x n work).
 
 The Riccati recursion for P_{t|t-1}, W_t and P_{t|t} does not depend on
 the data, so it runs first, by prefix doubling over the filtering
@@ -99,8 +99,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dtbtrs
 
-from .model import (DfmParams, Panel, ShapeError, _check_integer,
-                    _residual_blocks, _sq_residual_sums)
+from .model import DfmParams, Panel, ShapeError, _check_integer, _residual_blocks
 
 __all__ = [
     "InitState",
@@ -218,61 +217,49 @@ def stationary_init(params: DfmParams) -> InitState:
 
 def _whitener(params):
     """Gamma^{-1} Lambda, M = Lambda' Gamma^{-1} Lambda, the map from
-    (X, L, F) to the per-period norms e_t' Gamma^{-1} e_t of the residual
-    E = X - L F, and log|Gamma|, by one of two routes:
+    (X, L, F) to the norms e_t' Gamma^{-1} e_t of the residual E = X - L F,
+    and log|Gamma|, for Gamma = D + B B' in one form: D = diag(gamma_e)
+    with no B for a diagonal Gamma, and D = c I for the factors (c, B) of a
+    full one (``params.gamma_factors``), whose B'B = diag(delta). Factors
+    add Woodbury's term to the D^{-1} part, with s = c + delta:
 
-    * A diagonal Gamma acts elementwise: the norms are 1/gamma times the
-      squared residuals, reduced block by block of rows, in cache
-      (model._sq_residual_sums).
-    * A full Gamma = c I + B B', always given by its factors
-      (``params.gamma_factors``), with B'B = diag(delta) and delta the
-      column sums of squares of B, is inverted by Woodbury,
-      Gamma^{-1} = (I - B diag(1/(c + delta)) B') / c, with
-      log|Gamma| = n log c + sum_j log1p(delta_j / c) and
-      e_t' Gamma^{-1} e_t = (||e_t||^2 - sum_j (b_j' e_t)^2 / (c + delta_j)) / c.
-      The residual is reduced block by block of rows, in cache
-      (model._residual_blocks): each block adds its column sums of
-      squares to ||e_t||^2 and B_b' E_b into one m x T array by a BLAS
-      gemm, so no n x T residual, no n x m B o B and no n x n array is
-      formed.
+        Gamma^{-1} = D^{-1} - B diag(1/s) B' / c,
+        log|Gamma| = sum_i log d_i + sum_j log1p(delta_j / c),
+        e_t' Gamma^{-1} e_t = sum_i e_it^2 / d_i - sum_j (b_j' e_t)^2 / (c s_j).
+
+    The residual is reduced block by block of rows, in cache
+    (model._residual_blocks): a block's gemm adds B_b' E_b into one m x T
+    array, then its squares add into the norms weighted by 1/d, so no n x T
+    residual, no n x m B o B and no n x n array is formed.
     """
-    gamma_e, Lam = params.gamma_e, params.Lambda
-    if params.gamma_factors is not None:
-        c, B = params.gamma_factors
-        if not (np.isfinite(c) and np.all(np.isfinite(B))):
-            raise FilterNumericalError("idiosyncratic covariance factors not finite", 1)
-        if not c > 0.0:
-            raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
-        delta = np.einsum("ij,ij->j", B, B)
-        s = c + delta
-
-        def norms(X, L, F):
-            ee = np.zeros(X.shape[1])
-            BE = np.zeros((B.shape[1], X.shape[1]), order="F")
-            for b, E in _residual_blocks(X, L, F):
-                ee += np.einsum("ij,ij->j", E, E)
-                # B[b].T and E.T are F-ordered views, so gemm reads both in
-                # place and adds B_b' E_b into BE.
-                dgemm(1.0, B[b].T, E.T, beta=1.0, c=BE, trans_b=1, overwrite_c=1)
-            BE *= BE
-            return (ee - (1.0 / s) @ BE) / c
-
-        Lg = (Lam - B @ ((B.T @ Lam) / s[:, None])) / c
-        return (Lg, _symmetrize(Lam.T @ Lg), norms,
-                float(Lam.shape[0] * np.log(c) + np.sum(np.log1p(delta / c))))
-
-    if not np.all(np.isfinite(gamma_e)):
+    Lam, factors = params.Lambda, params.gamma_factors
+    c, B = factors if factors is not None else (None, np.empty((params.n, 0)))
+    d = params.gamma_e if factors is None else np.full(params.n, c)
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(B))):
         raise FilterNumericalError("idiosyncratic covariance not finite", 1)
-    if np.any(gamma_e <= 0.0):
+    if np.any(d <= 0.0):
         raise FilterNumericalError("idiosyncratic covariance not positive definite", 1)
-    inv = 1.0 / gamma_e
+    inv, Lw = 1.0 / d, Lam / np.sqrt(d)[:, None]
+    Lg, M, logdet = Lam / d[:, None], Lw.T @ Lw, np.sum(np.log(d))
+    if factors is not None:
+        delta = np.einsum("ij,ij->j", B, B)
+        s, BL = c + delta, B.T @ Lam
+        Lg = Lg - (B @ (BL / s[:, None])) / c
+        M = M - (BL.T @ (BL / s[:, None])) / c
+        logdet = logdet + np.sum(np.log1p(delta / c))
 
     def norms(X, L, F):
-        return _sq_residual_sums(X, L, F, inv)
+        out, BE = np.zeros(X.shape[1]), np.zeros((B.shape[1], X.shape[1]), order="F")
+        for b, E in _residual_blocks(X, L, F):
+            if factors is not None:  # reads F-ordered views B[b].T, E.T in place
+                dgemm(1.0, B[b].T, E.T, beta=1.0, c=BE, trans_b=1, overwrite_c=1)
+            E *= E
+            out += inv[b] @ E
+        if factors is not None:
+            out -= ((1.0 / s) @ np.square(BE, out=BE)) / c
+        return out
 
-    Lw = Lam / np.sqrt(gamma_e)[:, None]
-    return (Lam / gamma_e[:, None], _symmetrize(Lw.T @ Lw), norms,
-            float(np.sum(np.log(gamma_e))))
+    return Lg, _symmetrize(M), norms, float(logdet)
 
 
 def _observed_directions(M):
@@ -460,14 +447,13 @@ def kalman_filter(panel: Panel, params: DfmParams, init: InitState) -> FilterOut
         raise ShapeError(f"InitState F0 has size {init.F0.size} but Lambda "
                          f"has r={r} columns")
     A = params.A
-    Lam = params.Lambda
     Lg, M, resid_norms, logdet_gamma = _whitener(params)
 
     # Rank-revealing collapse onto the k directions of the state that the
     # panel observes, and the residual norms e_t' Gamma^{-1} e_t.
     d, Vk = _observed_directions(M)
     Y = (Vk.T @ (Lg.T @ X)) / d[:, None]
-    e_norms = resid_norms(X, Lam, Vk @ Y)
+    e_norms = resid_norms(X, params.Lambda, Vk @ Y)
 
     P_pred, P_filt, Sinv, Udiag, T_ok, why = _riccati(
         A, params.H @ params.H.T, init.P0, Vk, d, T)

@@ -314,21 +314,3 @@ def _residual_blocks(X, L, F):
         np.subtract(X[b], E, out=E)
         yield b, E
 
-
-def _sq_residual_sums(X, L, F, w=None):
-    """The row sums of (X - L F)^2 (length n), or, when w is given, its
-    column sums weighted by w, w'(X - L F)^2 (length T).
-
-    The residual is reduced block by block of rows, in cache
-    (_residual_blocks). A row sum is one einsum reduction of the block
-    against itself, each row summed whole; a weighted column sum squares
-    the block in place and adds the blocks' partial sums, which changes
-    only the order of summation."""
-    out = np.empty(X.shape[0]) if w is None else np.zeros(X.shape[1])
-    for b, E in _residual_blocks(X, L, F):
-        if w is None:
-            np.einsum("ij,ij->i", E, E, out=out[b])
-        else:
-            E *= E
-            out += w[b] @ E
-    return out

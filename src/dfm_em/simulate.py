@@ -149,8 +149,8 @@ def _draw_shock_loader(rng, r, q):
 
 
 def draw_dgp(config: DgpConfig) -> DgpDraw:
-    """Draw parameters and a simulated panel for one replication; drawn
-    parameters that break ``model.validate`` raise ValueError."""
+    """Draw one replication's parameters and panel; ValueError for a theta
+    whose loadings scale overflows or parameters ``model.validate`` rejects."""
     dims = config.dims
     n, T, r, q = dims.n, dims.T, dims.r, dims.q
     rng = stream(config.seed)
@@ -172,7 +172,11 @@ def draw_dgp(config: DgpConfig) -> DgpDraw:
     gamma_f = _lyapunov(A, H @ H.T)
     var_chi = np.einsum("ij,jk,ik->i", Lam, gamma_f, Lam)
     var_xi = gamma_e / (1.0 - rho**2)
-    Lam = Lam * np.sqrt(config.theta * var_xi / var_chi)[:, None]
+    with np.errstate(over="ignore"):
+        scale = np.sqrt(config.theta * var_xi / var_chi)
+    if not np.all(np.isfinite(scale)):
+        raise ValueError(f"theta={config.theta!r} overflows the loadings scale")
+    Lam = Lam * scale[:, None]
 
     params = DfmParams(Lambda=Lam, A=A, H=H, gamma_e=gamma_e, rho=rho)
     bad = validate(params, dims)

@@ -90,21 +90,31 @@ class TestSimulate:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("flag,value,message", [
         ("mu", "0.99999999999", "mu must lie in (0, 1 - STABILITY_TOL)"),
-        ("theta", "1e308", "drawn parameters violate model assumptions: "
-                           "['Lambda not finite']"),
     ])
     def test_draw_that_breaks_the_model_exits_validation(
             self, tmp_path, capsys, flag, value, message):
-        """Both once died with an untyped RuntimeError from draw_dgp's own
+        """This once died with an untyped RuntimeError from draw_dgp's own
         check of its parameters: a traceback and exit 1."""
         out = tmp_path / "d"
         code = main(["simulate", "--n", "10", "--T", "20", "--r", "2",
                      "--q", "1", f"--{flag}", value, "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_theta_exits_validation_without_a_warning(
+            self, tmp_path, capsys):
+        """numpy's overflow warning once came out before the refusal, which
+        blamed the drawn Lambda rather than theta."""
+        out = tmp_path / "d"
+        code = main(["simulate", "--n", "10", "--T", "20", "--r", "2",
+                     "--q", "1", "--theta", "1e308", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert ("error: theta=1e+308 overflows the loadings scale"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_toeplitz_draw_writes_tau_and_the_diagonal(self, tmp_path, capsys):
@@ -625,6 +635,22 @@ class TestEval:
                 "--out", str(out_file)]
         assert main(args) == EXIT_OK
         assert main(args) == EXIT_VALIDATION
+
+    def test_non_finite_params_value_exits_validation(self, tmp_path, capsys):
+        """A NaN in a pc output's Lambda once reached the SVD of the trace
+        statistic: "numerical failure: SVD did not converge", exit 3."""
+        draw = _simulate(tmp_path, "d", n=30, T=60)
+        fit = tmp_path / "pc"
+        assert main(["pc", "--panel", str(draw / "panel.csv"), "--r", "2",
+                     "--q", "2", "--out", str(fit)]) == EXIT_OK
+        path = fit / "params.json"
+        doc = json.loads(path.read_text())
+        doc["Lambda"][0][0] = float("nan")
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["eval", "--truth", str(draw), "--fit", str(fit)])
+        assert code == EXIT_VALIDATION
+        assert f"{path}: key 'Lambda': not finite" in capsys.readouterr().err
 
     def test_ragged_truth_file_names_file_and_line(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d", n=30, T=60)

@@ -211,6 +211,21 @@ class TestParamsJson:
             read_params_json(path)
         assert str(err.value).startswith(f"{path}: key {key!r}: ")
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["Lambda", "gamma_c"])
+    def test_non_finite_token_names_the_file_and_key(self, tmp_path, token, key):
+        """Python's json reads and writes NaN and +-Infinity; such a value
+        was once read, and an eval with it died in an SVD that did not
+        converge (exit 3) rather than refusing the file (exit 2)."""
+        doc = dict(_TWO_SERIES, gamma_c=1.0, gamma_B=[[1.0], [0.0]])
+        doc[key] = [[float(token)], [1.0]] if key == "Lambda" else float(token)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        assert token in path.read_text()
+        with pytest.raises(ValueError) as err:
+            read_params_json(path)
+        assert str(err.value) == f"{path}: key {key!r}: not finite"
+
     def test_round_trip_factored_covariance(self, rng, tmp_path):
         """Factors write as gamma_c and gamma_B, n m + 1 numbers in place
         of an n x n gamma_e, and read back bitwise."""

@@ -24,7 +24,7 @@ from conftest import (
     woodbury_inverse,
 )
 from dfm_em.kalman import _bidiagonal_solve, _observed_directions, _riccati, \
-    _scan, _solve
+    _scan, _solve, _whitener
 from dfm_em.model import _BLOCK_ELEMS, ShapeError
 
 
@@ -309,6 +309,23 @@ def _rel(a, b):
 
 
 class TestWhitening:
+    def test_diagonal_route_is_elementwise(self):
+        """A diagonal Gamma gives Lambda / gamma, sym((Lambda / sqrt gamma)'
+        (Lambda / sqrt gamma)), sum log gamma and, over one row block, the
+        norms (1 / gamma)'(X - L F)^2, to the bit."""
+        rng = np.random.default_rng(44)
+        n, T, r = 20, 50, 3
+        Lam, X = rng.standard_normal((n, r)), rng.standard_normal((n, T))
+        F, gamma = rng.standard_normal((r, T)), rng.uniform(0.5, 1.5, n)
+        p = DfmParams(Lambda=Lam, A=0.5 * np.eye(r), H=np.eye(r), gamma_e=gamma)
+        Lg, M, norms, logdet = _whitener(p)
+        Lw = Lam / np.sqrt(gamma)[:, None]
+        E = X - Lam @ F
+        assert np.array_equal(Lg, Lam / gamma[:, None])
+        assert np.array_equal(M, 0.5 * (Lw.T @ Lw + (Lw.T @ Lw).T))
+        assert logdet == float(np.sum(np.log(gamma)))
+        assert np.array_equal(norms(X, Lam, F), (1.0 / gamma) @ (E * E))
+
     @pytest.mark.parametrize("k", [2, 1, 0])
     def test_diagonal_and_full_gamma_agree(self, k):
         """gamma_e as a vector (whitened elementwise) and np.diag of it as

@@ -10,7 +10,10 @@ from dfm_em import (
     ShapeError,
     validate,
 )
-from dfm_em.model import _BLOCK_ELEMS, _row_blocks, _sq_residual_sums
+from dfm_em import em
+from dfm_em.em import SufficientStats, m_step
+from dfm_em.kalman import _whitener
+from dfm_em.model import _BLOCK_ELEMS, _row_blocks
 
 
 def _params(n=6, r=2, q=2, A=None, H=None, gamma=None, rho=None):
@@ -247,7 +250,29 @@ class TestRowBlocks:
 _ROWS_300 = _BLOCK_ELEMS // 300  # rows per block at T = 300
 
 
+def _gamma_update(X, L, F):
+    """m_step's gamma at S_FF = I, S_xF = L and S_P = 0, where its loadings
+    are exactly L: the row sums of (X - L F)^2 over T, floored."""
+    r = L.shape[1]
+    I = np.eye(r)
+    stats = SufficientStats(S_xF=L, S_FF=I, S_FF_lag=0.5 * I, S_FF_head=I,
+                            S_FF_tail=I, S_P=np.zeros((r, r)), F_smooth=F)
+    return m_step(stats, Panel(X=X), r).gamma_e
+
+
+def _diagonal_norms(X, L, F, gamma):
+    """The filter's norms sum_i (X - L F)_it^2 / gamma_i for a diagonal Gamma."""
+    r = L.shape[1]
+    p = DfmParams(Lambda=L, A=0.5 * np.eye(r), H=np.eye(r), gamma_e=gamma)
+    return _whitener(p)[2](X, L, F)
+
+
 class TestSqResidualSums:
+    """The package's squared residual sums over row blocks
+    (model._residual_blocks), at their two call sites: the row sums of
+    m_step's gamma update and the 1/gamma-weighted column sums of the
+    filter's norms for a diagonal Gamma."""
+
     @pytest.mark.parametrize("n,T,r,zero", [
         (50, 100, 3, False),                   # one block
         (3 * _ROWS_300, 300, 4, False),        # n an exact multiple of the rows
@@ -261,22 +286,29 @@ class TestSqResidualSums:
         X = rng.standard_normal((n, T))
         L = np.zeros((n, r)) if zero else rng.standard_normal((n, r))
         F = rng.standard_normal((r, T))
-        w = rng.uniform(0.5, 1.5, n)
+        gamma = rng.uniform(0.5, 1.5, n)
         sq = (X - L @ F) ** 2
-        for got, want in ((_sq_residual_sums(X, L, F), sq.sum(axis=1)),
-                          (_sq_residual_sums(X, L, F, w), w @ sq)):
+        for got, want in ((_gamma_update(X, L, F), sq.sum(axis=1) / T),
+                          (_diagonal_norms(X, L, F, gamma),
+                           (sq / gamma[:, None]).sum(axis=0))):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want) / want) <= 1e-13
 
     @pytest.mark.parametrize("noise", [1.0, 1e-9])
-    def test_row_sums_over_blocks(self, noise):
-        """The row sums, reduced by one einsum per block, agree with the
-        whole squared residual also when the noise is many orders below
-        L F."""
+    def test_row_sums_over_blocks(self, noise, monkeypatch):
+        """The row sums, reduced by one einsum per block, and the weighted
+        column sums agree with the whole squared residual also when the
+        noise is many orders below L F (with the gamma floor patched out:
+        it would raise the row sums there)."""
+        monkeypatch.setattr(em, "_floor_gamma", lambda gamma, panel: gamma)
         n, T, r = 3 * _ROWS_300 + 7, 300, 8
         rng = np.random.default_rng(7)
         L = rng.standard_normal((n, r))
         F = rng.standard_normal((r, T))
         X = L @ F + noise * rng.standard_normal((n, T))
-        want = ((X - L @ F) ** 2).sum(1)
-        assert np.max(np.abs(_sq_residual_sums(X, L, F) - want) / want) <= 1e-14
+        gamma = rng.uniform(0.5, 1.5, n)
+        sq = (X - L @ F) ** 2
+        want = sq.sum(1) / T
+        assert np.max(np.abs(_gamma_update(X, L, F) - want) / want) <= 1e-14
+        want = (sq / gamma[:, None]).sum(0)
+        assert np.max(np.abs(_diagonal_norms(X, L, F, gamma) - want) / want) <= 1e-13

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
-from dfm_em import DgpConfig, DfmParams, ModelDims, draw_dgp, stream
+from dfm_em import DgpConfig, DfmParams, ModelDims, draw_dgp, simulate, stream
 from dfm_em.model import STABILITY_TOL, _row_blocks
 from dfm_em.simulate import BURN_IN, _DRAW_BLOCK_ELEMS, _simulate, \
     _standardized_t4, _toeplitz_root
@@ -112,12 +112,20 @@ class TestDrawDgp:
         assert np.allclose(draw.panel.X, draw.chi + xi)
         assert np.allclose(draw.chi, draw.params.Lambda @ draw.factors)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_parameters_that_break_the_model_raise_value_error(self):
-        """A theta this large overflows the rescaled loadings; the draw
-        once raised an untyped RuntimeError for it."""
+    def test_parameters_that_break_the_model_raise_value_error(self, monkeypatch):
+        """Drawn parameters that break the model once raised an untyped
+        RuntimeError."""
+        monkeypatch.setattr(simulate, "validate", lambda params, dims: ["A not stable"])
         with pytest.raises(ValueError, match=r"^drawn parameters violate model "
-                                             r"assumptions: \['Lambda not finite'\]$"):
+                                             r"assumptions: \['A not stable'\]$"):
+            draw_dgp(_config(n=10, T=20, r=2, q=1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_theta_is_refused_without_a_warning(self):
+        """A theta this large overflows the loadings scale; numpy's overflow
+        warning once came out before the refusal, which did not name theta."""
+        with pytest.raises(ValueError, match=r"^theta=1e\+308 overflows the "
+                                             r"loadings scale$"):
             draw_dgp(_config(n=10, T=20, r=2, q=1, theta=1e308))
 
     def test_rho_support(self):

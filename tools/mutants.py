@@ -47,7 +47,7 @@ MUTANTS = (
     Mutant("burn_in_t_4", "metrics.py",
            "BURN_IN_T = 5", "BURN_IN_T = 4",
            ("tests/test_metrics.py",)),
-    # The next four drop the last row block when there are several, so only
+    # The next six drop the last row block when there are several, so only
     # a test over more than one block can kill them.
     Mutant("ridge_gram_drops_last_block", "extensions.py",
            "dsyrk(1.0, Zb.T,", "dsyrk(float(b.start == 0 or b.stop < n), Zb.T,",
@@ -56,6 +56,15 @@ MUTANTS = (
            "dgemm(1.0, B[b].T,",
            "dgemm(float(b.start == 0 or b.stop < X.shape[0]), B[b].T,",
            ("tests/test_extensions.py", "tests/test_kalman.py")),
+    Mutant("diagonal_norms_drop_last_block", "kalman.py",
+           "out += inv[b] @ E",
+           "out += float(b.start == 0 or b.stop < X.shape[0]) * inv[b] @ E",
+           ("tests/test_model.py::TestSqResidualSums", "tests/test_kalman.py")),
+    Mutant("m_step_sums_drop_last_block", "em.py",
+           'np.einsum("ij,ij->i", E, E, out=ss[b])',
+           'np.einsum("ij,ij->i", E, float(b.start == 0 or b.stop < panel.n) * E, '
+           'out=ss[b])',
+           ("tests/test_model.py::TestSqResidualSums", "tests/test_em.py")),
     Mutant("ecm_moments_drop_last_block", "extensions.py",
            'np.einsum("it,it->i", E, E, out=ss[b])',
            'np.einsum("it,it->i", E, float(b.start == 0 or b.stop < n) * E, out=ss[b])',
@@ -64,6 +73,17 @@ MUTANTS = (
            "np.linalg.solve(inner[b], F[None])",
            "float(b.start == 0 or b.stop < n) * np.linalg.solve(inner[b], F[None])",
            ("tests/test_metrics.py::TestAsvar",)),
+    # Each drops Woodbury's low-rank term from one output of the whitener,
+    # leaving that of a diagonal Gamma = c I.
+    Mutant("woodbury_lg_without_low_rank", "kalman.py",
+           "        Lg = Lg - (B @ (BL / s[:, None])) / c\n", "",
+           ("tests/test_extensions.py::TestFactoredWhitening", "tests/test_kalman.py")),
+    Mutant("woodbury_m_without_low_rank", "kalman.py",
+           "        M = M - (BL.T @ (BL / s[:, None])) / c\n", "",
+           ("tests/test_extensions.py::TestFactoredWhitening", "tests/test_kalman.py")),
+    Mutant("woodbury_logdet_without_low_rank", "kalman.py",
+           "        logdet = logdet + np.sum(np.log1p(delta / c))\n", "",
+           ("tests/test_extensions.py::TestFactoredWhitening", "tests/test_kalman.py")),
     Mutant("fit_keeps_previous_estimate", "em.py",
            "        params = None\n", "",
            ("tests/test_extensions.py::TestRidgeFit",)),
@@ -123,6 +143,12 @@ MUTANTS = (
     Mutant("csv_non_finite_field_read", "io.py",
            "if not np.isfinite(row).all():", "if False:",
            ("tests/test_io.py::TestPanelCsv",)),
+    Mutant("params_non_finite_value_read", "io.py",
+           "if not np.isfinite(fields[key]).all():", "if False:",
+           ("tests/test_io.py::TestParamsJson",)),
+    Mutant("theta_overflow_unrefused", "simulate.py",
+           "if not np.all(np.isfinite(scale)):", "if False:",
+           ("tests/test_simulate.py::TestDrawDgp",)),
     Mutant("params_value_error_unnamed", "io.py",
            'raise ValueError(f"{path}: key {key!r}: {exc}") from None', "raise",
            ("tests/test_io.py::TestParamsJson",)),
