@@ -22,14 +22,19 @@ vartheta = 0.1/T that keeps the singular case well defined.
 
 Convergence uses the relative log-likelihood change
 |l_{k+1} - l_k| / |l_{k+1} + l_k|, where l is the exact filter (marginal)
-log-likelihood, which EM theory guarantees is nondecreasing. The loop in
-``_fit`` is shared with the ridge and ECM estimators of ``extensions``.
+log-likelihood. The loop is not an exact EM: the filter's prior sits at
+t = 0 while the M-step sums over t = 2..T, and l falls in 3 of 1,000
+``relmse_n100_T100`` replications (ROADMAP item 1). ``_fit`` runs
+``_em_step`` over one ``_Estimator`` record, also built by ``extensions``
+for ridge and ECM; a guarded record (only ``em_fit``'s) raises
+AscentViolationError when l falls by more than 1e-8 of its last value.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -218,19 +223,55 @@ def m_step(stats: SufficientStats, panel: Panel, q: int) -> DfmParams:
     return DfmParams(Lambda=Lam, A=A, H=H, gamma_e=gamma)
 
 
-def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
-         update=None, gamma0=None) -> EmResult:
-    """The EM loop behind :func:`em_fit`, ``ridge_fit`` and ``ecm_fit``.
+@dataclass(frozen=True)
+class _Estimator:
+    """One estimator of the EM loop: its ascent rule ``guarded``, its map
+    ``gamma0`` of the floored PC variances and its ``update(stats, smooth,
+    base)`` of each diagonal :func:`m_step` result, identities by default."""
 
-    ``gamma0`` maps the floored principal-components idiosyncratic
-    variances to the initial idiosyncratic covariance, and
-    ``update(stats, smooth, base)`` maps each diagonal :func:`m_step`
-    result ``base`` to the estimator's parameters; both default to the
-    identity. Without ``update`` (only the diagonal EM ascends the filter
-    likelihood) a falling likelihood raises :class:`AscentViolationError`.
-    Raises :class:`ShapeError`, before any work, if ``dims`` does not match
-    the panel or a given ``init`` does not match ``dims``.
-    """
+    guarded: bool
+    gamma0: Callable = lambda gamma: gamma
+    update: Callable = lambda stats, smooth, base: base
+
+
+@dataclass
+class _State:
+    """The loop between steps: the last E-step's inputs, outputs and trace."""
+
+    params: DfmParams
+    kf_init: InitState
+    stats: SufficientStats = None
+    smooth: SmootherOutput = None
+    trace: list = field(default_factory=list)
+
+
+def _em_step(panel: Panel, state: _State, estimator: _Estimator) -> _State:
+    """One EM iteration, in place: the M-step of the last E-step (none at
+    the start), then the E-step at its estimate from the last smoother's
+    time-zero moments, and the module docstring's log-likelihood checks."""
+    if state.smooth is not None:
+        stats, smooth, q = state.stats, state.smooth, state.params.H.shape[1]
+        # Drop the previous estimate first, so that a ridge fit never
+        # holds two n x (T + r) factors B at once.
+        state.params = None
+        state.params = estimator.update(stats, smooth, m_step(stats, panel, q))
+        state.kf_init = InitState(F0=smooth.F0_smooth, P0=smooth.P0_smooth)
+    trace = state.trace
+    state.stats, state.smooth, loglik = e_step(panel, state.params, state.kf_init)
+    if not np.isfinite(loglik):
+        raise EmDivergenceError("non-finite log-likelihood", len(trace))
+    if estimator.guarded and trace and loglik < trace[-1] - 1e-8 * abs(trace[-1]):
+        raise AscentViolationError(f"log-likelihood decreased from {trace[-1]!r} "
+                                   f"to {loglik!r}", len(trace))
+    trace.append(loglik)
+    return state
+
+
+def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
+         estimator: _Estimator) -> EmResult:
+    """The start, then :func:`_em_step` until the stop rule or
+    ``config.max_iter`` fires. Raises :class:`ShapeError`, before any work,
+    if ``dims`` does not match the panel or a given ``init``."""
     n, T, r, q = dims.n, dims.T, dims.r, dims.q
     if (n, T) != (panel.n, panel.T):
         raise ShapeError(f"{dims} does not match the {panel.n} x {panel.T} panel")
@@ -241,9 +282,8 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
         got = np.shape(getattr(init, name))
         if got != shape:
             raise ShapeError(f"init {name} has shape {got} but {dims} needs {shape}")
-    gamma = _floor_gamma(init.GammaE0, panel)
     params = DfmParams(Lambda=init.Lambda0, A=init.A0, H=init.H0,
-                       gamma_e=gamma if gamma0 is None else gamma0(gamma))
+                       gamma_e=estimator.gamma0(_floor_gamma(init.GammaE0, panel)))
     # A unit-root start makes the Lyapunov system singular (LinAlgError)
     # and an explosive one gives an indefinite solution that InitState
     # rejects (ValueError); neither has a stationary covariance.
@@ -251,39 +291,15 @@ def _fit(panel: Panel, dims: ModelDims, config: EmConfig, init: PcEstimate,
         kf_init = InitState(F0=init.Ftilde[:, 0], P0=stationary_init(params).P0)
     except ValueError:
         kf_init = InitState(F0=init.Ftilde[:, 0], P0=np.eye(r))
-
-    trace = []
+    state = _em_step(panel, _State(params, kf_init), estimator)
     converged = False
-    iters = 0
-    for k in range(config.max_iter + 1):
-        stats, smooth, loglik = e_step(panel, params, kf_init)
-        if not np.isfinite(loglik):
-            raise EmDivergenceError("non-finite log-likelihood", k)
-        if update is None and trace and loglik < trace[-1] - 1e-8 * abs(trace[-1]):
-            raise AscentViolationError(
-                f"log-likelihood decreased from {trace[-1]!r} to {loglik!r}", k
-            )
-        trace.append(loglik)
-        if k > 0:
-            denom = abs(trace[-1] + trace[-2])
-            delta = abs(trace[-1] - trace[-2]) / denom if denom > 0 else 0.0
-            if delta < config.epsilon:
-                converged = True
-                break
-        if k == config.max_iter:
-            break
-
-        # Drop the previous estimate first, so that a ridge fit never
-        # holds two n x (T + r) factors B at once.
-        params = None
-        base = m_step(stats, panel, q)
-        params = base if update is None else update(stats, smooth, base)
-        iters = k + 1
-        kf_init = InitState(F0=smooth.F0_smooth, P0=smooth.P0_smooth)
-
-    return EmResult(params=params, factors=smooth,
-                    loglik_trace=np.asarray(trace), iters=iters,
-                    converged=converged)
+    while not converged and len(state.trace) <= config.max_iter:
+        state = _em_step(panel, state, estimator)
+        l1, l0 = state.trace[-1], state.trace[-2]
+        converged = (abs(l1 - l0) / abs(l1 + l0) if l1 + l0 else 0.0) < config.epsilon
+    return EmResult(params=state.params, factors=state.smooth,
+                    loglik_trace=np.asarray(state.trace),
+                    iters=len(state.trace) - 1, converged=converged)
 
 
 def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
@@ -301,7 +317,6 @@ def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     explosive root); later iterations warm-start from the previous
     smoother's time-zero moments, whose covariance the smoother returns
     symmetrized and unrepaired, for :class:`InitState` to check.
-    ``ridge_fit`` and ``ecm_fit`` share this loop.
 
     Raises
     ------
@@ -310,10 +325,6 @@ def em_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     EmDivergenceError
         If the log-likelihood becomes non-finite.
     AscentViolationError
-        If the marginal log-likelihood decreases beyond a 1e-8 relative
-        slack. EM theory rules that out for an exact EM, but this loop
-        starts the filter from a prior at t = 0 while the M-step sums over
-        t = 2..T, and 3 of 1,000 ``relmse_n100_T100`` replications raise
-        it (ROADMAP item 1).
+        If the log-likelihood falls by more than 1e-8 of its last value.
     """
-    return _fit(panel, dims, config, init)
+    return _fit(panel, dims, config, init, _Estimator(guarded=True))

@@ -36,23 +36,24 @@ Two variants are provided:
   idiosyncratic variances and ignores rho, so the logged filter
   likelihood is not the objective ECM ascends and can fall.
 
-Both estimators run the EM loop of :mod:`dfm_em.em` and supply only their
-initial idiosyncratic covariance and the map from the diagonal M-step to
-their own parameters. Their estimates are the result's ``DfmParams``:
-ridge's covariance is its ``gamma_factors`` (c, B), on either branch;
-ECM's AR(1) laws are ``rho`` and a 1-D ``gamma_e`` of innovation
-variances.
+Each runs the EM loop of :mod:`dfm_em.em` with its own unguarded
+estimator record: its initial idiosyncratic covariance and its map from
+the diagonal M-step to its parameters. Their estimates are the result's
+``DfmParams``: ridge's covariance is its ``gamma_factors`` (c, B), on
+either branch; ECM's AR(1) laws are ``rho`` and a 1-D ``gamma_e`` of
+innovation variances.
 """
 
 from __future__ import annotations
 
 import numbers
 import warnings
+from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
-from .em import EmConfig, EmResult, _fit, _floor_gamma, _symmetric_sqrt
+from .em import EmConfig, EmResult, _Estimator, _fit, _floor_gamma, _symmetric_sqrt
 # Not called here: bench/tracing.py wraps these by their extensions.* names.
 from .em import e_step, m_step  # noqa: F401
 from .kalman import stationary_init  # noqa: F401
@@ -188,14 +189,15 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     if mu == 0.0 and dims.n > dims.T:
         raise ValueError(f"ridge mu must be positive when n > T, got mu={mu!r} "
                          f"with n={dims.n}, T={dims.T}")
+    return _fit(panel, dims, config, init,
+                _Estimator(guarded=False, gamma0=partial(_ridge_map, mu=mu),
+                           update=partial(_ridge_update, panel.X, mu)))
 
-    def update(stats, smooth, base):
-        return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H,
-                         gamma_factors=_ridge_gamma(panel.X, base.Lambda,
-                                                    stats, mu))
 
-    return _fit(panel, dims, config, init, update,
-                gamma0=lambda g: _ridge_map(g, mu))
+def _ridge_update(X, mu, stats, smooth, base):
+    """The diagonal M-step ``base`` with Gamma from :func:`_ridge_gamma`."""
+    return DfmParams(Lambda=base.Lambda, A=base.A, H=base.H,
+                     gamma_factors=_ridge_gamma(X, base.Lambda, stats, mu))
 
 
 def gls_loadings(stats, smooth, panel: Panel, rho: np.ndarray) -> np.ndarray:
@@ -285,11 +287,13 @@ def ecm_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     fixed fraction of each series' sample variance) of the result; a
     series with no residual variation gets rho_i = 0 and the floor.
     """
+    return _fit(panel, dims, config, init,
+                _Estimator(guarded=False, update=partial(_ecm_update, panel)))
 
-    def update(stats, smooth, base):
-        rho, gamma = _ar_updates(panel.X, base.Lambda, smooth)
-        Lam = gls_loadings(stats, smooth, panel, rho)
-        return DfmParams(Lambda=Lam, A=base.A, H=base.H,
-                         gamma_e=_floor_gamma(gamma, panel), rho=rho)
 
-    return _fit(panel, dims, config, init, update)
+def _ecm_update(panel, stats, smooth, base):
+    """The AR(1) laws from ``base``'s loadings, then GLS loadings."""
+    rho, gamma = _ar_updates(panel.X, base.Lambda, smooth)
+    Lam = gls_loadings(stats, smooth, panel, rho)
+    return DfmParams(Lambda=Lam, A=base.A, H=base.H,
+                     gamma_e=_floor_gamma(gamma, panel), rho=rho)

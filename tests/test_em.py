@@ -288,6 +288,33 @@ class TestEmFit:
         assert res.loglik_trace.size >= 2
         assert np.all(np.isfinite(res.loglik_trace))
 
+    @ALL_FITS
+    def test_warm_start_hand_over(self, monkeypatch, fit):
+        """Iteration 0's filter starts from the PC factor value and the
+        stationary covariance of the initial VAR; iteration k + 1's from
+        iteration k's smoothed time-zero moments, bit for bit."""
+        dims = ModelDims(n=20, T=40, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=3))
+        pc = pc_estimate(draw.panel, dims.r, dims.q)
+        real, seen = em_module.e_step, []
+
+        def recording_e_step(panel, params, init):
+            out = real(panel, params, init)
+            seen.append((init, out[1]))
+            return out
+
+        monkeypatch.setattr(em_module, "e_step", recording_e_step)
+        res = fit(draw.panel, dims, EmConfig(epsilon=1e-15, max_iter=4), init=pc)
+        assert res.iters == 4 and len(seen) == 5
+        p0 = stationary_init(dataclasses.replace(
+            draw.params, A=pc.A0, H=pc.H0)).P0
+        assert np.array_equal(seen[0][0].F0, pc.Ftilde[:, 0])
+        assert np.array_equal(seen[0][0].P0, p0)
+        for (_, smooth), (init, _) in zip(seen, seen[1:]):
+            assert np.array_equal(init.F0, smooth.F0_smooth)
+            assert np.array_equal(init.P0, smooth.P0_smooth)
+        assert res.factors is seen[-1][1]
+
     def test_permutation_equivariance(self):
         dims = ModelDims(n=15, T=40, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, seed=6))
@@ -343,6 +370,20 @@ class TestFitFailures:
         with pytest.raises(AscentViolationError) as err:
             em_fit(self._panel(), self.dims, EmConfig(max_iter=5))
         assert err.value.iteration == 1
+
+    @pytest.mark.parametrize("fall, raises", [(0.5e-8, False), (2e-8, True)])
+    def test_ascent_slack_boundary(self, monkeypatch, fall, raises):
+        """The guard forgives a fall of up to 1e-8 of |l|: a fall of half
+        that at iteration 2 is kept, and one of twice that raises there."""
+        _patch_logliks(monkeypatch, [-1000.0, -990.0, -990.0 - fall * 990.0])
+        if raises:
+            with pytest.raises(AscentViolationError) as err:
+                em_fit(self._panel(), self.dims, EmConfig(max_iter=5))
+            assert err.value.iteration == 2
+        else:
+            res = em_fit(self._panel(), self.dims, EmConfig(max_iter=5))
+            assert res.loglik_trace.tolist() == [-1000.0, -990.0, -990.0 - fall * 990.0]
+            assert res.converged and res.iters == 2
 
     @pytest.mark.parametrize("fit", [ridge_fit, ecm_fit],
                              ids=lambda f: f.__name__)

@@ -85,7 +85,7 @@ MUTANTS = (
            "        logdet = logdet + np.sum(np.log1p(delta / c))\n", "",
            ("tests/test_extensions.py::TestFactoredWhitening", "tests/test_kalman.py")),
     Mutant("fit_keeps_previous_estimate", "em.py",
-           "        params = None\n", "",
+           "        state.params = None\n", "",
            ("tests/test_extensions.py::TestRidgeFit",)),
     # The paper's specification: the M-step's sums, the q < r shrink, the
     # draw's design and the evaluation's statistics.
@@ -152,10 +152,25 @@ MUTANTS = (
     Mutant("params_value_error_unnamed", "io.py",
            'raise ValueError(f"{path}: key {key!r}: {exc}") from None', "raise",
            ("tests/test_io.py::TestParamsJson",)),
-    # One value picks the estimator, and the guard follows from it.
+    # One value picks the estimator, and its record states the guard.
     Mutant("ascent_guard_on_every_estimator", "em.py",
-           "if update is None and trace and", "if trace and",
+           "if estimator.guarded and trace and", "if trace and",
            ("tests/test_em.py::TestFitFailures",)),
+    Mutant("ascent_slack_1e-6", "em.py",
+           "trace[-1] - 1e-8 * abs(trace[-1])", "trace[-1] - 1e-6 * abs(trace[-1])",
+           ("tests/test_em.py::TestFitFailures::test_ascent_slack_boundary",)),
+    Mutant("ridge_guarded", "extensions.py",
+           "_Estimator(guarded=False, gamma0=", "_Estimator(guarded=True, gamma0=",
+           ("tests/test_em.py::TestFitFailures::test_ridge_and_ecm_do_not_guard_ascent",)),
+    Mutant("em_fit_unguarded", "em.py",
+           "_Estimator(guarded=True)", "_Estimator(guarded=False)",
+           ("tests/test_em.py::TestFitFailures::"
+            "test_falling_loglik_raises_ascent_violation",)),
+    # The warm start from the smoothed time-zero moments, not from t = 1.
+    Mutant("warm_start_from_t1", "em.py",
+           "InitState(F0=smooth.F0_smooth, P0=smooth.P0_smooth)",
+           "InitState(F0=smooth.F_smooth[:, 0], P0=smooth.P_smooth[0])",
+           ("tests/test_em.py::TestEmFit::test_warm_start_hand_over",)),
     Mutant("cli_ecm_runs_em", "cli.py",
            '"ecm": ecm_fit}', '"ecm": em_fit}',
            ("tests/test_cli.py::TestFit",)),
