@@ -1,14 +1,15 @@
 """EM estimation of the factor model with a diagonal idiosyncratic covariance.
 
-Each iteration runs the Kalman smoother at the current parameters (E-step),
-collects the sufficient statistics
+Each iteration runs the Kalman smoother at the current parameters (E-step).
+The next M-step sums its moments into the sufficient statistics
 
     S_xF     = sum_t x_t F_{t|T}',
     S_FF     = sum_t (F_{t|T} F_{t|T}' + P_{t|T}),
     S_FF_lag = sum_{t>=2} (F_{t|T} F_{t-1|T}' + C_{t,t-1|T}),
 
 plus the head/tail partial sums for the VAR update, and then applies the
-closed-form M-step:
+closed form below. The last, converged E-step has no M-step and forms no
+statistics.
 
     lambda_i = S_FF^{-1} sum_t F_{t|T} x_it,
     A        = S_FF_lag S_FF_tail^{-1},
@@ -140,32 +141,32 @@ class EmResult:
 
 
 def build_stats(panel: Panel, smooth: SmootherOutput) -> SufficientStats:
-    """Assemble the sufficient statistics from a smoother pass (at T = 1
-    the lag sums are empty and come out zero)."""
+    """Assemble the sufficient statistics from a smoother pass, the M-step's
+    input (at T = 1 the lag sums are empty and come out zero)."""
     Fs = smooth.F_smooth
     Ps = smooth.P_smooth
+    S_P = Ps.sum(axis=0)
     S_xF = panel.X @ Fs.T
-    S_FF = Fs @ Fs.T + Ps.sum(axis=0)
+    S_FF = Fs @ Fs.T + S_P
     S_FF_lag = Fs[:, 1:] @ Fs[:, :-1].T + smooth.C_lag1[1:].sum(axis=0)
     S_FF_head = Fs[:, 1:] @ Fs[:, 1:].T + Ps[1:].sum(axis=0)
     S_FF_tail = Fs[:, :-1] @ Fs[:, :-1].T + Ps[:-1].sum(axis=0)
     return SufficientStats(S_xF=S_xF, S_FF=S_FF, S_FF_lag=S_FF_lag,
                            S_FF_head=S_FF_head, S_FF_tail=S_FF_tail,
-                           S_P=Ps.sum(axis=0), F_smooth=Fs)
+                           S_P=S_P, F_smooth=Fs)
 
 
 def e_step(panel: Panel, params: DfmParams, init: InitState):
-    """One expectation step from the initial state ``init``: smoother
-    pass plus sufficient statistics.
+    """One expectation step from the initial state ``init``: the smoother
+    pass, whose moments :func:`build_stats` sums for the M-step.
 
     Returns
     -------
-    (SufficientStats, SmootherOutput, float)
-        The third element is the filter log-likelihood at ``params``.
+    (SmootherOutput, float)
+        The second element is the filter log-likelihood at ``params``.
     """
     filt = kalman_filter(panel, params, init)
-    smooth = kalman_smoother(filt, params)
-    return build_stats(panel, smooth), smooth, filt.loglik
+    return kalman_smoother(filt, params), filt.loglik
 
 
 def _symmetric_sqrt(M):
@@ -177,8 +178,10 @@ def _floor_gamma(gamma, panel: Panel):
     """Idiosyncratic variances floored at a fixed fraction of each series'
     sample variance, with an absolute backstop: bounding the
     signal-to-noise ratio keeps the filter's innovation algebra within
-    double-precision accuracy on noiseless or near-noiseless panels. The
-    one floor of every estimator's start and M-step."""
+    double-precision accuracy on noiseless or near-noiseless panels. It
+    floors every estimator's principal-components start (which ridge then
+    maps), the diagonal M-step and ECM's innovation variances, but not the
+    ridge M-step's Gamma."""
     return np.maximum(gamma, np.maximum(_GAMMA_FLOOR, _GAMMA_RTOL * panel.var))
 
 
@@ -240,24 +243,25 @@ class _State:
 
     params: DfmParams
     kf_init: InitState
-    stats: SufficientStats = None
     smooth: SmootherOutput = None
     trace: list = field(default_factory=list)
 
 
 def _em_step(panel: Panel, state: _State, estimator: _Estimator) -> _State:
     """One EM iteration, in place: the M-step of the last E-step (none at
-    the start), then the E-step at its estimate from the last smoother's
-    time-zero moments, and the module docstring's log-likelihood checks."""
+    the start) on the statistics it sums, then the E-step at its estimate
+    from the last smoother's time-zero moments, and the module docstring's
+    log-likelihood checks."""
     if state.smooth is not None:
-        stats, smooth, q = state.stats, state.smooth, state.params.H.shape[1]
+        smooth, q = state.smooth, state.params.H.shape[1]
+        stats = build_stats(panel, smooth)
         # Drop the previous estimate first, so that a ridge fit never
         # holds two n x (T + r) factors B at once.
         state.params = None
         state.params = estimator.update(stats, smooth, m_step(stats, panel, q))
         state.kf_init = InitState(F0=smooth.F0_smooth, P0=smooth.P0_smooth)
     trace = state.trace
-    state.stats, state.smooth, loglik = e_step(panel, state.params, state.kf_init)
+    state.smooth, loglik = e_step(panel, state.params, state.kf_init)
     if not np.isfinite(loglik):
         raise EmDivergenceError("non-finite log-likelihood", len(trace))
     if estimator.guarded and trace and loglik < trace[-1] - 1e-8 * abs(trace[-1]):

@@ -339,13 +339,9 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
         with open(hpath, "w") as fh:
             fh.write("\n".join(hlines) + "\n")
 
-    from importlib.metadata import PackageNotFoundError, version
-    try:
-        pkg_version = version("dfm-em")
-    except PackageNotFoundError:
-        pkg_version = "unknown"
+    from . import __version__  # at call time: the package imports this module
     manifest = {
-        "package_version": pkg_version,
+        "package_version": __version__,
         "numpy_version": np.__version__,
         "base_seed": report.base_seed,
         "B": report.B,

@@ -226,8 +226,9 @@ def test_criterion_7_oracle_equivalences():
     checks.append((res_e < 1e-8, f"(e) ridge stationarity residual {res_e:.2e} (<1e-8)"))
 
     # (f) GLS loadings at rho = 0 equal the ordinary loadings update.
-    stats, smooth, _ = e_step(draw.panel, draw.params,
-                             stationary_init(draw.params))
+    smooth, _ = e_step(draw.panel, draw.params,
+                       stationary_init(draw.params))
+    stats = build_stats(draw.panel, smooth)
     lam_gls = gls_loadings(stats, smooth, draw.panel, np.zeros(draw.panel.n))
     lam_ols = np.linalg.solve(stats.S_FF, stats.S_xF.T).T
     diff_f = float(np.max(np.abs(lam_gls - lam_ols)))

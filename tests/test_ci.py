@@ -1,11 +1,14 @@
 """The CI workflow tests what ``pyproject.toml`` declares: its floors job
 pins exactly the declared numpy and scipy floors, and its Python matrix
 includes the ``requires-python`` floor, so a bump on one side that forgets
-the other fails here. Both files are read as text: Python 3.10, the floor
-itself, has no ``tomllib``."""
+the other fails here. The package's ``__version__`` is the version it
+declares. Both files are read as text: Python 3.10, the floor itself, has
+no ``tomllib``."""
 
 import re
 from pathlib import Path
+
+import dfm_em
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
@@ -30,3 +33,7 @@ def test_python_matrix_includes_the_requires_python_floor():
     floor = _one(r'^requires-python\s*=\s*">=([\d.]+)"\s*$', PYPROJECT)
     matrix = _one(r"^\s*python-version:\s*\[(.*)\]\s*$", WORKFLOW)
     assert f'"{floor}"' in [v.strip() for v in matrix.split(",")]
+
+
+def test_package_version_is_the_declared_version():
+    assert _one(r'^version\s*=\s*"([^"]*)"\s*$', PYPROJECT) == dfm_em.__version__

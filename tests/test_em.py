@@ -48,7 +48,8 @@ class TestEStep:
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=4, T=8, r=2, q=2), seed=1))
         p = draw.params
         init = stationary_init(p)
-        stats, smooth, loglik = e_step(draw.panel, p, init)
+        smooth, loglik = e_step(draw.panel, p, init)
+        stats = build_stats(draw.panel, smooth)
         pm, pc, ll = dense_joint_moments(draw.panel, p, init)
         F_o, P_o, C_o = oracle_state_blocks(pm, pc, 2, 8)
         S_FF_o = F_o @ F_o.T + P_o.sum(axis=0)
@@ -68,7 +69,8 @@ class TestEStep:
         from dfm_em.model import DfmParams
 
         p = DfmParams(Lambda=Lam, A=A, H=np.eye(r), gamma_e=np.full(n, 1e-6))
-        stats, _, _ = e_step(Panel(X=X), p, stationary_init(p))
+        smooth, _ = e_step(Panel(X=X), p, stationary_init(p))
+        stats = build_stats(Panel(X=X), smooth)
         Lam_hat = np.linalg.solve(stats.S_FF, stats.S_xF.T).T
         assert np.max(np.abs(Lam_hat - Lam)) < 1e-6
 
@@ -77,16 +79,17 @@ class TestEStep:
 
         p = DfmParams(Lambda=np.ones((3, 1)), A=np.array([[0.5]]),
                       H=np.eye(1), gamma_e=np.ones(3))
-        _, smooth, _ = e_step(Panel(X=np.ones((3, 1))), p,
-                             stationary_init(p))
+        smooth, _ = e_step(Panel(X=np.ones((3, 1))), p,
+                           stationary_init(p))
         stats = build_stats(Panel(X=np.ones((3, 1))), smooth)
         assert np.array_equal(stats.S_FF_lag, np.zeros((1, 1)))
         assert np.array_equal(stats.S_FF_head, np.zeros((1, 1)))
 
     def test_S_FF_positive_definite(self):
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=10, T=30, r=3, q=2), seed=2))
-        stats, _, _ = e_step(draw.panel, draw.params,
-                             stationary_init(draw.params))
+        smooth, _ = e_step(draw.panel, draw.params,
+                           stationary_init(draw.params))
+        stats = build_stats(draw.panel, smooth)
         assert np.min(np.linalg.eigvalsh(stats.S_FF)) > 0
 
 
@@ -183,7 +186,8 @@ class TestMStep:
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=10, T=30, r=2, q=2),
                                   tau=0.5, seed=3))
         p = toeplitz_params(draw)
-        stats, _, _ = e_step(draw.panel, p, stationary_init(p))
+        smooth, _ = e_step(draw.panel, p, stationary_init(p))
+        stats = build_stats(draw.panel, smooth)
         out = m_step(stats, draw.panel, 2)
         assert out.gamma_factors is None
         assert np.all(out.gamma_e > 0)
@@ -300,7 +304,7 @@ class TestEmFit:
 
         def recording_e_step(panel, params, init):
             out = real(panel, params, init)
-            seen.append((init, out[1]))
+            seen.append((init, out[0]))
             return out
 
         monkeypatch.setattr(em_module, "e_step", recording_e_step)
@@ -314,6 +318,23 @@ class TestEmFit:
             assert np.array_equal(init.F0, smooth.F0_smooth)
             assert np.array_equal(init.P0, smooth.P0_smooth)
         assert res.factors is seen[-1][1]
+
+    @ALL_FITS
+    def test_statistics_formed_once_per_m_step(self, monkeypatch, fit):
+        """Each M-step forms the statistics it reads, once, and the last,
+        converged E-step, which has no M-step, forms none."""
+        dims = ModelDims(n=20, T=40, r=2, q=2)
+        panel = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=3)).panel
+        real, calls = em_module.build_stats, []
+
+        def counted(panel, smooth):
+            calls.append(smooth)
+            return real(panel, smooth)
+
+        monkeypatch.setattr(em_module, "build_stats", counted)
+        res = fit(panel, dims)
+        assert res.converged and len(calls) == res.iters >= 2
+        assert all(smooth is not res.factors for smooth in calls)
 
     def test_permutation_equivariance(self):
         dims = ModelDims(n=15, T=40, r=2, q=2)
@@ -352,9 +373,9 @@ def _patch_logliks(monkeypatch, values):
     real, seen = em_module.e_step, []
 
     def e_step_stub(panel, params, init=None):
-        stats, smooth, _ = real(panel, params, init)
+        smooth, _ = real(panel, params, init)
         seen.append(values[min(len(seen), len(values) - 1)])
-        return stats, smooth, seen[-1]
+        return smooth, seen[-1]
 
     monkeypatch.setattr(em_module, "e_step", e_step_stub)
 
@@ -393,6 +414,14 @@ class TestFitFailures:
         res = fit(self._panel(), self.dims, EmConfig(max_iter=5))
         assert res.loglik_trace.tolist() == [-100.0, -200.0, -200.0]
         assert res.converged
+
+    def test_zero_sum_logliks_stop(self, monkeypatch):
+        """With l_1 + l_0 = 0 the relative change has no denominator; the
+        stop rule reads it as zero, so the fit stops, converged."""
+        _patch_logliks(monkeypatch, [-1.0, 1.0])
+        res = em_fit(self._panel(), self.dims, EmConfig(max_iter=5))
+        assert res.loglik_trace.tolist() == [-1.0, 1.0]
+        assert res.converged and res.iters == 1
 
     def test_nonfinite_loglik_raises_divergence(self, monkeypatch):
         _patch_logliks(monkeypatch, [-100.0, np.nan])

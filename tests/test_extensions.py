@@ -22,7 +22,7 @@ from dfm_em import (
     ridge_covariance,
     ridge_fit,
 )
-from dfm_em.em import _GAMMA_FLOOR, _GAMMA_RTOL, e_step, m_step
+from dfm_em.em import _GAMMA_FLOOR, _GAMMA_RTOL, build_stats, e_step, m_step
 from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
 from dfm_em.kalman import _whitener, stationary_init
 from dfm_em.model import _row_blocks, validate
@@ -257,7 +257,8 @@ class TestFactoredRidgeMStep:
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
         X = draw.panel.X
         p = toeplitz_params(draw)
-        stats, _, _ = e_step(draw.panel, p, stationary_init(p))
+        smooth, _ = e_step(draw.panel, p, stationary_init(p))
+        stats = build_stats(draw.panel, smooth)
         Lam = m_step(stats, draw.panel, dims.q).Lambda
         S_resid = (X @ X.T - Lam @ stats.S_xF.T - stats.S_xF @ Lam.T
                    + Lam @ stats.S_FF @ Lam.T) / T
@@ -273,7 +274,8 @@ class TestFactoredRidgeMStep:
         dims = ModelDims(n=40, T=20, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
         p = toeplitz_params(draw)
-        stats, _, _ = e_step(draw.panel, p, stationary_init(p))
+        smooth, _ = e_step(draw.panel, p, stationary_init(p))
+        stats = build_stats(draw.panel, smooth)
         c, B = _ridge_gamma(draw.panel.X, p.Lambda, stats, 3.0)
         assert c == np.sqrt(3.0) and B.shape == (40, 22)
         BtB = B.T @ B
@@ -289,7 +291,8 @@ class TestFactoredRidgeMStep:
         dims = ModelDims(n=40, T=20, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
         p = toeplitz_params(draw)
-        stats, _, _ = e_step(draw.panel, p, stationary_init(p))
+        smooth, _ = e_step(draw.panel, p, stationary_init(p))
+        stats = build_stats(draw.panel, smooth)
         c, B = _ridge_gamma(draw.panel.X, p.Lambda, stats, 0.0)
         assert c == 0.0 and B.shape == (40, 22)
         fact = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_factors=(c, B))
@@ -310,7 +313,8 @@ def _factored_case(r, q, rank_deficient=False, n=14, T=8):
     dims = ModelDims(n=n, T=T, r=r, q=q)
     draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=23))
     p = toeplitz_params(draw)
-    stats, _, _ = e_step(draw.panel, p, stationary_init(p))
+    smooth, _ = e_step(draw.panel, p, stationary_init(p))
+    stats = build_stats(draw.panel, smooth)
     base = m_step(stats, draw.panel, q)
     Lam = base.Lambda
     if rank_deficient:
@@ -455,8 +459,9 @@ class TestGlsLoadings:
     def test_rho_zero_equals_ols(self):
         dims = ModelDims(n=12, T=50, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, seed=13))
-        stats, smooth, _ = e_step(draw.panel, draw.params,
-                                 stationary_init(draw.params))
+        smooth, _ = e_step(draw.panel, draw.params,
+                           stationary_init(draw.params))
+        stats = build_stats(draw.panel, smooth)
         ols = np.linalg.solve(stats.S_FF, stats.S_xF.T).T
         gls = gls_loadings(stats, smooth, draw.panel, np.zeros(12))
         assert np.max(np.abs(gls - ols)) < 1e-8
@@ -466,8 +471,9 @@ class TestGlsLoadings:
         against a dense T x T construction of the same normal equations."""
         dims = ModelDims(n=6, T=25, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=14))
-        stats, smooth, _ = e_step(draw.panel, draw.params,
-                                 stationary_init(draw.params))
+        smooth, _ = e_step(draw.panel, draw.params,
+                           stationary_init(draw.params))
+        stats = build_stats(draw.panel, smooth)
         rho = np.linspace(-0.6, 0.6, 6)
         Lam = gls_loadings(stats, smooth, draw.panel, rho)
 
@@ -501,8 +507,8 @@ class TestArUpdates:
         """Time sums first agree with the n x T expected-moment arrays."""
         dims = ModelDims(n=30, T=40, r=3, q=q)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.3, delta=0.2, seed=16))
-        _, smooth, _ = e_step(draw.panel, draw.params,
-                              stationary_init(draw.params))
+        smooth, _ = e_step(draw.panel, draw.params,
+                           stationary_init(draw.params))
         Lam = 1.1 * draw.params.Lambda
         rho, gamma = _ar_updates(draw.panel.X, Lam, smooth)
         rho_ref, gamma_ref = ar_updates_reference(draw.panel.X, Lam, smooth)
@@ -515,8 +521,8 @@ class TestArUpdates:
         dims = ModelDims(n=1000, T=40, r=3, q=2)
         assert len(_row_blocks(dims.n, dims.T)) == 2
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.3, delta=0.2, seed=16))
-        _, smooth, _ = e_step(draw.panel, draw.params,
-                              stationary_init(draw.params))
+        smooth, _ = e_step(draw.panel, draw.params,
+                           stationary_init(draw.params))
         Lam = 1.1 * draw.params.Lambda
         rho, gamma = _ar_updates(draw.panel.X, Lam, smooth)
         rho_ref, gamma_ref = ar_updates_reference(draw.panel.X, Lam, smooth)

@@ -1,10 +1,10 @@
-import importlib.metadata
 import json
 import os
 
 import numpy as np
 import pytest
 
+import dfm_em
 from dfm_em import (
     CellAbortError,
     McCell,
@@ -388,30 +388,10 @@ class TestWriteReport:
             write_report(report, out)
         assert [p.name for p in out.iterdir()] == [stale]
 
-    def test_missing_package_metadata_is_recorded_unknown(self, tmp_path, monkeypatch):
-        def not_installed(name):
-            raise importlib.metadata.PackageNotFoundError(name)
-
-        report = self._report()
-        monkeypatch.setattr(importlib.metadata, "version", lambda name: "9.9.9")
-        write_report(report, tmp_path / "installed")
-        monkeypatch.setattr(importlib.metadata, "version", not_installed)
-        write_report(report, tmp_path / "source")
-        for out, expected in (("installed", "9.9.9"), ("source", "unknown")):
-            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
-            assert manifest["package_version"] == expected
-
-    def test_other_metadata_errors_propagate(self, tmp_path, monkeypatch):
-        """Only a package that is not installed reads "unknown"; any other
-        failure of the metadata lookup is raised, not recorded."""
-        def broken(name):
-            raise OSError("unreadable metadata")
-
-        report = self._report()
-        monkeypatch.setattr(importlib.metadata, "version", broken)
-        with pytest.raises(OSError, match="unreadable metadata"):
-            write_report(report, tmp_path / "out")
-        assert not (tmp_path / "out" / "manifest.json").exists()
+    def test_manifest_records_the_package_version(self, tmp_path):
+        write_report(self._report(), tmp_path / "out")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["package_version"] == dfm_em.__version__
 
     def test_byte_identical_across_parallelism(self, tmp_path):
         """The deterministic outputs (cells.csv, Z histograms) must be

@@ -166,6 +166,10 @@ MUTANTS = (
            "_Estimator(guarded=True)", "_Estimator(guarded=False)",
            ("tests/test_em.py::TestFitFailures::"
             "test_falling_loglik_raises_ascent_violation",)),
+    # The stop rule reads a change over l_1 + l_0 = 0 as zero, not as 1/0.
+    Mutant("stop_rule_zero_sum_guard", "em.py",
+           "if l1 + l0 else 0.0", "if l1 - l0 else 0.0",
+           ("tests/test_em.py::TestFitFailures::test_zero_sum_logliks_stop",)),
     # The warm start from the smoothed time-zero moments, not from t = 1.
     Mutant("warm_start_from_t1", "em.py",
            "InitState(F0=smooth.F0_smooth, P0=smooth.P0_smooth)",
