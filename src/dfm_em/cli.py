@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="center and scale each series to unit variance "
                           "before fitting")
     fit.add_argument("--estimator", choices=list(_ESTIMATORS), default="em")
-    fit.add_argument("--ridge-mu", help="ridge penalty (default: the n^2/T rule)")
+    fit.add_argument("--ridge-mu", help="ridge penalty mu > 0 (default: the n^2/T rule)")
     fit.add_argument("--out", required=True)
     fit.add_argument("--overwrite", action="store_true")
 

@@ -3,7 +3,7 @@
 Two variants are provided:
 
 * ``ridge_fit`` — a full (non-diagonal) idiosyncratic covariance estimated
-  with a ridge penalty mu. The penalized M-step has the closed form
+  with a ridge penalty mu > 0. The penalized M-step has the closed form
   "keep the eigenvectors, map each eigenvalue nu to (nu + sqrt(nu^2 +
   4 mu)) / 2", which guarantees a minimum eigenvalue of sqrt(mu) and
   satisfies the stationarity condition Gamma - S - mu Gamma^{-1} = 0.
@@ -73,13 +73,12 @@ def ridge_covariance(S: np.ndarray, mu: float) -> tuple:
     """Closed-form ridge-penalized covariance, as its factors (c, B).
 
     With S = V diag(nu) V', Gamma keeps the eigenvectors of S and maps
-    each eigenvalue nu to g = (nu + sqrt(nu^2 + 4 mu)) / 2 (g = nu at
-    mu = 0), so it solves the stationarity equation
-    Gamma - S - mu Gamma^{-1} = 0 and its minimum eigenvalue is at least
-    sqrt(mu). It is returned as Gamma = c I + B B' with c the smallest g
-    and B = V diag(g - c)^{1/2}, so B'B is diagonal: the
-    ``gamma_factors`` of :class:`DfmParams`. ``mu`` must be finite and
-    nonnegative.
+    each eigenvalue nu to g = (nu + sqrt(nu^2 + 4 mu)) / 2, so it solves
+    the stationarity equation Gamma - S - mu Gamma^{-1} = 0 and its
+    minimum eigenvalue is at least sqrt(mu). It is returned as
+    Gamma = c I + B B' with c the smallest g and B = V diag(g - c)^{1/2},
+    so B'B is diagonal: the ``gamma_factors`` of :class:`DfmParams`.
+    ``mu`` must be finite and positive.
     """
     S = np.asarray(S, dtype=float)
     _check_mu(mu)
@@ -87,18 +86,18 @@ def ridge_covariance(S: np.ndarray, mu: float) -> tuple:
     if np.max(np.abs(S - S.T)) > 1e-10 * scale:
         raise ValueError("S must be symmetric")
     nu, V = np.linalg.eigh(0.5 * (S + S.T))
-    g = nu if mu == 0.0 else _ridge_map(nu, mu)
+    g = _ridge_map(nu, mu)
     c = np.min(g)
     return c, V * np.sqrt(g - c)
 
 
 def _check_mu(mu):
     """Refuse a ridge penalty that is not a real number (a bool is not
-    one), or is not finite and nonnegative."""
+    one), or is not finite and positive: the penalty is Gamma's only floor."""
     if isinstance(mu, bool) or not isinstance(mu, numbers.Real):
         raise ValueError(f"ridge mu must be a real number, got {mu!r}")
-    if not 0.0 <= mu < np.inf:
-        raise ValueError(f"ridge mu must be finite and nonnegative, got {mu!r}")
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"ridge mu must be finite and positive, got {mu!r}")
 
 
 def _ridge_map(nu, mu):
@@ -120,8 +119,7 @@ def _ridge_gamma(X, Lam, stats, mu):
     column of Z W / sqrt(nu) is a unit eigenvector of Z Z' with
     eigenvalue nu, so f = (ridge(nu) - sqrt(mu)) / nu, here written
     without cancellation and without dividing by nu; c = sqrt(mu), and
-    B'B = diag(f nu) since W diagonalises Z'Z. At mu = 0 that c is 0, a
-    singular Gamma, which ``ridge_fit`` refuses before any work.
+    B'B = diag(f nu) since W diagonalises Z'Z.
     """
     n, T = X.shape
     F, R = stats.F_smooth, _symmetric_sqrt(stats.S_P)
@@ -174,21 +172,13 @@ def ridge_fit(panel: Panel, dims: ModelDims, config: EmConfig = EmConfig(),
     enforced: the penalized objective, not the likelihood itself, is what
     this loop ascends.
 
-    ``mu=None`` selects the n^2/T rule, switched off (mu = 0) when
-    n^2/T < 1 since no regularization is needed in that regime. A given
-    ``mu`` must be finite and nonnegative, and positive when n > T: the
-    M-step's loadings S_xF S_FF^{-1} lie in the column space of X, and so
-    does Z, so Z Z' has rank at most T and at mu = 0 Gamma is singular
-    (c = 0 on the Gram branch, n > T + r; a zero eigenvalue on the other).
-    Such a fit raises ValueError before any work.
+    ``mu=None`` selects the n^2/T rule. A given ``mu`` must be finite and
+    positive, since it is Gamma's only floor (every eigenvalue at least
+    sqrt(mu)); any other raises ValueError before any work.
     """
     if mu is None:
         mu = dims.n * dims.n / dims.T
-        mu = mu if mu >= 1.0 else 0.0
     _check_mu(mu)
-    if mu == 0.0 and dims.n > dims.T:
-        raise ValueError(f"ridge mu must be positive when n > T, got mu={mu!r} "
-                         f"with n={dims.n}, T={dims.T}")
     return _fit(panel, dims, config, init,
                 _Estimator(guarded=False, gamma0=partial(_ridge_map, mu=mu),
                            update=partial(_ridge_update, panel.X, mu)))

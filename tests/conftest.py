@@ -9,8 +9,9 @@ covariance and precision are further closed-form references, the
 step-by-step Riccati loop is the reference for the filter's
 prefix-doubling pass, and the per-period simulation loop is the
 reference for ``simulate``, and the per-(series, period) residual moments
-are the reference for ECM's AR(1) updates. ``toeplitz_params`` gives a
-draw's parameters with the full Gamma^e its tau stands for, as factors,
+are the reference for ECM's AR(1) updates. ``factored`` gives a dense
+Gamma^e as the factors (c, B) that ``DfmParams`` holds, ``toeplitz_params``
+a draw's parameters with the full Gamma^e its tau stands for, as factors,
 ``dense_gamma`` the n x n Gamma^e of any parameters, and
 ``cholesky_whitener`` whitens by the Cholesky factor of that dense
 Gamma^e: the reference for the filter's Woodbury route. ``traced_call``
@@ -27,8 +28,6 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.linalg.lapack import dposv
-
-from dfm_em.extensions import ridge_covariance
 
 from dfm_em.kalman import (
     _FREEZE_RTOL,
@@ -47,6 +46,16 @@ def dense_gamma(params):
         c, B = params.gamma_factors
         return c * np.eye(B.shape[0]) + B @ B.T
     return np.diag(params.gamma_e)
+
+
+def factored(G):
+    """The factors (c, B) of a symmetric G = c I + B B': with
+    G = V diag(g) V', c is the smallest eigenvalue g and B = V diag(g - c)^{1/2},
+    so B'B is diagonal. An indefinite G gives c < 0, which ``validate`` and
+    the filter refuse."""
+    g, V = np.linalg.eigh(0.5 * (G + G.T))
+    c = np.min(g)
+    return c, V * np.sqrt(g - c)
 
 
 def cholesky_whitener(params):
@@ -273,7 +282,7 @@ def toeplitz_params(draw):
         return draw.params
     G = toeplitz(draw.tau ** np.arange(draw.params.n))
     return dataclasses.replace(draw.params, gamma_e=None,
-                               gamma_factors=ridge_covariance(G, 0.0))
+                               gamma_factors=factored(G))
 
 
 def simulate_loop(params, T, innovation, rng, tau=0.0):

@@ -3,8 +3,12 @@ pins exactly the declared numpy and scipy floors, and its Python matrix
 includes the ``requires-python`` floor, so a bump on one side that forgets
 the other fails here. The package's ``__version__`` is the version it
 declares. Both files are read as text: Python 3.10, the floor itself, has
-no ``tomllib``."""
+no ``tomllib``. The named mutants of ``tools/mutants.py``, which CI runs in
+a job of its own, still apply to the source and name tests that exist, so
+an edit that breaks the list fails here too."""
 
+import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -37,3 +41,28 @@ def test_python_matrix_includes_the_requires_python_floor():
 
 def test_package_version_is_the_declared_version():
     assert _one(r'^version\s*=\s*"([^"]*)"\s*$', PYPROJECT) == dfm_em.__version__
+
+
+def _mutants():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.MUTANTS
+
+
+def _defined(body, name):
+    """The class or function named ``name`` among the statements ``body``."""
+    return next((node for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                 and node.name == name), None)
+
+
+def test_each_mutant_applies_once_and_names_existing_tests():
+    for m in _mutants():
+        text = (ROOT / "src" / "dfm_em" / m.path).read_text()
+        assert text.count(m.old) == 1, f"{m.name}: {m.old!r} not once in {m.path}"
+        for test in m.tests:
+            path, *names = test.split("::")
+            node = ast.parse((ROOT / path).read_text())
+            for name in names:
+                node = _defined(node.body, name.split("[")[0])
+                assert node is not None, f"{m.name}: no {test}"

@@ -11,7 +11,7 @@ from dfm_em.cli import (
     EXIT_VALIDATION,
     main,
 )
-from dfm_em import EmConfig, ModelDims, em_fit
+from dfm_em import DgpConfig, EmConfig, ModelDims, draw_dgp, em_fit
 from dfm_em.em import AscentViolationError, EmError
 from dfm_em.io import (
     read_matrix_csv,
@@ -284,15 +284,37 @@ class TestFit:
 
     def test_zero_ridge_mu_with_more_series_than_periods_exits_validation(
             self, tmp_path, capsys):
-        """At n > T a ridge fit refuses mu = 0 before any work: exit 2 and
-        nothing written."""
-        draw = _simulate(tmp_path, "d", n=60, T=20)
-        code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--estimator", "ridge", "--ridge-mu", "0",
-                     "--out", str(tmp_path / "f")])
+        """A ridge fit refuses mu = 0 at n > T and at n <= T alike, before
+        the panel is read: exit 2 and nothing written."""
+        for panel in (_simulate(tmp_path, "wide", n=60, T=20) / "panel.csv",
+                      _simulate(tmp_path, "tall", n=20, T=60) / "panel.csv",
+                      tmp_path / "missing.csv"):
+            code = main(["fit", "--panel", str(panel), "--r", "2", "--q", "2",
+                         "--estimator", "ridge", "--ridge-mu", "0",
+                         "--out", str(tmp_path / "f")])
+            assert code == EXIT_VALIDATION, panel
+            err = capsys.readouterr().err
+            assert "--ridge-mu: ridge mu must be finite and positive, got 0.0" in err
+            assert "missing.csv" not in err
+            assert not (tmp_path / "f").exists()
+
+    def test_ridge_fits_a_panel_with_an_all_zero_series(self, tmp_path, capsys):
+        """The default penalty floors the all-zero series' variance, so the
+        fit exits 0; mu = 0 would leave Gamma singular and is refused with
+        exit 2, writing nothing, where it once failed the filter (exit 3)."""
+        X = draw_dgp(DgpConfig(dims=ModelDims(n=5, T=39, r=1, q=1), seed=4)).panel.X.copy()
+        X[0] = 0.0
+        path = tmp_path / "zero_series.csv"
+        write_panel_csv(Panel(X=X), path)
+        argv = ["fit", "--panel", str(path), "--r", "1", "--q", "1",
+                "--estimator", "ridge"]
+        assert main([*argv, "--out", str(tmp_path / "auto")]) == EXIT_OK
+        assert (tmp_path / "auto" / "params.json").exists()
+        capsys.readouterr()
+        code = main([*argv, "--ridge-mu", "0", "--out", str(tmp_path / "zero")])
         assert code == EXIT_VALIDATION
-        assert "ridge mu must be positive when n > T" in capsys.readouterr().err
-        assert not (tmp_path / "f").exists()
+        assert "ridge mu must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "zero").exists()
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_nonfinite_epsilon_exits_validation(self, tmp_path, capsys, epsilon):

@@ -27,8 +27,8 @@ from dfm_em.extensions import _ar_updates, _ridge_gamma, _ridge_map
 from dfm_em.kalman import _whitener, stationary_init
 from dfm_em.model import _row_blocks, validate
 from conftest import ar1_covariance, ar1_precision, ar_updates_reference, \
-    cholesky_whitener, dense_gamma, dense_joint_moments, toeplitz_params, \
-    traced_call
+    cholesky_whitener, dense_gamma, dense_joint_moments, factored, \
+    toeplitz_params, traced_call
 
 
 def _random_psd(rng, n):
@@ -42,15 +42,18 @@ def _ridge_dense(S, mu):
     return c * np.eye(B.shape[0]) + B @ B.T
 
 
-class TestRidgeCovariance:
-    def test_mu_zero_returns_input(self, rng):
-        """At mu = 0 the factors rebuild S to round-off, with c its
-        smallest eigenvalue."""
+class TestFactoredOracle:
+    def test_factors_rebuild_their_input(self, rng):
+        """conftest.factored's c I + B B' rebuilds S to round-off, with c
+        its smallest eigenvalue."""
         S = _random_psd(rng, 6)
-        c, _ = ridge_covariance(S, 0.0)
+        c, B = factored(S)
         assert c == np.linalg.eigh(S)[0].min()
-        assert np.max(np.abs(_ridge_dense(S, 0.0) - S)) <= 1e-12 * np.max(np.abs(S))
+        G = c * np.eye(6) + B @ B.T
+        assert np.max(np.abs(G - S)) <= 1e-12 * np.max(np.abs(S))
 
+
+class TestRidgeCovariance:
     def test_factors_are_c_and_orthogonal_columns(self, rng):
         """c is the smallest eigenvalue of Gamma and B'B is diagonal, so
         the factors pass validate's checks; one column of B is zero."""
@@ -87,7 +90,7 @@ class TestRidgeCovariance:
 
     def test_eigenvalues_monotone_in_mu(self, rng):
         S = _random_psd(rng, 6)
-        prev = np.linalg.eigvalsh(_ridge_dense(S, 0.0))
+        prev = np.linalg.eigvalsh(_ridge_dense(S, 0.01))
         for mu in (0.1, 1.0, 10.0, 100.0):
             cur = np.linalg.eigvalsh(_ridge_dense(S, mu))
             assert np.all(cur >= prev - 1e-12)
@@ -123,13 +126,13 @@ class TestRidgeConfig:
 
         dims = ModelDims(n=50, T=100, r=2, q=2)
         assert same(fit(dims, None), fit(dims, 50.0 * 50.0 / 100.0))
-        # n^2 / T below 1: regularization switched off
+        # n^2 / T below 1 stays the penalty
         dims = ModelDims(n=3, T=100, r=1, q=1)
-        assert same(fit(dims, None), fit(dims, 0.0))
+        assert same(fit(dims, None), fit(dims, 0.09))
 
     def test_fixed(self):
-        # n^2 / T = 0.625 < 1: the rule would switch regularization off,
-        # so the sqrt(7.5) eigenvalue floor can only come from the given mu
+        # n^2 / T = 0.625 < 7.5, so the sqrt(7.5) eigenvalue floor can
+        # only come from the given mu
         dims = ModelDims(n=5, T=40, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=11))
         res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=7.5)
@@ -145,12 +148,12 @@ class TestRidgeConfig:
 
     def test_validation(self):
         """ridge_fit and ridge_covariance refuse a penalty that is not
-        finite and nonnegative with one check, instead of returning a NaN
-        covariance."""
+        finite and positive with one check, instead of returning a NaN
+        or an unfloored covariance."""
         dims = ModelDims(n=20, T=40, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, seed=11))
-        match = "ridge mu must be finite and nonnegative"
-        for mu in (-1.0, np.nan, np.inf):
+        match = "ridge mu must be finite and positive"
+        for mu in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match=match):
                 ridge_fit(draw.panel, dims, mu=mu)
             with pytest.raises(ValueError, match=match):
@@ -196,10 +199,10 @@ class TestRidgeFit:
     @pytest.mark.parametrize("n", [13, 15])
     def test_mu_zero_with_more_series_than_periods_refused_before_work(
             self, monkeypatch, n):
-        """The M-step's loadings lie in the column space of X, so Z Z' has
-        rank at most T and at mu = 0 Gamma is singular once n > T, on the
-        Gram branch (n = 15 > T + r) and on the eigh branch (n = 13): the
-        fit refuses mu = 0 before its PC start. At n = T it still fits."""
+        """At mu = 0 nothing floors Gamma, which is singular once n > T,
+        on the Gram branch (n = 15 > T + r) and on the eigh branch
+        (n = 13): the fit refuses mu = 0 before its PC start, and so it
+        does at n = T."""
         import dfm_em.em as em_module
 
         real = em_module.pc_estimate
@@ -212,14 +215,26 @@ class TestRidgeFit:
         monkeypatch.setattr(em_module, "pc_estimate", counted)
         dims = ModelDims(n=n, T=12, r=2, q=2)
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=29))
-        match = f"^ridge mu must be positive when n > T, got mu=0.0 with n={n}, T=12$"
+        match = "^ridge mu must be finite and positive, got 0.0$"
+        with pytest.raises(ValueError, match=match):
+            ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=0.0)
+        dims = ModelDims(n=12, T=12, r=2, q=2)
+        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=29))
         with pytest.raises(ValueError, match=match):
             ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=0.0)
         assert starts == []
-        dims = ModelDims(n=12, T=12, r=2, q=2)
-        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=29))
-        res = ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=0.0)
-        assert len(starts) == 1 and np.all(np.isfinite(res.loglik_trace))
+
+    def test_all_zero_series_fits_at_the_default_mu(self):
+        """A series with no residual variation is floored by the default
+        penalty n^2 / T = 25/39, below 1: the fit converges with
+        c = sqrt(25/39), where an unpenalized M-step's singular Gamma
+        failed the next filter at t = 1."""
+        dims = ModelDims(n=5, T=39, r=1, q=1)
+        X = draw_dgp(DgpConfig(dims=dims, seed=4)).panel.X.copy()
+        X[0] = 0.0
+        res = ridge_fit(Panel(X=X), dims)
+        assert res.converged and np.all(np.isfinite(res.loglik_trace))
+        assert res.params.gamma_factors[0] == np.sqrt(25.0 / 39.0)
 
     def test_allocates_half_a_panel_beyond_its_outputs(self):
         """Three ridge M-steps on the Gram branch and the Woodbury filter
@@ -246,10 +261,10 @@ class TestRidgeFit:
 
 class TestFactoredRidgeMStep:
     @pytest.mark.parametrize("n, T, mu", [(40, 20, 3.0), (15, 30, 3.0),
-                                          (40, 20, 0.0), (1000, 100, 3.0)])
+                                          (1000, 100, 3.0)])
     def test_matches_eigh_of_expanded_residual_covariance(self, n, T, mu):
-        """T + r < n takes the Gram route, at mu = 0 too, and over several
-        row blocks of Z at n = 1000; n <= T + r eigendecomposes Z Z'. All
+        """T + r < n takes the Gram route, over several row blocks of Z at
+        n = 1000; n <= T + r eigendecomposes Z Z'. All
         agree with the map applied to the expanded
         S_resid = (XX' - Lam S_xF' - S_xF Lam' + Lam S_FF Lam') / T."""
         assert n < 1000 or len(_row_blocks(n, T + 2)) >= 3
@@ -285,22 +300,9 @@ class TestFactoredRidgeMStep:
         assert validate(fact, dims) == []
         assert np.array_equal(fact.gamma_e, c + np.sum(B * B, axis=1))
 
-    def test_mu_zero_takes_the_gram_branch_with_c_zero(self):
-        """At mu = 0 and n > T + r the factors are c = 0 and the T + r
-        columns of Z W, which validate refuses."""
-        dims = ModelDims(n=40, T=20, r=2, q=2)
-        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, delta=0.2, seed=21))
-        p = toeplitz_params(draw)
-        smooth, _ = e_step(draw.panel, p, stationary_init(p))
-        stats = build_stats(draw.panel, smooth)
-        c, B = _ridge_gamma(draw.panel.X, p.Lambda, stats, 0.0)
-        assert c == 0.0 and B.shape == (40, 22)
-        fact = DfmParams(Lambda=p.Lambda, A=p.A, H=p.H, gamma_factors=(c, B))
-        assert validate(fact, dims) == ["gamma_factors c not positive"]
-
     def test_diagonal_start_equals_full_map_of_diagonal(self, rng):
         g = rng.uniform(0.05, 3.0, size=12)
-        for mu in (0.0, 0.3, 40.0):
+        for mu in (0.01, 0.3, 40.0):
             full = _ridge_dense(np.diag(g), mu)
             assert np.allclose(_ridge_map(g, mu), np.diag(full),
                                rtol=1e-15, atol=0.0)
@@ -325,10 +327,10 @@ def _factored_case(r, q, rank_deficient=False, n=14, T=8):
 
 
 def _refactored(p):
-    """``p`` with its Gamma given by other factors: those of
-    ``ridge_covariance`` of the dense c I + B B', whose B is n x n."""
+    """``p`` with its Gamma given by other factors: ``factored`` of the
+    dense c I + B B', whose B is n x n."""
     return dataclasses.replace(p, gamma_e=None,
-                               gamma_factors=ridge_covariance(dense_gamma(p), 0.0))
+                               gamma_factors=factored(dense_gamma(p)))
 
 
 FACTORED_CASES = {"q_eq_r": (2, 2), "q_lt_r": (3, 1), "rank_deficient": (2, 2, True)}

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dfm_em import DgpConfig, EmConfig, ModelDims, Panel, draw_dgp, em_fit, \
-    ridge_covariance
+from dfm_em import DgpConfig, EmConfig, ModelDims, Panel, draw_dgp, em_fit
 from dfm_em.io import (
     _output_paths,
     read_matrix_csv,
@@ -16,7 +15,7 @@ from dfm_em.io import (
     write_panel_csv,
     write_params_json,
 )
-from conftest import dense_gamma, traced_call
+from conftest import dense_gamma, factored, traced_call
 
 
 class TestPanelCsv:
@@ -146,7 +145,7 @@ class TestParamsJson:
         assert back.gamma_factors is None
 
     def test_round_trip_full_covariance(self, rng, tmp_path):
-        """A full Gamma, given by the factors ridge_covariance(G, 0), reads
+        """A full Gamma, given by its factors factored(G), reads
         back bitwise and still rebuilds G."""
         from dfm_em.model import DfmParams
 
@@ -154,7 +153,7 @@ class TestParamsJson:
         G = B @ B.T + 4.0 * np.eye(4)
         p = DfmParams(Lambda=rng.standard_normal((4, 2)),
                       A=0.3 * np.eye(2), H=np.eye(2),
-                      gamma_factors=ridge_covariance(G, 0.0))
+                      gamma_factors=factored(G))
         path = tmp_path / "params.json"
         write_params_json(p, path)
         back = read_params_json(path)

@@ -11,12 +11,12 @@ from dfm_em import (
     draw_dgp,
     kalman_filter,
     kalman_smoother,
-    ridge_covariance,
     stationary_init,
     steady_state_diagnostics,
 )
 from conftest import (
     dense_joint_moments,
+    factored,
     kalman_smoother_classical,
     oracle_state_blocks,
     riccati_step_loop,
@@ -195,8 +195,8 @@ class TestFilterBasics:
     @pytest.mark.parametrize("gamma, why", [
         ({"gamma_e": np.array([1.0, np.nan, 1.0])}, "not finite"),
         # the factors of an indefinite Gamma have c = -1
-        ({"gamma_factors": ridge_covariance(np.array(
-            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 0.0)},
+        ({"gamma_factors": factored(np.array(
+            [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))},
          "not positive definite"),
     ], ids=["non_finite", "full_not_pd"])
     def test_bad_idiosyncratic_covariance_flags_t1(self, gamma, why):
@@ -341,7 +341,7 @@ class TestWhitening:
         vec, full = (kalman_filter(panel, DfmParams(Lambda=Lam, A=A, H=np.eye(2),
                                                     **g), init)
                      for g in ({"gamma_e": gamma},
-                               {"gamma_factors": ridge_covariance(np.diag(gamma), 0.0)}))
+                               {"gamma_factors": factored(np.diag(gamma))}))
         assert abs(vec.loglik - full.loglik) <= 1e-12 * abs(vec.loglik)
         for name in ("F_filt", "W", "g"):
             assert _rel(getattr(vec, name), getattr(full, name)) <= 1e-12, name

@@ -178,6 +178,15 @@ MUTANTS = (
     Mutant("cli_ecm_runs_em", "cli.py",
            '"ecm": ecm_fit}', '"ecm": em_fit}',
            ("tests/test_cli.py::TestFit",)),
+    # The ridge penalty is Gamma's only floor, so it is always positive.
+    Mutant("ridge_mu_zero_allowed", "extensions.py",
+           "if not 0.0 < mu < np.inf:", "if not 0.0 <= mu < np.inf:",
+           ("tests/test_cli.py::TestFit::test_ridge_fits_a_panel_with_an_all_zero_series",)),
+    Mutant("ridge_auto_rule_zero_switch", "extensions.py",
+           "mu = dims.n * dims.n / dims.T",
+           "mu = dims.n * dims.n / dims.T if dims.n * dims.n >= dims.T else 0.0",
+           ("tests/test_extensions.py::TestRidgeFit::"
+            "test_all_zero_series_fits_at_the_default_mu",)),
 )
 
 
