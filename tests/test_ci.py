@@ -3,9 +3,11 @@ pins exactly the declared numpy and scipy floors, and its Python matrix
 includes the ``requires-python`` floor, so a bump on one side that forgets
 the other fails here. The package's ``__version__`` is the version it
 declares. Both files are read as text: Python 3.10, the floor itself, has
-no ``tomllib``. The named mutants of ``tools/mutants.py``, which CI runs in
-a job of its own, still apply to the source and name tests that exist, so
-an edit that breaks the list fails here too."""
+no ``tomllib``. For ``tools/mutants.py``, which CI runs in a job of its
+own: each mutant listed as equivalent or open is still generated, each
+hand-written one still applies once and names tests that exist, and the
+generator's ids are stable and local to their function. These checks
+parse only, so an edit that breaks the lists fails here, fast."""
 
 import ast
 import importlib.util
@@ -43,11 +45,11 @@ def test_package_version_is_the_declared_version():
     assert _one(r'^version\s*=\s*"([^"]*)"\s*$', PYPROJECT) == dfm_em.__version__
 
 
-def _mutants():
+def _tool():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.MUTANTS
+    return module
 
 
 def _defined(body, name):
@@ -57,12 +59,41 @@ def _defined(body, name):
 
 
 def test_each_mutant_applies_once_and_names_existing_tests():
-    for m in _mutants():
-        text = (ROOT / "src" / "dfm_em" / m.path).read_text()
-        assert text.count(m.old) == 1, f"{m.name}: {m.old!r} not once in {m.path}"
-        for test in m.tests:
+    tool = _tool()
+    ids = {m.id for m in tool.all_mutants()}  # a hand mutant not once in its file exits
+    assert not set(tool.EQUIVALENT) & set(tool.OPEN)
+    assert set(tool.EQUIVALENT) | set(tool.OPEN) <= ids
+    for hand, *_, tests in tool.HAND:
+        for test in tests:
             path, *names = test.split("::")
             node = ast.parse((ROOT / path).read_text())
             for name in names:
                 node = _defined(node.body, name.split("[")[0])
-                assert node is not None, f"{m.name}: no {test}"
+                assert node is not None, f"{hand}: no {test}"
+
+
+SOURCE = """
+def f(x, y):
+    if not x < y and y >= 0.5:
+        x[1:] += y * 2.0
+    x.a = y
+    return x - y / 3
+
+
+def g(a, b):
+    return a + b + (a + b)
+"""
+
+
+def test_generated_mutant_ids_are_stable_and_local():
+    generate = _tool().generate
+    ids = [m.id for m in generate(SOURCE, "m.py")]
+    assert ids == [m.id for m in generate(SOURCE, "m.py")]
+    assert ids == ["m.py:f:" + rest for rest in (
+        "and>or:not x < y and y >= 0.5", "drop-not:not x < y", "lt>le:x < y",
+        "ge>gt:y >= 0.5", "float*2:0.5", "add>sub:x[1:] += y * 2.0",
+        "del:x[1:] += y * 2.0", "lower+1:1", "mul>div:y * 2.0", "float*2:2.0",
+        "del:x.a = y", "sub>add:x - y / 3", "div>mul:y / 3")] + [
+        "m.py:g:add>sub:a + b + (a + b)", "m.py:g:add>sub:a + b", "m.py:g:add>sub:a + b#1"]
+    edited = SOURCE.replace("    x.a = y\n", "    x.a = y\n    x.b = y - 1.0\n")
+    assert [m.id for m in generate(edited, "m.py") if ":g:" in m.id] == ids[-3:]

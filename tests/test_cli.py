@@ -38,6 +38,13 @@ def _simulate(tmp_path, name="draw", **over):
     return out
 
 
+def _cli(command, panel, out, *flags, r=2, q=2):
+    """The exit code of ``dfm-em COMMAND --panel PANEL --r R --q Q FLAGS
+    --out OUT``."""
+    return main([command, "--panel", str(panel), "--r", str(r), "--q", str(q), *flags,
+                 "--out", str(out)])
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("exc,code", [
         (ValueError("bad value"), EXIT_VALIDATION),
@@ -128,14 +135,18 @@ class TestSimulate:
         assert json.loads((_simulate(tmp_path, "w") / "params.json")
                           .read_text())["tau"] == 0.0
         fit = tmp_path / "pc"
-        assert main(["pc", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--out", str(fit)]) == EXIT_OK
+        assert _cli("pc", draw / "panel.csv", fit) == EXIT_OK
         assert main(["eval", "--truth", str(draw), "--fit", str(fit)]) == EXIT_OK
 
     def test_rerun_byte_identical(self, tmp_path):
         a = _simulate(tmp_path, "a", seed=9)
         b = _simulate(tmp_path, "b", seed=9)
         assert (a / "panel.csv").read_bytes() == (b / "panel.csv").read_bytes()
+
+    def test_default_flags_draw_the_library_default(self, tmp_path):
+        want = draw_dgp(DgpConfig(dims=ModelDims(n=20, T=40, r=2, q=2), seed=1))
+        assert np.array_equal(read_panel_csv(_simulate(tmp_path) / "panel.csv").X,
+                              want.panel.X)
 
     def test_refuses_overwrite(self, tmp_path, capsys):
         _simulate(tmp_path, "d")
@@ -181,8 +192,7 @@ class TestFit:
     def test_noiseless_recovery(self, tmp_path):
         path, X = self._write_noiseless(tmp_path)
         out = tmp_path / "fit"
-        code = main(["fit", "--panel", str(path), "--r", "2", "--q", "2",
-                     "--out", str(out)])
+        code = _cli("fit", path, out)
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
@@ -194,8 +204,7 @@ class TestFit:
     def test_factors_csv_reads_back_as_the_fitted_factors(self, tmp_path):
         draw = _simulate(tmp_path, "d")
         out = tmp_path / "fit"
-        assert main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--max-iter", "3", "--out", str(out)]) \
+        assert _cli("fit", draw / "panel.csv", out, "--max-iter", "3") \
             in (EXIT_OK, EXIT_NONCONVERGENCE)
         panel = read_panel_csv(draw / "panel.csv")
         res = em_fit(panel, ModelDims(n=panel.n, T=panel.T, r=2, q=2),
@@ -206,17 +215,14 @@ class TestFit:
     def test_max_iter_one(self, tmp_path):
         path, _ = self._write_noiseless(tmp_path)
         out = tmp_path / "fit1"
-        main(["fit", "--panel", str(path), "--r", "2", "--q", "2",
-              "--max-iter", "1", "--out", str(out)])
+        _cli("fit", path, out, "--max-iter", "1")
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iters"] == 1
 
     def test_forced_nonconvergence_exit_code(self, tmp_path):
         path, _ = self._write_noiseless(tmp_path)
         out = tmp_path / "fitnc"
-        code = main(["fit", "--panel", str(path), "--r", "2", "--q", "2",
-                     "--epsilon", "1e-12", "--max-iter", "5",
-                     "--out", str(out)])
+        code = _cli("fit", path, out, "--epsilon", "1e-12", "--max-iter", "5")
         assert code == EXIT_NONCONVERGENCE
         # outputs still written, flagged as not converged
         summary = json.loads((out / "summary.json").read_text())
@@ -236,8 +242,7 @@ class TestFit:
         X = np.outer(rng.standard_normal(n), f) + 0.5 * rng.standard_normal((n, T))
         path = tmp_path / "panel.csv"
         write_panel_csv(Panel(X=X - X.mean(axis=1, keepdims=True)), path)
-        assert main(["fit", "--panel", str(path), "--r", "1", "--q", "1",
-                     "--out", str(tmp_path / "fit")]) == EXIT_OK
+        assert _cli("fit", path, tmp_path / "fit", r=1, q=1) == EXIT_OK
 
     def test_ridge_and_ecm_variants(self, tmp_path):
         """Both variants fit; the ECM fit writes its AR(1) laws as a
@@ -245,14 +250,10 @@ class TestFit:
         and eval reads them back."""
         draw = _simulate(tmp_path, "d", tau=0.5, delta=0.2)
         panel = draw / "panel.csv"
-        assert main(["fit", "--panel", str(panel), "--r", "2", "--q", "2",
-                     "--estimator", "ridge", "--ridge-mu", "2.5",
-                     "--max-iter", "5", "--out", str(tmp_path / "fr")]) in (
-                         EXIT_OK, EXIT_NONCONVERGENCE)
-        assert main(["fit", "--panel", str(panel), "--r", "2", "--q", "2",
-                     "--estimator", "ecm", "--max-iter", "5",
-                     "--out", str(tmp_path / "fe")]) in (
-                         EXIT_OK, EXIT_NONCONVERGENCE)
+        assert _cli("fit", panel, tmp_path / "fr", "--estimator", "ridge", "--ridge-mu", "2.5",
+                    "--max-iter", "5") in (EXIT_OK, EXIT_NONCONVERGENCE)
+        assert _cli("fit", panel, tmp_path / "fe", "--estimator", "ecm",
+                    "--max-iter", "5") in (EXIT_OK, EXIT_NONCONVERGENCE)
         doc = json.loads((tmp_path / "fe" / "params.json").read_text())
         assert any(doc["rho"]) and len(doc["gamma_e"]) == 20
         assert "gamma_e_diagonal" not in doc
@@ -266,9 +267,7 @@ class TestFit:
         """A fixed --ridge-mu acts only on the ridge covariance; without
         --estimator ridge it is refused, not ignored."""
         draw = _simulate(tmp_path, "d")
-        code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", *flags, "--ridge-mu", "5",
-                     "--out", str(tmp_path / "f")])
+        code = _cli("fit", draw / "panel.csv", tmp_path / "f", *flags, "--ridge-mu", "5")
         assert code == EXIT_VALIDATION
         assert "--ridge-mu applies only with --estimator ridge" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
@@ -276,9 +275,8 @@ class TestFit:
     def test_bad_ridge_mu(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d")
         for mu in ("lots", "-1", "nan", "inf"):
-            code = main(["fit", "--panel", str(draw / "panel.csv"),
-                         "--r", "2", "--q", "2", "--estimator", "ridge",
-                         "--ridge-mu", mu, "--out", str(tmp_path / "f")])
+            code = _cli("fit", draw / "panel.csv", tmp_path / "f", "--estimator", "ridge",
+                        "--ridge-mu", mu)
             assert code == EXIT_VALIDATION, mu
             assert "ridge-mu" in capsys.readouterr().err, mu
 
@@ -289,9 +287,8 @@ class TestFit:
         for panel in (_simulate(tmp_path, "wide", n=60, T=20) / "panel.csv",
                       _simulate(tmp_path, "tall", n=20, T=60) / "panel.csv",
                       tmp_path / "missing.csv"):
-            code = main(["fit", "--panel", str(panel), "--r", "2", "--q", "2",
-                         "--estimator", "ridge", "--ridge-mu", "0",
-                         "--out", str(tmp_path / "f")])
+            code = _cli("fit", panel, tmp_path / "f", "--estimator", "ridge",
+                        "--ridge-mu", "0")
             assert code == EXIT_VALIDATION, panel
             err = capsys.readouterr().err
             assert "--ridge-mu: ridge mu must be finite and positive, got 0.0" in err
@@ -319,9 +316,7 @@ class TestFit:
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_nonfinite_epsilon_exits_validation(self, tmp_path, capsys, epsilon):
         draw = _simulate(tmp_path, "d")
-        code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--epsilon", epsilon,
-                     "--out", str(tmp_path / "f")])
+        code = _cli("fit", draw / "panel.csv", tmp_path / "f", "--epsilon", epsilon)
         assert code == EXIT_VALIDATION
         assert "epsilon" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
@@ -336,9 +331,7 @@ class TestFit:
     ])
     def test_flags_checked_before_the_panel_is_read(self, tmp_path, capsys,
                                                     flags, message):
-        code = main(["fit", "--panel", str(tmp_path / "missing.csv"),
-                     "--r", "2", "--q", "2", *flags,
-                     "--out", str(tmp_path / "f")])
+        code = _cli("fit", tmp_path / "missing.csv", tmp_path / "f", *flags)
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert message in err
@@ -362,30 +355,32 @@ class TestFit:
     def test_printed_loglik_is_the_summary_float(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d")
         out = tmp_path / "f"
-        main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-              "--q", "2", "--max-iter", "5", "--out", str(out)])
+        _cli("fit", draw / "panel.csv", out, "--max-iter", "5")
         line, = [ln for ln in capsys.readouterr().out.splitlines()
                  if ln.startswith("final loglik: ")]
         summary = json.loads((out / "summary.json").read_text())
         assert float(line.removeprefix("final loglik: ")) == summary["final_loglik"]
 
     def test_missing_panel_file(self, tmp_path):
-        code = main(["fit", "--panel", str(tmp_path / "nope.csv"),
-                     "--r", "2", "--q", "2", "--out", str(tmp_path / "f")])
+        code = _cli("fit", tmp_path / "nope.csv", tmp_path / "f")
         assert code == EXIT_VALIDATION
 
     def test_panel_that_is_a_directory_exits_validation(self, tmp_path, capsys):
-        code = main(["fit", "--panel", str(tmp_path), "--r", "2", "--q", "2",
-                     "--out", str(tmp_path / "f")])
+        code = _cli("fit", tmp_path, tmp_path / "f")
         assert code == EXIT_VALIDATION
         assert "Is a directory" in capsys.readouterr().err
 
-    def test_standardize_flag(self, tmp_path):
-        draw = _simulate(tmp_path, "d")
-        code = main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--standardize", "--max-iter", "5",
-                     "--out", str(tmp_path / "fs")])
-        assert code in (EXIT_OK, EXIT_NONCONVERGENCE)
+    def test_standardize_removes_each_series_location_and_scale(self, tmp_path):
+        panel = read_panel_csv(_simulate(tmp_path, "d") / "panel.csv")
+        scale = np.linspace(0.5, 4.0, panel.n)[:, None]
+        write_panel_csv(Panel(X=3.0 + scale * panel.X), tmp_path / "scaled.csv")
+        write_panel_csv(panel, tmp_path / "plain.csv")
+        for name in ("plain", "scaled"):
+            assert _cli("fit", tmp_path / f"{name}.csv", tmp_path / name, "--standardize",
+                        "--max-iter", "3") in (EXIT_OK, EXIT_NONCONVERGENCE)
+        F, G = (read_matrix_csv(tmp_path / name / "factors.csv")
+                for name in ("plain", "scaled"))
+        assert np.max(np.abs(F - G)) < 1e-8
 
     def test_standardize_refuses_a_constant_series(self, tmp_path, capsys,
                                                   recwarn):
@@ -394,8 +389,7 @@ class TestFit:
         path = tmp_path / "panel.csv"
         write_panel_csv(Panel(X=X, names=tuple(f"s{i + 1}" for i in range(6))),
                         path)
-        code = main(["fit", "--panel", str(path), "--r", "1", "--q", "1",
-                     "--standardize", "--out", str(tmp_path / "fs")])
+        code = _cli("fit", path, tmp_path / "fs", "--standardize", r=1, q=1)
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "zero variance: s2" in err and "non-finite" not in err
@@ -416,8 +410,7 @@ class TestFit:
         for name in ("em_fit", "ridge_fit", "ecm_fit"):
             monkeypatch.setattr(cli, name, must_not_run)
         monkeypatch.setattr(cli.dfm_io, "read_panel_csv", must_not_run)
-        code = main(["fit", "--panel", str(tmp_path / "panel.csv"), "--r", "2",
-                     "--q", "2", "--out", str(out)])
+        code = _cli("fit", tmp_path / "panel.csv", out)
         assert code == EXIT_VALIDATION
         assert stale in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [stale]
@@ -427,8 +420,7 @@ class TestPc:
     def test_outputs(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d")
         out = tmp_path / "pc"
-        code = main(["pc", "--panel", str(draw / "panel.csv"),
-                     "--r", "2", "--q", "2", "--out", str(out)])
+        code = _cli("pc", draw / "panel.csv", out)
         assert code == EXIT_OK
         assert "eigenvalues" in capsys.readouterr().out
         F = read_matrix_csv(out / "factors.csv")
@@ -452,8 +444,7 @@ class TestPc:
         an eigenvalue tie at position r=0."""
         draw = _simulate(tmp_path, "d")
         out = tmp_path / "pc"
-        code = main(["pc", "--panel", str(draw / "panel.csv"),
-                     "--r", r, "--q", q, "--out", str(out)])
+        code = _cli("pc", draw / "panel.csv", out, r=r, q=q)
         assert code == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -633,8 +624,7 @@ class TestEval:
     def test_end_to_end(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d", n=30, T=60)
         fit = tmp_path / "fit"
-        main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-              "--q", "2", "--out", str(fit)])
+        _cli("fit", draw / "panel.csv", fit)
         out_file = tmp_path / "eval.json"
         capsys.readouterr()  # drop output from the setup commands
         code = main(["eval", "--truth", str(draw), "--fit", str(fit),
@@ -650,8 +640,7 @@ class TestEval:
     def test_refuses_overwrite(self, tmp_path):
         draw = _simulate(tmp_path, "d", n=30, T=60)
         fit = tmp_path / "fit"
-        main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-              "--q", "2", "--out", str(fit)])
+        _cli("fit", draw / "panel.csv", fit)
         out_file = tmp_path / "eval.json"
         args = ["eval", "--truth", str(draw), "--fit", str(fit),
                 "--out", str(out_file)]
@@ -663,8 +652,7 @@ class TestEval:
         statistic: "numerical failure: SVD did not converge", exit 3."""
         draw = _simulate(tmp_path, "d", n=30, T=60)
         fit = tmp_path / "pc"
-        assert main(["pc", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--out", str(fit)]) == EXIT_OK
+        assert _cli("pc", draw / "panel.csv", fit) == EXIT_OK
         path = fit / "params.json"
         doc = json.loads(path.read_text())
         doc["Lambda"][0][0] = float("nan")
@@ -677,8 +665,7 @@ class TestEval:
     def test_ragged_truth_file_names_file_and_line(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d", n=30, T=60)
         fit = tmp_path / "pc"
-        assert main(["pc", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--out", str(fit)]) == EXIT_OK
+        assert _cli("pc", draw / "panel.csv", fit) == EXIT_OK
         chi = draw / "chi.csv"
         lines = chi.read_text().splitlines()
         lines[4] = lines[4].rsplit(",", 1)[0]
@@ -696,8 +683,7 @@ class TestEval:
         key exits 2 naming the file and the key."""
         draw = _simulate(tmp_path, "d", n=30, T=12, tau=0.5)
         fit = tmp_path / "fit"
-        assert main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--estimator", "ridge", "--out", str(fit)]) == EXIT_OK
+        assert _cli("fit", draw / "panel.csv", fit, "--estimator", "ridge") == EXIT_OK
         path = fit / "params.json"
         doc = json.loads(path.read_text())
         assert "gamma_e" not in doc and len(doc["gamma_B"]) == 30
@@ -717,8 +703,7 @@ class TestEval:
         """A truth and a ridge fit at n <= T + r (n = 20, T = 40)."""
         draw = _simulate(tmp_path, "d", tau=0.5)
         fit = tmp_path / "fit"
-        assert main(["fit", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--estimator", "ridge", "--out", str(fit)]) == EXIT_OK
+        assert _cli("fit", draw / "panel.csv", fit, "--estimator", "ridge") == EXIT_OK
         return draw, fit
 
     def test_ridge_fit_at_small_n_writes_factors_and_a_legacy_gamma_reads(
@@ -782,8 +767,7 @@ class TestEval:
         """np.linalg.LinAlgError subclasses ValueError; it still exits 3."""
         draw = _simulate(tmp_path, "d", n=30, T=60)
         fit = tmp_path / "pc"
-        assert main(["pc", "--panel", str(draw / "panel.csv"), "--r", "2",
-                     "--q", "2", "--out", str(fit)]) == EXIT_OK
+        assert _cli("pc", draw / "panel.csv", fit) == EXIT_OK
         F = read_matrix_csv(fit / "factors.csv")
         F[:, 1] = F[:, 0]
         write_matrix_csv(F, fit / "factors.csv", header=["F1", "F2"])

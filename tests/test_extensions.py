@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +109,15 @@ class TestRidgeCovariance:
         with pytest.raises(ValueError):
             ridge_covariance(S, 1.0)
 
+    @pytest.mark.parametrize("scale, gap, refused", [
+        (1.0, 1e-10, False), (1.0, 1.5e-10, True), (100.0, 1e-9, False)])
+    def test_symmetry_tolerance_is_1e10_of_the_largest_entry_or_one(self, scale, gap,
+                                                                   refused):
+        """S - S' may reach 1e-10 max(max|S|, 1), boundary included."""
+        with (pytest.raises(ValueError, match="symmetric") if refused
+              else contextlib.nullcontext()):
+            ridge_covariance(np.array([[scale, gap], [0.0, scale]]), 1.0)
+
     def test_negative_mu_raises(self):
         with pytest.raises(ValueError):
             ridge_covariance(np.eye(2), -1.0)
@@ -205,24 +216,13 @@ class TestRidgeFit:
         does at n = T."""
         import dfm_em.em as em_module
 
-        real = em_module.pc_estimate
-        starts = []
-
-        def counted(*args):
-            starts.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(em_module, "pc_estimate", counted)
-        dims = ModelDims(n=n, T=12, r=2, q=2)
-        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=29))
-        match = "^ridge mu must be finite and positive, got 0.0$"
-        with pytest.raises(ValueError, match=match):
-            ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=0.0)
-        dims = ModelDims(n=12, T=12, r=2, q=2)
-        draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=29))
-        with pytest.raises(ValueError, match=match):
-            ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=0.0)
-        assert starts == []
+        monkeypatch.setattr(em_module, "pc_estimate", lambda *args: pytest.fail("PC start"))
+        for rows in (n, 12):
+            dims = ModelDims(n=rows, T=12, r=2, q=2)
+            draw = draw_dgp(DgpConfig(dims=dims, tau=0.5, seed=29))
+            with pytest.raises(ValueError,
+                               match="^ridge mu must be finite and positive, got 0.0$"):
+                ridge_fit(draw.panel, dims, EmConfig(max_iter=3), mu=0.0)
 
     def test_all_zero_series_fits_at_the_default_mu(self):
         """A series with no residual variation is floored by the default
@@ -439,10 +439,6 @@ class TestRidgeAscent:
 
 
 class TestAr1Matrices:
-    def test_precision_times_covariance_is_identity(self):
-        prod = ar1_precision(0.5, 1.0, 5) @ ar1_covariance(0.5, 1.0, 5)
-        assert np.max(np.abs(prod - np.eye(5))) < 1e-10
-
     def test_random_parameters(self, rng):
         for _ in range(5):
             rho = rng.uniform(-0.9, 0.9)
@@ -455,6 +451,8 @@ class TestAr1Matrices:
         C = ar1_covariance(0.5, 1.0, 3)
         assert np.isclose(C[0, 0], 1.0 / (1.0 - 0.25))
         assert np.isclose(C[0, 2], 0.25 / (1.0 - 0.25))
+        prod = ar1_precision(0.5, 1.0, 5) @ ar1_covariance(0.5, 1.0, 5)
+        assert np.max(np.abs(prod - np.eye(5))) < 1e-10
 
 
 class TestGlsLoadings:
@@ -504,10 +502,15 @@ class TestGlsLoadings:
 
 
 class TestArUpdates:
-    @pytest.mark.parametrize("q", [1, 3])
-    def test_matches_the_per_period_moments(self, q):
-        """Time sums first agree with the n x T expected-moment arrays."""
-        dims = ModelDims(n=30, T=40, r=3, q=q)
+    @pytest.mark.parametrize("n, q, blocks", [
+        pytest.param(30, 1, 1, id="1"), pytest.param(30, 3, 1, id="3"),
+        pytest.param(1000, 2, 2, id="multi_block")])
+    def test_matches_the_per_period_moments(self, n, q, blocks):
+        """Time sums first agree with the n x T expected-moment arrays, also
+        when the residual comes in two row blocks (n = 1000, T = 40): the
+        moments of the last one count as those of the first."""
+        dims = ModelDims(n=n, T=40, r=3, q=q)
+        assert len(_row_blocks(dims.n, dims.T)) == blocks
         draw = draw_dgp(DgpConfig(dims=dims, tau=0.3, delta=0.2, seed=16))
         smooth, _ = e_step(draw.panel, draw.params,
                            stationary_init(draw.params))
@@ -517,52 +520,36 @@ class TestArUpdates:
         assert np.allclose(rho, rho_ref, rtol=1e-12, atol=0.0)
         assert np.allclose(gamma, gamma_ref, rtol=1e-12, atol=0.0)
 
-    def test_multi_block_matches_the_per_period_moments(self):
-        """At n = 1000, T = 40 the residual comes in two row blocks; the
-        moments of the last one count as those of the first."""
-        dims = ModelDims(n=1000, T=40, r=3, q=2)
-        assert len(_row_blocks(dims.n, dims.T)) == 2
-        draw = draw_dgp(DgpConfig(dims=dims, tau=0.3, delta=0.2, seed=16))
-        smooth, _ = e_step(draw.panel, draw.params,
-                           stationary_init(draw.params))
-        Lam = 1.1 * draw.params.Lambda
-        rho, gamma = _ar_updates(draw.panel.X, Lam, smooth)
-        rho_ref, gamma_ref = ar_updates_reference(draw.panel.X, Lam, smooth)
-        assert np.allclose(rho, rho_ref, rtol=1e-12, atol=0.0)
-        assert np.allclose(gamma, gamma_ref, rtol=1e-12, atol=0.0)
+    @staticmethod
+    def _unloaded(X):
+        """``_ar_updates`` of the series ``X`` with a zero loading on one
+        zero factor, so the residual is ``X`` itself."""
+        T = X.shape[1]
+        smooth = SimpleNamespace(F_smooth=np.zeros((1, T)), P_smooth=np.zeros((T, 1, 1)),
+                                 C_lag1=np.zeros((T, 1, 1)))
+        return _ar_updates(X, np.zeros((len(X), 1)), smooth)
 
     def test_series_without_residual_variation_gets_rho_zero(self):
         """A zero series with a zero loading has 0 / 0 as its AR ratio:
         rho_i = 0 and a zero innovation variance, with no warning."""
-        from types import SimpleNamespace
-
-        T = 12
-        X = np.vstack([np.zeros(T), np.sin(np.arange(T))])
-        smooth = SimpleNamespace(
-            F_smooth=np.zeros((1, T)),
-            P_smooth=np.zeros((T, 1, 1)),
-            C_lag1=np.zeros((T, 1, 1)),
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho, gamma = _ar_updates(X, np.zeros((2, 1)), smooth)
+            rho, gamma = self._unloaded(np.vstack([np.zeros(12), np.sin(np.arange(12))]))
         assert rho[0] == 0.0 and gamma[0] == 0.0
         assert rho[1] != 0.0 and gamma[1] > 0.0
 
     def test_explosive_estimate_clamped_with_warning(self):
-        from types import SimpleNamespace
-
-        T = 12
-        X = np.cumsum(np.ones((2, T)), axis=1)  # trending: lag ratio >= 1
-        smooth = SimpleNamespace(
-            F_smooth=np.zeros((1, T)),
-            P_smooth=np.zeros((T, 1, 1)),
-            C_lag1=np.zeros((T, 1, 1)),
-        )
-        with pytest.warns(RuntimeWarning):
-            rho, gamma = _ar_updates(X, np.zeros((2, 1)), smooth)
+        with pytest.warns(RuntimeWarning):  # trending: lag ratio >= 1
+            rho, gamma = self._unloaded(np.cumsum(np.ones((2, 12)), axis=1))
         assert np.all(np.abs(rho) <= 0.99)
         assert np.all(gamma > 0)
+
+    def test_unit_estimate_clamped_with_warning(self):
+        """A constant series has lag-1 moment equal to lag-0 moment, so
+        rho = 1 exactly, which is clamped like any |rho| >= 1."""
+        with pytest.warns(RuntimeWarning, match="^1 idiosyncratic"):
+            rho, _ = self._unloaded(np.vstack([np.full(12, 2.0), np.eye(1, 12)[0]]))
+        assert rho.tolist() == [0.99, 0.0]
 
 
 class TestEcmFit:

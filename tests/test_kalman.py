@@ -1,3 +1,6 @@
+import contextlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,17 @@ class TestFilterBasics:
         assert err.value.t == 3
         assert "prediction MSE" in str(err.value)
 
+    @pytest.mark.parametrize("a, t", [(1e200, 1), (1e70, 3)])
+    def test_first_infinite_riccati_step_is_reported(self, a, t):
+        """P_{t|t-1} of an unobserved scalar state overflows to inf, not to
+        NaN: at t=1 (1e400), or at t=3 (1e140, 1e280, inf)."""
+        p = DfmParams(Lambda=np.zeros((5, 1)), A=np.array([[a]]), H=np.eye(1),
+                      gamma_e=np.ones(5))
+        with pytest.raises(FilterNumericalError, match="prediction MSE") as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            kalman_filter(Panel(X=np.zeros((5, 6))), p, InitState(F0=[0.0], P0=[[1.0]]))
+        assert err.value.t == t
+
     def test_gain_cancelling_a_large_A_keeps_its_digits(self):
         """With A = 1e100 I the update factor J_t = I - P_{t|t-1} W_t is
         of order 1e-200. Formed by subtracting from I (or from A) it is all
@@ -211,15 +225,22 @@ class TestFilterBasics:
         with pytest.raises(ValueError, match="P0 shape incompatible"):
             InitState(F0=np.zeros(2), P0=np.eye(3))
 
+    @pytest.mark.parametrize("eigs, refused", [
+        ([1.0, -1e-8], False), ([1.0, -2e-8], True), ([100.0, -1e-7], False)])
+    def test_init_state_allows_eigenvalues_down_to_1e8_of_the_largest_or_one(self, eigs,
+                                                                            refused):
+        """P0 may have an eigenvalue down to -1e-8 max(1, its largest), the
+        boundary included."""
+        with (pytest.raises(ValueError, match="not positive semidefinite") if refused
+              else contextlib.nullcontext()):
+            InitState(F0=np.zeros(2), P0=np.diag(eigs))
+
     def test_panel_rows_against_lambda_refused(self, monkeypatch):
         """A 5-row panel with a 20-row Lambda once died in a bare numpy
         matmul error; now a ShapeError names both, before any work."""
         import dfm_em.kalman as kalman
 
-        def must_not_run(*args):
-            raise AssertionError("the filter ran")
-
-        monkeypatch.setattr(kalman, "_whitener", must_not_run)
+        monkeypatch.setattr(kalman, "_whitener", lambda *args: pytest.fail("the filter ran"))
         p = _draw(n=20, r=2).params
         with pytest.raises(ShapeError, match="^panel has 5 rows but Lambda has 20$"):
             kalman_filter(Panel(X=np.zeros((5, 10))), p, stationary_init(p))
@@ -446,26 +467,21 @@ class TestSmoother:
 
 
 class TestWoodbury:
-    def test_identity_against_direct_inverse(self, rng):
-        n, m = 12, 4
+    @staticmethod
+    def _check(rng, n, m, rank):
         b = rng.uniform(0.5, 2.0, n)
         C = rng.standard_normal((n, m))
-        G = rng.standard_normal((m, m))
+        G = rng.standard_normal((m, rank))
         A = G @ G.T
         direct = np.linalg.inv(np.diag(b) + C @ A @ C.T)
         wb = woodbury_inverse(b, C, A)
-        rel = np.max(np.abs(wb - direct)) / np.max(np.abs(direct))
-        assert rel < 1e-10
+        assert np.max(np.abs(wb - direct)) / np.max(np.abs(direct)) < 1e-10
+
+    def test_identity_against_direct_inverse(self, rng):
+        self._check(rng, 12, 4, 4)
 
     def test_identity_with_singular_A(self, rng):
-        n, m = 10, 3
-        b = rng.uniform(0.5, 2.0, n)
-        C = rng.standard_normal((n, m))
-        G = rng.standard_normal((m, 1))
-        A = G @ G.T  # rank 1
-        direct = np.linalg.inv(np.diag(b) + C @ A @ C.T)
-        wb = woodbury_inverse(b, C, A)
-        assert np.max(np.abs(wb - direct)) / np.max(np.abs(direct)) < 1e-10
+        self._check(rng, 10, 3, 1)
 
     def test_zero_A_reduces_to_diagonal(self):
         b = np.array([2.0, 4.0])
@@ -566,6 +582,14 @@ def _riccati_case(name):
     return p.A, p.H @ p.H.T, P0, Vk, d, T
 
 
+@pytest.mark.parametrize("d, kept", [([1e-12, 1.0], 1), ([1e-12, 100.0], 1),
+                                     ([2e-12, 1.0], 2), ([0.0, 0.0], 0)])
+def test_rank_rule_keeps_eigenvalues_above_1e12_of_the_largest(d, kept):
+    """A direction is observed when its D_k exceeds 1e-12 D_max, strictly,
+    and none is when D_max is not positive."""
+    assert _observed_directions(np.diag(d))[0].size == kept
+
+
 def _freeze_index(P_pred, T_ok):
     """First t from which every P_{t|t-1} repeats its predecessor (None
     if the pass never froze)."""
@@ -631,6 +655,13 @@ class TestSteadyState:
                                              for t in range(1, k + 1)])
         assert np.array_equal(diag.tr_filt, [np.trace(filt.P_filt[t]) * filt.n / 2
                                              for t in range(1, k + 1)])
+
+    def test_a_step_of_exactly_the_tolerance_is_not_steady(self):
+        """t_bar needs a step below 1e-8: P_{t|t-1} = 0, 1e-8, 1e-8 is steady
+        from the third period, not the second."""
+        P = np.array([0.0, 1e-8, 1e-8]).reshape(3, 1, 1)
+        diag = steady_state_diagnostics(SimpleNamespace(T=3, n=1, P_pred=P, P_filt=P), 1)
+        assert diag.t_bar == 3
 
     def test_t_bar_is_none_when_never_reached(self):
         """With zero loadings and A = I nothing is observed, and P_{t|t-1}

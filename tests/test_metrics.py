@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,14 @@ class TestTraceStatistic:
         bad = np.vstack([F[0], F[0]])
         with pytest.raises(np.linalg.LinAlgError):
             trace_statistic(F, bad)
+
+    @pytest.mark.parametrize("small, refused", [(1e-10, True), (1.5e-6, False)])
+    def test_rank_tolerance_is_1e12_of_the_trace(self, small, refused):
+        """G = diag(1e6, small) is rank deficient when small is under 1e-12
+        of its trace, and not when small is over it."""
+        Mh = np.diag([1e3, np.sqrt(small), 0.0])[:, :2]
+        with (pytest.raises(np.linalg.LinAlgError) if refused else contextlib.nullcontext()):
+            trace_statistic(np.eye(3, 2), Mh)
 
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
@@ -186,12 +195,12 @@ class TestAsvar:
             assert np.array_equal(Wg, W0)
             assert np.max(np.abs(Vg - V0)) < 1e-10 * np.max(V0)
 
-    def test_gls_v_on_ecm_fit_matches_dense_oracle(self):
+    @staticmethod
+    def _check_gls_v(dims, seed, max_iter):
         """V_it = F_t' (F P_i F' / T)^{-1} F_t with P_i the dense AR(1)
-        precision of series i's fitted (rho_i, gamma_i)."""
-        dims = ModelDims(n=12, T=40, r=2, q=2)
-        draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=17))
-        res = ecm_fit(draw.panel, dims, EmConfig(max_iter=10))
+        precision of series i's fitted (rho_i, gamma_i), for an ECM fit."""
+        draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=seed))
+        res = ecm_fit(draw.panel, dims, EmConfig(max_iter=max_iter))
         rho, gam = res.params.rho, res.params.gamma_e
         assert np.all(rho != 0.0)
         F = res.factors.F_smooth
@@ -201,21 +210,15 @@ class TestAsvar:
             want = np.einsum("rt,rt->t", F, np.linalg.solve(inner, F))
             assert np.max(np.abs(V[i] - want)) < 1e-10 * np.max(want)
 
+    def test_gls_v_on_ecm_fit_matches_dense_oracle(self):
+        self._check_gls_v(ModelDims(n=12, T=40, r=2, q=2), 17, 10)
+
     def test_gls_v_over_row_blocks_matches_dense_oracle(self):
         """At n = 600, T = 60, r = 2 the AR(1) V is solved in three row
-        blocks, and every series, the last block's too, matches the dense
-        oracle."""
+        blocks, and every series, the last block's too, matches."""
         dims = ModelDims(n=600, T=60, r=2, q=2)
         assert len(_row_blocks(dims.n, dims.r * dims.T)) == 3
-        draw = draw_dgp(DgpConfig(dims=dims, delta=0.2, seed=5))
-        res = ecm_fit(draw.panel, dims, EmConfig(max_iter=5))
-        rho, gam = res.params.rho, res.params.gamma_e
-        F = res.factors.F_smooth
-        _, V = asvar_matrices(res)
-        for i in range(dims.n):
-            inner = F @ ar1_precision(rho[i], gam[i], dims.T) @ F.T / dims.T
-            want = np.einsum("rt,rt->t", F, np.linalg.solve(inner, F))
-            assert np.max(np.abs(V[i] - want)) < 1e-10 * np.max(want)
+        self._check_gls_v(dims, 5, 5)
 
     def test_gls_v_holds_no_n_by_r_by_T_array(self, rng):
         """The AR(1) V is solved by row blocks, so beyond W and V the call
@@ -348,6 +351,7 @@ class TestCoverage:
         for alpha, c in zip(table.alphas, table.C):
             assert c == (1.0 if alpha > 0.5 else 0.0)
         assert table.mean == 0.0 and table.std == 0.0
+        assert table.skewness == 0.0 and table.kurtosis == 0.0
 
     def test_burn_in_excludes_early_columns(self):
         Z = np.zeros((3, 30))
@@ -376,6 +380,7 @@ class TestZAccumulator:
         merged = a.merge(b)
         assert merged.count == whole.count
         assert np.isclose(merged.s1, whole.s1)
+        assert np.isclose(merged.s3, whole.s3)
         assert np.isclose(merged.s4, whole.s4)
         assert np.array_equal(merged.below, whole.below)
         assert np.array_equal(merged.hist, whole.hist)
@@ -393,6 +398,19 @@ class TestZAccumulator:
         assert np.array_equal(ab_c.hist, c_ba.hist)
         t1, t2 = ab_c.table(), c_ba.table()
         assert np.isclose(t1.std, t2.std)
+
+    def test_cdf_counts_include_the_quantile_itself(self):
+        acc = ZAccumulator()
+        acc.update(np.full((1, BURN_IN_T), _NORMAL_QUANTILES[0]))
+        assert acc.below[0] == 1
+
+    def test_table_moments_are_the_sample_moments(self, rng):
+        """Skewness and kurtosis of a skewed sample, from the power sums."""
+        Z = rng.exponential(size=(4, 60))
+        d = Z[:, BURN_IN_T - 1:] - Z[:, BURN_IN_T - 1:].mean()
+        table = _coverage(Z)
+        assert np.isclose(table.skewness, np.mean(d**3) / np.mean(d**2) ** 1.5, rtol=1e-9)
+        assert np.isclose(table.kurtosis, np.mean(d**4) / np.mean(d**2) ** 2, rtol=1e-9)
 
     def test_empty_table_raises(self):
         with pytest.raises(ValueError):

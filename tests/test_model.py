@@ -13,7 +13,7 @@ from dfm_em import (
 from dfm_em import em
 from dfm_em.em import SufficientStats, m_step
 from dfm_em.kalman import _whitener
-from dfm_em.model import _BLOCK_ELEMS, _row_blocks
+from dfm_em.model import _BLOCK_ELEMS, STABILITY_TOL, _row_blocks
 
 
 def _params(n=6, r=2, q=2, A=None, H=None, gamma=None, rho=None):
@@ -52,6 +52,14 @@ class TestValidate:
         bad = _params(A=np.eye(2))
         msgs = validate(bad, dims)
         assert any("A not stable" in m for m in msgs)
+
+    def test_bounds_themselves_are_violations(self):
+        """A spectral radius of exactly 1 - STABILITY_TOL and |rho_i| = 1
+        are refused, not only values past them."""
+        p = _params(A=np.diag([1.0 - STABILITY_TOL, 0.5]), rho=np.eye(1, 6)[0])
+        msgs = validate(p, ModelDims(n=6, T=10, r=2, q=2))
+        assert any("A not stable" in m for m in msgs)
+        assert "idiosyncratic AR coefficient |rho_i| >= 1" in msgs
 
     def test_rank_deficient_H(self):
         dims = ModelDims(n=6, T=10, r=2, q=2)
@@ -136,6 +144,15 @@ class TestValidate:
         # 1e-12 of it is within the tolerance
         B[2] = 1e-4, 1e-8
         assert validate(self._factored(B=B), dims) == []
+
+    @pytest.mark.parametrize("scale, off, flagged", [
+        (1.0, 1e-10, False), (1.0, 1.5e-10, True), (10.0, 5e-10, False)])
+    def test_off_diagonal_tolerance_is_1e10_of_the_largest_entry(self, scale, off, flagged):
+        """B = [[s, e], [0, s]] gives B'B the off-diagonal s e, which may
+        reach 1e-10 of its largest entry (s^2 in floats), boundary included."""
+        B = np.array([[scale, off], [0.0, scale]])
+        assert validate(self._factored(B=B), ModelDims(n=6, T=10, r=2, q=2)) == (
+            ["gamma_factors B'B not diagonal"] if flagged else [])
 
     def test_pure(self):
         dims = ModelDims(n=6, T=10, r=2, q=2)

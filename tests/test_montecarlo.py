@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dfm_em import (
 )
 from dfm_em.em import AscentViolationError
 from dfm_em.model import ShapeError
-from dfm_em.montecarlo import _cell_key, _rep_seed, _run_replication
+from dfm_em.montecarlo import _EM_STATS, _cell_key, _rep_seed, _run_replication
 
 
 def _small_cell(label="c", mode="em", **kw):
@@ -65,6 +66,9 @@ class TestCells:
     def test_short_panel_allowed_in_filter_only_mode(self):
         """Only the "em" mode fits the principal-components VAR."""
         assert _small_cell(mode="filter_only", T=3).T == 3
+
+    def test_em_cell_as_long_as_the_burn_in_allowed(self):
+        assert _small_cell(T=5).T == 5  # T = BURN_IN_T
 
     def test_numbers_normalised(self):
         cell = _small_cell(n=np.int64(12), theta=1, tau=np.float64(0.3))
@@ -180,6 +184,26 @@ class TestRunCell:
         assert rep.stats["tr_pred"].shape == (5,)
         assert np.all(rep.stats["tr_pred"] > 0)
         assert np.all(np.isfinite(rep.stats["tr_filt"]))
+
+    @pytest.mark.parametrize("mode", ["em", "filter_only"])
+    def test_report_pools_the_replications(self, mode):
+        """Each statistic is the mean over the replications, the trace
+        ratios are ratios of means, the Z table pools every replication,
+        and the seconds are the call's own."""
+        cell = _small_cell(mode=mode)
+        reps = [_run_replication((cell, _rep_seed(0, _cell_key(cell), b))) for b in range(3)]
+        start = time.perf_counter()
+        rep = run_cell(cell, B=3, base_seed=0)
+        assert 0.0 < rep.seconds <= time.perf_counter() - start
+        if mode == "filter_only":
+            t_bars = [r["t_bar"] for r in reps]
+            assert None not in t_bars and rep.stats["t_bar_mean"] == np.mean(t_bars)
+            return
+        means = np.mean([r["stats"] for r in reps], axis=0)
+        assert np.allclose([rep.stats[k] for k in _EM_STATS], means, rtol=1e-12, atol=0.0)
+        assert np.isclose(rep.stats["rel_tr_f"], means[0] / means[3], rtol=1e-12)
+        assert np.isclose(rep.stats["rel_tr_lam"], means[1] / means[4], rtol=1e-12)
+        assert rep.coverage.count == sum(r["acc"].count for r in reps)
 
     def test_deterministic_across_reruns(self):
         a = run_cell(_small_cell(), B=2, base_seed=5)
@@ -316,9 +340,12 @@ class TestRunGrid:
     def test_counts_and_labels(self):
         grid = McGrid(cells=(_small_cell("a"), _small_cell("b", T=30)),
                       B=2, base_seed=3)
+        start = time.perf_counter()
         report = run_grid(grid)
         assert [c.cell.label for c in report.cells] == ["a", "b"]
         assert report.B == 2 and report.base_seed == 3
+        assert sum(c.seconds for c in report.cells) <= report.seconds
+        assert report.seconds <= time.perf_counter() - start
 
     def test_cell_order_does_not_change_cell_results(self):
         a, b = _small_cell("a"), _small_cell("b", T=30)

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from dfm_em import (
     trace_statistic,
     var_from_factors,
 )
-from dfm_em.pca import _sign_fix_columns
+from dfm_em.pca import _column_signs, _shock_loading, _sign_fix_columns
 from dfm_em.simulate import stream
 from dfm_em.model import _row_blocks
 from conftest import traced_call
@@ -138,6 +140,14 @@ class TestPcEstimate:
         with pytest.raises(IdentificationError):
             pc_estimate(Panel(X=X), 2, 1)
 
+    def test_tie_tolerance_is_relative_to_the_top_eigenvalue(self):
+        """Orthogonal rows give the Gram diag(5000, 5000 + 1e-10, 0.01):
+        the gap is under 1e-12 of 5000, so the top two are tied."""
+        X = np.array([[100.0, -100.0, 0.0, 0.0], [0.0, 0.0, 100.0 + 1e-12, -100.0 - 1e-12],
+                      [0.1, 0.1, -0.1, -0.1]])
+        with pytest.raises(IdentificationError, match="tie at position r=1"):
+            pc_estimate(Panel(X=X), 1, 1)
+
     def test_fewer_than_r_positive_eigenvalues_raises(self, rng):
         """r = n skips the tie check; a constant series leaves a zero
         eigenvalue among the r."""
@@ -158,16 +168,17 @@ class TestPcEstimate:
         """q > r used to return a 2-column H0, and r > n a 20 x 20 Lambda0."""
         import dfm_em.pca as pca
 
-        def must_not_run(*args):
-            raise AssertionError("the eigendecomposition ran")
-
-        monkeypatch.setattr(pca, "_leading_eigpairs", must_not_run)
+        monkeypatch.setattr(pca, "_leading_eigpairs",
+                            lambda *args: pytest.fail("the eigendecomposition ran"))
         with pytest.raises(ValueError, match=f"^{message}$"):
             pc_estimate(Panel(X=rng.standard_normal((20, 40))), r, q)
 
     def test_T_too_short(self):
         with pytest.raises(ValueError):
             pc_estimate(Panel(X=np.zeros((10, 4))), 3, 2)
+
+    def test_T_of_r_plus_two_is_long_enough(self, rng):
+        assert pc_estimate(Panel(X=rng.standard_normal((10, 5))), 3, 2).Ftilde.shape == (3, 5)
 
     def test_sign_stability_of_common_component(self, rng):
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=30, T=60, r=2, q=2), seed=5))
@@ -187,7 +198,7 @@ class TestStreamedPcStart:
     and the residual variances are reduced from centred blocks in cache,
     row blocks when n > T and column blocks otherwise."""
 
-    @pytest.mark.parametrize("n,T", [(700, 150), (150, 700)])
+    @pytest.mark.parametrize("n,T", [(700, 150), (150, 700), (400, 400)])
     def test_matches_the_dense_centred_reference(self, n, T):
         assert len(_row_blocks(max(n, T), min(n, T))) >= 3
         draw = draw_dgp(DgpConfig(dims=ModelDims(n=n, T=T, r=4, q=2),
@@ -198,6 +209,17 @@ class TestStreamedPcStart:
         assert _rel(est.Lambda0, Lam) <= 1e-10
         assert _rel(est.Ftilde, F) <= 1e-10
         assert _rel(est.GammaE0, gamma) <= 1e-10
+
+    def test_square_panel_residual_sums_start_from_zero(self, rng):
+        """At n = T the residual sums accumulate over column blocks from
+        zeros. NumPy hands a freed small buffer to the next array of its
+        size, so NaN buffers of n doubles freed just before the call would
+        show in GammaE0 if the sums started from uninitialized memory."""
+        X = rng.standard_normal((100, 100))
+        dirty = [np.full(100, np.nan) for _ in range(8)]
+        del dirty
+        est = pc_estimate(Panel(X=X), 2, 2)
+        assert _rel(est.GammaE0, _dense_pc(X, 2)[3]) <= 1e-10
 
     @pytest.mark.parametrize("n,T", [(700, 150), (150, 700)])
     def test_large_means_cost_no_digits(self, n, T):
@@ -242,6 +264,22 @@ class TestVarFromFactors:
         with pytest.raises(ValueError, match="at least two time points"):
             var_from_factors(np.ones((2, 1)), 1)
 
+    def test_short_samples_by_hand(self):
+        """T = 2 is enough for the lag-one fit; at T = 3 the shock
+        covariance divides the squared residuals 0.1 and -0.2 by T - 1."""
+        assert var_from_factors(np.array([[1.0, 0.5]]), 1)[0].tolist() == [[0.5]]
+        A, _, Gom = var_from_factors(np.array([[1.0, 0.5, 0.0]]), 1)
+        assert np.allclose([A[0, 0], Gom[0, 0]], [0.4, (0.1**2 + 0.2**2) / 2], rtol=1e-12)
+
+    @pytest.mark.parametrize("a, b, singular", [(1e3, 1e-4, True), (1.0, 1.5e-10**0.5, False)])
+    def test_singularity_tolerance_is_1e10_of_the_trace(self, a, b, singular):
+        """The lagged second moments diag(2 a^2, 2 b^2) are singular when 2 b^2
+        is under 1e-10 of the trace: 2e-8 of 2e6 is, 3e-10 of 2 is not."""
+        F = np.array([[a, 0.0, a, 0.0, 0.0], [0.0, b, 0.0, b, 0.0]])
+        with (pytest.raises(np.linalg.LinAlgError, match="singular") if singular
+              else contextlib.nullcontext()):
+            var_from_factors(F, 1)
+
     def test_degenerate_input_raises(self):
         F = np.zeros((2, 10))
         F[:, 0] = [1.0, 2.0]  # rank-deficient lag matrix
@@ -269,6 +307,11 @@ class TestVarFromFactors:
                          [2.0, -1.0, 0.0, 0.0],
                          [-1.0, 3.0, 0.0, -2.0]])
         assert np.array_equal(_sign_fix_columns(V), want)
+        assert _column_signs(V).tolist() == [-1.0, 1.0, 1.0, -1.0]  # +1 for a zero column
+
+    def test_zero_eigenvalue_is_not_clamped(self):
+        """Only w - shrink < 0 is clamped: an exact zero eigenvalue is not."""
+        assert _shock_loading(np.diag([1.0, 0.0]), 2)[1] is False
 
     def test_H_sign_convention(self, rng):
         F = stream(7).standard_normal((3, 500))

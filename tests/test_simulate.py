@@ -32,6 +32,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _config(mu=1.0)
 
+    def test_mu_zero_refused(self):
+        with pytest.raises(ValueError,
+                           match=r"^mu must lie in \(0, 1 - STABILITY_TOL\), got 0.0$"):
+            _config(mu=0.0)
+
     @pytest.mark.parametrize("mu", [1.0 - STABILITY_TOL, 1.0 - 1e-11])
     def test_mu_below_the_stability_bound(self, mu):
         """validate refuses a spectral radius at or above 1 - STABILITY_TOL,
@@ -278,7 +283,7 @@ class TestAgainstTheLoop:
     idiosyncratics."""
 
     @pytest.mark.parametrize("innovation", ["gaussian", "student_t4"])
-    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 0.01])  # 0.01: rho up to 0.98
     def test_tau_zero_draw_is_bitwise(self, delta, innovation):
         cfg = _config(n=40, T=60, delta=delta, seed=17, innovation=innovation)
         draw = draw_dgp(cfg)
