@@ -439,6 +439,10 @@ class TestRidgeAscent:
 
 
 class TestAr1Matrices:
+    def test_precision_times_covariance_is_identity(self):
+        prod = ar1_precision(0.5, 1.0, 5) @ ar1_covariance(0.5, 1.0, 5)
+        assert np.max(np.abs(prod - np.eye(5))) < 1e-10
+
     def test_random_parameters(self, rng):
         for _ in range(5):
             rho = rng.uniform(-0.9, 0.9)
@@ -451,8 +455,6 @@ class TestAr1Matrices:
         C = ar1_covariance(0.5, 1.0, 3)
         assert np.isclose(C[0, 0], 1.0 / (1.0 - 0.25))
         assert np.isclose(C[0, 2], 0.25 / (1.0 - 0.25))
-        prod = ar1_precision(0.5, 1.0, 5) @ ar1_covariance(0.5, 1.0, 5)
-        assert np.max(np.abs(prod - np.eye(5))) < 1e-10
 
 
 class TestGlsLoadings:

@@ -144,6 +144,23 @@ class TestParamsJson:
         assert np.array_equal(back.rho, draw.params.rho)
         assert back.gamma_factors is None
 
+    def test_round_trip_full_covariance(self, rng, tmp_path):
+        """A full Gamma, given by its factors factored(G), reads
+        back bitwise and still rebuilds G."""
+        from dfm_em.model import DfmParams
+
+        B = rng.standard_normal((4, 4))
+        G = B @ B.T + 4.0 * np.eye(4)
+        p = DfmParams(Lambda=rng.standard_normal((4, 2)),
+                      A=0.3 * np.eye(2), H=np.eye(2),
+                      gamma_factors=factored(G))
+        path = tmp_path / "params.json"
+        write_params_json(p, path)
+        back = read_params_json(path)
+        assert back.gamma_factors[0] == p.gamma_factors[0]
+        assert np.array_equal(back.gamma_factors[1], p.gamma_factors[1])
+        assert np.max(np.abs(dense_gamma(back) - G)) <= 1e-12 * np.max(np.abs(G))
+
     def test_legacy_full_gamma_e_is_refused(self, rng, tmp_path):
         """A document with a 2-D gamma_e G, as older versions wrote, is
         refused naming the file and the keys a full Gamma^e is stored as."""
@@ -209,15 +226,13 @@ class TestParamsJson:
         assert str(err.value) == f"{path}: key {key!r}: not finite"
 
     def test_round_trip_factored_covariance(self, rng, tmp_path):
-        """A full Gamma, given by its factors factored(G), writes as gamma_c
-        and gamma_B, n m + 1 numbers in place of an n x n gamma_e, reads
-        back bitwise and still rebuilds G."""
+        """Factors write as gamma_c and gamma_B, n m + 1 numbers in place
+        of an n x n gamma_e, and read back bitwise."""
         from dfm_em.model import DfmParams
 
-        B = rng.standard_normal((6, 6))
-        G = B @ B.T + 4.0 * np.eye(6)
+        B = np.linalg.qr(rng.standard_normal((6, 4)))[0] * [2.0, 1.5, 1.0, 0.5]
         p = DfmParams(Lambda=rng.standard_normal((6, 2)), A=0.3 * np.eye(2),
-                      H=np.eye(2), gamma_factors=factored(G))
+                      H=np.eye(2), gamma_factors=(np.sqrt(3.0), B))
         path = tmp_path / "params.json"
         write_params_json(p, path)
         doc = json.loads(path.read_text())
@@ -227,7 +242,6 @@ class TestParamsJson:
         assert np.array_equal(back.gamma_factors[1], p.gamma_factors[1])
         for name in ("Lambda", "A", "H", "gamma_e", "rho"):
             assert np.array_equal(getattr(back, name), getattr(p, name))
-        assert np.max(np.abs(dense_gamma(back) - G)) <= 1e-12 * np.max(np.abs(G))
 
     def test_diagonal_document_has_no_flag_and_reads_diagonal(self, tmp_path):
         """The keys alone say the form: a diagonal Gamma^e writes gamma_e
