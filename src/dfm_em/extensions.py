@@ -58,7 +58,7 @@ from .em import EmConfig, EmResult, _Estimator, _fit, _floor_gamma, _symmetric_s
 from .em import e_step, m_step  # noqa: F401
 from .kalman import stationary_init  # noqa: F401
 from .model import DfmParams, ModelDims, Panel, _ar1_weighted, \
-    _residual_blocks, _row_blocks
+    _buffered_blocks, _residual_blocks
 from .pca import PcEstimate, pc_estimate  # noqa: F401
 
 __all__ = [
@@ -143,15 +143,11 @@ def _ridge_gamma(X, Lam, stats, mu):
 
 def _z_blocks(X, Lam, F, R):
     """(slice, Z_b) for each block of rows of Z = [X - Lam F, Lam R] /
-    sqrt(T), formed in one reused buffer of about model._BLOCK_ELEMS
-    doubles, so a block is valid only until the next one is drawn. Each
-    Z_b has the bits of the same rows of the whole Z."""
+    sqrt(T), formed in the buffer of model._buffered_blocks; its residual
+    columns are written here, not by model._residual_blocks. Each Z_b has
+    the bits of the same rows of the whole Z."""
     n, T = X.shape
-    m = T + R.shape[1]
-    blocks = _row_blocks(n, m)
-    buf = np.empty(blocks[0].stop * m)
-    for b in blocks:
-        Zb = buf[:(b.stop - b.start) * m].reshape(-1, m)
+    for b, Zb in _buffered_blocks(n, T + R.shape[1]):
         E = np.matmul(Lam[b], F, out=Zb[:, :T])
         np.subtract(X[b], E, out=E)
         np.matmul(Lam[b], R, out=Zb[:, T:])

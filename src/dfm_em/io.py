@@ -73,27 +73,30 @@ def _read_csv(path):
     """(header fields, float array rows) of a CSV file whose first non-blank
     line is its header, blank lines skipped. A row not as wide as the header,
     or a field that is not a finite number (nan and inf included), raises
-    ValueError naming file:line."""
+    ValueError naming file:line; undecodable text, naming the file."""
     header, rows = None, []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.strip().split(",")
-            if fields == [""]:
-                continue
-            if header is None:
-                header = fields
-                continue
-            if len(fields) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} "
-                                 f"columns, got {len(fields)}")
-            try:
-                row = np.array(fields, dtype=float)
-                if not np.isfinite(row).all():
-                    raise ValueError("not a finite number: "
-                                     f"{fields[np.isfinite(row).argmin()]!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            rows.append(row)
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.strip().split(",")
+                if fields == [""]:
+                    continue
+                if header is None:
+                    header = fields
+                    continue
+                if len(fields) != len(header):
+                    raise ValueError(f"{path}:{lineno}: expected {len(header)} "
+                                     f"columns, got {len(fields)}")
+                try:
+                    row = np.array(fields, dtype=float)
+                    if not np.isfinite(row).all():
+                        raise ValueError("not a finite number: "
+                                         f"{fields[np.isfinite(row).argmin()]!r}")
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return header, rows
 
 
@@ -154,37 +157,42 @@ def write_params_json(params: DfmParams, path):
 
 def read_params_json(path) -> DfmParams:
     """Read the parameters written by :func:`write_params_json` (or in a
-    draw's or a fit's ``params.json``). A document that is not a JSON
-    object, a missing key, a value that is not a finite number (JSON's NaN
-    and Infinity included) or a rectangular array of them, a ``gamma_e``
-    that is not 1-D, or factors that break c > 0 or B'B diagonal (which the
-    filter relies on) raise ValueError naming the file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    factored = "gamma_c" in doc or "gamma_B" in doc
-    fields = {}
-    for key in ("Lambda", "A", "H", "rho") + (
-            ("gamma_c", "gamma_B") if factored else ("gamma_e",)):
-        if key not in doc:
-            raise ValueError(f"{path}: missing key {key!r}")
-        try:
-            fields[key] = np.array(doc[key], dtype=float)
-            if not np.isfinite(fields[key]).all():
-                raise ValueError("not finite")
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: key {key!r}: {exc}") from None
-    if factored:
-        fields["gamma_factors"] = (fields.pop("gamma_c"), fields.pop("gamma_B"))
-    elif fields["gamma_e"].ndim != 1:
-        raise ValueError(f"{path}: gamma_e must be 1-D (the diagonal); a full "
-                         "Gamma^e is stored as its factors gamma_c/gamma_B")
-    params = DfmParams(**fields)
-    bad = params.gamma_factors and _factor_violations(*params.gamma_factors)
-    if bad:
-        raise ValueError(f"{path}: {'; '.join(bad)}")
-    return params
+    draw's or a fit's ``params.json``). Text that is not a JSON object, a
+    missing key, a value that is not a finite number (JSON's NaN and
+    Infinity included) or a rectangular array of them, a ``gamma_e`` not
+    1-D or ``gamma_c`` not 0-d, or factors that break c > 0 or B'B diagonal
+    (which the filter relies on) raise ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        factored = "gamma_c" in doc or "gamma_B" in doc
+        fields = {}
+        for key in ("Lambda", "A", "H", "rho") + (
+                ("gamma_c", "gamma_B") if factored else ("gamma_e",)):
+            if key not in doc:
+                raise ValueError(f"missing key {key!r}")
+            try:
+                fields[key] = np.array(doc[key], dtype=float)
+                if not np.isfinite(fields[key]).all():
+                    raise ValueError("not finite")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"key {key!r}: {exc}") from None
+        if factored:
+            fields["gamma_factors"] = (fields.pop("gamma_c"), fields.pop("gamma_B"))
+        elif fields["gamma_e"].ndim != 1:
+            raise ValueError("gamma_e must be 1-D (the diagonal); a full Gamma^e "
+                             "is stored as its factors gamma_c/gamma_B")
+        params = DfmParams(**fields)
+        bad = params.gamma_factors and _factor_violations(*params.gamma_factors)
+        if bad:
+            raise ValueError("; ".join(bad))
+        return params
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_dgp_draw(draw: DgpDraw, outdir, overwrite: bool = False):

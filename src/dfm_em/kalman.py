@@ -266,7 +266,7 @@ def _observed_directions(M):
     """The eigenpairs (D_k, V_k) of M = Lambda' Gamma^{-1} Lambda that the
     rank rule keeps."""
     d, V = np.linalg.eigh(M)
-    keep = d > _RANK_RTOL * d[-1] if d[-1] > 0.0 else np.zeros(d.size, dtype=bool)
+    keep = d > _RANK_RTOL * d[-1]  # nothing when D_max <= 0
     return d[keep], V[:, keep]
 
 
@@ -375,11 +375,11 @@ def _bidiagonal_solve(M, b, uplo):
     """x_t = M_t x_{t-1} + b_t from x_{-1} = 0 (uplo "L") or
     x_t = M_t x_{t+1} + b_t from x_T = 0 (uplo "U"), for every t.
 
-    The stacked x solves one unit block-bidiagonal triangular system with
-    the identity on its diagonal and -M_t beside it, below (L) or above
-    (U); in LAPACK band storage its bandwidth is 2r - 1, and one dtbtrs
-    call does the substitution. Column j of M_t lands on band rows that
-    shift with j, one strided assignment per j.
+    The stacked x solves one unit block-bidiagonal triangular system, -M_t
+    beside the diagonal, below (L) or above (U); in LAPACK band storage its
+    bandwidth is 2r - 1, and one dtbtrs call with diag="U", which never
+    reads the diagonal band row, does the substitution. Column j of M_t
+    lands on band rows that shift with j, one strided assignment per j.
     """
     T, r = b.shape
     if T == 0:
@@ -390,7 +390,6 @@ def _bidiagonal_solve(M, b, uplo):
             np.negative(M[1:, :, j].T, out=ab[r - j:2 * r - j, j:(T - 1) * r:r])
         else:
             np.negative(M[:-1, :, j].T, out=ab[r - 1 - j:2 * r - 1 - j, r + j::r])
-    ab[0 if uplo == "L" else 2 * r - 1] = 1.0
     x, info = dtbtrs(ab, b.reshape(-1, 1), uplo=uplo, diag="U")
     if info != 0:
         raise RuntimeError(f"dtbtrs failed with info={info}")
@@ -550,10 +549,8 @@ def steady_state_diagnostics(filt: FilterOutput, q: int) -> SteadyStateDiagnosti
     one-step-ahead MSEs agree to 1e-8 (_STEADY_TOL) in spectral norm.
     """
     _check_integer("q", q, 1)
-    T = filt.T
-    k = min(T - 1, 5)
-    tr_pred = np.trace(filt.P_pred[1:k + 1], axis1=1, axis2=2) / q
-    tr_filt = np.trace(filt.P_filt[1:k + 1], axis1=1, axis2=2) * filt.n / q
+    tr_pred = np.trace(filt.P_pred[1:6], axis1=1, axis2=2) / q
+    tr_filt = np.trace(filt.P_filt[1:6], axis1=1, axis2=2) * filt.n / q
     steps = np.linalg.norm(np.diff(filt.P_pred, axis=0), 2, axis=(1, 2))
     hit = np.flatnonzero(steps < _STEADY_TOL)
     t_bar = int(hit[0]) + 2 if hit.size else None

@@ -18,7 +18,7 @@ merged deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,7 +119,6 @@ def asvar_matrices(result: EmResult):
     n, r = Lam.shape
     T = F.shape[1]
 
-    gamma_diag = params.gamma_e
     inner_W = Lam.T @ _whitener(params)[0] / n
     W = np.einsum("ir,ir->i", Lam, np.linalg.solve(inner_W, Lam.T).T)
 
@@ -127,7 +126,7 @@ def asvar_matrices(result: EmResult):
         ends = np.outer(F[:, 0], F[:, 0]) + np.outer(F[:, -1], F[:, -1])
         S1 = F[:, 1:] @ F[:, :-1].T
         inner = (_ar1_weighted(params.rho, F @ F.T, ends, S1 + S1.T)
-                 / (T * gamma_diag)[:, None, None])
+                 / (T * params.gamma_e)[:, None, None])
         V = np.empty((n, T))
         for b in _row_blocks(n, r * T):
             np.einsum("rt,irt->it", F, np.linalg.solve(inner[b], F[None]), out=V[b])
@@ -135,7 +134,7 @@ def asvar_matrices(result: EmResult):
 
     # V_it = gamma_ii * Fhat_t' (T^{-1} sum FF')^{-1} Fhat_t
     base = np.einsum("rt,rt->t", F, np.linalg.solve(F @ F.T / T, F))
-    V = gamma_diag[:, None] * base[None, :]
+    V = params.gamma_e[:, None] * base[None, :]
     return W, V
 
 
@@ -186,15 +185,8 @@ class ZAccumulator:
         self.hist += np.histogram(z, bins=HIST_EDGES)[0].astype(np.int64)
 
     def merge(self, other: "ZAccumulator") -> "ZAccumulator":
-        return ZAccumulator(
-            count=self.count + other.count,
-            s1=self.s1 + other.s1,
-            s2=self.s2 + other.s2,
-            s3=self.s3 + other.s3,
-            s4=self.s4 + other.s4,
-            below=self.below + other.below,
-            hist=self.hist + other.hist,
-        )
+        return ZAccumulator(**{f.name: getattr(self, f.name) + getattr(other, f.name)
+                               for f in fields(self)})
 
     def table(self) -> CoverageTable:
         if self.count == 0:

@@ -142,11 +142,11 @@ class DfmParams:
         AR(1) coefficients of the idiosyncratic components (all zero for
         serially uncorrelated idiosyncratics).
     gamma_factors : tuple (c, B), optional
-        A full idiosyncratic covariance, the only form one takes:
-        Gamma^e = c I + B B' with a scalar c > 0, B of shape (n, m) and
-        B'B diagonal, as the ridge M-step and ``ridge_covariance`` give
-        it; ``gamma_e`` is then the diagonal c + sum_j B_ij^2, and no
-        n x n array is formed. Without it, Gamma^e is diagonal.
+        A full idiosyncratic covariance, the only form one takes: Gamma^e =
+        c I + B B' with a 0-d c > 0 (else ShapeError), B of shape (n, m) and
+        B'B diagonal, as the ridge M-step and ``ridge_covariance`` give it;
+        ``gamma_e`` is then the diagonal c + sum_j B_ij^2, and no n x n array
+        is formed. Without it, Gamma^e is diagonal.
     """
 
     Lambda: np.ndarray
@@ -162,6 +162,8 @@ class DfmParams:
         H = _as_matrix(self.H, "H")
         factors = self.gamma_factors
         if factors is not None:
+            if np.ndim(factors[0]) != 0:
+                raise ShapeError(f"gamma_factors c must be 0-d, got ndim={np.ndim(factors[0])}")
             c, B = float(factors[0]), _as_matrix(factors[1], "gamma_factors B")
             B.flags.writeable = False
             factors, g = (c, B), _factored_diagonal(c, B)
@@ -201,13 +203,9 @@ def _factored_diagonal(c, B):
     """The diagonal c + sum_j B_ij^2 of c I + B B', squared block by block
     of rows in one reused buffer, so no n x m B o B is formed; each row is
     summed whole, so the bits are those of ``np.sum(B * B, axis=1) + c``."""
-    n, m = B.shape
-    blocks = _row_blocks(n, m)
-    buf = np.empty((blocks[0].stop, m))
-    g = np.empty(n)
-    for b in blocks:
-        sq = np.multiply(B[b], B[b], out=buf[:b.stop - b.start])
-        np.sum(sq, axis=1, out=g[b])
+    g = np.empty(B.shape[0])
+    for b, buf in _buffered_blocks(*B.shape):
+        np.sum(np.multiply(B[b], B[b], out=buf), axis=1, out=g[b])
     g += c
     return g
 
@@ -285,10 +283,10 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
     return violations
 
 
-# Doubles in one row block of a pass over an n x T array: the residual
-# blocks of the M-step, the filter's norms and ECM's moments, Panel.var,
-# the PC start's centred blocks (of columns when n <= T), the ridge
-# M-step's blocks of Z and the AR(1) V's solves (metrics.asvar_matrices).
+# Doubles in one row block of a pass over an n x T array: Panel.var, the
+# AR(1) V's solves (metrics.asvar_matrices) and, in _buffered_blocks, the
+# residual blocks (M-step, filter norms, ECM moments), a factored gamma_e,
+# the PC start's centred blocks and the ridge M-step's blocks of Z.
 # 2^15 doubles (256 KB) stay in a core's L2 cache while a block is used.
 _BLOCK_ELEMS = 1 << 15
 
@@ -301,16 +299,20 @@ def _row_blocks(n, m, elems=_BLOCK_ELEMS):
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
-def _residual_blocks(X, L, F):
-    """(slice, X_b - L_b F) for each block of rows of X, formed in one
-    reused buffer of about _BLOCK_ELEMS doubles (at least one row), so no
-    n x T array is formed; a block is valid only until the next one is
-    drawn."""
-    n, T = X.shape
-    blocks = _row_blocks(n, T)
-    buf = np.empty((blocks[0].stop, T))
+def _buffered_blocks(n, m):
+    """(slice, view) for each block of ``_row_blocks(n, m)``: the view is the
+    block's k x m rows of one reused C-ordered buffer, sized by the first
+    (largest) block, so a view is valid only until the next one is drawn."""
+    blocks = _row_blocks(n, m)
+    buf = np.empty(blocks[0].stop * m)
     for b in blocks:
-        E = np.matmul(L[b], F, out=buf[:b.stop - b.start])
-        np.subtract(X[b], E, out=E)
-        yield b, E
+        yield b, buf[:(b.stop - b.start) * m].reshape(-1, m)
+
+
+def _residual_blocks(X, L, F):
+    """(slice, X_b - L_b F) for each block of rows of X, formed in the
+    buffer of :func:`_buffered_blocks`, so no n x T array is formed."""
+    for b, E in _buffered_blocks(*X.shape):
+        np.matmul(L[b], F, out=E)
+        yield b, np.subtract(X[b], E, out=E)
 

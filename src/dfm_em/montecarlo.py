@@ -332,10 +332,8 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
     em_cells = [c for c in report.cells if c.cell.mode == "em"]
     for c, hpath in zip(em_cells, hist_paths):
         hlines = ["bin_left,bin_right,count"]
-        for k in range(len(c.hist)):
-            hlines.append(
-                f"{_fmt(HIST_EDGES[k])},{_fmt(HIST_EDGES[k + 1])},{int(c.hist[k])}"
-            )
+        for lo, hi, k in zip(HIST_EDGES[:-1], HIST_EDGES[1:], c.hist):
+            hlines.append(f"{_fmt(lo)},{_fmt(hi)},{int(k)}")
         with open(hpath, "w") as fh:
             fh.write("\n".join(hlines) + "\n")
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh
 from scipy.linalg.blas import dsyrk
 
-from .model import Panel, _check_integer, _row_blocks
+from .model import Panel, _buffered_blocks, _check_integer
 
 __all__ = ["PcEstimate", "IdentificationError", "pc_estimate", "var_from_factors"]
 
@@ -79,17 +79,14 @@ def _shock_loading(Gom, q, shrink=0.0):
 
 def _centred_blocks(X, mu, by_rows):
     """(slice, X_b - mu_b) for each block of rows of X (``by_rows``) or of
-    its columns; every block is formed in one reused C-ordered buffer, so
-    a block is valid only until the next one is drawn."""
+    its columns, formed in the buffer of model._buffered_blocks."""
     n, T = X.shape
-    blocks = _row_blocks(n, T) if by_rows else _row_blocks(T, n)
-    buf = np.empty(blocks[0].stop * (T if by_rows else n))
-    for b in blocks:
-        k = b.stop - b.start
-        if by_rows:
-            yield b, np.subtract(X[b], mu[b, None], out=buf[:k * T].reshape(k, T))
-        else:
-            yield b, np.subtract(X[:, b], mu[:, None], out=buf[:n * k].reshape(n, k))
+    if by_rows:
+        for b, buf in _buffered_blocks(n, T):
+            yield b, np.subtract(X[b], mu[b, None], out=buf)
+    else:
+        for b, buf in _buffered_blocks(T, n):
+            yield b, np.subtract(X[:, b], mu[:, None], out=buf.reshape(n, -1))
 
 
 def _leading_eigpairs(X, mu, r):

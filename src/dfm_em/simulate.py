@@ -111,7 +111,7 @@ class DgpConfig:
             raise ValueError("delta must be nonnegative")
         # rho_i is uniform on [delta, 1 - 2 delta]; the support is empty
         # unless delta < 1/3.
-        if self.delta > 0.0 and not (1.0 - 2.0 * self.delta > self.delta):
+        if not 1.0 - 2.0 * self.delta > self.delta:
             raise ValueError("delta must satisfy delta < 1/3 so [delta, 1-2*delta] is nonempty")
 
 

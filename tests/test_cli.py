@@ -365,6 +365,13 @@ class TestFit:
         code = _cli("fit", tmp_path / "nope.csv", tmp_path / "f")
         assert code == EXIT_VALIDATION
 
+    def test_panel_not_utf8_exits_validation_naming_the_file(self, tmp_path, capsys):
+        """A UTF-16 panel once exited 2 with the codec's message alone."""
+        panel = tmp_path / "panel.csv"
+        panel.write_bytes("x1,x2\n1.0,2.0\n".encode("utf-16"))
+        assert _cli("fit", panel, tmp_path / "f") == EXIT_VALIDATION
+        assert f"error: {panel}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_panel_that_is_a_directory_exits_validation(self, tmp_path, capsys):
         code = _cli("fit", tmp_path, tmp_path / "f")
         assert code == EXIT_VALIDATION
@@ -735,12 +742,18 @@ class TestEval:
                      id="asymmetric-gamma_e: square, not symmetric"),
         ("random_B", "B'B not diagonal"),
         ("zero_c", "c not positive"),
+        ("array_c", "gamma_factors c must be 0-d, got ndim=1"),
+        ("vector_Lambda", "Lambda must be a 2-D array, got ndim=1"),
+        ("not JSON", "parse error at line 1: Expecting value"),
     ])
     def test_malformed_params_exits_validation_naming_the_file(
             self, tmp_path, capsys, text, why):
-        """A params.json that is not a JSON object, that has a 2-D gamma_e
-        (not square, or square and not symmetric), or whose factors (c, B)
-        break c > 0 or B'B diagonal, exits 2 naming the file."""
+        """A params.json that is not JSON or not a JSON object, that has a
+        2-D gamma_e (not square, or square and not symmetric), an array c
+        or a 1-D Lambda, or whose factors (c, B) break c > 0 or B'B
+        diagonal, exits 2 naming the file. An array c once exited 1 with a
+        TypeError traceback; a 1-D Lambda and text that is not JSON exited
+        2 without the file's name."""
         draw, fit = self._ridge_fit_at_small_n(tmp_path)
         path = fit / "params.json"
         doc = json.loads(path.read_text())
@@ -754,7 +767,11 @@ class TestEval:
             doc["gamma_B"] = np.random.default_rng(0).standard_normal((20, 3)).tolist()
         elif text == "zero_c":
             doc["gamma_c"] = 0.0
-        if text != "3":
+        elif text == "array_c":
+            doc["gamma_c"] = [doc["gamma_c"]] * 2
+        elif text == "vector_Lambda":
+            doc["Lambda"] = doc["Lambda"][0]
+        if text not in ("3", "not JSON"):
             text = json.dumps(doc)
         path.write_text(text)
         capsys.readouterr()

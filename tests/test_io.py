@@ -74,6 +74,16 @@ class TestPanelCsv:
             read_panel_csv(path)
         assert str(err.value) == f"{path}:4: not a finite number: {field!r}"
 
+    def test_undecodable_text_names_the_file(self, tmp_path):
+        """A UTF-16 file (byte-order mark \\xff\\xfe) once raised the codec's
+        UnicodeDecodeError, naming no file."""
+        path = tmp_path / "utf16.csv"
+        path.write_bytes("a,b\n1.0,2.0\n".encode("utf-16"))
+        with pytest.raises(ValueError) as err:
+            read_panel_csv(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert "can't decode byte 0xff" in str(err.value)
+
     def test_empty_file_raises(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -187,8 +197,14 @@ class TestParamsJson:
          "c not positive"),
         (json.dumps(dict(_TWO_SERIES, gamma_c=1.0,
                          gamma_B=[[1.0, 1.0], [0.0, 1.0]])), "B'B not diagonal"),
+        ("{", "parse error at line 1: Expecting property name"),
+        (json.dumps(dict(_TWO_SERIES, gamma_c=[1.0, 2.0], gamma_B=[[1.0], [0.0]])),
+         "gamma_factors c must be 0-d, got ndim=1"),
+        (json.dumps(dict(_TWO_SERIES, Lambda=[1.0, 1.0], gamma_e=[1.0, 1.0])),
+         "Lambda must be a 2-D array, got ndim=1"),
     ], ids=["number", "list", "gamma_e_not_square", "gamma_e_not_symmetric",
-            "gamma_c_not_positive", "gamma_B_not_orthogonal"])
+            "gamma_c_not_positive", "gamma_B_not_orthogonal", "not_json",
+            "gamma_c_not_a_scalar", "Lambda_one_dimensional"])
     def test_malformed_document_raises_naming_the_file(self, tmp_path, text, why):
         path = tmp_path / "params.json"
         path.write_text(text)

@@ -583,7 +583,8 @@ def _riccati_case(name):
 
 
 @pytest.mark.parametrize("d, kept", [([1e-12, 1.0], 1), ([1e-12, 100.0], 1),
-                                     ([2e-12, 1.0], 2), ([0.0, 0.0], 0)])
+                                     ([2e-12, 1.0], 2), ([0.0, 0.0], 0),
+                                     ([-2.0, -1.0], 0)])
 def test_rank_rule_keeps_eigenvalues_above_1e12_of_the_largest(d, kept):
     """A direction is observed when its D_k exceeds 1e-12 D_max, strictly,
     and none is when D_max is not positive."""
@@ -682,6 +683,15 @@ class TestSteadyState:
         assert diag.t_bar == 2
         # P_pred = HH' = I for every t >= 2 when A = 0
         assert np.allclose(filt.P_pred[1:], np.eye(2))
+
+    def test_short_filter_reports_its_T_minus_1_traces(self):
+        """At T = 4 there are three periods after the first to report."""
+        draw = _draw(n=10, T=4, r=3, q=2, seed=17)
+        filt = kalman_filter(draw.panel, draw.params, stationary_init(draw.params))
+        diag = steady_state_diagnostics(filt, 2)
+        assert diag.tr_pred.shape == diag.tr_filt.shape == (3,)
+        assert np.array_equal(diag.tr_filt,
+                              np.trace(filt.P_filt[1:], axis1=1, axis2=2) * filt.n / 2)
 
     def test_traces_reported_up_to_five(self):
         draw = _draw(n=10, T=30, r=3, q=2, seed=17)

@@ -13,7 +13,7 @@ from dfm_em import (
 from dfm_em import em
 from dfm_em.em import SufficientStats, m_step
 from dfm_em.kalman import _whitener
-from dfm_em.model import _BLOCK_ELEMS, STABILITY_TOL, _row_blocks
+from dfm_em.model import _BLOCK_ELEMS, STABILITY_TOL, _buffered_blocks, _row_blocks
 
 
 def _params(n=6, r=2, q=2, A=None, H=None, gamma=None, rho=None):
@@ -166,6 +166,13 @@ class TestDfmParams:
             DfmParams(Lambda=np.ones(6), A=0.5 * np.eye(2), H=np.eye(2),
                       gamma_e=np.ones(6))
 
+    @pytest.mark.parametrize("c", [[0.5], np.full((1, 1), 0.5), [0.5, 0.5]])
+    def test_gamma_c_not_a_scalar_is_a_shape_error(self, c):
+        """A c of two entries once raised float()'s TypeError."""
+        with pytest.raises(ShapeError, match="^gamma_factors c must be 0-d, got ndim="):
+            DfmParams(Lambda=np.ones((6, 2)), A=0.5 * np.eye(2), H=np.eye(2),
+                      gamma_factors=(c, np.zeros((6, 1))))
+
 
 class TestGammaFactors:
     def test_gamma_e_is_the_diagonal(self, rng):
@@ -262,6 +269,18 @@ class TestRowBlocks:
         assert all(b.stop - b.start <= rows for b in blocks)
         assert np.array_equal(np.concatenate([np.arange(n)[b] for b in blocks]),
                               np.arange(n))
+
+    def test_buffered_views_are_the_blocks_of_one_buffer(self):
+        """Each view holds its block's rows, C-ordered, at the head of one
+        buffer sized by the first block."""
+        n, m = 3 * (_BLOCK_ELEMS // 300) + 1, 300
+        got = [(b, v.base, v) for b, v in _buffered_blocks(n, m)]
+        assert [b for b, _, _ in got] == _row_blocks(n, m) and len(got) >= 3
+        buf = got[0][1]
+        assert buf.size == got[0][0].stop * m
+        for b, base, v in got:
+            assert base is buf and v.flags.c_contiguous
+            assert v.shape == (b.stop - b.start, m) and np.shares_memory(v, buf[:m])
 
 
 _ROWS_300 = _BLOCK_ELEMS // 300  # rows per block at T = 300
