@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .model import DfmParams, ModelDims, Panel, _check_integer
 from .montecarlo import CellAbortError, McGrid, _report_paths, run_grid, \
     write_report
 from .pca import pc_estimate
-from .simulate import DgpConfig, draw_dgp
+from .simulate import DgpConfig, Innovation, draw_dgp
 
 __all__ = ["main"]
 
@@ -41,50 +42,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dynamic factor model estimation by EM with Kalman smoothing",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # The flags several subcommands share, each declared once.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    out.add_argument("--overwrite", action="store_true")
+    panel = argparse.ArgumentParser(add_help=False)
+    panel.add_argument("--panel", required=True)
+    panel.add_argument("--r", type=int, required=True)
+    panel.add_argument("--q", type=int, required=True)
 
-    sim = sub.add_parser("simulate", help="draw a synthetic panel")
-    sim.add_argument("--n", type=int, required=True)
-    sim.add_argument("--T", type=int, required=True)
-    sim.add_argument("--r", type=int, required=True)
-    sim.add_argument("--q", type=int, required=True)
-    sim.add_argument("--tau", type=float, default=0.0)
-    sim.add_argument("--delta", type=float, default=0.0)
-    sim.add_argument("--theta", type=float, default=0.5)
-    sim.add_argument("--mu", type=float, default=0.5)
-    sim.add_argument("--innovation", choices=["gaussian", "student_t4"],
-                     default="gaussian")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out", required=True)
-    sim.add_argument("--overwrite", action="store_true")
+    # An option of DgpConfig or EmConfig is left unset unless given, so the
+    # dataclass supplies its default.
+    sim = sub.add_parser("simulate", help="draw a synthetic panel", parents=[out],
+                         argument_default=argparse.SUPPRESS)
+    for name in ("--n", "--T", "--r", "--q"):
+        sim.add_argument(name, type=int, required=True)
+    for name in ("--tau", "--delta", "--theta", "--mu"):
+        sim.add_argument(name, type=float)
+    sim.add_argument("--innovation", choices=[i.value for i in Innovation])
+    sim.add_argument("--seed", type=int)
 
-    fit = sub.add_parser("fit", help="fit the model to a panel CSV")
-    fit.add_argument("--panel", required=True)
-    fit.add_argument("--r", type=int, required=True)
-    fit.add_argument("--q", type=int, required=True)
-    fit.add_argument("--epsilon", type=float, default=1e-4)
-    fit.add_argument("--max-iter", type=int, default=500)
-    fit.add_argument("--standardize", action="store_true",
+    fit = sub.add_parser("fit", help="fit the model to a panel CSV", parents=[out, panel],
+                         argument_default=argparse.SUPPRESS)
+    fit.add_argument("--epsilon", type=float)
+    fit.add_argument("--max-iter", type=int)
+    fit.add_argument("--standardize", action="store_true", default=False,
                      help="center and scale each series to unit variance "
                           "before fitting")
     fit.add_argument("--estimator", choices=list(_ESTIMATORS), default="em")
     fit.add_argument("--ridge-mu", help="ridge penalty mu > 0 (default: the n^2/T rule)")
-    fit.add_argument("--out", required=True)
-    fit.add_argument("--overwrite", action="store_true")
 
-    pc = sub.add_parser("pc", help="principal-components estimation only")
-    pc.add_argument("--panel", required=True)
-    pc.add_argument("--r", type=int, required=True)
-    pc.add_argument("--q", type=int, required=True)
-    pc.add_argument("--out", required=True)
-    pc.add_argument("--overwrite", action="store_true")
+    sub.add_parser("pc", help="principal-components estimation only", parents=[out, panel])
 
-    mc = sub.add_parser("montecarlo", help="run a Monte Carlo experiment file")
+    mc = sub.add_parser("montecarlo", help="run a Monte Carlo experiment file",
+                        parents=[out])
     mc.add_argument("experiment",
                     help="experiment JSON path, or the name of a bundled file "
                          "(e.g. 'table4_small')")
-    mc.add_argument("--out", required=True)
     mc.add_argument("--parallel", type=int, default=1, help="worker processes")
-    mc.add_argument("--overwrite", action="store_true")
 
     ev = sub.add_parser("eval", help="compare a fit against a simulated truth")
     ev.add_argument("--truth", required=True, help="directory from 'simulate'")
@@ -94,14 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _given(args, config_type) -> dict:
+    """The fields of the dataclass ``config_type`` that ``args`` holds."""
+    return {f.name: getattr(args, f.name) for f in fields(config_type) if f.name in args}
+
+
 def _cmd_simulate(args) -> int:
     dfm_io._refuse_existing(dfm_io._output_paths("simulate", args.out),
                             args.overwrite)
-    config = DgpConfig(
-        dims=ModelDims(n=args.n, T=args.T, r=args.r, q=args.q),
-        tau=args.tau, delta=args.delta, theta=args.theta, mu=args.mu,
-        innovation=args.innovation, seed=args.seed,
-    )
+    config = DgpConfig(dims=ModelDims(**_given(args, ModelDims)),
+                       **_given(args, DgpConfig))
     draw = draw_dgp(config)
     dfm_io.write_dgp_draw(draw, args.out, overwrite=args.overwrite)
     print(f"wrote draw (n={args.n}, T={args.T}) to {args.out}")
@@ -110,7 +107,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     kwargs = {}
-    if args.ridge_mu is not None:
+    if "ridge_mu" in args:
         if args.estimator != "ridge":
             raise ValueError("--ridge-mu applies only with --estimator ridge")
         try:
@@ -118,7 +115,7 @@ def _cmd_fit(args) -> int:
             _check_mu(kwargs["mu"])
         except ValueError as exc:
             raise ValueError(f"--ridge-mu: {exc}") from None
-    config = EmConfig(epsilon=args.epsilon, max_iter=args.max_iter)
+    config = EmConfig(**_given(args, EmConfig))
     dfm_io._refuse_existing(dfm_io._output_paths("fit", args.out),
                             args.overwrite)
     panel = dfm_io.read_panel_csv(args.panel)
@@ -151,8 +148,7 @@ def _cmd_pc(args) -> int:
     params = DfmParams(Lambda=est.Lambda0, A=est.A0, H=est.H0,
                        gamma_e=est.GammaE0)
     dfm_io.write_params_json(params, params_path)
-    dfm_io.write_matrix_csv(est.Ftilde.T, factors_path,
-                            header=[f"F{j+1}" for j in range(args.r)])
+    dfm_io._write_factors_csv(est.Ftilde, factors_path)
     print(f"leading eigenvalues: {', '.join(repr(float(v)) for v in est.eigvals)}")
     return EXIT_OK
 

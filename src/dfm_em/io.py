@@ -125,6 +125,11 @@ def write_matrix_csv(M: np.ndarray, path, header):
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_factors_csv(F: np.ndarray, path):
+    """Write an r x T factor path as CSV: header F1..Fr, one row per period."""
+    write_matrix_csv(F.T, path, header=[f"F{j+1}" for j in range(F.shape[0])])
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a 2-D array written by :func:`write_matrix_csv`, skipping its
     header row."""
@@ -202,8 +207,7 @@ def write_dgp_draw(draw: DgpDraw, outdir, overwrite: bool = False):
     panel_csv, factors_csv, chi_csv, params_json = paths
     os.makedirs(outdir, exist_ok=True)
     write_panel_csv(draw.panel, panel_csv)
-    write_matrix_csv(draw.factors.T, factors_csv,
-                     header=[f"F{j+1}" for j in range(draw.params.r)])
+    _write_factors_csv(draw.factors, factors_csv)
     write_matrix_csv(draw.chi.T, chi_csv, header=list(draw.panel.names))
     _write_json(dict(_params_doc(draw.params), tau=draw.tau), params_json)
 
@@ -216,9 +220,7 @@ def write_em_result(result: EmResult, outdir, overwrite: bool = False):
     params, factors, trace, summary = paths
     os.makedirs(outdir, exist_ok=True)
     write_params_json(result.params, params)
-    r = result.factors.F_smooth.shape[0]
-    write_matrix_csv(result.factors.F_smooth.T, factors,
-                     header=[f"F{j+1}" for j in range(r)])
+    _write_factors_csv(result.factors.F_smooth, factors)
     write_matrix_csv(np.asarray(result.loglik_trace)[:, None], trace,
                      header=["loglik"])
     _write_json({"iters": int(result.iters),

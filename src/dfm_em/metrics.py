@@ -79,7 +79,7 @@ def trace_statistic(true_M: np.ndarray, est_M: np.ndarray) -> float:
         M, Mh = M.T, Mh.T
     G = Mh.T @ Mh
     k = G.shape[0]
-    if np.linalg.matrix_rank(G, tol=1e-12 * max(np.trace(G), 1e-300)) < k:
+    if np.linalg.matrix_rank(G, tol=1e-12 * np.trace(G)) < k:
         raise np.linalg.LinAlgError("estimate is rank deficient")
     cross = Mh.T @ M
     val = float(np.trace(cross.T @ np.linalg.solve(G, cross)) / np.trace(M.T @ M))

@@ -143,7 +143,8 @@ class DfmParams:
         serially uncorrelated idiosyncratics).
     gamma_factors : tuple (c, B), optional
         A full idiosyncratic covariance, the only form one takes: Gamma^e =
-        c I + B B' with a 0-d c > 0 (else ShapeError), B of shape (n, m) and
+        c I + B B' with a 0-d c > 0 (else ShapeError), B of shape (n, m)
+        with m >= 1 (else ShapeError: c I alone is a diagonal ``gamma_e``) and
         B'B diagonal, as the ridge M-step and ``ridge_covariance`` give it;
         ``gamma_e`` is then the diagonal c + sum_j B_ij^2, and no n x n array
         is formed. Without it, Gamma^e is diagonal.
@@ -165,6 +166,8 @@ class DfmParams:
             if np.ndim(factors[0]) != 0:
                 raise ShapeError(f"gamma_factors c must be 0-d, got ndim={np.ndim(factors[0])}")
             c, B = float(factors[0]), _as_matrix(factors[1], "gamma_factors B")
+            if B.shape[1] == 0:
+                raise ShapeError("gamma_factors B must have at least one column")
             B.flags.writeable = False
             factors, g = (c, B), _factored_diagonal(c, B)
             given = self.gamma_e
@@ -295,7 +298,7 @@ def _row_blocks(n, m, elems=_BLOCK_ELEMS):
     """Slices that cut n rows of length m into consecutive blocks of about
     ``elems`` doubles, at least one row each; the first block is the
     largest, so a buffer of its size holds any of them."""
-    rows = max(1, elems // m)
+    rows = max(1, elems // max(m, 1))
     return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
 
@@ -304,9 +307,9 @@ def _buffered_blocks(n, m):
     block's k x m rows of one reused C-ordered buffer, sized by the first
     (largest) block, so a view is valid only until the next one is drawn."""
     blocks = _row_blocks(n, m)
-    buf = np.empty(blocks[0].stop * m)
+    buf = np.empty((blocks[0].stop, m))
     for b in blocks:
-        yield b, buf[:(b.stop - b.start) * m].reshape(-1, m)
+        yield b, buf[:b.stop - b.start]
 
 
 def _residual_blocks(X, L, F):

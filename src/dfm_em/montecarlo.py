@@ -77,11 +77,11 @@ class McCell:
     T: int
     r: int
     q: int
-    tau: float = 0.0
-    delta: float = 0.0
-    theta: float = 0.5
-    mu: float = 0.5
-    innovation: str = "gaussian"
+    tau: float = DgpConfig.tau
+    delta: float = DgpConfig.delta
+    theta: float = DgpConfig.theta
+    mu: float = DgpConfig.mu
+    innovation: str = DgpConfig.innovation.value
     mode: str = "em"
 
     def __post_init__(self):
@@ -136,8 +136,7 @@ class McGrid:
             ) from exc
         try:
             cells = tuple(McCell(**c) for c in doc["cells"])
-            return McGrid(cells=cells, B=doc.get("B", 100),
-                          base_seed=doc.get("base_seed", 0))
+            return McGrid(**{**doc, "cells": cells})
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: invalid experiment file: {exc}") from exc
 

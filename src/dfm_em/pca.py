@@ -143,7 +143,7 @@ def pc_estimate(panel: Panel, r: int, q: int) -> PcEstimate:
     mu = X.mean(axis=1)
 
     w, U = _leading_eigpairs(X, mu, r)
-    if r < min(n, T) and abs(w[r - 1] - w[r]) <= _TIE_RTOL * max(abs(w[0]), 1e-300):
+    if r < min(n, T) and abs(w[r - 1] - w[r]) <= _TIE_RTOL * abs(w[0]):
         raise IdentificationError(
             f"eigenvalue tie at position r={r}: {w[r-1]!r} vs {w[r]!r}"
         )
@@ -200,7 +200,7 @@ def var_from_factors(F: np.ndarray, q: int):
         raise ValueError("need at least two time points for the lag-one fit")
     F0, F1 = F[:, :-1], F[:, 1:]
     S00 = F0 @ F0.T
-    if np.linalg.matrix_rank(S00, tol=1e-10 * max(np.trace(S00), 1e-300)) < r:
+    if np.linalg.matrix_rank(S00, tol=1e-10 * np.trace(S00)) < r:
         raise np.linalg.LinAlgError("lagged second-moment matrix is singular")
     A = np.linalg.solve(S00.T, (F1 @ F0.T).T).T
     resid = F1 - A @ F0

@@ -148,6 +148,14 @@ class TestSimulate:
         assert np.array_equal(read_panel_csv(_simulate(tmp_path) / "panel.csv").X,
                               want.panel.X)
 
+    def test_no_model_flags_draw_the_default_config(self, tmp_path):
+        """Without --tau ... --seed, the draw is that of DgpConfig's defaults."""
+        out = tmp_path / "d"
+        argv = ["simulate", "--n", "20", "--T", "40", "--r", "2", "--q", "2"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        want = draw_dgp(DgpConfig(dims=ModelDims(n=20, T=40, r=2, q=2)))
+        assert np.array_equal(read_panel_csv(out / "panel.csv").X, want.panel.X)
+
     def test_refuses_overwrite(self, tmp_path, capsys):
         _simulate(tmp_path, "d")
         code = main(["simulate", "--n", "20", "--T", "40", "--r", "2",
@@ -211,6 +219,16 @@ class TestFit:
                      EmConfig(max_iter=3))
         F = read_matrix_csv(out / "factors.csv")
         assert np.array_equal(F, res.factors.F_smooth.T)
+
+    def test_no_loop_flags_fit_with_the_default_config(self, tmp_path):
+        """Without --epsilon or --max-iter, the fit is em_fit's with EmConfig()."""
+        draw = _simulate(tmp_path, "d")
+        out = tmp_path / "fit"
+        assert _cli("fit", draw / "panel.csv", out) in (EXIT_OK, EXIT_NONCONVERGENCE)
+        panel = read_panel_csv(draw / "panel.csv")
+        res = em_fit(panel, ModelDims(n=panel.n, T=panel.T, r=2, q=2))
+        trace = read_matrix_csv(out / "loglik_trace.csv")[:, 0]
+        assert np.array_equal(trace, res.loglik_trace)
 
     def test_max_iter_one(self, tmp_path):
         path, _ = self._write_noiseless(tmp_path)
@@ -572,6 +590,23 @@ class TestMontecarlo:
         assert str(path) in err and f"{key} must be an integer" in err
         assert not out.exists()
 
+    def test_unknown_top_level_key_exits_before_running(self, tmp_path,
+                                                        monkeypatch, capsys):
+        """A misspelt base_seed once ran with base seed 0 and exited 0."""
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"B": 2, "base_sed": 7, "cells": [
+            {"label": "good", "n": 12, "T": 25, "r": 2, "q": 2}]}))
+
+        def run_grid(*args, **kwargs):
+            raise AssertionError("run_grid ran on a file with an unknown key")
+
+        monkeypatch.setattr(cli, "run_grid", run_grid)
+        out = tmp_path / "report"
+        assert main(["montecarlo", str(path), "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{path}: invalid experiment file" in err and "'base_sed'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("parallel", ["0", "-1"])
     def test_parallel_below_one_exits_before_running(self, tmp_path,
                                                      monkeypatch, capsys,
@@ -668,6 +703,22 @@ class TestEval:
         code = main(["eval", "--truth", str(draw), "--fit", str(fit)])
         assert code == EXIT_VALIDATION
         assert f"{path}: key 'Lambda': not finite" in capsys.readouterr().err
+
+    def test_factors_with_no_columns_exit_validation(self, tmp_path, capsys):
+        """gamma_c with a gamma_B of empty rows once died dividing by zero
+        in the row blocks of the factored diagonal, exit 1."""
+        draw = _simulate(tmp_path, "d", n=30, T=60)
+        fit = tmp_path / "pc"
+        assert _cli("pc", draw / "panel.csv", fit) == EXIT_OK
+        path = fit / "params.json"
+        doc = json.loads(path.read_text())
+        del doc["gamma_e"]
+        path.write_text(json.dumps(dict(doc, gamma_c=1.0, gamma_B=[[]] * 30)))
+        capsys.readouterr()
+        code = main(["eval", "--truth", str(draw), "--fit", str(fit)])
+        assert code == EXIT_VALIDATION
+        assert (f"{path}: gamma_factors B must have at least one column"
+                in capsys.readouterr().err)
 
     def test_ragged_truth_file_names_file_and_line(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d", n=30, T=60)

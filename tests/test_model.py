@@ -173,6 +173,12 @@ class TestDfmParams:
             DfmParams(Lambda=np.ones((6, 2)), A=0.5 * np.eye(2), H=np.eye(2),
                       gamma_factors=(c, np.zeros((6, 1))))
 
+    def test_factors_with_no_columns_are_a_shape_error(self):
+        """c I alone is a diagonal gamma_e; the filter takes a B of m >= 1."""
+        with pytest.raises(ShapeError, match="^gamma_factors B must have at least one column$"):
+            DfmParams(Lambda=np.ones((6, 2)), A=0.5 * np.eye(2), H=np.eye(2),
+                      gamma_factors=(1.0, np.zeros((6, 0))))
+
 
 class TestGammaFactors:
     def test_gamma_e_is_the_diagonal(self, rng):
@@ -245,6 +251,12 @@ class TestPanel:
         with pytest.raises(ValueError):
             p.var[0] = 1.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_variance_of_no_periods_is_numpys(self):
+        """A zero-width panel once divided by zero sizing its row blocks."""
+        X = np.zeros((3, 0))
+        assert np.array_equal(Panel(X=X).var, X.var(axis=1), equal_nan=True)
+
 
     @pytest.mark.parametrize("n,T", [(700, 150), (3 * (_BLOCK_ELEMS // 150), 150),
                                      (4, _BLOCK_ELEMS + 1)])
@@ -281,6 +293,10 @@ class TestRowBlocks:
         for b, base, v in got:
             assert base is buf and v.flags.c_contiguous
             assert v.shape == (b.stop - b.start, m) and np.shares_memory(v, buf[:m])
+
+    def test_zero_width_rows_make_one_block(self):
+        assert _row_blocks(3, 0) == [slice(0, 3)]
+        assert [(b, v.shape) for b, v in _buffered_blocks(3, 0)] == [(slice(0, 3), (3, 0))]
 
 
 _ROWS_300 = _BLOCK_ELEMS // 300  # rows per block at T = 300

@@ -82,8 +82,18 @@ class TestCells:
 
         path = os.path.join(os.path.dirname(mc.__file__), "experiments",
                             "table4_small.json")
-        keys = [_cell_key(c) for c in McGrid.from_json(path).cells]
-        assert keys == [1136014998, 1792050130, 119473662]
+        grid = McGrid.from_json(path)
+        assert (grid.B, grid.base_seed) == (25, 20260823)
+        assert [_cell_key(c) for c in grid.cells] == [1136014998, 1792050130, 119473662]
+
+    def test_grid_from_json_refuses_an_unknown_key(self, tmp_path):
+        """The file's keys are McGrid's: a misspelt one is not skipped."""
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"B": 2, "base_sed": 7, "cells": [
+            {"label": "x", "n": 10, "T": 20, "r": 2, "q": 1}]}))
+        with pytest.raises(ValueError, match="'base_sed'") as exc:
+            McGrid.from_json(path)
+        assert str(exc.value).startswith(f"{path}: invalid experiment file: ")
 
     def test_grid_from_json(self, tmp_path):
         doc = {

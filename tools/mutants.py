@@ -114,13 +114,8 @@ EQUIVALENT = {
 
 # Generated mutants that a test could kill but none does yet, with the reason.
 OPEN = {
-    "metrics.py:trace_statistic:float*2:1e-300":
-        "needs an estimate whose Gram trace is under 2e-300",
-    "pca.py:pc_estimate:float*2:1e-300": "needs a panel whose top eigenvalue is under 2e-300",
-    "pca.py:pc_estimate:le>lt:abs(w[r - 1] - w[r]) <= _TIE_RTOL * max(abs(w[0]), 1e-300)":
+    "pca.py:pc_estimate:le>lt:abs(w[r - 1] - w[r]) <= _TIE_RTOL * abs(w[0])":
         "needs an eigenvalue gap of exactly 1e-12 of the top eigenvalue",
-    "pca.py:var_from_factors:float*2:1e-300":
-        "needs factors whose lagged second moments have a trace under 2e-300",
 }
 
 _SWAP = {ast.Add: ("+", "-", "add>sub"), ast.Sub: ("-", "+", "sub>add"),
