@@ -16,10 +16,10 @@ statistics.
     gamma_ii = T^{-1} (sum_t x_it^2 - 2 lambda_i' S_xF_i + lambda_i' S_FF lambda_i),
     Gom      = T^{-1} (S_head - A S_lag' - S_lag A' + A S_tail A'),
 
-with off-diagonal idiosyncratic covariances forced to zero. H is the
-symmetric square root of Gom when q = r, and otherwise loads the top-q
-eigenpairs of Gom with eigenvalues shrunk by the small ridge
-vartheta = 0.1/T that keeps the singular case well defined.
+with off-diagonal idiosyncratic covariances forced to zero. A, Gom and H
+are ``pca._var_fit``'s, as at the start; at q < r it shrinks Gom's
+eigenvalues by the small ridge vartheta = 0.1/T that keeps the singular
+case well defined. Only H H' is identified; at q = r it is Gom.
 
 Convergence uses the relative log-likelihood change
 |l_{k+1} - l_k| / |l_{k+1} + l_k|, where l is the exact filter (marginal)
@@ -49,7 +49,7 @@ from .kalman import (
 )
 from .model import DfmParams, ModelDims, Panel, ShapeError, _check_integer, \
     _check_real, _residual_blocks
-from .pca import IdentificationError, PcEstimate, _shock_loading, pc_estimate
+from .pca import IdentificationError, PcEstimate, _var_fit, pc_estimate
 
 __all__ = [
     "EmConfig",
@@ -169,11 +169,6 @@ def e_step(panel: Panel, params: DfmParams, init: InitState):
     return kalman_smoother(filt, params), filt.loglik
 
 
-def _symmetric_sqrt(M):
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
-    return (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
-
-
 def _floor_gamma(gamma, panel: Panel):
     """Idiosyncratic variances floored at a fixed fraction of each series'
     sample variance, with an absolute backstop: bounding the
@@ -186,42 +181,30 @@ def _floor_gamma(gamma, panel: Panel):
 
 
 def m_step(stats: SufficientStats, panel: Panel, q: int) -> DfmParams:
-    """Closed-form maximization step; returns diagonal-gamma parameters. For
-    q < r, H is ``pca._shock_loading`` of Gom with shrink vartheta = 0.1/T.
-    The squared residuals (x_it - lambda_i' F_{t|T})^2 of the gamma update
-    are summed block by block of rows, in cache, with no n x T array."""
+    """Closed-form maximization step; returns diagonal-gamma parameters.
+    (A, H) is ``pca._var_fit`` of the moments over T, shrunk by 0.1/T (and
+    warned if clamped) only when q < r. The squared residuals of the gamma
+    update are summed block by block of rows, in cache, with no n x T array."""
     T = panel.T
     try:
         Lam = np.linalg.solve(stats.S_FF, stats.S_xF.T).T
     except np.linalg.LinAlgError as exc:
         raise EmError(f"S_FF numerically singular in the loadings update: {exc}") from exc
+    r = Lam.shape[1]
     try:
-        A = np.linalg.solve(stats.S_FF_tail.T, stats.S_FF_lag.T).T
+        A, _, H, clamped = _var_fit(stats.S_FF_head, stats.S_FF_lag, stats.S_FF_tail,
+                                    T, q, _SHRINK / T if q < r else 0.0)
     except np.linalg.LinAlgError as exc:
         raise EmError(f"S_FF_tail numerically singular in the VAR update: {exc}") from exc
+    if clamped and q < r:
+        warnings.warn("shock-covariance eigenvalue below the ridge level; "
+                      "clamping the corresponding H column to zero scale",
+                      RuntimeWarning)
 
     ss = np.empty(panel.n)
     for b, E in _residual_blocks(panel.X, Lam, stats.F_smooth):
         np.einsum("ij,ij->i", E, E, out=ss[b])
     gamma = _floor_gamma((ss + np.sum((Lam @ stats.S_P) * Lam, axis=1)) / T, panel)
-
-    Gom = (
-        stats.S_FF_head
-        - A @ stats.S_FF_lag.T
-        - stats.S_FF_lag @ A.T
-        + A @ stats.S_FF_tail @ A.T
-    ) / T
-    Gom = 0.5 * (Gom + Gom.T)
-
-    r = Lam.shape[1]
-    if q == r:
-        H = _symmetric_sqrt(Gom)
-    else:
-        H, clamped = _shock_loading(Gom, q, _SHRINK / T)
-        if clamped:
-            warnings.warn("shock-covariance eigenvalue below the ridge level; "
-                          "clamping the corresponding H column to zero scale",
-                          RuntimeWarning)
 
     return DfmParams(Lambda=Lam, A=A, H=H, gamma_e=gamma)
 

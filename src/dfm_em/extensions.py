@@ -8,7 +8,7 @@ Two variants are provided:
   4 mu)) / 2", which guarantees a minimum eigenvalue of sqrt(mu) and
   satisfies the stationarity condition Gamma - S - mu Gamma^{-1} = 0.
   The expected residual covariance is S = Z Z' with the n x (T + r)
-  factor Z = [X - Lambda F_{.|T}, Lambda S_P^{1/2}] / sqrt(T). When
+  factor Z = [X - Lambda F_{.|T}, Lambda R] / sqrt(T), R R' = S_P. When
   T + r < n the M-step eigendecomposes the (T + r) x (T + r) Gram Z'Z
   = W nu W' instead of S, and returns Gamma = c I + B B' as its factors
   c = sqrt(mu) and B = Z W diag(f)^{1/2}, with
@@ -53,13 +53,13 @@ from functools import partial
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
-from .em import EmConfig, EmResult, _Estimator, _fit, _floor_gamma, _symmetric_sqrt
+from .em import EmConfig, EmResult, _Estimator, _fit, _floor_gamma
 # Not called here: bench/tracing.py wraps these by their extensions.* names.
 from .em import e_step, m_step  # noqa: F401
 from .kalman import stationary_init  # noqa: F401
 from .model import DfmParams, ModelDims, Panel, _ar1_weighted, \
     _buffered_blocks, _residual_blocks
-from .pca import PcEstimate, pc_estimate  # noqa: F401
+from .pca import PcEstimate, _shock_loading, pc_estimate  # noqa: F401
 
 __all__ = [
     "ridge_covariance",
@@ -106,9 +106,9 @@ def _ridge_map(nu, mu):
 
 
 def _ridge_gamma(X, Lam, stats, mu):
-    """Ridge M-step ``ridge_covariance(Z Z', mu)`` from the expected
-    residual factor Z of the module docstring, as the factors (c, B) of
-    Gamma = c I + B B'.
+    """Ridge M-step ``ridge_covariance(Z Z', mu)``, as the factors (c, B)
+    of Gamma = c I + B B', from the expected residual factor Z of the module
+    docstring, whose R is the H of ``pca._shock_loading(S_P, r)``.
 
     For n <= T + r it stacks Z's row blocks and eigendecomposes Z Z'. Otherwise
     Z is never formed: two passes over its row blocks Z_b (_z_blocks)
@@ -122,7 +122,7 @@ def _ridge_gamma(X, Lam, stats, mu):
     B'B = diag(f nu) since W diagonalises Z'Z.
     """
     n, T = X.shape
-    F, R = stats.F_smooth, _symmetric_sqrt(stats.S_P)
+    F, R = stats.F_smooth, _shock_loading(stats.S_P, Lam.shape[1])[0]
     m = T + Lam.shape[1]
     if n <= m:
         Z = np.vstack([Zb.copy() for _, Zb in _z_blocks(X, Lam, F, R)])

@@ -307,7 +307,7 @@ def _buffered_blocks(n, m):
     block's k x m rows of one reused C-ordered buffer, sized by the first
     (largest) block, so a view is valid only until the next one is drawn."""
     blocks = _row_blocks(n, m)
-    buf = np.empty((blocks[0].stop, m))
+    buf = np.empty((blocks[0].stop if blocks else 0, m))
     for b in blocks:
         yield b, buf[:b.stop - b.start]
 

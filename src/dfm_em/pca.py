@@ -69,12 +69,24 @@ def _sign_fix_columns(V):
 
 def _shock_loading(Gom, q, shrink=0.0):
     """(H, clamped): H = V max(w - shrink, 0)^{1/2} over the sign-fixed top-q
-    eigenpairs (w, V) of Gom; ``clamped`` says if some w - shrink was < 0."""
+    eigenpairs (w, V) of Gom; ``clamped`` says if some w - shrink was < 0.
+    At q = r with none clamped, H H' = Gom: also ridge's root R of S_P."""
     w, V = np.linalg.eigh(Gom)
     w, V = w[::-1][:q], V[:, ::-1][:, :q]
     scale = w - shrink
     clamped = bool(np.any(scale < 0.0))
     return _sign_fix_columns(V) * np.sqrt(np.maximum(scale, 0.0)), clamped
+
+
+def _var_fit(S_head, S_lag, S_tail, count, q, shrink=0.0):
+    """(A, Gom, H, clamped) of the VAR(1) F_t = A F_{t-1} + H u_t from the
+    sums S_head, S_lag, S_tail of F_t F_t', F_t F_{t-1}', F_{t-1} F_{t-1}':
+    A = S_lag S_tail^{-1}, Gom = (S_head - A S_lag' - S_lag A' + A S_tail A')
+    / count symmetrized, and ``_shock_loading(Gom, q, shrink)``."""
+    A = np.linalg.solve(S_tail.T, S_lag.T).T
+    Gom = (S_head - A @ S_lag.T - S_lag @ A.T + A @ S_tail @ A.T) / count
+    Gom = 0.5 * (Gom + Gom.T)
+    return (A, Gom, *_shock_loading(Gom, q, shrink))
 
 
 def _centred_blocks(X, mu, by_rows):
@@ -190,8 +202,8 @@ def var_from_factors(F: np.ndarray, q: int):
 
     Returns (A, H, Gom) where A is the OLS coefficient of F_t on F_{t-1},
     Gom the VAR residual covariance, and H its sign-fixed top-q eigenvectors
-    times root-eigenvalues: ``_shock_loading`` without the M-step's shrink.
-    Unless q is an integer with 1 <= q <= r, raises ValueError.
+    times root-eigenvalues: ``_var_fit`` of the sample moments over T - 1,
+    unshrunk. Unless q is an integer with 1 <= q <= r, raises ValueError.
     """
     F = np.asarray(F, dtype=float)
     r, T = F.shape
@@ -202,8 +214,5 @@ def var_from_factors(F: np.ndarray, q: int):
     S00 = F0 @ F0.T
     if np.linalg.matrix_rank(S00, tol=1e-10 * np.trace(S00)) < r:
         raise np.linalg.LinAlgError("lagged second-moment matrix is singular")
-    A = np.linalg.solve(S00.T, (F1 @ F0.T).T).T
-    resid = F1 - A @ F0
-    Gom = resid @ resid.T / (T - 1)
-    H, _ = _shock_loading(Gom, q)
+    A, Gom, H, _ = _var_fit(F1 @ F1.T, F1 @ F0.T, S00, T - 1, q)
     return A, H, Gom

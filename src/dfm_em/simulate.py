@@ -34,9 +34,10 @@ each entry takes the same products and sums, so the bits are those of
 the whole-panel draw. BURN_IN pre-sample periods are discarded, and the
 r x T factor path is a read-only array.
 
-Randomness is counter-based (Philox). ``stream(seed, b)`` gives the
-independent substream for replication b, so replications can run in any
-order or in parallel and stay reproducible.
+Randomness is counter-based (Philox): a draw takes its parameters from
+``stream(seed)`` and its shocks from ``stream(seed, 0)``. Replication b of
+a Monte Carlo cell draws at seed ``montecarlo._rep_seed(base_seed, cell
+key, b)``, so replications run in any order or in parallel, reproducibly.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class Innovation(str, Enum):
 def stream(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for the substream (seed, key).
 
-    ``stream(seed)`` is the root stream; ``stream(seed, b)`` is the
-    statistically independent stream used by replication b. The seed and
+    ``stream(seed)`` is the root stream; ``stream(seed, 0)`` is the
+    statistically independent substream of a draw's shocks. The seed and
     every key must be integers >= 0 (ValueError otherwise), so that no two
     arguments silently share a stream.
     """

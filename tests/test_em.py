@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dfm_em.em import AscentViolationError, EmDivergenceError, EmError, \
     SufficientStats, build_stats
 from dfm_em.kalman import stationary_init
 from dfm_em.model import ShapeError
+from dfm_em.pca import _column_signs, _shock_loading
 from conftest import dense_joint_moments, oracle_state_blocks, toeplitz_params, \
     traced_call
 
@@ -103,6 +105,14 @@ class TestEStep:
         assert np.min(np.linalg.eigvalsh(stats.S_FF)) > 0
 
 
+def _vector_stats(T, S_FF_head):
+    """Statistics at which the M-step's A is 0 and its Gom is S_FF_head / T."""
+    return SufficientStats(S_xF=np.zeros((5, 2)), S_FF=np.eye(2),
+                           S_FF_lag=np.zeros((2, 2)), S_FF_head=S_FF_head,
+                           S_FF_tail=np.eye(2), S_P=np.zeros((2, 2)),
+                           F_smooth=np.zeros((2, T)))
+
+
 class TestMStep:
     def test_known_factor_closed_forms(self, rng):
         """With zero smoother MSE the M-step reproduces the closed-form
@@ -128,20 +138,28 @@ class TestMStep:
         Gom_star = vres @ vres.T / T
         assert np.max(np.abs(out.H @ out.H.T - Gom_star)) < 1e-10
 
-    def test_symmetric_sqrt_q_equals_r(self):
+    def test_q_equals_r_loads_the_unshrunk_eigenpairs(self):
+        """At q = r, H is the start's shock loading of Gom, with no shrink:
+        here A = 0 and Gom = S_FF_head / T, of eigenvalues 3 +- sqrt(2)."""
         T = 10
-        X = np.zeros((5, T))
-        stats = SufficientStats(
-            S_xF=np.zeros((5, 2)),
-            S_FF=np.eye(2),
-            S_FF_lag=np.zeros((2, 2)),
-            S_FF_head=4.0 * T * np.eye(2),
-            S_FF_tail=np.eye(2),
-            S_P=np.zeros((2, 2)),
-            F_smooth=np.zeros((2, T)),
-        )
-        out = m_step(stats, Panel(X=X), q=2)
-        assert np.allclose(out.H, 2.0 * np.eye(2), atol=1e-12)
+        stats = _vector_stats(T, T * np.array([[4.0, 1.0], [1.0, 2.0]]))
+        out = m_step(stats, Panel(X=np.zeros((5, T))), q=2)
+        Gom = stats.S_FF_head / T
+        assert np.array_equal(out.H, _shock_loading(Gom, 2)[0])
+        assert np.max(np.abs(out.H @ out.H.T - Gom)) < 1e-12
+
+    @pytest.mark.parametrize("head,q", [(np.diag([9.0, 1.0]), 1),
+                                        (np.diag([1.0, -1e-3]), 2)],
+                             ids=["q_below_r", "negative_at_q_equal_r"])
+    def test_no_clamp_warning(self, head, q):
+        """The warning is for the q < r shrink only: none when the top-q
+        eigenvalues clear it, and none when a negative eigenvalue of Gom
+        is clamped at q = r."""
+        T = 10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = m_step(_vector_stats(T, T * head), Panel(X=np.zeros((5, T))), q=q)
+        assert np.all(np.isfinite(out.H)) and np.max(np.abs(out.H)) > 0.0
 
     def test_top_eigenpair_q_less_r(self):
         """H loads the top eigenpair, its eigenvalue shrunk by 0.1/T and
@@ -152,33 +170,15 @@ class TestMStep:
         h = np.sqrt(9.0 - 0.1 / T)
         for head, want in ((np.diag([9.0, 1.0]), [[h], [0.0]]),
                            (np.diag([1.0, 9.0]), [[0.0], [h]])):
-            stats = SufficientStats(
-                S_xF=np.zeros((5, 2)),
-                S_FF=np.eye(2),
-                S_FF_lag=np.zeros((2, 2)),
-                S_FF_head=T * head,
-                S_FF_tail=np.eye(2),
-                S_P=np.zeros((2, 2)),
-                F_smooth=np.zeros((2, T)),
-            )
-            out = m_step(stats, Panel(X=X), q=1)
+            out = m_step(_vector_stats(T, T * head), Panel(X=X), q=1)
             assert np.allclose(out.H, want, atol=1e-12)
 
     def test_eigenvalue_clamp_warns(self):
         """Gom's top eigenvalue 1e-9 lies below the shrink 0.1/T = 0.01."""
         T = 10
-        X = np.zeros((5, T))
-        stats = SufficientStats(
-            S_xF=np.zeros((5, 2)),
-            S_FF=np.eye(2),
-            S_FF_lag=np.zeros((2, 2)),
-            S_FF_head=T * np.diag([1e-9, 1e-10]),
-            S_FF_tail=np.eye(2),
-            S_P=np.zeros((2, 2)),
-            F_smooth=np.zeros((2, T)),
-        )
+        stats = _vector_stats(T, T * np.diag([1e-9, 1e-10]))
         with pytest.warns(RuntimeWarning):
-            out = m_step(stats, Panel(X=X), q=1)
+            out = m_step(stats, Panel(X=np.zeros((5, T))), q=1)
         assert np.allclose(out.H, 0.0)
 
     @pytest.mark.parametrize("singular", ["S_FF", "S_FF_tail"])
@@ -232,6 +232,14 @@ class TestEmFit:
         panel = Panel(X=draw.panel.X)  # its variance not yet computed
         _, peak, retained = traced_call(em_fit, panel, dims)
         assert peak <= retained + 0.25 * panel.X.nbytes
+
+    def test_q_equals_r_keeps_the_start_sign_convention(self):
+        """Each column of H has a positive first nonzero entry, as at the
+        principal-components start, after every M-step at q = r."""
+        dims = ModelDims(n=20, T=60, r=3, q=3)
+        res = em_fit(draw_dgp(DgpConfig(dims=dims, seed=4)).panel, dims)
+        assert res.iters >= 1
+        assert np.array_equal(_column_signs(res.params.H), np.ones(3))
 
     def test_near_noiseless_variances_sit_on_the_floor(self):
         """On a near-noiseless panel every idiosyncratic variance is floored

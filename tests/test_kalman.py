@@ -60,6 +60,19 @@ class TestFilterBasics:
         _, _, ll = dense_joint_moments(panel, p, init)
         assert abs(filt.loglik - ll) < 1e-8
 
+    @pytest.mark.parametrize("gamma", [{"gamma_e": np.ones(0)},
+                                       {"gamma_factors": (1.0, np.zeros((0, 2)))}],
+                             ids=["diagonal", "factored"])
+    def test_no_series_observe_nothing(self, gamma):
+        """A panel of no series adds nothing to the log-likelihood and the
+        filter only propagates its prior; its norms once raised IndexError."""
+        p = DfmParams(Lambda=np.ones((0, 2)), A=0.5 * np.eye(2), H=np.eye(2), **gamma)
+        filt = kalman_filter(Panel(X=np.zeros((0, 5))), p,
+                             InitState(F0=[1.0, -2.0], P0=np.eye(2)))
+        assert filt.loglik == 0.0
+        assert np.array_equal(filt.F_filt, np.array([[1.0], [-2.0]]) * 0.5 ** np.arange(1, 6))
+        assert np.array_equal(filt.P_filt, filt.P_pred)
+
     def test_filtered_means_match_growing_dense_projection(self):
         """F_{t|t} equals the dense projection using data up to t only."""
         draw = _draw(n=5, T=10, r=2, q=2, seed=3)

@@ -179,6 +179,12 @@ class TestDfmParams:
             DfmParams(Lambda=np.ones((6, 2)), A=0.5 * np.eye(2), H=np.eye(2),
                       gamma_factors=(1.0, np.zeros((6, 0))))
 
+    def test_factors_of_no_series_have_an_empty_diagonal(self):
+        """Summing the rows of a B with none once raised IndexError."""
+        p = DfmParams(Lambda=np.ones((0, 2)), A=0.5 * np.eye(2), H=np.eye(2),
+                      gamma_factors=(1.0, np.zeros((0, 2))))
+        assert p.gamma_e.shape == (0,)
+
 
 class TestGammaFactors:
     def test_gamma_e_is_the_diagonal(self, rng):
@@ -297,6 +303,11 @@ class TestRowBlocks:
     def test_zero_width_rows_make_one_block(self):
         assert _row_blocks(3, 0) == [slice(0, 3)]
         assert [(b, v.shape) for b, v in _buffered_blocks(3, 0)] == [(slice(0, 3), (3, 0))]
+
+    def test_no_rows_make_no_block(self):
+        """The buffer was sized by a first block that does not exist."""
+        assert _row_blocks(0, 4) == []
+        assert list(_buffered_blocks(0, 4)) == []
 
 
 _ROWS_300 = _BLOCK_ELEMS // 300  # rows per block at T = 300
