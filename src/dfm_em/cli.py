@@ -192,8 +192,7 @@ def _cmd_eval(args) -> int:
     text = json.dumps(out, indent=2)
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        dfm_io._write_text(args.out, text)
     return EXIT_OK
 
 

@@ -1,5 +1,10 @@
 """File formats: CSV panels and factor paths, JSON parameter documents.
 
+This is the only module that opens a file: the package reads through
+``_lines`` and writes through ``_write_text``, the Monte Carlo report and
+experiment files and ``dfm-em eval --out`` included, so every reader
+names the file it refuses, in one way for every format.
+
 Every matrix CSV has one header row naming its columns, then one row per
 matrix row. A panel's header holds the series identifiers and each
 subsequent row is one time point, so the file has T data rows and n
@@ -69,34 +74,43 @@ def write_panel_csv(panel: Panel, path):
     write_matrix_csv(panel.X.T, path, header=panel.names)
 
 
+def _lines(path):
+    """The lines of the text file ``path``, read one at a time; undecodable
+    text raises ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_csv(path):
     """(header fields, float array rows) of a CSV file whose first non-blank
     line is its header, blank lines skipped. A row not as wide as the header,
     or a field that is not a finite number (nan and inf included), raises
-    ValueError naming file:line; undecodable text, naming the file."""
+    ValueError naming file:line; undecodable text or no data row, naming
+    the file."""
     header, rows = None, []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                fields = line.strip().split(",")
-                if fields == [""]:
-                    continue
-                if header is None:
-                    header = fields
-                    continue
-                if len(fields) != len(header):
-                    raise ValueError(f"{path}:{lineno}: expected {len(header)} "
-                                     f"columns, got {len(fields)}")
-                try:
-                    row = np.array(fields, dtype=float)
-                    if not np.isfinite(row).all():
-                        raise ValueError("not a finite number: "
-                                         f"{fields[np.isfinite(row).argmin()]!r}")
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(_lines(path), start=1):
+        fields = line.strip().split(",")
+        if fields == [""]:
+            continue
+        if header is None:
+            header = fields
+            continue
+        if len(fields) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} "
+                             f"columns, got {len(fields)}")
+        try:
+            row = np.array(fields, dtype=float)
+            if not np.isfinite(row).all():
+                raise ValueError("not a finite number: "
+                                 f"{fields[np.isfinite(row).argmin()]!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     return header, rows
 
 
@@ -104,8 +118,6 @@ def read_panel_csv(path) -> Panel:
     """Read a panel written by :func:`write_panel_csv`, C-ordered: its
     T x n rows are freed before their one transposed copy is made."""
     header, rows = _read_csv(path)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
     XT = np.array(rows)
     del rows
     return Panel(X=np.ascontiguousarray(XT.T), names=tuple(header))
@@ -121,8 +133,7 @@ def write_matrix_csv(M: np.ndarray, path, header):
     lines = [",".join(header)]
     for row in M:
         lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines))
 
 
 def _write_factors_csv(F: np.ndarray, path):
@@ -151,9 +162,26 @@ def _params_doc(params: DfmParams) -> dict:
     }
 
 
-def _write_json(doc: dict, path):
+def _write_text(path, text: str):
+    """Write ``text`` and a closing newline to ``path``."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(text + "\n")
+
+
+def _write_json(doc: dict, path):
+    _write_text(path, json.dumps(doc))
+
+
+def _read_json(path) -> dict:
+    """The JSON object in ``path``; undecodable text, a parse error or a
+    document that is not an object raises ValueError naming the file."""
+    try:
+        doc = json.loads("".join(_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return doc
 
 
 def write_params_json(params: DfmParams, path):
@@ -165,13 +193,11 @@ def read_params_json(path) -> DfmParams:
     draw's or a fit's ``params.json``). Text that is not a JSON object, a
     missing key, a value that is not a finite number (JSON's NaN and
     Infinity included) or a rectangular array of them, a ``gamma_e`` not
-    1-D or ``gamma_c`` not 0-d, or factors that break c > 0 or B'B diagonal
+    1-D or ``gamma_c`` not 0-d, arrays whose shapes disagree (which
+    :class:`DfmParams` refuses), or factors that break c > 0 or B'B diagonal
     (which the filter relies on) raise ValueError naming the file."""
+    doc = _read_json(path)
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("not a JSON object")
         factored = "gamma_c" in doc or "gamma_B" in doc
         fields = {}
         for key in ("Lambda", "A", "H", "rho") + (
@@ -194,8 +220,6 @@ def read_params_json(path) -> DfmParams:
         if bad:
             raise ValueError("; ".join(bad))
         return params
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -148,6 +148,10 @@ class DfmParams:
         B'B diagonal, as the ridge M-step and ``ridge_covariance`` give it;
         ``gamma_e`` is then the diagonal c + sum_j B_ij^2, and no n x n array
         is formed. Without it, Gamma^e is diagonal.
+
+    Each array must agree with Lambda's (n, r), as the shapes above say
+    (H may have any number q of columns); one that does not raises
+    ShapeError naming it, so a built ``DfmParams`` is consistent.
     """
 
     Lambda: np.ndarray
@@ -161,6 +165,7 @@ class DfmParams:
         Lam = _as_matrix(self.Lambda, "Lambda")
         A = _as_matrix(self.A, "A")
         H = _as_matrix(self.H, "H")
+        n, r = Lam.shape
         factors = self.gamma_factors
         if factors is not None:
             if np.ndim(factors[0]) != 0:
@@ -168,6 +173,8 @@ class DfmParams:
             c, B = float(factors[0]), _as_matrix(factors[1], "gamma_factors B")
             if B.shape[1] == 0:
                 raise ShapeError("gamma_factors B must have at least one column")
+            if B.shape[0] != n:
+                raise ShapeError(f"gamma_factors B shape {B.shape} needs n={n} rows")
             B.flags.writeable = False
             factors, g = (c, B), _factored_diagonal(c, B)
             given = self.gamma_e
@@ -179,7 +186,11 @@ class DfmParams:
                 raise ShapeError("gamma_e must be 1-D (the diagonal); give a "
                                  "full covariance as gamma_factors (c, B)")
         rho = self.rho
-        rho = np.zeros(Lam.shape[0]) if rho is None else np.asarray(rho, dtype=float)
+        rho = np.zeros(n) if rho is None else np.asarray(rho, dtype=float)
+        for name, a, shape in (("A", A, (r, r)), ("H", H, (r, H.shape[1])),
+                               ("gamma_e", g, (n,)), ("rho", rho, (n,))):
+            if a.shape != shape:
+                raise ShapeError(f"{name} shape {a.shape} != {shape}")
         for a in (Lam, A, H, g, rho):
             a.flags.writeable = False
         object.__setattr__(self, "Lambda", Lam)
@@ -244,24 +255,17 @@ def validate(params: DfmParams, dims: ModelDims) -> list:
     Returns an empty list when all constraints hold; otherwise a list of
     human-readable violation descriptors, each naming the constraint
     breached. A field with a NaN or infinite entry is reported as not
-    finite, and then no other constraint is checked. Shape mismatches
-    raise :class:`ShapeError` instead.
+    finite, and then no other constraint is checked. A Lambda not of
+    shape (n, r) or an H not (r, q) for ``dims`` raises :class:`ShapeError`
+    instead; the other shapes follow from Lambda's, which
+    :class:`DfmParams` checks when built.
     """
     n, r, q = dims.n, dims.r, dims.q
     if params.Lambda.shape != (n, r):
         raise ShapeError(f"Lambda shape {params.Lambda.shape} != ({n}, {r})")
-    if params.A.shape != (r, r):
-        raise ShapeError(f"A shape {params.A.shape} != ({r}, {r})")
     if params.H.shape != (r, q):
         raise ShapeError(f"H shape {params.H.shape} != ({r}, {q})")
-    factors = params.gamma_factors
-    if factors is not None and factors[1].shape[0] != n:
-        raise ShapeError(f"gamma_factors B shape {factors[1].shape} needs n={n} rows")
-    g = params.gamma_e
-    if g.shape != (n,):
-        raise ShapeError(f"gamma_e shape {g.shape} incompatible with n={n}")
-    if params.rho.shape != (n,):
-        raise ShapeError(f"rho shape {params.rho.shape} != ({n},)")
+    factors, g = params.gamma_factors, params.gamma_e
 
     # The eigen and rank checks below are undefined on NaN or inf entries.
     fields = {"Lambda": params.Lambda, "A": params.A, "H": params.H,

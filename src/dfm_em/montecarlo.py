@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .em import _NUMERICAL_FAILURES, EmConfig, em_fit
-from .io import _fmt, _refuse_existing
+from .io import _fmt, _read_json, _refuse_existing, _write_text
 from .kalman import kalman_filter, stationary_init, steady_state_diagnostics
 from .metrics import BURN_IN_T, DEFAULT_ALPHAS, HIST_EDGES, CoverageTable, \
     ZAccumulator, common_mse, trace_statistic, z_scores
@@ -126,14 +126,7 @@ class McGrid:
 
     @staticmethod
     def from_json(path) -> "McGrid":
-        with open(path) as fh:
-            text = fh.read()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{path}: parse error at line {exc.lineno}: {exc.msg}"
-            ) from exc
+        doc = _read_json(path)
         try:
             cells = tuple(McCell(**c) for c in doc["cells"])
             return McGrid(**{**doc, "cells": cells})
@@ -325,16 +318,14 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
         lines.append(",".join(
             str(as_is[k]) if k in as_is else _fmt(nums[k]) if k in nums else ""
             for k in _CSV_COLUMNS))
-    with open(cells_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(cells_path, "\n".join(lines))
 
     em_cells = [c for c in report.cells if c.cell.mode == "em"]
     for c, hpath in zip(em_cells, hist_paths):
         hlines = ["bin_left,bin_right,count"]
         for lo, hi, k in zip(HIST_EDGES[:-1], HIST_EDGES[1:], c.hist):
             hlines.append(f"{_fmt(lo)},{_fmt(hi)},{int(k)}")
-        with open(hpath, "w") as fh:
-            fh.write("\n".join(hlines) + "\n")
+        _write_text(hpath, "\n".join(hlines))
 
     from . import __version__  # at call time: the package imports this module
     manifest = {
@@ -346,6 +337,4 @@ def write_report(report: McReport, outdir, overwrite: bool = False):
         "seconds_total": report.seconds,
         "seconds_per_cell": {c.cell.label: c.seconds for c in report.cells},
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_text(manifest_path, json.dumps(manifest, indent=2))

@@ -225,13 +225,12 @@ def _simulate(params, T, innovation, rng, tau):
     """(factors, panel) of length T from ``params``, drawing from ``rng``,
     with tau as the module docstring describes; the processes start at
     zero and BURN_IN pre-sample periods are discarded."""
-    innovation = Innovation(innovation)
     n, r, q = params.n, params.r, params.q
     total = T + BURN_IN
 
     def draw(out):
         """Fill ``out`` with the next standardized shocks of the stream."""
-        if innovation is Innovation.GAUSSIAN:
+        if innovation == Innovation.GAUSSIAN:  # or its value, "gaussian"
             return rng.standard_normal(out=out)
         out[...] = _standardized_t4(rng, out.shape)
         return out

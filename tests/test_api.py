@@ -121,3 +121,15 @@ def test_module_does_not_import_the_estimators(module):
     """Metrics and file formats read estimates; they do not depend on the
     ridge and ECM estimators that produce some of them."""
     assert "extensions" not in _imported_modules(module)
+
+
+def test_only_io_opens_a_file():
+    """Every file the package reads or writes goes through ``io``, so one
+    module decides how a file that cannot be read is refused."""
+    openers = set()
+    for module in MODULES:
+        tree = ast.parse((Path(dfm_em.__file__).parent / f"{module}.py").read_text())
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "open" for node in ast.walk(tree)):
+            openers.add(module)
+    assert openers == {"io"}

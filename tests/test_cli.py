@@ -642,6 +642,22 @@ class TestMontecarlo:
         assert code == EXIT_VALIDATION
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, message", [
+        ('{"B": 2, "cells": []}'.encode("utf-16"),
+         "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'[{"B": 2, "cells": []}]', "not a JSON object"),
+    ], ids=["utf16", "array"])
+    def test_unreadable_experiment_file_is_named(self, tmp_path, capsys, data,
+                                                 message):
+        """A UTF-16 file once exited with the codec's message, naming no
+        file; a JSON array, with "list indices must be integers"."""
+        path = tmp_path / "exp.json"
+        path.write_bytes(data)
+        code = main(["montecarlo", str(path), "--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "r").exists()
+
     def test_experiment_that_is_a_directory_exits_validation(self, tmp_path,
                                                             capsys):
         code = main(["montecarlo", str(tmp_path), "--out", str(tmp_path / "r")])
@@ -719,6 +735,19 @@ class TestEval:
         assert code == EXIT_VALIDATION
         assert (f"{path}: gamma_factors B must have at least one column"
                 in capsys.readouterr().err)
+
+    def test_header_only_factors_file_exits_naming_it(self, tmp_path, capsys):
+        """A factors.csv with a header and no rows once read as a 1-D array
+        and died in a matmul, naming no file."""
+        draw = _simulate(tmp_path, "d", n=30, T=60)
+        fit = tmp_path / "pc"
+        assert _cli("pc", draw / "panel.csv", fit) == EXIT_OK
+        path = fit / "factors.csv"
+        path.write_text("F1,F2\n")
+        capsys.readouterr()
+        code = main(["eval", "--truth", str(draw), "--fit", str(fit)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: no data rows\n"
 
     def test_ragged_truth_file_names_file_and_line(self, tmp_path, capsys):
         draw = _simulate(tmp_path, "d", n=30, T=60)

@@ -120,6 +120,16 @@ class TestMatrixCsv:
             write_matrix_csv(np.ones((2, 3)), path, header=["a"])
         assert not path.exists()
 
+    @pytest.mark.parametrize("text", ["", "a,b\n", "a,b\n\n"],
+                             ids=["empty", "header_only", "header_and_blank"])
+    def test_no_data_rows_raise_naming_the_file(self, tmp_path, text):
+        """Such a file once read as a 1-D array of shape (0,)."""
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            read_matrix_csv(path)
+        assert str(err.value) == f"{path}: no data rows"
+
     @pytest.mark.parametrize("blank", [False, True])
     @pytest.mark.parametrize("bad, message", [
         ("1.0,2.0,3.0\n4.0,5.0\n", "expected 3 columns, got 2"),
@@ -225,6 +235,26 @@ class TestParamsJson:
         with pytest.raises(ValueError) as err:
             read_params_json(path)
         assert str(err.value).startswith(f"{path}: key {key!r}: ")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("A", [[0.5, 0.0], [0.0, 0.5]], "A shape (2, 2) != (1, 1)"),
+        ("H", [[1.0], [1.0]], "H shape (2, 1) != (1, 1)"),
+        ("gamma_B", [[1.0]], "gamma_factors B shape (1, 1) needs n=2 rows"),
+        ("gamma_e", [1.0], "gamma_e shape (1,) != (2,)"),
+        ("rho", [0.0], "rho shape (1,) != (2,)"),
+    ], ids=["A", "H", "gamma_B", "gamma_e", "rho"])
+    def test_arrays_that_disagree_name_the_file(self, tmp_path, key, value,
+                                                message):
+        """Arrays that disagree with Lambda's (n, r) were once read, and
+        died in the filter or filtered with no complaint."""
+        doc = dict(_TWO_SERIES, **({"gamma_c": 1.0} if key == "gamma_B"
+                                   else {"gamma_e": [1.0, 1.0]}))
+        doc[key] = value
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            read_params_json(path)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("key", ["Lambda", "gamma_c"])

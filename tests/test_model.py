@@ -123,9 +123,9 @@ class TestValidate:
 
     def test_factors_with_wrong_row_count_raise(self):
         dims = ModelDims(n=7, T=10, r=2, q=2)
-        p = dataclasses.replace(self._factored(), Lambda=np.ones((7, 2)),
-                                rho=np.zeros(7))
         with pytest.raises(ShapeError, match="^gamma_factors B shape"):
+            p = dataclasses.replace(self._factored(), Lambda=np.ones((7, 2)),
+                                    rho=np.zeros(7))
             validate(p, dims)
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
@@ -178,6 +178,28 @@ class TestDfmParams:
         with pytest.raises(ShapeError, match="^gamma_factors B must have at least one column$"):
             DfmParams(Lambda=np.ones((6, 2)), A=0.5 * np.eye(2), H=np.eye(2),
                       gamma_factors=(1.0, np.zeros((6, 0))))
+
+    @pytest.mark.parametrize("field, bad, match", [
+        ("A", np.eye(3), r"^A shape \(3, 3\) != \(2, 2\)$"),
+        ("H", np.eye(3)[:, :1], r"^H shape \(3, 1\) != \(2, 1\)$"),
+        ("gamma_factors", (1.0, np.ones((5, 1))),
+         r"^gamma_factors B shape \(5, 1\) needs n=6 rows$"),
+        ("gamma_e", np.ones(5), r"^gamma_e shape \(5,\) != \(6,\)$"),
+        ("rho", np.zeros(5), r"^rho shape \(5,\) != \(6,\)$"),
+        ("rho", np.zeros((6, 1)), r"^rho shape \(6, 1\) != \(6,\)$"),
+    ], ids=["A", "H", "B", "gamma_e", "rho", "rho_column"])
+    def test_arrays_that_disagree_with_Lambda_are_shape_errors(self, field,
+                                                               bad, match):
+        """An A of 3 x 3 or a gamma_e of 5 at n = 6, r = 2 once died in the
+        filter's matmul or broadcast, and a rho of 5 filtered with no
+        complaint."""
+        kw = dict(Lambda=np.ones((6, 2)), A=0.5 * np.eye(2), H=np.eye(2),
+                  gamma_e=np.ones(6), rho=np.zeros(6))
+        kw[field] = bad
+        if field == "gamma_factors":
+            del kw["gamma_e"]
+        with pytest.raises(ShapeError, match=match):
+            DfmParams(**kw)
 
     def test_factors_of_no_series_have_an_empty_diagonal(self):
         """Summing the rows of a B with none once raised IndexError."""

@@ -95,6 +95,21 @@ class TestCells:
             McGrid.from_json(path)
         assert str(exc.value).startswith(f"{path}: invalid experiment file: ")
 
+    @pytest.mark.parametrize("data, message", [
+        ('{"B": 2, "cells": []}'.encode("utf-16"),
+         "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'[{"B": 2, "cells": []}]', "not a JSON object"),
+    ], ids=["utf16", "array"])
+    def test_grid_from_json_names_an_unreadable_file(self, tmp_path, data,
+                                                      message):
+        """A UTF-16 file or a JSON array is refused naming the file, as a
+        panel or a params.json is."""
+        path = tmp_path / "grid.json"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            McGrid.from_json(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
     def test_grid_from_json(self, tmp_path):
         doc = {
             "B": 3,
